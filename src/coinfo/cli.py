@@ -104,17 +104,27 @@ def _parse_source(spec):
     k = len(labels)
     if len(set(labels)) != k:
         raise DomainError(f"duplicate axis labels in {spec!r}")
-    cells = []
+    cells = {}
     for row in rows[1:]:
         if len(row) != k + 1:
             raise DomainError(
                 f"source row {' '.join(row)!r} needs {k} indices and one value"
             )
-        cells.append((tuple(int(i) for i in row[:k]), float(row[k])))
-    sizes = [max(idx[a] for idx, _ in cells) + 1 for a in range(k)]
+        try:
+            idx, value = tuple(int(i) for i in row[:k]), float(row[k])
+        except ValueError:
+            raise DomainError(
+                f"source row {' '.join(row)!r} is not integer indices and a number"
+            ) from None
+        if min(idx) < 0:
+            raise DomainError(f"source row {' '.join(row)!r} has a negative index")
+        if idx in cells:
+            raise DomainError(f"source cell {idx} is listed twice in {spec!r}")
+        cells[idx] = value
+    sizes = [max(idx[a] for idx in cells) + 1 for a in range(k)]
     mass = np.zeros(sizes)
-    for idx, value in cells:
-        mass[idx] += value
+    for idx, value in cells.items():
+        mass[idx] = value
     axes = tuple(Alphabet(sizes[a], labels[a]) for a in range(k))
     return JointPmf(axes, mass)
 

@@ -8,7 +8,11 @@ margin search, and the cardinality robustness report.
 Determinism contract: all randomness flows through per-sample substreams
 derived from (seed, sample index), every reduction is an associative max
 with lowest-index tie-break, and no BLAS-backed kernels are used, so a
-run is bit-reproducible for any thread count.
+run is bit-reproducible for any thread count. Every information term on
+the sampling and refinement paths comes from one call of
+probability.entropies, which builds all the marginals a candidate needs
+with np.bincount over a cached index plan and sums them in a fixed
+order, with elementwise operations only.
 """
 
 import heapq
@@ -26,7 +30,7 @@ from .probability import (
     binary_entropy,
     binary_entropy_inverse,
     dsbs,
-    entropy_of_array,
+    entropies,
     _check_probability,
     _clamp_measure,
 )
@@ -187,39 +191,36 @@ def sample_channel(input_size, output_size, rng, input_label="x", output_label="
     return Channel(Alphabet(input_size, input_label), Alphabet(output_size, output_label), rows)
 
 
-def _mi2(w):
-    # mutual information of a 2-D joint weight table
-    return _clamp_measure(
-        entropy_of_array(np.sum(w, axis=1))
-        + entropy_of_array(np.sum(w, axis=0))
-        - entropy_of_array(w)
-    )
+# kept-axis groups of the (x, z, u, v) and (x, z, u) joints, axes in that order
+_INNER_GROUPS = ((0,), (1,), (2,), (3,), (2, 3), (0, 2), (1, 3))
+_OUTER_GROUPS = (
+    (0,), (1,), (2,), (3,), (0, 1), (2, 3), (0, 2), (1, 3), (1, 2), (0, 3),
+    (0, 1, 2), (0, 1, 3), (0, 1, 2, 3),
+)
+_IB_GROUPS = ((0,), (1,), (2,), (0, 2), (1, 2))
 
 
 def _inner_stats(pxz, rows_u, rows_v):
-    w_uv = np.einsum("xz,xu,zv->uv", pxz, rows_u, rows_v, optimize=False)
-    w_xu = np.einsum("xz,xu->xu", pxz, rows_u, optimize=False)
-    w_zv = np.einsum("xz,zv->zv", pxz, rows_v, optimize=False)
-    return _mi2(w_uv), _mi2(w_xu), _mi2(w_zv)
+    """(I(u;v), I(u;x), I(v;z)) on the long chain u - x - z - v."""
+    w = pxz[:, :, None, None] * rows_u[:, None, :, None] * rows_v[None, :, None, :]
+    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = entropies(w, _INNER_GROUPS)
+    return (
+        _clamp_measure(h_u + h_v - h_uv),
+        _clamp_measure(h_x + h_u - h_xu),
+        _clamp_measure(h_z + h_v - h_zv),
+    )
+
+
+def _ib_stats(pxz, rows):
+    """(I(u;x), I(u;z)) of a test channel p(u|x) on the source."""
+    h_x, h_z, h_u, h_xu, h_zu = entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS)
+    return _clamp_measure(h_x + h_u - h_xu), _clamp_measure(h_z + h_u - h_zu)
 
 
 def _outer_stats(pxz, q):
     """All information terms of a (x,z,u,v) joint given q(u,v|x,z)."""
-    w = pxz[:, :, None, None] * q
-    h = entropy_of_array
-    h_x = h(np.sum(w, axis=(1, 2, 3)))
-    h_z = h(np.sum(w, axis=(0, 2, 3)))
-    h_u = h(np.sum(w, axis=(0, 1, 3)))
-    h_v = h(np.sum(w, axis=(0, 1, 2)))
-    h_xz = h(np.sum(w, axis=(2, 3)))
-    h_uv = h(np.sum(w, axis=(0, 1)))
-    h_xu = h(np.sum(w, axis=(1, 3)))
-    h_zv = h(np.sum(w, axis=(0, 2)))
-    h_zu = h(np.sum(w, axis=(0, 3)))
-    h_xv = h(np.sum(w, axis=(1, 2)))
-    h_xzu = h(np.sum(w, axis=3))
-    h_xzv = h(np.sum(w, axis=2))
-    h_all = h(w)
+    (h_x, h_z, h_u, h_v, h_xz, h_uv, h_xu, h_zv, h_zu, h_xv, h_xzu, h_xzv,
+     h_all) = entropies(pxz[:, :, None, None] * q, _OUTER_GROUPS)
     iux = _clamp_measure(h_x + h_u - h_xu)
     ivz = _clamp_measure(h_z + h_v - h_zv)
     return {
@@ -233,38 +234,41 @@ def _outer_stats(pxz, q):
     }
 
 
-def _project_chains(pxz, q, tol=MARKOV_TOL, max_sweeps=_MAX_SWEEPS):
+def _source_conditionals(pxz):
+    """(p(z|x), p(x|z)) of a source; rows of a zero-mass symbol are zero."""
+    px = np.sum(pxz, axis=1)[:, None]
+    pz = np.sum(pxz, axis=0)[None, :]
+    z_given_x = np.divide(pxz, px, out=np.zeros(pxz.shape), where=px > 0.0)
+    x_given_z = np.divide(pxz, pz, out=np.zeros(pxz.shape), where=pz > 0.0)
+    return z_given_x, x_given_z
+
+
+def _project_chains(pxz, q, cond, tol=MARKOV_TOL, max_sweeps=_MAX_SWEEPS):
     """Alternately restore the chains u-x-z and x-z-v on q(u,v|x,z).
 
     Each half-sweep replaces one conditional by its source-weighted
     average, which zeroes the corresponding CMI exactly while keeping the
-    other conditional untouched. Returns (q, converged).
+    other conditional untouched. cond is _source_conditionals(pxz).
+    Returns (q, stats): stats is _outer_stats of the returned q, or None
+    when the sweep budget ran out before both chains held.
     """
-    px = np.sum(pxz, axis=1)
-    pz = np.sum(pxz, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z_given_x = np.where(px[:, None] > 0.0, pxz / px[:, None], 0.0)
-        x_given_z = np.where(pz[None, :] > 0.0, pxz / pz[None, :], 0.0)
-    n_v = q.shape[3]
-    n_u = q.shape[2]
+    z_given_x, x_given_z = cond
     for _ in range(max_sweeps):
         st = _outer_stats(pxz, q)
         if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol:
-            return q, True
+            return q, st
         # enforce u - x - z: q(u,v|x,z) -> p(u|x) * q(v|x,z,u)
-        q_u = np.sum(q, axis=3)
-        u_given_x = np.einsum("xz,xzu->xu", z_given_x, q_u, optimize=False)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            v_cond = np.where(q_u[..., None] > 0.0, q / q_u[..., None], 1.0 / n_v)
+        q_u = np.sum(q, axis=3, keepdims=True)
+        u_given_x = np.einsum("xz,xzu->xu", z_given_x, q_u[..., 0], optimize=False)
+        v_cond = np.divide(q, q_u, out=np.full(q.shape, 1.0 / q.shape[3]), where=q_u > 0.0)
         q = u_given_x[:, None, :, None] * v_cond
         # enforce x - z - v: q(u,v|x,z) -> p(v|z) * q(u|x,z,v)
-        q_v = np.sum(q, axis=2)
-        v_given_z = np.einsum("xz,xzv->zv", x_given_z, q_v, optimize=False)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u_cond = np.where(q_v[:, :, None, :] > 0.0, q / q_v[:, :, None, :], 1.0 / n_u)
+        q_v = np.sum(q, axis=2, keepdims=True)
+        v_given_z = np.einsum("xz,xzv->zv", x_given_z, q_v[:, :, 0, :], optimize=False)
+        u_cond = np.divide(q, q_v, out=np.full(q.shape, 1.0 / q.shape[2]), where=q_v > 0.0)
         q = v_given_z[None, :, None, :] * u_cond
     st = _outer_stats(pxz, q)
-    return q, st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol
+    return q, (st if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol else None)
 
 
 def _constant_rows(n_rows, n_cols):
@@ -281,15 +285,9 @@ def _lam_dot(lam, mu, r1, r2):
     return lam.l1 * mu + lam.l2 * r1 + lam.l3 * r2
 
 
-def _inner_objective(pxz, rows_u, rows_v, lam):
-    iuv, iux, ivz = _inner_stats(pxz, rows_u, rows_v)
-    return _lam_dot(lam, iuv, iux, ivz)
-
-
-def _outer_objective(pxz, q, lam, variant):
-    st = _outer_stats(pxz, q)
-    mu = st["mu_ro"] if variant == "ro" else min(st["iuz"], st["ivx"])
-    return _lam_dot(lam, mu, st["iux"], st["ivz"])
+def _region_mu(st, variant):
+    # the co-information coordinate of an outer variant
+    return st["mu_ro"] if variant == "ro" else min(st["iuz"], st["ivx"])
 
 
 def _coordinate_descent(tables, value_fn, steps, step_size):
@@ -362,12 +360,11 @@ def _seed_tables(variant, pxz, cap_u, cap_v):
     return [[q.reshape(nx * nz, cap_u * cap_v)]]
 
 
-def _draw_outer(rng, pxz, cap_u, cap_v, concentration):
+def _draw_outer(rng, pxz, cond, cap_u, cap_v, concentration):
+    # a Dirichlet table projected onto the short chains: _project_chains' (q, stats)
     nx, nz = pxz.shape
     flat = rng.dirichlet(np.full(cap_u * cap_v, concentration), size=nx * nz)
-    q = flat.reshape(nx, nz, cap_u, cap_v)
-    q, ok = _project_chains(pxz, q)
-    return [q.reshape(nx * nz, cap_u * cap_v)] if ok else None
+    return _project_chains(pxz, flat.reshape(nx, nz, cap_u, cap_v), cond)
 
 
 def _make_value_fn(variant, pxz, lam, cap_u, cap_v):
@@ -375,16 +372,16 @@ def _make_value_fn(variant, pxz, lam, cap_u, cap_v):
     if variant == "inner":
 
         def fn(tables):
-            return _inner_objective(pxz, tables[0], tables[1], lam), tables
+            return _lam_dot(lam, *_inner_stats(pxz, tables[0], tables[1])), tables
 
     else:
+        cond = _source_conditionals(pxz)
 
         def fn(tables):
-            q = tables[0].reshape(nx, nz, cap_u, cap_v)
-            q, ok = _project_chains(pxz, q)
-            if not ok:
+            q, st = _project_chains(pxz, tables[0].reshape(nx, nz, cap_u, cap_v), cond)
+            if st is None:
                 return None
-            value = _outer_objective(pxz, q, lam, variant)
+            value = _lam_dot(lam, _region_mu(st, variant), st["iux"], st["ivz"])
             return value, [q.reshape(nx * nz, cap_u * cap_v)]
 
     return fn
@@ -431,13 +428,24 @@ def support_function(p_xz, lam, cfg, variant="inner"):
         if res[0] > best_val:
             best_val, best_tables = res
 
-    draw = _draw_inner if variant == "inner" else _draw_outer
     conc = cfg.dirichlet_concentration
+    if variant == "inner":
+
+        def draw(i):
+            return _draw_inner(_substream(cfg.seed, i), pxz, cap_u, cap_v, conc)
+
+    else:
+        cond = _source_conditionals(pxz)
+
+        def draw(i):
+            q, st = _draw_outer(_substream(cfg.seed, i), pxz, cond, cap_u, cap_v, conc)
+            return None if st is None else [q.reshape(nx * nz, cap_u * cap_v)]
+
     values = np.full(cfg.count, -np.inf)
     top = []
     qualified = []
     for i in range(cfg.count):
-        tables = draw(_substream(cfg.seed, i), pxz, cap_u, cap_v, conc)
+        tables = draw(i)
         if tables is None:
             continue
         res = value_fn(tables)
@@ -455,7 +463,7 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     refined = {}
     if cfg.refine_steps > 0:
         for i in qualified:
-            tables = draw(_substream(cfg.seed, i), pxz, cap_u, cap_v, conc)
+            tables = draw(i)
             refined[i] = _coordinate_descent(tables, value_fn, cfg.refine_steps, cfg.step_size)
 
     best_i = None
@@ -468,7 +476,7 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     elif best_i in refined:
         tables = refined[best_i][1]
     else:
-        tables = draw(_substream(cfg.seed, best_i), pxz, cap_u, cap_v, conc)
+        tables = draw(best_i)
     return best_val, _public_candidate(variant, tables, p_xz, cap_u, cap_v)
 
 
@@ -636,11 +644,11 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
         r, mu = _sb_curve_point(p, a)
         candidates.append((r, mu, ("bsc", a)))
     conc = cfg.dirichlet_concentration
+    cond = _source_conditionals(pxz)
     for i in range(cfg.count):
-        tables = _draw_outer(_substream(cfg.seed, i), pxz, cap_u, cap_v, conc)
-        if tables is None:
+        _, st = _draw_outer(_substream(cfg.seed, i), pxz, cond, cap_u, cap_v, conc)
+        if st is None:
             continue
-        st = _outer_stats(pxz, tables[0].reshape(2, 2, cap_u, cap_v))
         candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
 
     points = [(r, mu) for r, mu, _ in candidates]
@@ -655,8 +663,7 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
             if tag[0] == "bsc":
                 best_q = _pad_table(_bsc_pair_table(tag[1]), cap_u, cap_v)
             else:
-                best_q = _draw_outer(_substream(cfg.seed, tag[1]), pxz, cap_u, cap_v, conc)[0]
-                best_q = best_q.reshape(2, 2, cap_u, cap_v)
+                best_q, _ = _draw_outer(_substream(cfg.seed, tag[1]), pxz, cond, cap_u, cap_v, conc)
             best_mu = candidates[pick][1]
         if 0.0 <= rcap <= LOG2:
             a_cap = binary_entropy_inverse(min(max(LOG2 - rcap, 0.0), LOG2))
@@ -681,14 +688,11 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
 
 def _capped_mu_value_fn(pxz, cap_u, cap_v, rcap):
     nx, nz = pxz.shape
+    cond = _source_conditionals(pxz)
 
     def fn(tables):
-        q = tables[0].reshape(nx, nz, cap_u, cap_v)
-        q, ok = _project_chains(pxz, q)
-        if not ok:
-            return None
-        st = _outer_stats(pxz, q)
-        if max(st["iux"], st["ivz"]) > rcap + 1e-12:
+        q, st = _project_chains(pxz, tables[0].reshape(nx, nz, cap_u, cap_v), cond)
+        if st is None or max(st["iux"], st["ivz"]) > rcap + 1e-12:
             return None
         return st["mu_ro"], [q.reshape(nx * nz, cap_u * cap_v)]
 
@@ -716,23 +720,15 @@ def ib_curve(p_xz, r_grid, cfg):
         if not math.isfinite(r) or r < 0.0:
             raise DomainError(f"grid abscissa {r} must be finite and nonnegative")
 
-    seeds = [_constant_rows(nx, cap_u)]
+    pool = [_constant_rows(nx, cap_u)]
     if cap_u >= nx:
         ident = np.zeros((nx, cap_u))
         ident[:, :nx] = np.eye(nx)
-        seeds.append(ident)
-    candidates = []
-    for rows in seeds:
-        w_xu = np.einsum("xz,xu->xu", pxz, rows, optimize=False)
-        w_zu = np.einsum("xz,xu->zu", pxz, rows, optimize=False)
-        candidates.append((_mi2(w_xu), _mi2(w_zu), rows))
+        pool.append(ident)
     conc = cfg.dirichlet_concentration
     for i in range(cfg.count):
-        rng = _substream(cfg.seed, i)
-        rows = rng.dirichlet(np.full(cap_u, conc), size=nx)
-        w_xu = np.einsum("xz,xu->xu", pxz, rows, optimize=False)
-        w_zu = np.einsum("xz,xu->zu", pxz, rows, optimize=False)
-        candidates.append((_mi2(w_xu), _mi2(w_zu), rows))
+        pool.append(_substream(cfg.seed, i).dirichlet(np.full(cap_u, conc), size=nx))
+    candidates = [(*_ib_stats(pxz, rows), rows) for rows in pool]
 
     points = [(r, mu) for r, mu, _ in candidates]
     if cfg.refine_steps > 0:
@@ -747,21 +743,16 @@ def ib_curve(p_xz, r_grid, cfg):
             _, tables = _coordinate_descent(
                 [candidates[pick][2]], value_fn, cfg.refine_steps, cfg.step_size
             )
-            rows = tables[0]
-            w_xu = np.einsum("xz,xu->xu", pxz, rows, optimize=False)
-            w_zu = np.einsum("xz,xu->zu", pxz, rows, optimize=False)
-            points.append((_mi2(w_xu), _mi2(w_zu)))
+            points.append(_ib_stats(pxz, tables[0]))
     return upper_concave_envelope(points)
 
 
 def _capped_relevance_value_fn(pxz, rcap):
     def fn(tables):
-        rows = tables[0]
-        w_xu = np.einsum("xz,xu->xu", pxz, rows, optimize=False)
-        if _mi2(w_xu) > rcap + 1e-12:
+        iux, iuz = _ib_stats(pxz, tables[0])
+        if iux > rcap + 1e-12:
             return None
-        w_zu = np.einsum("xz,xu->zu", pxz, rows, optimize=False)
-        return _mi2(w_zu), tables
+        return iuz, tables
 
     return fn
 
@@ -854,6 +845,7 @@ def sample_region_points(p_xz, cfg, variant="inner"):
     nx, nz = pxz.shape
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
+    cond = _source_conditionals(pxz)
     points = []
     for i in range(cfg.count):
         rng = _substream(cfg.seed, i)
@@ -864,11 +856,8 @@ def sample_region_points(p_xz, cfg, variant="inner"):
             iuv, iux, ivz = _inner_stats(pxz, rows_u, rows_v)
             points.append(RegionPoint(mu=iuv, r1=iux, r2=ivz))
         else:
-            tables = _draw_outer(rng, pxz, cap_u, cap_v, cfg.dirichlet_concentration)
-            if tables is None:
+            _, st = _draw_outer(rng, pxz, cond, cap_u, cap_v, cfg.dirichlet_concentration)
+            if st is None:
                 continue
-            q = tables[0].reshape(nx, nz, cap_u, cap_v)
-            stats = _outer_stats(pxz, q)
-            mu = stats["mu_ro"] if variant == "ro" else min(stats["iuz"], stats["ivx"])
-            points.append(RegionPoint(mu=mu, r1=stats["iux"], r2=stats["ivz"]))
+            points.append(RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"]))
     return points

@@ -7,6 +7,7 @@ position, so a transposed input cannot silently change a result.
 Conventions: 0*log(0) = 0 and p*log(p/0) = +inf.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,12 +154,63 @@ def entropy_of_array(mass):
     return _clamp_measure(-float(np.sum(m * np.log(m))))
 
 
+def entropies(w, groups):
+    """Entropy in nats of the marginal of w on each group of kept axes.
+
+    w is a dense nonnegative array that sums to 1; groups is a nonempty
+    tuple of tuples of distinct axis indices. One bincount over the cells
+    of w builds every marginal at once and a second sums their m*log(m)
+    terms, so a call costs a handful of numpy operations however many
+    groups it asks for. Semantics match entropy_of_array: 0*log(0) = 0
+    and each entropy is clamped the same way. Returns a list of floats,
+    one per group.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    cells, target, n_cells, owner = _entropy_plan(w.shape, groups)
+    marg = np.bincount(target, weights=w.ravel()[cells], minlength=n_cells)
+    pos = marg > 0.0
+    m = marg[pos]
+    h = (-np.bincount(owner[pos], weights=m * np.log(m), minlength=len(groups))).tolist()
+    if min(h) < 0.0:
+        h = [_clamp_measure(v) for v in h]
+    return h
+
+
+@functools.cache
+def _entropy_plan(shape, groups):
+    # the marginals sit end to end in one vector of n_cells entries: copy k
+    # of w's cells adds to the cells of marginal k, and owner[j] is the
+    # group of entry j
+    if not groups:
+        raise AxisError("entropies needs at least one group")
+    coords = np.indices(shape).reshape(len(shape), -1)
+    target, owner = [], []
+    n_cells = 0
+    for i, g in enumerate(groups):
+        if not g or len(set(g)) != len(g) or not all(0 <= a < len(shape) for a in g):
+            raise AxisError(f"group {g} is not a nonempty set of axes of shape {shape}")
+        sizes = tuple(shape[a] for a in g)
+        target.append(n_cells + np.ravel_multi_index(tuple(coords[a] for a in g), sizes))
+        owner.append(np.full(math.prod(sizes), i))
+        n_cells += math.prod(sizes)
+    cells = np.tile(np.arange(coords.shape[1]), len(groups))
+    target, owner = np.concatenate(target), np.concatenate(owner)
+    for a in (cells, target, owner):
+        a.setflags(write=False)  # one plan serves every call with its key
+    return cells, target, n_cells, owner
+
+
+def _hb(p):
+    # h_b on the open interval (0, 1), unchecked
+    return -(p * math.log(p) + (1.0 - p) * math.log1p(-p))
+
+
 def binary_entropy(p):
     """h_b(p) = -p log p - (1-p) log(1-p) in nats."""
     p = _check_probability(p, "binary_entropy")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -(p * math.log(p) + (1.0 - p) * math.log1p(-p))
+    return _hb(p)
 
 
 def binary_entropy_inverse(h):
@@ -177,7 +229,8 @@ def binary_entropy_inverse(h):
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < h:
+        # mid stays inside (0, 1/2), so the unchecked h_b is exact here
+        if _hb(mid) < h:
             lo = mid
         else:
             hi = mid

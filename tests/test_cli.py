@@ -4,16 +4,19 @@ In-process main() calls cover behavior; subprocess runs cover the
 entry points and byte-identical reruns under different thread counts.
 """
 
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinfo.cli import _parse_source, main
 from coinfo.errors import DomainError
-from coinfo.probability import LOG2, binary_entropy
+from coinfo.probability import LOG2, Alphabet, JointPmf, binary_entropy
 
 I_DSBS_025 = LOG2 - binary_entropy(0.25)
 I_DSBS_01 = LOG2 - binary_entropy(0.1)
@@ -212,9 +215,14 @@ class TestRegionSample:
 
     def test_bad_sources(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("x z\n0 0 0.5\n1 1 0.4\n")
-        assert main(["region-sample", "--source", str(bad), "--seed", "1",
-                     "--out", str(tmp_path / "o.dat")]) == 2
+        for text in (
+            "x z\n0 0 0.5\n1 1 0.4\n",
+            "x z\n0 0 0.5\n-1 0 0.5\n",
+            "x z\n0 0 0.5\n0 0 0.5\n",
+        ):
+            bad.write_text(text)
+            assert main(["region-sample", "--source", str(bad), "--seed", "1",
+                         "--out", str(tmp_path / "o.dat")]) == 2
         assert main(["region-sample", "--source", str(tmp_path / "nope.txt"),
                      "--seed", "1", "--out", str(tmp_path / "o.dat")]) == 4
         capsys.readouterr()
@@ -270,6 +278,45 @@ class TestParseSource:
         path.write_text("x z\n0 0\n")
         with pytest.raises(DomainError):
             _parse_source(str(path))
+
+    def test_negative_index(self, tmp_path):
+        # numpy would wrap -1 onto the last cell and load a 1x1 source
+        path = tmp_path / "src.txt"
+        path.write_text("x z\n0 0 0.5\n-1 0 0.5\n")
+        with pytest.raises(DomainError):
+            _parse_source(str(path))
+
+    def test_duplicate_cell(self, tmp_path):
+        path = tmp_path / "src.txt"
+        path.write_text("x z\n0 0 0.5\n1 1 0.25\n0 0 0.25\n")
+        with pytest.raises(DomainError):
+            _parse_source(str(path))
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+            lambda shape: st.tuples(
+                st.just(tuple(shape)),
+                st.lists(
+                    st.floats(0.0, 1.0), min_size=math.prod(shape), max_size=math.prod(shape)
+                ).filter(lambda w: sum(w) > 0.0),
+                st.permutations(range(math.prod(shape))),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_file_round_trip(self, tmp_path_factory, case):
+        shape, weights, order = case
+        mass = np.array(weights).reshape(shape) / sum(weights)
+        labels = ("x", "z", "y")[: len(shape)]
+        cells = list(np.ndindex(*shape))
+        lines = [" ".join(labels)]
+        lines += [" ".join(map(str, cells[k])) + f" {float(mass[cells[k]])!r}" for k in order]
+        path = tmp_path_factory.mktemp("src") / "src.txt"
+        path.write_text("\n".join(lines) + "\n")
+        src = _parse_source(str(path))
+        want = JointPmf(tuple(Alphabet(n, lbl) for n, lbl in zip(shape, labels)), mass)
+        assert src.axes == want.axes
+        assert np.array_equal(src.mass, want.mass)
 
 
 class TestSubprocess:

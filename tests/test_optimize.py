@@ -20,7 +20,11 @@ from coinfo.optimize import (
     sample_channel,
     support_function,
     upper_concave_envelope,
+    _ib_stats,
     _inner_stats,
+    _outer_stats,
+    _project_chains,
+    _source_conditionals,
 )
 from coinfo.probability import (
     LOG2,
@@ -31,8 +35,9 @@ from coinfo.probability import (
     binary_entropy_inverse,
     conditional_mutual_information,
     dsbs,
+    mutual_information,
 )
-from coinfo.regions import inner_point, outer_point_ro, outer_point_ro_prime
+from coinfo.regions import MARKOV_TOL, inner_point, outer_point_ro, outer_point_ro_prime
 
 I_XZ_01 = LOG2 - binary_entropy(0.1)  # 0.36806420716849707
 
@@ -94,6 +99,92 @@ class TestSupportWeightAndConfig:
             SampleConfig(seed=0, count=1, refine_top=-1)
         with pytest.raises(DomainError):
             SampleConfig(seed=0, count=1, step_size=0.0)
+
+
+def kernel_cases(seed):
+    """Seeded (source, rows_u, rows_v, q) cases at caps 2 and 3.
+
+    Some rows have zero cells, one case per cap has constant channels,
+    and one source has a zero-mass cell.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for cap in (2, 3):
+        for k in range(8):
+            if k == 5:
+                pxz = np.array([[0.5, 0.0], [0.2, 0.3]])
+            else:
+                pxz = dsbs(float(rng.uniform(0.02, 0.48))).mass
+            ru = rng.dirichlet(np.ones(cap), size=2)
+            rv = rng.dirichlet(np.ones(cap), size=2)
+            q = rng.dirichlet(np.ones(cap * cap), size=4).reshape(2, 2, cap, cap)
+            if k % 2:
+                ru[0, 0] = 0.0
+                rv[1, cap - 1] = 0.0
+                q[0, 1, 0, :] = 0.0
+                ru, rv = ru / ru.sum(axis=1, keepdims=True), rv / rv.sum(axis=1, keepdims=True)
+                q = q / q.sum(axis=(2, 3), keepdims=True)
+            if k == 0:
+                ru, rv = np.zeros((2, cap)), np.zeros((2, cap))
+                ru[:, 0] = rv[:, 0] = 1.0
+                q = np.zeros((2, 2, cap, cap))
+                q[:, :, 0, 0] = 1.0
+            cases.append((pxz, ru, rv, q))
+    return cases
+
+
+def labeled(w, labels):
+    return JointPmf(tuple(Alphabet(n, lbl) for n, lbl in zip(w.shape, labels)), w)
+
+
+class TestInformationKernel:
+    def test_inner_stats_match_label_path(self):
+        for pxz, ru, rv, _ in kernel_cases(31):
+            w = pxz[:, :, None, None] * ru[:, None, :, None] * rv[None, :, None, :]
+            j = labeled(w, "xzuv")
+            want = (
+                mutual_information(j, "u", "v"),
+                mutual_information(j, "u", "x"),
+                mutual_information(j, "v", "z"),
+            )
+            assert np.allclose(_inner_stats(pxz, ru, rv), want, rtol=0.0, atol=1e-14)
+
+    def test_ib_stats_match_label_path(self):
+        for pxz, ru, _, _ in kernel_cases(32):
+            j = labeled(pxz[:, :, None] * ru[:, None, :], "xzu")
+            want = (mutual_information(j, "u", "x"), mutual_information(j, "u", "z"))
+            assert np.allclose(_ib_stats(pxz, ru), want, rtol=0.0, atol=1e-14)
+
+    def test_outer_stats_match_label_path(self):
+        for pxz, _, _, q in kernel_cases(33):
+            j = labeled(pxz[:, :, None, None] * q, "xzuv")
+            iux = mutual_information(j, "u", "x")
+            ivz = mutual_information(j, "v", "z")
+            want = {
+                "iux": iux,
+                "ivz": ivz,
+                "iuz": mutual_information(j, "u", "z"),
+                "ivx": mutual_information(j, "v", "x"),
+                "mu_ro": ivz + iux - mutual_information(j, ("x", "z"), ("u", "v")),
+                "cmi_uz_x": conditional_mutual_information(j, "u", "z", "x"),
+                "cmi_vx_z": conditional_mutual_information(j, "v", "x", "z"),
+            }
+            got = _outer_stats(pxz, q)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-14, key
+
+    def test_projection_returns_stats_of_its_table(self):
+        moved = 0
+        for pxz, _, _, q in kernel_cases(34):
+            out, st = _project_chains(pxz, q, _source_conditionals(pxz))
+            assert st is not None
+            assert st == _outer_stats(pxz, out)
+            assert st["cmi_uz_x"] <= MARKOV_TOL and st["cmi_vx_z"] <= MARKOV_TOL
+            moved += not np.array_equal(out, q)
+        assert moved > 0
+        pxz, _, _, q = kernel_cases(34)[1]
+        assert _project_chains(pxz, q, _source_conditionals(pxz), max_sweeps=0)[1] is None
 
 
 class TestSupportFunction:

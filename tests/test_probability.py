@@ -9,6 +9,7 @@ Frozen constants were computed independently with mpmath at 50 digits:
     D(B(0.5)||B(0.25))        = 0.14384103622589046
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from coinfo.probability import (
     compose_markov,
     conditional_mutual_information,
     dsbs,
+    entropies,
     entropy,
     kl_divergence,
     marginalize,
@@ -106,6 +108,37 @@ class TestEntropy:
             assert -1e-12 <= entropy(p) <= math.log(12) + 1e-12
 
 
+class TestEntropies:
+    def test_matches_label_path_on_every_group(self):
+        rng = np.random.default_rng(21)
+        labels = ("a", "b", "c", "d")
+        for shape in ((2, 3), (2, 2, 3), (3, 1, 2, 2)):
+            axes = tuple(range(len(shape)))
+            groups = tuple(g for k in range(1, len(shape) + 1) for g in itertools.combinations(axes, k))
+            for trial in range(20):
+                mass = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+                if trial % 2:
+                    mass[tuple(rng.integers(0, n) for n in shape)] = 0.0
+                    mass /= mass.sum()
+                p = JointPmf(tuple(Alphabet(n, l) for n, l in zip(shape, labels)), mass)
+                got = entropies(p.mass, groups)
+                want = [entropy(marginalize(p, [labels[a] for a in g])) for g in groups]
+                assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_point_mass_and_empty_cells(self):
+        w = np.zeros((2, 3))
+        w[1, 2] = 1.0
+        assert entropies(w, ((0,), (1,), (0, 1))) == [0.0, 0.0, 0.0]
+        w = np.array([[0.5, 0.0], [0.0, 0.5]])
+        assert entropies(w, ((1, 0),)) == [pytest.approx(LN2, abs=1e-15)]
+
+    def test_bad_groups_rejected(self):
+        w = np.full((2, 2), 0.25)
+        for groups in ((), ((),), ((0, 0),), ((2,),), ((-1,),)):
+            with pytest.raises(AxisError):
+                entropies(w, groups)
+
+
 class TestBinaryEntropy:
     def test_half_is_log2(self):
         assert binary_entropy(0.5) == pytest.approx(0.693147180559945, abs=1e-12)
@@ -142,6 +175,21 @@ class TestBinaryEntropyInverse:
         # away from 1/2 where h_b is quadratically flat and floats cannot
         # resolve the inverse to 1e-10 anyway
         assert binary_entropy_inverse(binary_entropy(p)) == pytest.approx(p, abs=1e-10)
+
+    def test_pinned_outputs(self):
+        # bit patterns of the bisection over the validated binary_entropy
+        pinned = (
+            (1e-09, 4.0099479292621254e-11),
+            (0.05, 0.00871296628676177),
+            (0.1, 0.020505509585230897),
+            (0.3, 0.08890626945911251),
+            (0.5, 0.19970990255398036),
+            (0.6, 0.28761240238188535),
+            (0.6931, 0.49514305559333494),
+            (0.6931461805599453, 0.4992928933366123),
+        )
+        for h, p in pinned:
+            assert binary_entropy_inverse(h) == p
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
