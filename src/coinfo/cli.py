@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 failed internal check, 2 validation error,
 """
 
 import argparse
+import bisect
 import math
 import os
 import sys
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, SizeError, ValidationError
+from .errors import DomainError, InternalCheckError, SizeError, ValidationError
 from .optimize import (
     SampleConfig,
     conjecture_test,
@@ -94,7 +95,12 @@ def _unit_scale(units):
 
 def _parse_source(spec):
     if spec.startswith("dsbs:"):
-        return dsbs(float(spec[len("dsbs:") :]))
+        text = spec[len("dsbs:") :]
+        try:
+            p = float(text)
+        except ValueError:
+            raise DomainError(f"dsbs crossover {text!r} is not a number") from None
+        return dsbs(p)
     with open(spec) as fh:
         raw = [line.split("#", 1)[0].strip() for line in fh]
     rows = [line.split() for line in raw if line]
@@ -181,6 +187,25 @@ def cmd_dsbs_surface(args):
     return 0
 
 
+# abscissae closer than this are one evaluation point
+_ABSCISSA_TOL = 1e-12
+
+
+def _merge_abscissae(grid, knots):
+    """Sorted union of grid and knots, one point per 1e-12 cluster.
+
+    Every grid value is kept; a knot within 1e-12 of a point already kept
+    is dropped, so an envelope knot that lands a few ulps off a grid point
+    does not write a second, nearly equal row.
+    """
+    kept = sorted(grid)
+    for r in sorted(knots):
+        i = bisect.bisect_left(kept, r)
+        if all(abs(kept[j] - r) > _ABSCISSA_TOL for j in (i - 1, i) if 0 <= j < len(kept)):
+            kept.insert(i, r)
+    return kept
+
+
 def cmd_dsbs_gap(args):
     lo, hi = _parse_pair(args.window, "--window", float)
     if not lo < hi:
@@ -191,7 +216,7 @@ def cmd_dsbs_gap(args):
     outer = dsbs_outer_boundary_sampled(args.p, r_grid, cfg)
     knots_in = [r for r, _ in inner.knots if lo <= r <= hi]
     knots_out = [r for r, _ in outer.knots if lo <= r <= hi]
-    evaluation = sorted(set(float(r) for r in r_grid) | set(knots_in) | set(knots_out))
+    evaluation = _merge_abscissae([float(r) for r in r_grid], knots_in + knots_out)
     scale = _unit_scale(args.units)
     params = (
         ("p", args.p), ("window", (lo, hi)), ("window_points", args.window_points),
@@ -432,6 +457,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     print(f"wall_clock_s {time.perf_counter() - start:.3f}")
     return status
 

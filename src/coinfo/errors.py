@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all coinfo modules.
 
 ValidationError subclasses map to CLI exit code 2, SizeError (budget
-guards) to exit code 3, and OSError to exit code 4.
+guards) to exit code 3, OSError to exit code 4, and InternalCheckError
+(a failed internal consistency check) to exit code 1.
 """
 
 
@@ -31,3 +32,10 @@ class SupportError(ValidationError):
 
 class SizeError(ValueError):
     """Enumeration or tensor budget exceeded; not a validation failure."""
+
+
+class InternalCheckError(RuntimeError):
+    """An invariant that holds for every valid input failed: a defect, not bad input.
+
+    Raised explicitly rather than by assert, so that python -O keeps it.
+    """

@@ -49,9 +49,11 @@ class JointPmf:
 
     The mass tensor is validated (nonnegative, total within 1e-9 of 1),
     renormalized to sum to 1, and frozen. Axes are addressed by label.
+    Each marginal entropy the information measures need is computed once
+    per joint and remembered, so repeated measures on one joint reuse it.
     """
 
-    __slots__ = ("axes", "mass")
+    __slots__ = ("axes", "mass", "_entropies")
 
     def __init__(self, axes, mass):
         axes = tuple(axes)
@@ -66,19 +68,13 @@ class JointPmf:
             raise AxisError(f"mass shape {mass.shape} does not match axes {shape}")
         if mass.size > _MAX_CELLS:
             raise SizeError(f"joint has {mass.size} cells, cap is {_MAX_CELLS}")
-        lo = float(mass.min())
-        if lo < -_NEG_TOL:
-            raise DomainError(f"negative probability mass {lo}")
-        if lo < 0.0:
-            mass = np.maximum(mass, 0.0)
-        total = float(mass.sum())
-        if not math.isfinite(total) or abs(total - 1.0) > _NORM_TOL:
-            raise NormalizationError(f"total mass {total} deviates from 1 beyond {_NORM_TOL}")
-        if total != 1.0:
-            mass = mass / total
+        mass = _normalized(mass)
         mass.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "mass", mass)
+        # entropy of each marginal, keyed by the frozenset of its axis indices;
+        # filled on first use by the information measures below
+        object.__setattr__(self, "_entropies", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("JointPmf is immutable")
@@ -98,6 +94,32 @@ class JointPmf:
 
     def __repr__(self):
         return f"JointPmf(labels={self.labels}, shape={self.mass.shape})"
+
+
+def _normalized(mass, axis=None):
+    """JointPmf's mass rule, applied to every sum of mass over `axis`.
+
+    Mass below -1e-12 raises DomainError and smaller negative noise is
+    clipped to 0; a total more than 1e-9 away from 1 raises
+    NormalizationError; each part whose total is not exactly 1.0 is
+    divided by that total. JointPmf sums the whole array (axis None); the
+    code oracle sums each table of a block, so both share one rule.
+    """
+    lo = float(mass.min())
+    if lo < -_NEG_TOL:
+        raise DomainError(f"negative probability mass {lo}")
+    if lo < 0.0:
+        mass = np.maximum(mass, 0.0)
+    totals = mass.sum(axis=axis, keepdims=True)
+    bad = ~(np.abs(totals - 1.0) <= _NORM_TOL)  # also true for nan and inf
+    if bad.any():
+        raise NormalizationError(
+            f"total mass {float(totals[bad][0])} deviates from 1 beyond {_NORM_TOL}"
+        )
+    off = totals != 1.0
+    if off.any():
+        mass = np.where(off, mass / totals, mass)
+    return mass
 
 
 class Channel:
@@ -176,6 +198,38 @@ def entropies(w, groups):
     return h
 
 
+def batch_entropies(w, groups):
+    """entropies of every table in a block: w[b] is one dense table.
+
+    Returns a (len(w), len(groups)) array whose row b is bitwise equal to
+    entropies(w[b], groups). The tables share one index plan and sit end
+    to end in the same two bincounts, so each table's cells and each
+    marginal's terms are summed in the same order as in a call of its own.
+    The unbatched kernel stays separate because the sampler calls it on
+    one table at a time and the batch offsets would only add to that cost.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    batch = w.shape[0]
+    cells, target, n_cells, owner = _entropy_plan(w.shape[1:], groups)
+    offset = np.arange(batch)[:, None]
+    marg = np.bincount(
+        (offset * n_cells + target).ravel(),
+        weights=w.reshape(batch, -1)[:, cells].ravel(),
+        minlength=batch * n_cells,
+    )
+    pos = marg > 0.0
+    m = marg[pos]
+    owner = (offset * len(groups) + owner).ravel()[pos]
+    h = -np.bincount(owner, weights=m * np.log(m), minlength=batch * len(groups))
+    return _clamp_measures(h).reshape(batch, len(groups))
+
+
+def _clamp_measures(values):
+    # _clamp_measure on every entry of a float array, in place
+    values[(values < 0.0) & (values >= -_NEG_TOL)] = 0.0
+    return values
+
+
 @functools.cache
 def _entropy_plan(shape, groups):
     # the marginals sit end to end in one vector of n_cells entries: copy k
@@ -241,6 +295,11 @@ def binary_convolution(a, b):
     """a * b = a(1-b) + (1-a)b, the crossover of two cascaded BSCs."""
     a = _check_probability(a, "binary_convolution")
     b = _check_probability(b, "binary_convolution")
+    return _bconv(a, b)
+
+
+def _bconv(a, b):
+    # binary_convolution on [0, 1], unchecked
     return a * (1.0 - b) + (1.0 - a) * b
 
 
@@ -274,13 +333,23 @@ def marginalize(p, keep):
     return JointPmf(new_axes, p.mass.sum(axis=drop))
 
 
+def _marginal_entropy(p, labels):
+    # entropy(marginalize(p, labels)), computed once per joint and axis set;
+    # marginalize keeps p's axis order, so the order of labels is irrelevant
+    key = frozenset(map(p.axis_index, labels))
+    h = p._entropies.get(key)
+    if h is None:
+        h = p._entropies[key] = entropy(marginalize(p, labels))
+    return h
+
+
 def mutual_information(p, group_a, group_b):
     """I(A;B) = H(A) + H(B) - H(A,B) in nats."""
     ga, gb = _as_labels(group_a), _as_labels(group_b)
     _check_groups_disjoint(p, ga, gb)
-    ha = entropy(marginalize(p, ga))
-    hb_ = entropy(marginalize(p, gb))
-    hab = entropy(marginalize(p, ga + gb))
+    ha = _marginal_entropy(p, ga)
+    hb_ = _marginal_entropy(p, gb)
+    hab = _marginal_entropy(p, ga + gb)
     return _clamp_measure(ha + hb_ - hab)
 
 
@@ -290,10 +359,10 @@ def conditional_mutual_information(p, group_a, group_b, group_c):
     if not gc:
         return mutual_information(p, ga, gb)
     _check_groups_disjoint(p, ga, gb, gc)
-    hac = entropy(marginalize(p, ga + gc))
-    hbc = entropy(marginalize(p, gb + gc))
-    habc = entropy(marginalize(p, ga + gb + gc))
-    hc = entropy(marginalize(p, gc))
+    hac = _marginal_entropy(p, ga + gc)
+    hbc = _marginal_entropy(p, gb + gc)
+    habc = _marginal_entropy(p, ga + gb + gc)
+    hc = _marginal_entropy(p, gc)
     return _clamp_measure(hac + hbc - habc - hc)
 
 

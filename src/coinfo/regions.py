@@ -17,6 +17,7 @@ from .errors import (
     AxisError,
     ConstraintError,
     DomainError,
+    InternalCheckError,
     NormalizationError,
     SizeError,
     SupportError,
@@ -24,14 +25,14 @@ from .errors import (
 from .probability import (
     LOG2,
     JointPmf,
-    binary_convolution,
-    binary_entropy,
     compose_markov,
     conditional_mutual_information,
     entropy_of_array,
     marginalize,
     mutual_information,
+    _bconv,
     _check_probability,
+    _hb,
 )
 
 # a Markov chain is accepted when the relevant CMI is at most this
@@ -218,14 +219,19 @@ def sb_point(p, alpha, beta):
         if v > 0.5:
             raise DomainError(f"sb_point {name}={val} outside [0, 1/2]")
         vals[name] = v
-    eff = binary_convolution(
-        binary_convolution(vals["alpha"], vals["p"]), vals["beta"]
-    )
+    # every argument below lies in [0, 1/2], so the unchecked forms give
+    # the same floats as binary_convolution and binary_entropy
+    eff = _bconv(_bconv(vals["alpha"], vals["p"]), vals["beta"])
     return RegionPoint(
-        mu=LOG2 - binary_entropy(eff),
-        r1=LOG2 - binary_entropy(vals["alpha"]),
-        r2=LOG2 - binary_entropy(vals["beta"]),
+        mu=LOG2 - _hb_closed(eff),
+        r1=LOG2 - _hb_closed(vals["alpha"]),
+        r2=LOG2 - _hb_closed(vals["beta"]),
     )
+
+
+def _hb_closed(q):
+    # binary_entropy on [0, 1], unchecked
+    return 0.0 if q == 0.0 or q == 1.0 else _hb(q)
 
 
 def _check_short_chains(p, u, x, z, v, markov_tol):
@@ -316,18 +322,10 @@ def _labels_for(labels, idx_set):
 
 def _check_multi_markov(p, u_labels, x_labels, markov_tol):
     k = len(u_labels)
-    if k <= 4:
-        subsets = [
-            s for r in range(1, k) for s in itertools.combinations(range(1, k + 1), r)
-        ]
-    else:
-        # singleton checks catch product-channel violations; larger proper
-        # subsets are skipped for cost and the full set is vacuous anyway
-        subsets = [(i,) for i in range(1, k + 1)]
-    for a in subsets:
+    for a in _subsets_by_size_asc(range(1, k + 1)):
         rest = tuple(i for i in range(1, k + 1) if i not in a)
         if not rest:
-            continue
+            continue  # the chain is vacuous for the full set
         c = conditional_mutual_information(
             p,
             _labels_for(u_labels, a),
@@ -406,13 +404,23 @@ def multi_inner_membership(p_xk, channels, point, choice, tol=MARKOV_TOL):
     (ok, certificate) where certificate maps each pair to its binding
     (minimum-slack) constraint description and slack in nats.
     """
+    joint, u_labels, x_labels = _encoder_joint(p_xk, channels)
+    return _membership(joint, u_labels, x_labels, point, choice, tol)
+
+
+def _encoder_joint(p_xk, channels):
+    # channel k feeds on the k-th axis of the source
     channels = list(channels)
     x_labels = p_xk.labels[: len(channels)]
     joint = attach_channels(p_xk, channels, x_labels)
-    u_labels = tuple(ch.output.label for ch in channels)
+    return joint, tuple(ch.output.label for ch in channels), x_labels
+
+
+def _membership(joint, u_labels, x_labels, point, choice, tol):
+    # multi_inner_membership on a joint built once by the caller
     rates = point.rates
-    if len(rates) != len(channels):
-        raise ConstraintError(f"{len(rates)} rates for {len(channels)} encoders")
+    if len(rates) != len(u_labels):
+        raise ConstraintError(f"{len(rates)} rates for {len(u_labels)} encoders")
     ok = True
     certificate = {}
     for pair, target in point.mu.items():
@@ -463,6 +471,8 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
     channels = list(channels)
     if len(channels) > 6:
         raise SizeError(f"multi_inner_search supports K <= 6, got {len(channels)}")
+    # one joint for every candidate, so its marginal entropies are shared
+    joint, u_labels, x_labels = _encoder_joint(p_xk, channels)
     choices = {}
     for pair in point.mu:
         single = MultiRegionPoint({pair: point.mu[pair]}, point.rates)
@@ -470,7 +480,7 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
         for a_act, a_bin in _binning_candidates(pair.a):
             for b_act, b_bin in _binning_candidates(pair.b):
                 bc = BinningChoice(a_act, a_bin, b_act, b_bin)
-                ok, _ = multi_inner_membership(p_xk, channels, single, {pair: bc}, tol)
+                ok, _ = _membership(joint, u_labels, x_labels, single, {pair: bc}, tol)
                 if ok:
                     found = bc
                     break
@@ -508,7 +518,11 @@ def ceo_point(p, channels, x_labels, y_labels):
             mu[SubsetPair(frozenset(a), frozenset(b))] = mutual_information(
                 joint, _labels_for(u_labels, a), _labels_for(y_labels, b)
             )
-    assert len(mu) == (2**jj - 1) * (2**ll - 1)
+    if len(mu) != (2**jj - 1) * (2**ll - 1):
+        raise InternalCheckError(
+            f"{len(mu)} CEO pairs for {jj} encoders and {ll} targets, "
+            f"expected {(2**jj - 1) * (2**ll - 1)}"
+        )
     rates = tuple(mutual_information(joint, u_labels[i], x_labels[i]) for i in range(jj))
     return MultiRegionPoint(mu=mu, rates=rates)
 
@@ -566,7 +580,10 @@ def log_loss_fidelity(p, decoder, n=1, u_labels=("u",), y_labels=("y",)):
     fidelity = (h_y + cross) / n
     h_u = entropy_of_array(np.sum(w, axis=1))
     mi = h_u + h_y - entropy_of_array(w)
-    assert fidelity <= mi / n + 1e-12, "log-loss fidelity exceeded the MI bound"
+    if not fidelity <= mi / n + 1e-12:
+        raise InternalCheckError(
+            f"log-loss fidelity {fidelity} exceeds the MI bound {mi / n}"
+        )
     return fidelity
 
 

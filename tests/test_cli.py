@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinfo import typicality
 from coinfo.cli import _parse_source, main
 from coinfo.errors import DomainError
 from coinfo.probability import LOG2, Alphabet, JointPmf, binary_entropy
@@ -104,6 +105,16 @@ class TestDsbsGap:
             assert mu_o >= mu_i - 1e-9
         assert abs(inner[-1][1] - I_DSBS_01) <= 1e-9
 
+    def test_abscissae_distinct_and_grid_kept(self, tmp_path, capsys):
+        # envelope knots a few ulps off a grid point are not written twice
+        out = tmp_path / "gap"
+        assert main(["dsbs-gap", *GAP_ARGS, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        r = [row[0] for row in read_table(out / "inner.dat")[1]]
+        assert all(b - a > 1e-9 for a, b in zip(r, r[1:]))
+        for g in np.linspace(0.673, 0.694, 5):
+            assert float(f"{g:.15g}") in r
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         main(["dsbs-gap", *GAP_ARGS, "--out-dir", str(first)])
@@ -181,6 +192,13 @@ class TestBruteforce:
                      "--out", str(tmp_path / "x.dat")]) == 3
         assert "raw count" in capsys.readouterr().err
 
+    def test_internal_check_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a source MI of 0 puts every positive theta above the cap
+        monkeypatch.setattr(typicality, "mutual_information", lambda *args: 0.0)
+        assert main(["bruteforce", "--source", "dsbs:0.25",
+                     "--out", str(tmp_path / "x.dat")]) == 1
+        assert "internal check failed" in capsys.readouterr().err
+
 
 class TestRegionSample:
     def test_inner_dump(self, tmp_path):
@@ -223,6 +241,8 @@ class TestRegionSample:
             bad.write_text(text)
             assert main(["region-sample", "--source", str(bad), "--seed", "1",
                          "--out", str(tmp_path / "o.dat")]) == 2
+        assert main(["region-sample", "--source", "dsbs:abc", "--seed", "1",
+                     "--out", str(tmp_path / "o.dat")]) == 2
         assert main(["region-sample", "--source", str(tmp_path / "nope.txt"),
                      "--seed", "1", "--out", str(tmp_path / "o.dat")]) == 4
         capsys.readouterr()

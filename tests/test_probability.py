@@ -27,6 +27,7 @@ from coinfo.probability import (
     Alphabet,
     Channel,
     JointPmf,
+    batch_entropies,
     binary_convolution,
     binary_entropy,
     binary_entropy_inverse,
@@ -137,6 +138,24 @@ class TestEntropies:
         for groups in ((), ((),), ((0, 0),), ((2,),), ((-1,),)):
             with pytest.raises(AxisError):
                 entropies(w, groups)
+            with pytest.raises(AxisError):
+                batch_entropies(w[None], groups)
+
+    def test_batch_rows_equal_unbatched_bitwise(self):
+        rng = np.random.default_rng(22)
+        for shape in ((2, 2), (2, 3), (3, 1, 2, 2)):
+            cells = int(np.prod(shape))
+            axes = tuple(range(len(shape)))
+            groups = tuple(g for k in range(1, len(shape) + 1) for g in itertools.combinations(axes, k))
+            for size in (1, 7, 257):
+                w = rng.dirichlet(np.ones(cells), size=size)
+                w[::3, 0] = 0.0  # zero cells in some tables
+                w[1::5] = np.eye(1, cells, cells - 1)  # and point masses in others
+                w = (w / w.sum(axis=1, keepdims=True)).reshape((size,) + shape)
+                got = batch_entropies(w, groups)
+                assert got.shape == (size, len(groups))
+                for b in range(size):
+                    assert got[b].tolist() == entropies(w[b], groups)
 
 
 class TestBinaryEntropy:
@@ -245,6 +264,32 @@ class TestMutualInformation:
             mutual_information(p, "x", "x")
         with pytest.raises(AxisError):
             mutual_information(p, "x", "w")
+
+    def test_remembered_entropies_equal_fresh_ones_bitwise(self):
+        # measures on one joint share its marginal entropies, whatever the
+        # label order; each must equal the fresh entropy(marginalize(...)) sum
+        rng = np.random.default_rng(23)
+
+        def h(p, keep):
+            return entropy(marginalize(p, keep))
+
+        for _ in range(20):
+            p = random_joint(rng, (2, 3, 2, 2), ("a", "b", "c", "d"))
+            for ga, gb, gc in ((("a",), ("b",), ("d",)), (("b", "a"), ("c",), ("d",)),
+                               (("c",), ("d", "a"), ("b",)), (("a", "b"), ("c", "d"), ())):
+                want = h(p, ga + gc) + h(p, gb + gc) - h(p, ga + gb + gc)
+                if gc:
+                    want -= h(p, gc)
+                for _ in range(2):
+                    assert conditional_mutual_information(p, ga, gb, gc) == want
+            assert mutual_information(p, "b", "a") == h(p, "b") + h(p, "a") - h(p, ("a", "b"))
+
+    def test_joint_stays_immutable(self):
+        p = dsbs(0.1)
+        mutual_information(p, "x", "z")
+        for name in ("mass", "axes", "_entropies"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
 
 
 class TestConditionalMutualInformation:

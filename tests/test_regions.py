@@ -9,6 +9,8 @@ Frozen constants (mpmath, 50 digits):
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from coinfo.probability import (
     binary_entropy,
     bsc_channel,
     compose_markov,
+    conditional_mutual_information,
     dsbs,
     mutual_information,
 )
@@ -275,6 +278,26 @@ class TestMultiSource:
         j = attach_channels(src, [ch], ("x2",))
         with pytest.raises(ConstraintError, match=r"A=\[1\]"):
             multi_outer_point_ro_prime(j, ("u1", "x2"), ("x1", "x2"))
+
+    def test_k5_pair_chain_violation_caught(self):
+        # a shared fair bit s: u1 = x1 ^ s and u2 = x2 ^ s ^ x3 each look like
+        # noise given their own source, but u1 ^ u2 = x1 ^ x2 ^ x3 reveals x3
+        rng = np.random.default_rng(30)
+        px = rng.dirichlet(np.ones(32)).reshape((2,) * 5)
+        rows = [rng.dirichlet(np.ones(2), size=2) for _ in range(3)]
+        mass = np.zeros((2,) * 10)
+        for x in itertools.product(range(2), repeat=5):
+            for s, u3, u4, u5 in itertools.product(range(2), repeat=4):
+                w = 0.5 * px[x] * rows[0][x[2], u3] * rows[1][x[3], u4] * rows[2][x[4], u5]
+                mass[(x[0] ^ s, x[1] ^ s ^ x[2], u3, u4, u5) + x] += w
+        u_labels = tuple(f"u{k}" for k in range(1, 6))
+        x_labels = tuple(f"x{k}" for k in range(1, 6))
+        j = JointPmf(tuple(Alphabet(2, l) for l in u_labels + x_labels), mass)
+        for k in range(5):
+            rest = x_labels[:k] + x_labels[k + 1 :]
+            assert conditional_mutual_information(j, u_labels[k], rest, x_labels[k]) <= 1e-12
+        with pytest.raises(ConstraintError, match=r"A=\[1, 2\]"):
+            multi_outer_point_ro(j, u_labels, x_labels)
 
     def test_no_binning_singleton_pair(self):
         # with A = {1}, B = {2} membership is exactly rate/mu dominance
@@ -541,3 +564,52 @@ class TestLogLoss:
         g = optimal_posterior_decoder(p, ("x",), ("z",))
         with pytest.raises(DomainError):
             log_loss_fidelity(p, g, n=0, u_labels=("x",), y_labels=("z",))
+
+
+class TestInternalChecks:
+    def test_checks_survive_python_O(self):
+        # break one input of each invariant in a python -O child: the
+        # checks must still raise, where an assert would have been stripped
+        code = """
+import sys
+import numpy as np
+from coinfo import regions, typicality
+from coinfo.errors import InternalCheckError
+from coinfo.probability import Alphabet, Channel, JointPmf, dsbs
+
+assert False, "asserts run"
+print("optimize", sys.flags.optimize)
+
+typicality.mutual_information = lambda *args: 0.0
+try:
+    typicality.best_theta(dsbs(0.25), 1, 2, 2)
+except InternalCheckError:
+    print("raised best_theta")
+
+src = JointPmf(tuple(Alphabet(2, l) for l in ("x1", "x2", "y")), np.full((2, 2, 2), 0.125))
+chs = [Channel(Alphabet(2, f"x{k}"), Alphabet(2, f"u{k}"), np.eye(2)) for k in (1, 2)]
+subsets = regions._subsets_by_size_asc
+regions._subsets_by_size_asc = lambda items: iter([next(subsets(items))])
+try:
+    regions.ceo_point(src, chs, ("x1", "x2"), ("y",))
+except InternalCheckError:
+    print("raised ceo_point")
+regions._subsets_by_size_asc = subsets
+
+joint = regions.attach_channels(dsbs(0.1), [Channel(Alphabet(2, "x"), Alphabet(2, "u"), np.eye(2))])
+decoder = regions.optimal_posterior_decoder(joint, ("u",), ("z",))
+entropy_of_array = regions.entropy_of_array
+regions.entropy_of_array = lambda m: entropy_of_array(m) + (1.0 if np.ndim(m) == 2 else 0.0)
+try:
+    regions.log_loss_fidelity(joint, decoder, 1, ("u",), ("z",))
+except InternalCheckError:
+    print("raised log_loss_fidelity")
+"""
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.split("\n")
+        assert "optimize 1" in lines
+        for name in ("best_theta", "ceo_point", "log_loss_fidelity"):
+            assert f"raised {name}" in lines

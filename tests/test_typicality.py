@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinfo import typicality
 from coinfo.errors import DomainError, SizeError, SupportError
 from coinfo.probability import (
     LOG2,
@@ -41,6 +42,23 @@ from coinfo.typicality import (
 
 I_DSBS_025 = LOG2 - binary_entropy(0.25)
 H_B30 = 0.61086430205489341
+
+
+def random_source(rng, nx, nz):
+    mass = rng.dirichlet(np.ones(nx * nz)).reshape(nx, nz)
+    return JointPmf((Alphabet(nx, "x"), Alphabet(nz, "z")), mass)
+
+
+def reference_theta(src, code):
+    """theta through np.add.at and one JointPmf per pair, as a loop would."""
+    table = src.mass
+    for _ in range(code.n - 1):
+        table = np.kron(table, src.mass)
+    w = np.zeros((code.m1, code.m2))
+    f, g = np.array(code.f), np.array(code.g)
+    np.add.at(w, (f[:, None], g[None, :]), table)
+    joint = JointPmf((Alphabet(code.m1, "u"), Alphabet(code.m2, "v")), w)
+    return mutual_information(joint, "u", "v") / code.n
 
 
 class TestTypeClass:
@@ -271,6 +289,18 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(joint, CodeSpec(1, (0, 1), (0, 1), 2, 2))
 
+    def test_matches_per_pair_reference(self):
+        # the batched pushforward and kernel against one JointPmf per pair
+        rng = np.random.default_rng(41)
+        for nx, nz, n in ((2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2)):
+            src = random_source(rng, nx, nz)
+            for m1, m2 in ((1, 2), (2, 2), (2, 3), (3, 3)):
+                for _ in range(10):
+                    f = tuple(int(v) for v in rng.integers(0, m1, nx**n))
+                    g = tuple(int(v) for v in rng.integers(0, m2, nz**n))
+                    code = CodeSpec(n, f, g, m1, m2)
+                    assert abs(theta(src, code) - reference_theta(src, code)) <= 1e-15
+
 
 class TestBestTheta:
     def test_single_bin_is_zero(self):
@@ -324,6 +354,34 @@ class TestBestTheta:
                 best = max(best, inner_point(src, ch_u, ch_v).mu)
         val, _ = best_theta(src, 1, 2, 2)
         assert val == best
+
+    def test_matches_exhaustive_reference(self):
+        rng = np.random.default_rng(42)
+        for nx, nz, n, m in ((3, 3, 1, 2), (2, 3, 1, 3), (2, 2, 2, 2)):
+            src = random_source(rng, nx, nz)
+            val, code = best_theta(src, n, m, m)
+            ref = max(
+                reference_theta(src, CodeSpec(n, f, g, m, m))
+                for f in itertools.product(range(m), repeat=nx**n)
+                for g in itertools.product(range(m), repeat=nz**n)
+            )
+            assert abs(val - ref) <= 1e-15
+            assert abs(reference_theta(src, code) - val) <= 1e-15
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        # blocks of 1, 7 and all g strings; theta of the returned code is
+        # the same float, and ties still go to the first pair
+        rng = np.random.default_rng(43)
+        cases = [(dsbs(0.25), 3, 2, 2), (dsbs(0.1), 2, 3, 3), (random_source(rng, 3, 3), 1, 3, 3)]
+        for src, n, m1, m2 in cases:
+            cells = src.mass.size**n
+            results = []
+            for rows in (1, 7, 10**6):
+                monkeypatch.setattr(typicality, "_BLOCK_CELLS", rows * cells)
+                val, code = best_theta(src, n, m1, m2)
+                assert theta(src, code) == val
+                results.append((val, code))
+            assert results[0] == results[1] == results[2]
 
     def test_budget_guard_reports_raw_count(self):
         with pytest.raises(SizeError) as exc:
