@@ -8,11 +8,19 @@ margin search, and the cardinality robustness report.
 Determinism contract: all randomness flows through per-sample substreams
 derived from (seed, sample index), every reduction is an associative max
 with lowest-index tie-break, and no BLAS-backed kernels are used, so a
-run is bit-reproducible for any thread count. Every information term on
-the sampling and refinement paths comes from one call of
-probability.entropies, which builds all the marginals a candidate needs
-with np.bincount over a cached index plan and sums them in a fixed
-order, with elementwise operations only.
+run is bit-reproducible for any thread count. Every information term of
+a sampled candidate comes from one call of probability.entropies, which
+builds all the marginals a candidate needs with np.bincount over a
+cached index plan and sums them in a fixed order, with elementwise
+operations only.
+
+Refinement runs in lockstep (_lockstep): all the candidates one call
+refines climb together, and each step scores all their proposals with
+one probability.batch_entropies call, whose rows are bitwise equal to
+entropies; outer proposals are projected onto the short chains one by
+one. A candidate gets exactly the proposals and decisions of a climb of
+its own, so its result does not depend on which candidates share its
+batch.
 """
 
 import heapq
@@ -29,10 +37,12 @@ from .probability import (
     binary_convolution,
     binary_entropy,
     binary_entropy_inverse,
+    batch_entropies,
     dsbs,
     entropies,
     _check_probability,
     _clamp_measure,
+    _clamp_measures,
 )
 from .regions import MARKOV_TOL, RegionPoint
 
@@ -52,8 +62,8 @@ class SupportWeight:
     def __post_init__(self):
         for name in ("l1", "l2", "l3"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise DomainError(f"SupportWeight.{name} must be finite, got {v!r}")
+            if not _is_real(v):
+                raise DomainError(f"SupportWeight.{name} must be a finite real, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.l1 < 0.0 or self.l2 > 0.0 or self.l3 > 0.0:
             raise DomainError(
@@ -85,24 +95,37 @@ class SampleConfig:
     step_size: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.count, int) or self.count < 1:
+        if not _is_int(self.count) or self.count < 1:
             raise DomainError(f"count must be >= 1, got {self.count!r}")
         c = self.dirichlet_concentration
-        if not isinstance(c, (int, float)) or not math.isfinite(c) or c <= 0:
+        if not _is_real(c) or c <= 0:
             raise DomainError(f"dirichlet_concentration must be positive, got {c!r}")
         for name in ("cap_u", "cap_v"):
             v = getattr(self, name)
-            if v is not None and (not isinstance(v, int) or v < 1):
+            if v is not None and (not _is_int(v) or v < 1):
                 raise DomainError(f"{name} must be a positive integer or None, got {v!r}")
-        if not isinstance(self.refine_top, int) or self.refine_top < 0:
+        if not _is_int(self.refine_top) or self.refine_top < 0:
             raise DomainError(f"refine_top must be >= 0, got {self.refine_top!r}")
-        if not isinstance(self.refine_steps, int) or self.refine_steps < 0:
-            raise DomainError(f"refine_steps must be >= 0, got {self.refine_steps!r}")
-        s = self.step_size
-        if not isinstance(s, (int, float)) or not math.isfinite(s) or s <= 0:
-            raise DomainError(f"step_size must be positive, got {s!r}")
+        _check_budget("refine_steps", self.refine_steps, self.step_size)
+
+
+def _is_int(v):
+    # bool subclasses int, but True is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_budget(steps_name, steps, step_size):
+    # a hill-climb budget: a step count >= 0 and a finite positive step size
+    if not _is_int(steps) or steps < 0:
+        raise DomainError(f"{steps_name} must be an integer >= 0, got {steps!r}")
+    if not _is_real(step_size) or step_size <= 0:
+        raise DomainError(f"step_size must be finite and positive, got {step_size!r}")
 
 
 @dataclass(frozen=True)
@@ -203,18 +226,34 @@ _IB_GROUPS = ((0,), (1,), (2,), (0, 2), (1, 2))
 def _inner_stats(pxz, rows_u, rows_v):
     """(I(u;v), I(u;x), I(v;z)) on the long chain u - x - z - v."""
     w = pxz[:, :, None, None] * rows_u[:, None, :, None] * rows_v[None, :, None, :]
-    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = entropies(w, _INNER_GROUPS)
-    return (
-        _clamp_measure(h_u + h_v - h_uv),
-        _clamp_measure(h_x + h_u - h_xu),
-        _clamp_measure(h_z + h_v - h_zv),
-    )
+    return _inner_measures(entropies(w, _INNER_GROUPS), _clamp_measure)
+
+
+def _batch_inner_stats(pxz, rows_u, rows_v):
+    # _inner_stats of each candidate of a batch, as arrays over the batch
+    w = pxz[:, :, None, None] * rows_u[:, :, None, :, None] * rows_v[:, None, :, None, :]
+    return _inner_measures(batch_entropies(w, _INNER_GROUPS).T, _clamp_measures)
+
+
+def _inner_measures(h, clamp):
+    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = h
+    return clamp(h_u + h_v - h_uv), clamp(h_x + h_u - h_xu), clamp(h_z + h_v - h_zv)
 
 
 def _ib_stats(pxz, rows):
     """(I(u;x), I(u;z)) of a test channel p(u|x) on the source."""
-    h_x, h_z, h_u, h_xu, h_zu = entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS)
-    return _clamp_measure(h_x + h_u - h_xu), _clamp_measure(h_z + h_u - h_zu)
+    return _ib_measures(entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS), _clamp_measure)
+
+
+def _batch_ib_stats(pxz, rows):
+    # _ib_stats of each test channel of a batch, as arrays over the batch
+    h = batch_entropies(pxz[:, :, None] * rows[:, :, None, :], _IB_GROUPS)
+    return _ib_measures(h.T, _clamp_measures)
+
+
+def _ib_measures(h, clamp):
+    h_x, h_z, h_u, h_xu, h_zu = h
+    return clamp(h_x + h_u - h_xu), clamp(h_z + h_u - h_zu)
 
 
 def _outer_stats(pxz, q):
@@ -290,17 +329,26 @@ def _region_mu(st, variant):
     return st["mu_ro"] if variant == "ro" else min(st["iuz"], st["ivx"])
 
 
-def _coordinate_descent(tables, value_fn, steps, step_size):
-    """Deterministic round-robin hill climb over row-stochastic tables.
+def _lockstep(tables, value_fn, steps, step_size):
+    """Deterministic round-robin hill climb of a batch of candidates in step.
 
-    value_fn(tables) returns (value, canonical tables) or None when the
-    proposal is infeasible; the objective never decreases.
+    tables[t][b] is row-stochastic table t of candidate b; every candidate
+    has the same table shapes. value_fn(trial, idx) scores the candidates
+    idx of the batch, whose tables are trial, and returns (values,
+    canonical tables), a value of -inf marking an infeasible proposal; it
+    may overwrite trial. Step s nudges entry s mod (entries per candidate)
+    by +delta, delta = step_size * 0.9 ** (s // 50), and by -delta for the
+    candidates whose "+" proposal was infeasible or did not improve; a
+    nudge clips its row at 0 and renormalizes it, and a row clipped to all
+    zeros is no proposal. So each candidate gets exactly the proposals and
+    decisions of a climb of its own, whatever else shares its batch, and
+    its objective never decreases. Returns (values, tables).
     """
-    start = value_fn(tables)
-    if start is None:
+    best, tables = value_fn(tables, np.arange(len(tables[0])))
+    if np.any(best == -np.inf):
         raise DomainError("refinement started from an infeasible candidate")
-    best, tables = start
-    sizes = [t.size for t in tables]
+    shapes = [t.shape[1:] for t in tables]
+    sizes = [math.prod(shape) for shape in shapes]
     total = sum(sizes)
     for s in range(steps):
         delta = step_size * 0.9 ** (s // 50)
@@ -309,30 +357,35 @@ def _coordinate_descent(tables, value_fn, steps, step_size):
         while k >= sizes[t]:
             k -= sizes[t]
             t += 1
-        for sign in (1.0, -1.0):
-            nudged = _perturb_row(tables[t], k, sign * delta)
-            if nudged is None:
+        r, c = divmod(k, shapes[t][1])
+        # row r of every candidate nudged by +delta (sign 0) and -delta (sign 1),
+        # clipped and renormalized; a row of zero mass is no proposal
+        nudged = tables[t][:, r] + np.zeros((2, 1, 1))
+        nudged[0, :, c] += delta
+        nudged[1, :, c] -= delta
+        nudged = np.maximum(nudged, 0.0)
+        mass = nudged.sum(axis=2, keepdims=True)
+        pending = mass[:, :, 0] > 0.0
+        np.divide(nudged, mass, out=nudged, where=pending[:, :, None])
+        for sign in (0, 1):
+            who = pending[sign].nonzero()[0]
+            if not who.size:
                 continue
-            trial = list(tables)
-            trial[t] = nudged
-            res = value_fn(trial)
-            if res is not None and res[0] > best:
-                best, tables = res
-                break
+            trial = [tab[who] for tab in tables]
+            trial[t][:, r] = nudged[sign, who]
+            values, trial = value_fn(trial, who)
+            up = values > best[who]
+            won = who[up]
+            best[won] = values[up]
+            for tab, new in zip(tables, trial):
+                tab[won] = new[up]
+            pending[1, won] = False  # an accepted "+" move ends the step
     return best, tables
 
 
-def _perturb_row(rows, flat_index, delta):
-    r, c = divmod(flat_index, rows.shape[1])
-    row = rows[r] + 0.0
-    row[c] += delta
-    row = np.maximum(row, 0.0)
-    s = float(np.sum(row))
-    if s <= 0.0:
-        return None
-    out = rows.copy()
-    out[r] = row / s
-    return out
+def _stack(candidates):
+    # one batch array per table kind from a list of candidates' table lists
+    return [np.stack(kind) for kind in zip(*candidates)]
 
 
 def _draw_inner(rng, pxz, cap_u, cap_v, concentration):
@@ -367,22 +420,41 @@ def _draw_outer(rng, pxz, cond, cap_u, cap_v, concentration):
     return _project_chains(pxz, flat.reshape(nx, nz, cap_u, cap_v), cond)
 
 
-def _make_value_fn(variant, pxz, lam, cap_u, cap_v):
-    nx, nz = pxz.shape
+def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
+    # the batched objective of support_function and local_refine
     if variant == "inner":
 
-        def fn(tables):
-            return _lam_dot(lam, *_inner_stats(pxz, tables[0], tables[1])), tables
+        def fn(tables, idx):
+            return _lam_dot(lam, *_batch_inner_stats(pxz, *tables)), tables
 
-    else:
-        cond = _source_conditionals(pxz)
+        return fn
+    return _projected_value_fn(pxz, cond, cap_u, cap_v, _outer_score(lam, variant))
 
-        def fn(tables):
-            q, st = _project_chains(pxz, tables[0].reshape(nx, nz, cap_u, cap_v), cond)
-            if st is None:
-                return None
-            value = _lam_dot(lam, _region_mu(st, variant), st["iux"], st["ivz"])
-            return value, [q.reshape(nx * nz, cap_u * cap_v)]
+
+def _outer_score(lam, variant):
+    # the objective of an outer candidate from its stats; b, its place in a batch, is unused
+    return lambda st, b=None: _lam_dot(lam, _region_mu(st, variant), st["iux"], st["ivz"])
+
+
+def _projected_value_fn(pxz, cond, cap_u, cap_v, score):
+    """Batched objective over flat tables q(u,v|x,z), one row per (x, z).
+
+    Each candidate is projected onto the short chains by itself, as each
+    needs its own number of sweeps; a candidate whose sweep budget runs
+    out is infeasible, and score(stats, b) is the value of candidate b of
+    the batch otherwise (-inf when it breaks a constraint of its own).
+    """
+    nx, nz = pxz.shape
+
+    def fn(tables, idx):
+        (flat,) = tables
+        values = np.full(len(idx), -np.inf)
+        for j, b in enumerate(idx.tolist()):
+            q, st = _project_chains(pxz, flat[j].reshape(nx, nz, cap_u, cap_v), cond)
+            if st is not None:
+                values[j] = score(st, b)
+                flat[j] = q.reshape(nx * nz, cap_u * cap_v)
+        return values, [flat]
 
     return fn
 
@@ -398,7 +470,8 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     earlier samples. Two count-independent candidates are always in the
     pool: the constant channel and, when the caps allow it, the refined
     identity corner. Ties break toward them, then toward the lowest
-    sample index.
+    sample index. The identity corner and every refined sample are
+    hill-climbed together in one batch.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -408,76 +481,63 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     nx, nz = pxz.shape
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
-    value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v)
-    if variant == "inner":
-        baseline = [_constant_rows(nx, cap_u), _constant_rows(nz, cap_v)]
-    else:
-        baseline = [_constant_rows(nx * nz, cap_u * cap_v)]
-    base_val = value_fn(baseline)[0]
-    if variant != "inner" and lam.degenerate:
-        # constant channels are provably optimal on this face
-        return base_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
-
-    best_val, best_tables = base_val, baseline
-    for seed_tables in _seed_tables(variant, pxz, cap_u, cap_v):
-        res = value_fn(seed_tables)
-        if res is None:
-            continue
-        if cfg.refine_steps > 0:
-            res = _coordinate_descent(seed_tables, value_fn, cfg.refine_steps, cfg.step_size)
-        if res[0] > best_val:
-            best_val, best_tables = res
-
     conc = cfg.dirichlet_concentration
     if variant == "inner":
+        cond = None
+        baseline = [_constant_rows(nx, cap_u), _constant_rows(nz, cap_v)]
+        base_val = _lam_dot(lam, *_inner_stats(pxz, *baseline))
 
         def draw(i):
-            return _draw_inner(_substream(cfg.seed, i), pxz, cap_u, cap_v, conc)
+            tables = _draw_inner(_substream(cfg.seed, i), pxz, cap_u, cap_v, conc)
+            return tables, _lam_dot(lam, *_inner_stats(pxz, *tables))
 
     else:
         cond = _source_conditionals(pxz)
+        score = _outer_score(lam, variant)
+        baseline = [_constant_rows(nx * nz, cap_u * cap_v)]
+        base_val = score(_project_chains(pxz, baseline[0].reshape(nx, nz, cap_u, cap_v), cond)[1])
+        if lam.degenerate:
+            # constant channels are provably optimal on this face
+            return base_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
 
         def draw(i):
             q, st = _draw_outer(_substream(cfg.seed, i), pxz, cond, cap_u, cap_v, conc)
-            return None if st is None else [q.reshape(nx * nz, cap_u * cap_v)]
+            return None if st is None else ([q.reshape(nx * nz, cap_u * cap_v)], score(st))
 
     values = np.full(cfg.count, -np.inf)
     top = []
-    qualified = []
+    kept = {}  # the tables of each sample that ranked among the running best
     for i in range(cfg.count):
-        tables = draw(i)
-        if tables is None:
+        drawn = draw(i)
+        if drawn is None:
             continue
-        res = value_fn(tables)
-        if res is None:
-            continue
-        values[i] = res[0]
+        tables, values[i] = drawn
         if cfg.refine_top > 0:
             if len(top) < cfg.refine_top:
                 heapq.heappush(top, values[i])
-                qualified.append(i)
+                kept[i] = tables
             elif values[i] > top[0]:
                 heapq.heapreplace(top, values[i])
-                qualified.append(i)
+                kept[i] = tables
 
-    refined = {}
-    if cfg.refine_steps > 0:
-        for i in qualified:
-            tables = draw(i)
-            refined[i] = _coordinate_descent(tables, value_fn, cfg.refine_steps, cfg.step_size)
+    seeds = _seed_tables(variant, pxz, cap_u, cap_v)
+    refined = list(kept) if cfg.refine_steps > 0 else []
+    best_val, best_tables = base_val, baseline
+    if seeds or refined:
+        value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond)
+        batch = _stack(seeds + [kept[i] for i in refined])
+        out, batch = _lockstep(batch, value_fn, cfg.refine_steps, cfg.step_size)
+        for j in range(len(seeds)):
+            if out[j] > best_val:
+                best_val, best_tables = float(out[j]), [t[j] for t in batch]
+        for j, i in enumerate(refined, len(seeds)):
+            values[i], kept[i] = out[j], [t[j] for t in batch]
 
-    best_i = None
-    for i in range(cfg.count):
-        v = refined[i][0] if i in refined else values[i]
-        if v > best_val:
-            best_val, best_i = v, i
-    if best_i is None:
-        tables = best_tables
-    elif best_i in refined:
-        tables = refined[best_i][1]
-    else:
-        tables = draw(best_i)
-    return best_val, _public_candidate(variant, tables, p_xz, cap_u, cap_v)
+    best_i = int(np.argmax(values))
+    if values[best_i] > best_val:
+        best_val = float(values[best_i])
+        best_tables = kept[best_i] if best_i in kept else draw(best_i)[0]
+    return best_val, _public_candidate(variant, best_tables, p_xz, cap_u, cap_v)
 
 
 def _public_candidate(variant, tables, p_xz, cap_u, cap_v):
@@ -497,9 +557,11 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.0
     """Hill-climb a candidate; the objective never decreases.
 
     Accepts and returns the candidate forms produced by support_function.
+    steps must be an integer >= 0 and step_size finite and positive.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    _check_budget("steps", steps, step_size)
     pxz = p_xz.mass
     nx, nz = pxz.shape
     if variant == "inner":
@@ -507,21 +569,19 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.0
         rows_u = np.array(ch_u.rows if isinstance(ch_u, Channel) else ch_u)
         rows_v = np.array(ch_v.rows if isinstance(ch_v, Channel) else ch_v)
         cap_u, cap_v = rows_u.shape[1], rows_v.shape[1]
-        value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v)
-        _, tables = _coordinate_descent([rows_u, rows_v], value_fn, steps, step_size)
+        value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v, None)
+        _, (rows_u, rows_v) = _lockstep([rows_u[None], rows_v[None]], value_fn, steps, step_size)
         if isinstance(ch_u, Channel):
             return (
-                Channel(ch_u.input, ch_u.output, tables[0]),
-                Channel(ch_v.input, ch_v.output, tables[1]),
+                Channel(ch_u.input, ch_u.output, rows_u[0]),
+                Channel(ch_v.input, ch_v.output, rows_v[0]),
             )
-        return tables[0], tables[1]
+        return rows_u[0], rows_v[0]
     q = np.array(candidate)
     cap_u, cap_v = q.shape[2], q.shape[3]
-    value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v)
-    _, tables = _coordinate_descent(
-        [q.reshape(nx * nz, cap_u * cap_v)], value_fn, steps, step_size
-    )
-    return tables[0].reshape(nx, nz, cap_u, cap_v)
+    value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v, _source_conditionals(pxz))
+    _, (flat,) = _lockstep([q.reshape(1, nx * nz, cap_u * cap_v)], value_fn, steps, step_size)
+    return flat[0].reshape(nx, nz, cap_u, cap_v)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +686,8 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
     max(r1, r2). The long-chain BSC points on dsbs_alpha_grid(r_grid)
     seed the pool (they are feasible here too), so the result dominates
     an inner curve built on the same grid, and the best candidate under
-    each grid cap is hill-climbed before the envelope pass.
+    each grid cap is hill-climbed before the envelope pass, every cap in
+    one batch.
     """
     p = _check_probability(p, "dsbs_outer_boundary_sampled")
     if not 0.0 < p < 0.5:
@@ -638,13 +699,15 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
     pxz = dsbs(p).mass
     cap_u = cfg.cap_u if cfg.cap_u is not None else 2
     cap_v = cfg.cap_v if cfg.cap_v is not None else 2
+    conc = cfg.dirichlet_concentration
+    cond = _source_conditionals(pxz)
 
+    # a candidate's item tells start() how to build its table: ("bsc", alpha),
+    # ("sample", index) to redraw, or ("table", q)
     candidates = []
     for a in dsbs_alpha_grid(r_grid):
         r, mu = _sb_curve_point(p, a)
         candidates.append((r, mu, ("bsc", a)))
-    conc = cfg.dirichlet_concentration
-    cond = _source_conditionals(pxz)
     for i in range(cfg.count):
         _, st = _draw_outer(_substream(cfg.seed, i), pxz, cond, cap_u, cap_v, conc)
         if st is None:
@@ -652,51 +715,73 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
         candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
 
     points = [(r, mu) for r, mu, _ in candidates]
-    for rcap in sorted(set(r_grid)):
-        pick = None
-        for idx, (r, mu, tag) in enumerate(candidates):
-            if r <= rcap + 1e-12 and (pick is None or mu > candidates[pick][1]):
-                pick = idx
-        best_mu, best_q = -math.inf, None
-        if pick is not None:
-            tag = candidates[pick][2]
-            if tag[0] == "bsc":
-                best_q = _pad_table(_bsc_pair_table(tag[1]), cap_u, cap_v)
-            else:
-                best_q, _ = _draw_outer(_substream(cfg.seed, tag[1]), pxz, cond, cap_u, cap_v, conc)
-            best_mu = candidates[pick][1]
+    caps = sorted(set(r_grid))
+    extras = []
+    for rcap in caps:
+        coupled = []
         if 0.0 <= rcap <= LOG2:
             a_cap = binary_entropy_inverse(min(max(LOG2 - rcap, 0.0), LOG2))
             for s_same, s_diff in _COUPLING_SEEDS:
                 q = _pad_table(_coupled_pair_table(a_cap, s_same, s_diff), cap_u, cap_v)
                 st = _outer_stats(pxz, q)
                 r_at = max(st["iux"], st["ivz"])
-                if r_at > rcap + 1e-12:
-                    continue
-                points.append((r_at, st["mu_ro"]))
-                if st["mu_ro"] > best_mu:
-                    best_mu, best_q = st["mu_ro"], q
-        if cfg.refine_steps > 0 and best_q is not None:
-            value_fn = _capped_mu_value_fn(pxz, cap_u, cap_v, rcap)
-            _, tables = _coordinate_descent(
-                [best_q.reshape(4, cap_u * cap_v)], value_fn, cfg.refine_steps, cfg.step_size
-            )
-            st = _outer_stats(pxz, tables[0].reshape(2, 2, cap_u, cap_v))
-            points.append((max(st["iux"], st["ivz"]), st["mu_ro"]))
+                if r_at <= rcap + 1e-12:
+                    coupled.append((r_at, st["mu_ro"], ("table", q)))
+        points += [(r, mu) for r, mu, _ in coupled]
+        extras.append(coupled)
+
+    def start(item):
+        kind, arg = item
+        if kind == "bsc":
+            q = _pad_table(_bsc_pair_table(arg), cap_u, cap_v)
+        elif kind == "sample":
+            q, _ = _draw_outer(_substream(cfg.seed, arg), pxz, cond, cap_u, cap_v, conc)
+        else:
+            q = arg
+        return [q.reshape(4, cap_u * cap_v)]
+
+    def objective(row_caps):
+        def score(st, b):
+            return st["mu_ro"] if max(st["iux"], st["ivz"]) <= row_caps[b] + 1e-12 else -math.inf
+
+        return _projected_value_fn(pxz, cond, cap_u, cap_v, score)
+
+    for (flat,) in _refine_under_caps(caps, candidates, extras, start, objective, cfg):
+        st = _outer_stats(pxz, flat.reshape(2, 2, cap_u, cap_v))
+        points.append((max(st["iux"], st["ivz"]), st["mu_ro"]))
     return upper_concave_envelope(points)
 
 
-def _capped_mu_value_fn(pxz, cap_u, cap_v, rcap):
-    nx, nz = pxz.shape
-    cond = _source_conditionals(pxz)
+def _refine_under_caps(caps, candidates, extras, start, objective, cfg):
+    """Hill-climb the best candidate under each rate cap, every cap in one batch.
 
-    def fn(tables):
-        q, st = _project_chains(pxz, tables[0].reshape(nx, nz, cap_u, cap_v), cond)
-        if st is None or max(st["iux"], st["ivz"]) > rcap + 1e-12:
-            return None
-        return st["mu_ro"], [q.reshape(nx * nz, cap_u * cap_v)]
-
-    return fn
+    candidates holds (r, mu, item) triples that any cap may pick, and
+    extras[j] more that only caps[j] may pick, ranked after them. Cap j
+    picks the largest mu among the triples with r <= caps[j] + 1e-12, the
+    first one on ties, and a cap with no such triple is skipped. start(item)
+    gives a pick's tables and objective(row_caps) is the batched objective
+    with candidate b held under row_caps[b]. Returns the refined tables of
+    each picked cap in cap order, and none when cfg.refine_steps is 0.
+    """
+    if cfg.refine_steps == 0:
+        return []
+    r = np.array([c[0] for c in candidates], dtype=np.float64)
+    mu = np.array([c[1] for c in candidates], dtype=np.float64)
+    picked, row_caps = [], []
+    for rcap, extra in zip(caps, extras):
+        pool_r = np.concatenate([r, [c[0] for c in extra]])
+        pool_mu = np.concatenate([mu, [c[1] for c in extra]])
+        ok = np.flatnonzero(pool_r <= rcap + 1e-12)
+        if ok.size:
+            # argmax returns the first maximum, the lowest index on ties
+            i = int(ok[np.argmax(pool_mu[ok])])
+            pick = candidates[i] if i < len(candidates) else extra[i - len(candidates)]
+            picked.append(start(pick[2]))
+            row_caps.append(rcap)
+    if not picked:
+        return []
+    _, batch = _lockstep(_stack(picked), objective(row_caps), cfg.refine_steps, cfg.step_size)
+    return [[t[j] for t in batch] for j in range(len(picked))]
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +793,8 @@ def ib_curve(p_xz, r_grid, cfg):
 
     The output alphabet is capped at |X| + 1 unless cfg overrides it. The
     identity and constant channels seed the pool, so the curve hits (0, 0)
-    and (H(x), I(x;z)) exactly.
+    and (H(x), I(x;z)) exactly. The best channel under each grid cap is
+    hill-climbed, every cap in one batch.
     """
     if len(p_xz.axes) != 2:
         raise DomainError(f"ib_curve needs a two-axis source, got {p_xz.labels}")
@@ -730,31 +816,22 @@ def ib_curve(p_xz, r_grid, cfg):
         pool.append(_substream(cfg.seed, i).dirichlet(np.full(cap_u, conc), size=nx))
     candidates = [(*_ib_stats(pxz, rows), rows) for rows in pool]
 
+    def objective(row_caps):
+        row_caps = np.array(row_caps)
+
+        def fn(tables, idx):
+            iux, iuz = _batch_ib_stats(pxz, tables[0])
+            return np.where(iux > row_caps[idx] + 1e-12, -np.inf, iuz), tables
+
+        return fn
+
     points = [(r, mu) for r, mu, _ in candidates]
-    if cfg.refine_steps > 0:
-        for rcap in sorted(set(r_grid)):
-            pick = None
-            for idx, (r, mu, _) in enumerate(candidates):
-                if r <= rcap + 1e-12 and (pick is None or mu > candidates[pick][1]):
-                    pick = idx
-            if pick is None:
-                continue
-            value_fn = _capped_relevance_value_fn(pxz, rcap)
-            _, tables = _coordinate_descent(
-                [candidates[pick][2]], value_fn, cfg.refine_steps, cfg.step_size
-            )
-            points.append(_ib_stats(pxz, tables[0]))
+    caps = sorted(set(r_grid))
+    for (rows,) in _refine_under_caps(
+        caps, candidates, [[]] * len(caps), lambda rows: [rows], objective, cfg
+    ):
+        points.append(_ib_stats(pxz, rows))
     return upper_concave_envelope(points)
-
-
-def _capped_relevance_value_fn(pxz, rcap):
-    def fn(tables):
-        iux, iuz = _ib_stats(pxz, tables[0])
-        if iux > rcap + 1e-12:
-            return None
-        return iuz, tables
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

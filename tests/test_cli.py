@@ -4,6 +4,7 @@ In-process main() calls cover behavior; subprocess runs cover the
 entry points and byte-identical reruns under different thread counts.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -40,6 +41,13 @@ def read_table(path):
         elif line:
             rows.append([float(v) for v in line.split()])
     return header, rows
+
+
+def body_sha256(path):
+    # the data rows of an output, without its "#" manifest
+    with open(path) as fh:
+        body = "".join(line for line in fh if not line.startswith("#"))
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 def read_report(path):
@@ -141,6 +149,32 @@ class TestIbCurve:
         assert abs(rows[-1][1] - I_DSBS_025) <= 2e-3
         values = [r[1] for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestPinnedRefineOutputs:
+    """The bytes of two refined outputs, pinned to a version that refined
+    each candidate by itself; batching the refinement must not move them."""
+
+    def test_ib_curve(self, tmp_path, capsys):
+        out = tmp_path / "ib.dat"
+        assert main(["ib-curve", "--source", "dsbs:0.25", "--seed", "3",
+                     "--samples", "400", "--grid", "11", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out) == (
+            "702d948378075acc4f1285c0cd74a87c03deb9012b8a1c05d72a9629f0bb0214"
+        )
+
+    def test_dsbs_gap(self, tmp_path, capsys):
+        out = tmp_path / "gap"
+        assert main(["dsbs-gap", "--p", "0.1", "--seed", "3", "--samples", "200",
+                     "--window-points", "2", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out / "inner.dat") == (
+            "576872ba4b75ebac47101a0527c73b9c97803400d7b2cfdc5203d9021963f24d"
+        )
+        assert body_sha256(out / "outer.dat") == (
+            "f3556fc42a8adc3c27f91aa38b3d15529df0a406a0aad70d20339e30f2314641"
+        )
 
 
 class TestConjecture:

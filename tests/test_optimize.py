@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coinfo import optimize
 from coinfo.errors import DomainError, SizeError
 from coinfo.optimize import (
     EnvelopeCurve,
@@ -20,8 +21,12 @@ from coinfo.optimize import (
     sample_channel,
     support_function,
     upper_concave_envelope,
+    _batch_ib_stats,
+    _batch_inner_stats,
     _ib_stats,
     _inner_stats,
+    _lockstep,
+    _make_value_fn,
     _outer_stats,
     _project_chains,
     _source_conditionals,
@@ -30,6 +35,7 @@ from coinfo.probability import (
     LOG2,
     JointPmf,
     Alphabet,
+    Channel,
     binary_convolution,
     binary_entropy,
     binary_entropy_inverse,
@@ -99,6 +105,22 @@ class TestSupportWeightAndConfig:
             SampleConfig(seed=0, count=1, refine_top=-1)
         with pytest.raises(DomainError):
             SampleConfig(seed=0, count=1, step_size=0.0)
+
+    def test_bools_are_not_numbers(self):
+        for kwargs in (
+            {"seed": True},
+            {"seed": 1, "count": True},
+            {"seed": 1, "refine_steps": False},
+            {"seed": 1, "refine_top": True},
+            {"seed": 1, "cap_u": True},
+            {"seed": 1, "dirichlet_concentration": True},
+            {"seed": 1, "step_size": True},
+        ):
+            with pytest.raises(DomainError):
+                SampleConfig(**kwargs)
+        for weights in ((True, 0, 0), (1.0, False, 0.0), (1.0, 0.0, False)):
+            with pytest.raises(DomainError):
+                SupportWeight(*weights)
 
 
 def kernel_cases(seed):
@@ -173,6 +195,18 @@ class TestInformationKernel:
             assert got.keys() == want.keys()
             for key in want:
                 assert abs(got[key] - want[key]) <= 1e-14, key
+
+    def test_batched_stats_equal_unbatched_bitwise(self):
+        for cap in (2, 3):
+            cases = [c for c in kernel_cases(35) if c[1].shape[1] == cap]
+            for pxz, _, _, _ in cases[:2]:
+                ru = np.stack([c[1] for c in cases])
+                rv = np.stack([c[2] for c in cases])
+                inner = np.array(_batch_inner_stats(pxz, ru, rv)).T
+                ib = np.array(_batch_ib_stats(pxz, ru)).T
+                for b in range(len(cases)):
+                    assert inner[b].tolist() == list(_inner_stats(pxz, ru[b], rv[b]))
+                    assert ib[b].tolist() == list(_ib_stats(pxz, ru[b]))
 
     def test_projection_returns_stats_of_its_table(self):
         moved = 0
@@ -324,6 +358,16 @@ class TestLocalRefine:
         iuv, _, _ = _inner_stats(src.mass, ru, rv)
         assert abs(iuv - I_XZ_01) <= 1e-12
         assert np.array_equal(ru, eye)
+
+
+    def test_budget_validation(self):
+        src = dsbs(0.1)
+        lam = SupportWeight(1.0, -0.25, -0.25)
+        cand = (np.eye(2), np.eye(2))
+        for steps, step_size in ((-5, 0.05), (2.5, 0.05), (True, 0.05), (10, -0.1),
+                                 (10, math.nan), (10, 0.0), (10, math.inf), (10, True)):
+            with pytest.raises(DomainError):
+                local_refine(src, cand, lam, "inner", steps=steps, step_size=step_size)
 
 
 class TestEnvelope:
@@ -506,3 +550,173 @@ class TestCardinalityRobustness:
         assert row["lam"] == (0.7, -0.2, 0.0)
         assert row["difference"] == row["value_plus"] - row["value_base"]
         assert abs(row["difference"]) <= 5e-3
+
+
+# ---------------------------------------------------------------------------
+# The scalar hill climb that the lockstep engine replaced, kept here as its
+# reference: one candidate and one proposal per objective call.
+
+
+def perturb_row(rows, flat_index, delta):
+    r, c = divmod(flat_index, rows.shape[1])
+    row = rows[r] + 0.0
+    row[c] += delta
+    row = np.maximum(row, 0.0)
+    s = float(np.sum(row))
+    if s <= 0.0:
+        return None
+    out = rows.copy()
+    out[r] = row / s
+    return out
+
+
+def coordinate_descent(tables, value_fn, steps, step_size):
+    start = value_fn(tables)
+    if start is None:
+        raise DomainError("refinement started from an infeasible candidate")
+    best, tables = start
+    sizes = [t.size for t in tables]
+    total = sum(sizes)
+    for s in range(steps):
+        delta = step_size * 0.9 ** (s // 50)
+        k = s % total
+        t = 0
+        while k >= sizes[t]:
+            k -= sizes[t]
+            t += 1
+        for sign in (1.0, -1.0):
+            nudged = perturb_row(tables[t], k, sign * delta)
+            if nudged is None:
+                continue
+            trial = list(tables)
+            trial[t] = nudged
+            res = value_fn(trial)
+            if res is not None and res[0] > best:
+                best, tables = res
+                break
+    return best, tables
+
+
+def scalar_lockstep(tables, value_fn, steps, step_size):
+    """_lockstep's reference: every candidate climbed alone by the scalar loop."""
+    values, climbed = [], []
+    for b in range(len(tables[0])):
+
+        def one(trial, b=b):
+            v, canon = value_fn([t[None].copy() for t in trial], np.array([b]))
+            return None if v[0] == -np.inf else (v[0], [t[0] for t in canon])
+
+        v, tabs = coordinate_descent([t[b] for t in tables], one, steps, step_size)
+        values.append(v)
+        climbed.append(tabs)
+    return np.array(values), [np.stack(kind) for kind in zip(*climbed)]
+
+
+def bits(obj):
+    """The exact bits of a result: floats, arrays, channels, curves, reports."""
+    if isinstance(obj, Channel):
+        return bits(obj.rows)
+    if isinstance(obj, EnvelopeCurve):
+        return bits(obj.knots)
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.dtype.str, obj.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return [bits(o) for o in obj]
+    if isinstance(obj, dict):
+        return {k: bits(v) for k, v in obj.items()}
+    return type(obj).__name__, float(obj).hex()
+
+
+def lockstep_and_reference(monkeypatch, fn, *args):
+    got = fn(*args)
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_lockstep", scalar_lockstep)
+        want = fn(*args)
+    return bits(got), bits(want)
+
+
+SOURCE3 = JointPmf((Alphabet(3, "x"), Alphabet(2, "z")), [[0.2, 0.1], [0.05, 0.25], [0.3, 0.1]])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("variant", ["inner", "ro", "ro_prime"])
+    def test_support_function_matches_scalar_reference(self, monkeypatch, variant):
+        lam = SupportWeight(0.9, -0.2, -0.3)
+        for src, cap in ((dsbs(0.1), None), (SOURCE3, 3)):
+            cfg = SampleConfig(seed=4, count=60, refine_top=6, refine_steps=80, cap_u=cap, cap_v=cap)
+            got, want = lockstep_and_reference(monkeypatch, support_function, src, lam, cfg, variant)
+            assert got == want
+
+    def test_ib_curve_matches_scalar_reference(self, monkeypatch):
+        cfg = SampleConfig(seed=3, count=150, refine_top=5, refine_steps=150)
+        for src in (dsbs(0.25), SOURCE3):
+            grid = np.linspace(0.0, math.log(src.mass.shape[0]), 9)
+            got, want = lockstep_and_reference(monkeypatch, ib_curve, src, grid, cfg)
+            assert got == want
+
+    def test_dsbs_outer_matches_scalar_reference(self, monkeypatch):
+        grid = np.linspace(0.673, 0.694, 4)
+        for cap in (2, 3):
+            cfg = SampleConfig(seed=3, count=40, refine_steps=100, cap_u=cap, cap_v=cap)
+            got, want = lockstep_and_reference(
+                monkeypatch, dsbs_outer_boundary_sampled, 0.1, grid, cfg
+            )
+            assert got == want
+
+    def test_local_refine_matches_scalar_reference(self, monkeypatch):
+        lam = SupportWeight(1.0, -0.3, -0.2)
+        # one-hot rows at step size 1: their "-" nudges empty the row
+        assert perturb_row(np.eye(3), 0, -1.0) is None
+        eye = (np.eye(3), np.eye(2, 3))
+        got, want = lockstep_and_reference(monkeypatch, local_refine, SOURCE3, eye, lam, "inner", 90, 1.0)
+        assert got == want
+        _, q = support_function(dsbs(0.1), lam, small_cfg(2, 30, top=3, steps=10), "ro")
+        got, want = lockstep_and_reference(monkeypatch, local_refine, dsbs(0.1), q, lam, "ro", 90, 0.2)
+        assert got == want
+
+    def test_candidate_result_does_not_depend_on_its_batch(self):
+        pxz = SOURCE3.mass
+        lam = SupportWeight(1.0, -0.3, -0.2)
+        rng = np.random.default_rng(8)
+        ru = rng.dirichlet(np.ones(3), size=(12, 3))
+        rv = rng.dirichlet(np.ones(3), size=(12, 2))
+        ru[0], rv[0] = np.eye(3), np.eye(2, 3)
+        fn = _make_value_fn("inner", pxz, lam, 3, 3, None)
+        self.check_batches([ru, rv], fn, 120, 1.0)
+
+    def test_exhausted_projection_rejects_only_its_own_proposal(self, monkeypatch):
+        pxz = dsbs(0.2).mass
+        cond = _source_conditionals(pxz)
+        rng = np.random.default_rng(9)
+        starts = []
+        while len(starts) < 10:
+            q, st = _project_chains(pxz, rng.dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2), cond)
+            if st is not None:
+                starts.append(q.reshape(4, 4))
+        exhausted = []
+
+        def short_budget(pxz, q, cond):
+            # a two-sweep budget leaves some proposals off the chains
+            out = _project_chains(pxz, q, cond, max_sweeps=2)
+            exhausted.append(out[1] is None)
+            return out
+
+        monkeypatch.setattr(optimize, "_project_chains", short_budget)
+        fn = _make_value_fn("ro", pxz, SupportWeight(1.0, -0.3, -0.3), 2, 2, cond)
+        self.check_batches([np.stack(starts)], fn, 60, 0.2)
+        assert any(exhausted) and not all(exhausted)
+
+    @staticmethod
+    def check_batches(tables, fn, steps, step_size):
+        # alone, in a batch of 7 and in the full batch, each candidate gets
+        # the scalar loop's result bit for bit
+        n = len(tables[0])
+        want = scalar_lockstep([t.copy() for t in tables], fn, steps, step_size)
+        full = _lockstep([t.copy() for t in tables], fn, steps, step_size)
+        for b in range(n):
+            seven = [b] + [i for i in range(n - 1, -1, -1) if i != b][:6]
+            alone = _lockstep([t[[b]].copy() for t in tables], fn, steps, step_size)
+            some = _lockstep([t[seven].copy() for t in tables], fn, steps, step_size)
+            expected = bits((want[0][b], [t[b] for t in want[1]]))
+            for values, batch, j in ((full[0], full[1], b), (alone[0], alone[1], 0), (some[0], some[1], 0)):
+                assert bits((values[j], [t[j] for t in batch])) == expected
