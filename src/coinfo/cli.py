@@ -44,6 +44,7 @@ from .probability import (
     dsbs,
     entropy_of_array,
     mutual_information,
+    _MAX_CELLS,
 )
 from .regions import sb_point
 from .typicality import (
@@ -128,6 +129,10 @@ def _parse_source(spec):
             raise DomainError(f"source cell {idx} is listed twice in {spec!r}")
         cells[idx] = value
     sizes = [max(idx[a] for idx in cells) + 1 for a in range(k)]
+    if math.prod(sizes) > _MAX_CELLS:
+        raise SizeError(
+            f"source file {spec!r} implies {math.prod(sizes)} cells, cap is {_MAX_CELLS}"
+        )
     mass = np.zeros(sizes)
     for idx, value in cells.items():
         mass[idx] = value
@@ -142,32 +147,30 @@ def _parse_pair(text, name, cast):
     return cast(parts[0]), cast(parts[1])
 
 
-def _sample_config(args, default_caps=None):
+def _sample_config(args, default_caps=None, refine=False):
+    """The SampleConfig of a sampling command and its manifest parameters.
+
+    Only the commands that refine (refine=True) take a refinement budget,
+    and the manifest lists only what the command reads.
+    """
     caps = default_caps
-    if getattr(args, "caps", None):
+    if args.caps:
         caps = _parse_pair(args.caps, "--caps", int)
-    return SampleConfig(
+    budget = {"refine_steps": args.refine_steps, "step_size": args.step_size} if refine else {}
+    cfg = SampleConfig(
         seed=args.seed,
         count=args.samples,
         cap_u=None if caps is None else caps[0],
         cap_v=None if caps is None else caps[1],
-        refine_top=args.refine_top,
-        refine_steps=args.refine_steps,
-        step_size=args.step_size,
+        **budget,
     )
-
-
-def _config_params(cfg):
-    return (
+    params = (
         ("seed", cfg.seed),
         ("samples", cfg.count),
-        ("concentration", cfg.dirichlet_concentration),
         ("caps", (cfg.cap_u if cfg.cap_u is not None else "auto",
                   cfg.cap_v if cfg.cap_v is not None else "auto")),
-        ("refine_top", cfg.refine_top),
-        ("refine_steps", cfg.refine_steps),
-        ("step_size", cfg.step_size),
-    )
+    ) + tuple(budget.items())
+    return cfg, params
 
 
 def cmd_dsbs_surface(args):
@@ -211,7 +214,7 @@ def cmd_dsbs_gap(args):
     if not lo < hi:
         raise DomainError(f"window must be increasing, got {args.window!r}")
     r_grid = np.linspace(lo, hi, args.window_points)
-    cfg = _sample_config(args, default_caps=(2, 2))
+    cfg, cfg_params = _sample_config(args, default_caps=(2, 2), refine=True)
     inner = dsbs_inner_boundary(args.p, dsbs_alpha_grid(r_grid))
     outer = dsbs_outer_boundary_sampled(args.p, r_grid, cfg)
     knots_in = [r for r, _ in inner.knots if lo <= r <= hi]
@@ -220,7 +223,7 @@ def cmd_dsbs_gap(args):
     scale = _unit_scale(args.units)
     params = (
         ("p", args.p), ("window", (lo, hi)), ("window_points", args.window_points),
-    ) + _config_params(cfg) + (("units", args.units),)
+    ) + cfg_params + (("units", args.units),)
     os.makedirs(args.out_dir, exist_ok=True)
     gap_best, gap_at = -math.inf, lo
     for r in evaluation:
@@ -244,13 +247,13 @@ def cmd_ib_curve(args):
     src = _parse_source(args.source)
     nx = src.mass.shape[0]
     r_grid = np.linspace(0.0, math.log(nx), args.grid)
-    cfg = _sample_config(args)
+    cfg, cfg_params = _sample_config(args, refine=True)
     curve = ib_curve(src, r_grid, cfg)
     rows = [(float(r), curve.value_at(float(r))) for r in r_grid]
     params = (
         ("source", args.source), ("grid_points", args.grid),
         ("grid_lo", 0.0), ("grid_hi", math.log(nx)),
-    ) + _config_params(cfg) + (("units", args.units),)
+    ) + cfg_params + (("units", args.units),)
     _write_lines(
         args.out, RunManifest("ib-curve", params),
         _table_lines(rows, _unit_scale(args.units)),
@@ -260,7 +263,7 @@ def cmd_ib_curve(args):
 
 
 def cmd_conjecture(args):
-    cfg = _sample_config(args, default_caps=(2, 2))
+    cfg, cfg_params = _sample_config(args, default_caps=(2, 2))
     rep = conjecture_test(args.p, cfg)
     scale = _unit_scale(args.units)
     lines = [
@@ -274,7 +277,7 @@ def cmd_conjecture(args):
         for i, row in enumerate(rep[name]):
             body = " ".join(_fmt(float(v)) for v in row)
             lines.append(f"{name} {i} {body}")
-    params = (("p", args.p),) + _config_params(cfg) + (("units", args.units),)
+    params = (("p", args.p),) + cfg_params + (("units", args.units),)
     _write_lines(args.out, RunManifest("conjecture", params), lines)
     print(f"min_margin {_fmt(rep['min_margin'] / scale)}")
     print(f"wrote {args.out}")
@@ -310,12 +313,12 @@ def cmd_bruteforce(args):
 
 def cmd_region_sample(args):
     src = _parse_source(args.source)
-    cfg = _sample_config(args)
+    cfg, cfg_params = _sample_config(args)
     points = sample_region_points(src, cfg, args.variant)
     rows = [(pt.mu, pt.r1, pt.r2) for pt in points]
     params = (
         ("source", args.source), ("variant", args.variant),
-    ) + _config_params(cfg) + (("units", args.units),)
+    ) + cfg_params + (("units", args.units),)
     _write_lines(
         args.out, RunManifest("region-sample", params),
         _table_lines(rows, _unit_scale(args.units)),
@@ -390,13 +393,13 @@ def _build_parser():
         cmd.add_argument("--units", choices=("nats", "bits"), default="nats")
         return cmd
 
-    def add_sampling(cmd, samples_default):
+    def add_sampling(cmd, samples_default, refine=False):
         cmd.add_argument("--seed", type=int, required=True)
         cmd.add_argument("--samples", type=int, default=samples_default)
         cmd.add_argument("--caps", help="auxiliary sizes as U,V")
-        cmd.add_argument("--refine-top", type=int, default=100)
-        cmd.add_argument("--refine-steps", type=int, default=500)
-        cmd.add_argument("--step-size", type=float, default=0.05)
+        if refine:
+            cmd.add_argument("--refine-steps", type=int, default=500)
+            cmd.add_argument("--step-size", type=float, default=0.05)
 
     cmd = add("dsbs-surface", cmd_dsbs_surface, "closed-form inner surface mesh")
     cmd.add_argument("--p", type=float, required=True)
@@ -407,13 +410,13 @@ def _build_parser():
     cmd.add_argument("--p", type=float, required=True)
     cmd.add_argument("--window", default="0.673,0.694")
     cmd.add_argument("--window-points", type=int, default=43)
-    add_sampling(cmd, 100000)
+    add_sampling(cmd, 100000, refine=True)
     cmd.add_argument("--out-dir", required=True)
 
     cmd = add("ib-curve", cmd_ib_curve, "rate-relevance curve for one encoder")
     cmd.add_argument("--source", required=True)
     cmd.add_argument("--grid", type=int, default=41)
-    add_sampling(cmd, 100000)
+    add_sampling(cmd, 100000, refine=True)
     cmd.add_argument("--out", required=True)
 
     cmd = add("conjecture", cmd_conjecture, "margin search for the binary inequality")

@@ -5,14 +5,18 @@ deterministic hill-climb refinement, upper concave envelopes, the
 symmetric-binary boundary curves, the bottleneck curve, the conjecture
 margin search, and the cardinality robustness report.
 
-Determinism contract: all randomness flows through per-sample substreams
-derived from (seed, sample index), every reduction is an associative max
-with lowest-index tie-break, and no BLAS-backed kernels are used, so a
-run is bit-reproducible for any thread count. Every information term of
-a sampled candidate comes from one call of probability.entropies, which
-builds all the marginals a candidate needs with np.bincount over a
-cached index plan and sums them in a fixed order, with elementwise
-operations only.
+Determinism contract: every sampler takes draw i from one routine
+(_draw), which seeds a substream from (seed, i) and draws one
+flat-Dirichlet table per shape, in order; every reduction is an
+associative max with lowest-index tie-break, and no BLAS-backed kernels
+are used, so a run is bit-reproducible for any thread count. Inner and
+bottleneck draws are scored a block of at most _DRAW_CELLS joint cells
+at a time, with one call of probability.batch_entropies, which builds
+all the marginals of every table with np.bincount over a cached index
+plan and sums them in a fixed order, with elementwise operations only;
+its rows are bitwise equal to one table's, so no result depends on the
+block size. Outer draws are projected onto the short chains one at a
+time and scored with probability.entropies.
 
 Refinement runs in lockstep (_lockstep): all the candidates one call
 refines climb together, and each step scores all their proposals with
@@ -43,6 +47,8 @@ from .probability import (
     _check_probability,
     _clamp_measure,
     _clamp_measures,
+    _is_int,
+    _is_real,
 )
 from .regions import MARKOV_TOL, RegionPoint
 
@@ -87,7 +93,6 @@ class SampleConfig:
 
     seed: int
     count: int = 100000
-    dirichlet_concentration: float = 1.0
     cap_u: int = None
     cap_v: int = None
     refine_top: int = 100
@@ -99,9 +104,6 @@ class SampleConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not _is_int(self.count) or self.count < 1:
             raise DomainError(f"count must be >= 1, got {self.count!r}")
-        c = self.dirichlet_concentration
-        if not _is_real(c) or c <= 0:
-            raise DomainError(f"dirichlet_concentration must be positive, got {c!r}")
         for name in ("cap_u", "cap_v"):
             v = getattr(self, name)
             if v is not None and (not _is_int(v) or v < 1):
@@ -109,15 +111,6 @@ class SampleConfig:
         if not _is_int(self.refine_top) or self.refine_top < 0:
             raise DomainError(f"refine_top must be >= 0, got {self.refine_top!r}")
         _check_budget("refine_steps", self.refine_steps, self.step_size)
-
-
-def _is_int(v):
-    # bool subclasses int, but True is not a count
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _check_budget(steps_name, steps, step_size):
@@ -200,15 +193,55 @@ def upper_concave_envelope(points):
 # sampling plumbing
 
 
+# joint cells scored per batched stats call, summed over the block's draws:
+# a block holds max(1, _DRAW_CELLS // cells) draws, the rule of
+# typicality._BLOCK_CELLS, so its memory stays bounded on a large alphabet
+# (128 draws of a 2x2x2x2 joint, one draw of any joint past 2048 cells). No
+# result depends on it, since a batched row is bitwise equal to one table's.
+_DRAW_CELLS = 1 << 11
+
+
 def _substream(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def _draw(seed, index, shapes):
+    """Draw `index` of a seed: one row-stochastic table per (rows, columns)
+    shape, in order, each row from the flat Dirichlet, all from the draw's
+    own substream."""
+    rng = _substream(seed, index)
+    return [rng.dirichlet(np.ones(cols), size=rows) for rows, cols in shapes]
+
+
+def _stack(candidates):
+    # one batch array per table kind from a list of candidates' table lists
+    return [np.stack(kind) for kind in zip(*candidates)]
+
+
+def _stats_rows(pxz, stats, candidates):
+    # stats (_batch_inner_stats or _batch_ib_stats) of each candidate, a list
+    # of tables, as one tuple of floats per candidate
+    return list(zip(*(c.tolist() for c in stats(pxz, *_stack(candidates)))))
+
+
+def _scored_draws(cfg, pxz, shapes, stats):
+    """(index, tables, stats row) of every draw of cfg, in index order.
+
+    The draws are scored a block at a time, with one stats call per block
+    of at most _DRAW_CELLS joint cells; see _stats_rows.
+    """
+    size = max(1, _DRAW_CELLS // (pxz.size * math.prod(cols for _, cols in shapes)))
+    for lo in range(0, cfg.count, size):
+        block = range(lo, min(lo + size, cfg.count))
+        drawn = [_draw(cfg.seed, i, shapes) for i in block]
+        yield from zip(block, drawn, _stats_rows(pxz, stats, drawn))
+
+
 def sample_channel(input_size, output_size, rng, input_label="x", output_label="u"):
     """Random channel with rows drawn from the flat Dirichlet."""
-    if not isinstance(input_size, int) or input_size < 1:
+    if not _is_int(input_size) or input_size < 1:
         raise DomainError(f"input_size must be >= 1, got {input_size!r}")
-    if not isinstance(output_size, int) or output_size < 1:
+    if not _is_int(output_size) or output_size < 1:
         raise DomainError(f"output_size must be >= 1, got {output_size!r}")
     rows = rng.dirichlet(np.ones(output_size), size=input_size)
     return Channel(Alphabet(input_size, input_label), Alphabet(output_size, output_label), rows)
@@ -223,37 +256,23 @@ _OUTER_GROUPS = (
 _IB_GROUPS = ((0,), (1,), (2,), (0, 2), (1, 2))
 
 
-def _inner_stats(pxz, rows_u, rows_v):
-    """(I(u;v), I(u;x), I(v;z)) on the long chain u - x - z - v."""
-    w = pxz[:, :, None, None] * rows_u[:, None, :, None] * rows_v[None, :, None, :]
-    return _inner_measures(entropies(w, _INNER_GROUPS), _clamp_measure)
-
-
 def _batch_inner_stats(pxz, rows_u, rows_v):
-    # _inner_stats of each candidate of a batch, as arrays over the batch
+    """(I(u;v), I(u;x), I(v;z)) on the long chain u - x - z - v, as arrays
+    over a batch of channel pairs."""
     w = pxz[:, :, None, None] * rows_u[:, :, None, :, None] * rows_v[:, None, :, None, :]
-    return _inner_measures(batch_entropies(w, _INNER_GROUPS).T, _clamp_measures)
-
-
-def _inner_measures(h, clamp):
-    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = h
-    return clamp(h_u + h_v - h_uv), clamp(h_x + h_u - h_xu), clamp(h_z + h_v - h_zv)
-
-
-def _ib_stats(pxz, rows):
-    """(I(u;x), I(u;z)) of a test channel p(u|x) on the source."""
-    return _ib_measures(entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS), _clamp_measure)
+    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = batch_entropies(w, _INNER_GROUPS).T
+    return (
+        _clamp_measures(h_u + h_v - h_uv),
+        _clamp_measures(h_x + h_u - h_xu),
+        _clamp_measures(h_z + h_v - h_zv),
+    )
 
 
 def _batch_ib_stats(pxz, rows):
-    # _ib_stats of each test channel of a batch, as arrays over the batch
+    """(I(u;x), I(u;z)) of a batch of test channels p(u|x) on the source."""
     h = batch_entropies(pxz[:, :, None] * rows[:, :, None, :], _IB_GROUPS)
-    return _ib_measures(h.T, _clamp_measures)
-
-
-def _ib_measures(h, clamp):
-    h_x, h_z, h_u, h_xu, h_zu = h
-    return clamp(h_x + h_u - h_xu), clamp(h_z + h_u - h_zu)
+    h_x, h_z, h_u, h_xu, h_zu = h.T
+    return _clamp_measures(h_x + h_u - h_xu), _clamp_measures(h_z + h_u - h_zu)
 
 
 def _outer_stats(pxz, q):
@@ -383,17 +402,6 @@ def _lockstep(tables, value_fn, steps, step_size):
     return best, tables
 
 
-def _stack(candidates):
-    # one batch array per table kind from a list of candidates' table lists
-    return [np.stack(kind) for kind in zip(*candidates)]
-
-
-def _draw_inner(rng, pxz, cap_u, cap_v, concentration):
-    rows_u = rng.dirichlet(np.full(cap_u, concentration), size=pxz.shape[0])
-    rows_v = rng.dirichlet(np.full(cap_v, concentration), size=pxz.shape[1])
-    return [rows_u, rows_v]
-
-
 def _seed_tables(variant, pxz, cap_u, cap_v):
     # the identity corner u = x, v = z; feasible for every variant and the
     # best starting point whenever rates are cheap relative to mu
@@ -413,11 +421,13 @@ def _seed_tables(variant, pxz, cap_u, cap_v):
     return [[q.reshape(nx * nz, cap_u * cap_v)]]
 
 
-def _draw_outer(rng, pxz, cond, cap_u, cap_v, concentration):
-    # a Dirichlet table projected onto the short chains: _project_chains' (q, stats)
+def _draw_outer(seed, index, pxz, cond, cap_u, cap_v):
+    """Draw `index` projected onto the short chains: ([q], stats), q with
+    one row per (x, z), and stats None when the projection ran out of sweeps."""
     nx, nz = pxz.shape
-    flat = rng.dirichlet(np.full(cap_u * cap_v, concentration), size=nx * nz)
-    return _project_chains(pxz, flat.reshape(nx, nz, cap_u, cap_v), cond)
+    (flat,) = _draw(seed, index, [(nx * nz, cap_u * cap_v)])
+    q, st = _project_chains(pxz, flat.reshape(nx, nz, cap_u, cap_v), cond)
+    return [q.reshape(nx * nz, cap_u * cap_v)], st
 
 
 def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
@@ -481,15 +491,19 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     nx, nz = pxz.shape
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
-    conc = cfg.dirichlet_concentration
     if variant == "inner":
         cond = None
+        shapes = [(nx, cap_u), (nz, cap_v)]
         baseline = [_constant_rows(nx, cap_u), _constant_rows(nz, cap_v)]
-        base_val = _lam_dot(lam, *_inner_stats(pxz, *baseline))
+        (base_st,) = _stats_rows(pxz, _batch_inner_stats, [baseline])
+        base_val = _lam_dot(lam, *base_st)
+        draws = (
+            (i, tables, _lam_dot(lam, *st))
+            for i, tables, st in _scored_draws(cfg, pxz, shapes, _batch_inner_stats)
+        )
 
-        def draw(i):
-            tables = _draw_inner(_substream(cfg.seed, i), pxz, cap_u, cap_v, conc)
-            return tables, _lam_dot(lam, *_inner_stats(pxz, *tables))
+        def redraw(i):
+            return _draw(cfg.seed, i, shapes)
 
     else:
         cond = _source_conditionals(pxz)
@@ -500,18 +514,22 @@ def support_function(p_xz, lam, cfg, variant="inner"):
             # constant channels are provably optimal on this face
             return base_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
 
-        def draw(i):
-            q, st = _draw_outer(_substream(cfg.seed, i), pxz, cond, cap_u, cap_v, conc)
-            return None if st is None else ([q.reshape(nx * nz, cap_u * cap_v)], score(st))
+        def outer_draws():
+            for i in range(cfg.count):
+                tables, st = _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)
+                if st is not None:
+                    yield i, tables, score(st)
+
+        def redraw(i):
+            return _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)[0]
+
+        draws = outer_draws()
 
     values = np.full(cfg.count, -np.inf)
     top = []
     kept = {}  # the tables of each sample that ranked among the running best
-    for i in range(cfg.count):
-        drawn = draw(i)
-        if drawn is None:
-            continue
-        tables, values[i] = drawn
+    for i, tables, value in draws:
+        values[i] = value
         if cfg.refine_top > 0:
             if len(top) < cfg.refine_top:
                 heapq.heappush(top, values[i])
@@ -536,7 +554,7 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     best_i = int(np.argmax(values))
     if values[best_i] > best_val:
         best_val = float(values[best_i])
-        best_tables = kept[best_i] if best_i in kept else draw(best_i)[0]
+        best_tables = kept[best_i] if best_i in kept else redraw(best_i)
     return best_val, _public_candidate(variant, best_tables, p_xz, cap_u, cap_v)
 
 
@@ -699,7 +717,6 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
     pxz = dsbs(p).mass
     cap_u = cfg.cap_u if cfg.cap_u is not None else 2
     cap_v = cfg.cap_v if cfg.cap_v is not None else 2
-    conc = cfg.dirichlet_concentration
     cond = _source_conditionals(pxz)
 
     # a candidate's item tells start() how to build its table: ("bsc", alpha),
@@ -709,7 +726,7 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
         r, mu = _sb_curve_point(p, a)
         candidates.append((r, mu, ("bsc", a)))
     for i in range(cfg.count):
-        _, st = _draw_outer(_substream(cfg.seed, i), pxz, cond, cap_u, cap_v, conc)
+        _, st = _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)
         if st is None:
             continue
         candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
@@ -732,12 +749,9 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
 
     def start(item):
         kind, arg = item
-        if kind == "bsc":
-            q = _pad_table(_bsc_pair_table(arg), cap_u, cap_v)
-        elif kind == "sample":
-            q, _ = _draw_outer(_substream(cfg.seed, arg), pxz, cond, cap_u, cap_v, conc)
-        else:
-            q = arg
+        if kind == "sample":
+            return _draw_outer(cfg.seed, arg, pxz, cond, cap_u, cap_v)[0]
+        q = _pad_table(_bsc_pair_table(arg), cap_u, cap_v) if kind == "bsc" else arg
         return [q.reshape(4, cap_u * cap_v)]
 
     def objective(row_caps):
@@ -806,15 +820,15 @@ def ib_curve(p_xz, r_grid, cfg):
         if not math.isfinite(r) or r < 0.0:
             raise DomainError(f"grid abscissa {r} must be finite and nonnegative")
 
-    pool = [_constant_rows(nx, cap_u)]
+    seeds = [[_constant_rows(nx, cap_u)]]
     if cap_u >= nx:
         ident = np.zeros((nx, cap_u))
         ident[:, :nx] = np.eye(nx)
-        pool.append(ident)
-    conc = cfg.dirichlet_concentration
-    for i in range(cfg.count):
-        pool.append(_substream(cfg.seed, i).dirichlet(np.full(cap_u, conc), size=nx))
-    candidates = [(*_ib_stats(pxz, rows), rows) for rows in pool]
+        seeds.append([ident])
+    seed_stats = _stats_rows(pxz, _batch_ib_stats, seeds)
+    candidates = [(*st, rows) for st, (rows,) in zip(seed_stats, seeds)]
+    draws = _scored_draws(cfg, pxz, [(nx, cap_u)], _batch_ib_stats)
+    candidates += [(*st, rows) for _, (rows,), st in draws]
 
     def objective(row_caps):
         row_caps = np.array(row_caps)
@@ -827,10 +841,11 @@ def ib_curve(p_xz, r_grid, cfg):
 
     points = [(r, mu) for r, mu, _ in candidates]
     caps = sorted(set(r_grid))
-    for (rows,) in _refine_under_caps(
+    refined = _refine_under_caps(
         caps, candidates, [[]] * len(caps), lambda rows: [rows], objective, cfg
-    ):
-        points.append(_ib_stats(pxz, rows))
+    )
+    if refined:
+        points += _stats_rows(pxz, _batch_ib_stats, refined)
     return upper_concave_envelope(points)
 
 
@@ -852,13 +867,9 @@ def conjecture_test(p, cfg):
     pxz = dsbs(p).mass
     cap_u = cfg.cap_u if cfg.cap_u is not None else 2
     cap_v = cfg.cap_v if cfg.cap_v is not None else 2
-    conc = cfg.dirichlet_concentration
     worst = None
-    for i in range(cfg.count):
-        rng = _substream(cfg.seed, i)
-        rows_u = rng.dirichlet(np.full(cap_u, conc), size=2)
-        rows_v = rng.dirichlet(np.full(cap_v, conc), size=2)
-        iuv, iux, ivz = _inner_stats(pxz, rows_u, rows_v)
+    draws = _scored_draws(cfg, pxz, [(2, cap_u), (2, cap_v)], _batch_inner_stats)
+    for i, (rows_u, rows_v), (iuv, iux, ivz) in draws:
         alpha = binary_entropy_inverse(min(max(LOG2 - iux, 0.0), LOG2))
         beta = binary_entropy_inverse(min(max(LOG2 - ivz, 0.0), LOG2))
         bound = LOG2 - binary_entropy(
@@ -922,19 +933,13 @@ def sample_region_points(p_xz, cfg, variant="inner"):
     nx, nz = pxz.shape
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
+    if variant == "inner":
+        draws = _scored_draws(cfg, pxz, [(nx, cap_u), (nz, cap_v)], _batch_inner_stats)
+        return [RegionPoint(mu=iuv, r1=iux, r2=ivz) for _, _, (iuv, iux, ivz) in draws]
     cond = _source_conditionals(pxz)
     points = []
     for i in range(cfg.count):
-        rng = _substream(cfg.seed, i)
-        if variant == "inner":
-            rows_u, rows_v = _draw_inner(
-                rng, pxz, cap_u, cap_v, cfg.dirichlet_concentration
-            )
-            iuv, iux, ivz = _inner_stats(pxz, rows_u, rows_v)
-            points.append(RegionPoint(mu=iuv, r1=iux, r2=ivz))
-        else:
-            _, st = _draw_outer(rng, pxz, cond, cap_u, cap_v, cfg.dirichlet_concentration)
-            if st is None:
-                continue
+        _, st = _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)
+        if st is not None:
             points.append(RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"]))
     return points

@@ -38,7 +38,7 @@ class Alphabet:
     label: str
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        if not _is_int(self.size) or self.size < 1:
             raise DomainError(f"alphabet size must be a positive integer, got {self.size!r}")
         if not self.label:
             raise AxisError("alphabet label must be a nonempty string")
@@ -102,8 +102,9 @@ def _normalized(mass, axis=None):
     Mass below -1e-12 raises DomainError and smaller negative noise is
     clipped to 0; a total more than 1e-9 away from 1 raises
     NormalizationError; each part whose total is not exactly 1.0 is
-    divided by that total. JointPmf sums the whole array (axis None); the
-    code oracle sums each table of a block, so both share one rule.
+    divided by that total. JointPmf and compose_markov's mixing weights
+    sum the whole array (axis None); Channel and regions.Decoder sum each
+    row and the code oracle each table of a block, so all share one rule.
     """
     lo = float(mass.min())
     if lo < -_NEG_TOL:
@@ -133,16 +134,7 @@ class Channel:
             raise AxisError(
                 f"rows shape {rows.shape} does not match ({input.size}, {output.size})"
             )
-        lo = float(rows.min())
-        if lo < -_NEG_TOL:
-            raise DomainError(f"negative channel entry {lo}")
-        if lo < 0.0:
-            rows = np.maximum(rows, 0.0)
-        sums = rows.sum(axis=1)
-        if not np.all(np.isfinite(sums)) or float(np.abs(sums - 1.0).max()) > _NORM_TOL:
-            raise NormalizationError(f"channel row sums {sums} deviate from 1 beyond {_NORM_TOL}")
-        if not np.all(sums == 1.0):
-            rows = rows / sums[:, None]
+        rows = _normalized(rows, axis=1)
         rows.setflags(write=False)
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "output", output)
@@ -205,8 +197,9 @@ def batch_entropies(w, groups):
     entropies(w[b], groups). The tables share one index plan and sit end
     to end in the same two bincounts, so each table's cells and each
     marginal's terms are summed in the same order as in a call of its own.
-    The unbatched kernel stays separate because the sampler calls it on
-    one table at a time and the batch offsets would only add to that cost.
+    The unbatched kernel stays separate for the chain projection of the
+    outer samplers, which scores one table at a time after every sweep,
+    and a batch of one costs more than the unbatched call.
     """
     w = np.asarray(w, dtype=np.float64)
     batch = w.shape[0]
@@ -272,7 +265,7 @@ def binary_entropy_inverse(h):
 
     Bisection to interval width 1e-14; h must lie in [0, log 2].
     """
-    if not isinstance(h, (int, float)) or not math.isfinite(h):
+    if not _is_real(h):
         raise DomainError(f"binary_entropy_inverse needs a finite real, got {h!r}")
     if h < -_NEG_TOL or h > LOG2 + _NEG_TOL:
         raise DomainError(f"binary_entropy_inverse argument {h} outside [0, log 2]")
@@ -303,8 +296,17 @@ def _bconv(a, b):
     return a * (1.0 - b) + (1.0 - a) * b
 
 
+def _is_int(v):
+    # bool subclasses int, but True is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _check_probability(p, who):
-    if not isinstance(p, (int, float)) or not math.isfinite(p):
+    if not _is_real(p):
         raise DomainError(f"{who} needs a finite real in [0,1], got {p!r}")
     p = float(p)
     if p < -_NEG_TOL or p > 1.0 + _NEG_TOL:
@@ -449,14 +451,7 @@ def compose_markov(p_xz, ch_u=None, ch_v=None, mixing=None):
     branches = list(mixing)
     if not 1 <= len(branches) <= 3:
         raise DomainError(f"time-sharing supports 1..3 branches, got {len(branches)}")
-    weights = np.array([w for w, _, _ in branches], dtype=np.float64)
-    if float(weights.min()) < -_NEG_TOL:
-        raise DomainError(f"negative mixing weight {weights.min()}")
-    weights = np.maximum(weights, 0.0)
-    wsum = float(weights.sum())
-    if abs(wsum - 1.0) > _NORM_TOL:
-        raise NormalizationError(f"mixing weights sum to {wsum}")
-    weights = weights / wsum
+    weights = _normalized(np.array([w for w, _, _ in branches], dtype=np.float64))
     u0, v0 = branches[0][1].output, branches[0][2].output
     slices = []
     for w, cu, cv in branches:

@@ -18,7 +18,6 @@ from .errors import (
     ConstraintError,
     DomainError,
     InternalCheckError,
-    NormalizationError,
     SizeError,
     SupportError,
 )
@@ -33,6 +32,8 @@ from .probability import (
     _bconv,
     _check_probability,
     _hb,
+    _is_int,
+    _normalized,
 )
 
 # a Markov chain is accepted when the relevant CMI is at most this
@@ -172,16 +173,7 @@ class Decoder:
         table = np.array(table, dtype=np.float64)
         if table.ndim != 2:
             raise AxisError(f"decoder table must be 2-D, got shape {table.shape}")
-        lo = float(table.min())
-        if lo < -1e-12:
-            raise DomainError(f"negative decoder mass {lo}")
-        if lo < 0.0:
-            table = np.maximum(table, 0.0)
-        sums = table.sum(axis=1)
-        if not np.all(np.isfinite(sums)) or float(np.abs(sums - 1.0).max()) > 1e-9:
-            raise NormalizationError(f"decoder row sums {sums} deviate from 1")
-        if not np.all(sums == 1.0):
-            table = table / sums[:, None]
+        table = _normalized(table, axis=1)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -560,7 +552,7 @@ def log_loss_fidelity(p, decoder, n=1, u_labels=("u",), y_labels=("y",)):
     Blocks of n letters are expressed through product alphabets, in which
     case H(y) above is the per-letter entropy of the block.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"blocklength must be a positive integer, got {n!r}")
     w = _grouped_matrix(p, u_labels, y_labels)
     if decoder.table.shape != w.shape:

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DomainError, InternalCheckError, SizeError, SupportError
 from .probability import (
     _clamp_measures,
+    _is_int,
     _normalized,
     batch_entropies,
     entropy_of_array,
@@ -64,7 +65,7 @@ class TypeClass:
             raise SizeError("a TypeClass needs at least one symbol slot")
         if any(c < 0 for c in counts):
             raise DomainError(f"counts must be nonnegative, got {counts}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise DomainError(f"blocklength must be a positive integer, got {self.n!r}")
         if sum(counts) != self.n:
             raise DomainError(f"counts {counts} do not sum to the blocklength {self.n}")
@@ -93,11 +94,11 @@ class CodeSpec:
     m2: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise DomainError(f"blocklength must be a positive integer, got {self.n!r}")
         for name in ("m1", "m2"):
             m = getattr(self, name)
-            if not isinstance(m, int) or m < 1:
+            if not _is_int(m) or m < 1:
                 raise DomainError(f"{name} must be a positive integer, got {m!r}")
         f = tuple(int(v) for v in self.f)
         g = tuple(int(v) for v in self.g)
@@ -116,7 +117,7 @@ def type_of(seq, alphabet_size):
     seq = tuple(int(s) for s in seq)
     if not seq:
         raise SizeError("type_of needs a nonempty sequence")
-    if not isinstance(alphabet_size, int) or alphabet_size < 1:
+    if not _is_int(alphabet_size) or alphabet_size < 1:
         raise DomainError(f"alphabet_size must be >= 1, got {alphabet_size!r}")
     counts = [0] * alphabet_size
     for s in seq:
@@ -128,9 +129,9 @@ def type_of(seq, alphabet_size):
 
 def enumerate_types(alphabet_size, n):
     """All types of length-n blocks, first count descending."""
-    if not isinstance(alphabet_size, int) or alphabet_size < 1:
+    if not _is_int(alphabet_size) or alphabet_size < 1:
         raise DomainError(f"alphabet_size must be >= 1, got {alphabet_size!r}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n!r}")
     total = math.comb(n + alphabet_size - 1, alphabet_size - 1)
     if total > _CODE_GUARD:
@@ -177,9 +178,9 @@ def typical_set(pmf, n, delta):
     in lexicographic order.
     """
     p = _check_pmf_vector(pmf)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if not isinstance(delta, (int, float)) or not delta >= 0.0:
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not delta >= 0.0:
         raise DomainError(f"delta must be nonnegative, got {delta!r}")
     a = p.size
     if a**n > _STATE_GUARD:
@@ -195,9 +196,9 @@ def typical_set(pmf, n, delta):
 def typical_set_size(pmf, n, delta):
     """|T_delta| by summing multinomial sizes over qualifying types."""
     p = _check_pmf_vector(pmf)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if not isinstance(delta, (int, float)) or not delta >= 0.0:
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not delta >= 0.0:
         raise DomainError(f"delta must be nonnegative, got {delta!r}")
     total = 0
     for t in enumerate_types(p.size, n):
@@ -325,10 +326,10 @@ def best_theta(p_xz, n, m1, m2):
     """
     if len(p_xz.axes) != 2:
         raise DomainError(f"best_theta needs a two-axis source, got {p_xz.labels}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n!r}")
     for name, m in (("m1", m1), ("m2", m2)):
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise DomainError(f"{name} must be a positive integer, got {m!r}")
     nx, nz = p_xz.mass.shape
     if nx**n * nz**n > _STATE_GUARD:

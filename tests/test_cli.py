@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from coinfo import typicality
 from coinfo.cli import _parse_source, main
-from coinfo.errors import DomainError
+from coinfo.errors import DomainError, SizeError
 from coinfo.probability import LOG2, Alphabet, JointPmf, binary_entropy
 
 I_DSBS_025 = LOG2 - binary_entropy(0.25)
@@ -25,8 +25,7 @@ I_DSBS_01 = LOG2 - binary_entropy(0.1)
 
 GAP_ARGS = [
     "--p", "0.1", "--window", "0.673,0.694", "--window-points", "5",
-    "--seed", "3", "--samples", "40", "--refine-top", "4",
-    "--refine-steps", "30",
+    "--seed", "3", "--samples", "40", "--refine-steps", "30",
 ]
 
 
@@ -140,8 +139,8 @@ class TestIbCurve:
     def test_endpoints_and_monotone(self, tmp_path):
         out = tmp_path / "ib.dat"
         assert main(["ib-curve", "--source", "dsbs:0.25", "--grid", "9",
-                     "--seed", "9", "--samples", "300", "--refine-top", "8",
-                     "--refine-steps", "80", "--out", str(out)]) == 0
+                     "--seed", "9", "--samples", "300", "--refine-steps", "80",
+                     "--out", str(out)]) == 0
         _, rows = read_table(out)
         assert len(rows) == 9
         assert rows[0][0] == 0.0 and rows[0][1] <= 1e-9
@@ -152,8 +151,9 @@ class TestIbCurve:
 
 
 class TestPinnedRefineOutputs:
-    """The bytes of two refined outputs, pinned to a version that refined
-    each candidate by itself; batching the refinement must not move them."""
+    """The bytes of refined and sampled outputs, pinned to a version that
+    refined each candidate by itself and scored each draw by itself;
+    batching the refinement or the draws must not move them."""
 
     def test_ib_curve(self, tmp_path, capsys):
         out = tmp_path / "ib.dat"
@@ -175,6 +175,63 @@ class TestPinnedRefineOutputs:
         assert body_sha256(out / "outer.dat") == (
             "f3556fc42a8adc3c27f91aa38b3d15529df0a406a0aad70d20339e30f2314641"
         )
+
+    def test_conjecture(self, tmp_path, capsys):
+        out = tmp_path / "conj.dat"
+        assert main(["conjecture", "--p", "0.1", "--seed", "3", "--samples", "600",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out) == (
+            "ffa08f01abb236fde72b6c0fbf3217f01215a3eac6b5c15b57f7c166988c912c"
+        )
+
+    @pytest.mark.parametrize("variant, samples, digest", [
+        ("inner", "600", "5b4ccc4bd535a5cda1c75a02cab861d774e2e634a0c0e272733a71ecd17e9dc5"),
+        ("ro", "100", "b73d2a4793676ce147fbdf1304fcc694af8de0b81b001ddedfeff6b3a260fccf"),
+    ])
+    def test_region_sample(self, tmp_path, capsys, variant, samples, digest):
+        out = tmp_path / "rs.dat"
+        assert main(["region-sample", "--source", "dsbs:0.1", "--seed", "3", "--variant",
+                     variant, "--samples", samples, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out) == digest
+
+
+class TestSamplingOptions:
+    @pytest.mark.parametrize("argv, flag", [
+        (["conjecture", "--p", "0.1"], ["--refine-top", "3"]),
+        (["region-sample", "--source", "dsbs:0.1"], ["--refine-top", "3"]),
+        (["ib-curve", "--source", "dsbs:0.1"], ["--refine-top", "3"]),
+        (["dsbs-gap", "--p", "0.1"], ["--refine-top", "3"]),
+        (["conjecture", "--p", "0.1"], ["--refine-steps", "10"]),
+        (["conjecture", "--p", "0.1"], ["--step-size", "0.1"]),
+        (["region-sample", "--source", "dsbs:0.1"], ["--refine-steps", "10"]),
+        (["region-sample", "--source", "dsbs:0.1"], ["--step-size", "0.1"]),
+    ])
+    def test_options_no_command_reads_are_rejected(self, tmp_path, capsys, argv, flag):
+        out = "--out-dir" if argv[0] == "dsbs-gap" else "--out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", out, str(tmp_path / "o"), *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag[0] in err
+
+    def test_manifest_lists_what_the_command_reads(self, tmp_path, capsys):
+        conj, gap = tmp_path / "conj.dat", tmp_path / "gap"
+        assert main(["conjecture", "--p", "0.1", "--seed", "1", "--samples", "5",
+                     "--out", str(conj)]) == 0
+        assert main(["dsbs-gap", *GAP_ARGS, "--out-dir", str(gap)]) == 0
+        capsys.readouterr()
+        keys = {}
+        for path in (conj, gap / "outer.dat"):
+            # after the "# coinfo <version>" and "# command <name>" lines
+            header = [line for line in path.read_text().splitlines() if line.startswith("#")]
+            keys[path] = [line.split()[1] for line in header[2:]]
+        assert keys[conj] == ["p", "seed", "samples", "caps", "units"]
+        assert keys[gap / "outer.dat"] == [
+            "p", "window", "window_points", "seed", "samples", "caps", "refine_steps",
+            "step_size", "units", "curve",
+        ]
 
 
 class TestConjecture:
@@ -339,6 +396,16 @@ class TestParseSource:
         path.write_text("x z\n0 0 0.5\n-1 0 0.5\n")
         with pytest.raises(DomainError):
             _parse_source(str(path))
+
+    def test_implied_size_checked_before_allocating(self, tmp_path, capsys):
+        # two rows imply 10^12 cells: a SizeError (exit 3), not a MemoryError
+        path = tmp_path / "src.txt"
+        path.write_text("x z\n0 0 0.5\n999999 999999 0.5\n")
+        with pytest.raises(SizeError):
+            _parse_source(str(path))
+        assert main(["region-sample", "--source", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "o.dat")]) == 3
+        assert "cap is" in capsys.readouterr().err
 
     def test_duplicate_cell(self, tmp_path):
         path = tmp_path / "src.txt"

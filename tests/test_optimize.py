@@ -1,6 +1,7 @@
 """Tests for the samplers, refinement, envelopes, and boundary curves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from coinfo.optimize import (
     ib_curve,
     local_refine,
     sample_channel,
+    sample_region_points,
     support_function,
     upper_concave_envelope,
+    _IB_GROUPS,
+    _INNER_GROUPS,
     _batch_ib_stats,
     _batch_inner_stats,
-    _ib_stats,
-    _inner_stats,
     _lockstep,
     _make_value_fn,
     _outer_stats,
@@ -41,7 +43,9 @@ from coinfo.probability import (
     binary_entropy_inverse,
     conditional_mutual_information,
     dsbs,
+    entropies,
     mutual_information,
+    _clamp_measure,
 )
 from coinfo.regions import MARKOV_TOL, inner_point, outer_point_ro, outer_point_ro_prime
 
@@ -50,6 +54,27 @@ I_XZ_01 = LOG2 - binary_entropy(0.1)  # 0.36806420716849707
 
 def small_cfg(seed, count, top=8, steps=60):
     return SampleConfig(seed=seed, count=count, refine_top=top, refine_steps=steps)
+
+
+# The per-candidate stats that block scoring replaced, kept here as the
+# bitwise reference of _batch_inner_stats and _batch_ib_stats.
+
+
+def inner_stats(pxz, rows_u, rows_v):
+    """(I(u;v), I(u;x), I(v;z)) on the long chain u - x - z - v."""
+    w = pxz[:, :, None, None] * rows_u[:, None, :, None] * rows_v[None, :, None, :]
+    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = entropies(w, _INNER_GROUPS)
+    return (
+        _clamp_measure(h_u + h_v - h_uv),
+        _clamp_measure(h_x + h_u - h_xu),
+        _clamp_measure(h_z + h_v - h_zv),
+    )
+
+
+def ib_stats(pxz, rows):
+    """(I(u;x), I(u;z)) of a test channel p(u|x) on the source."""
+    h_x, h_z, h_u, h_xu, h_zu = entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS)
+    return _clamp_measure(h_x + h_u - h_xu), _clamp_measure(h_z + h_u - h_zu)
 
 
 class TestSampleChannel:
@@ -98,8 +123,6 @@ class TestSupportWeightAndConfig:
         with pytest.raises(DomainError):
             SampleConfig(seed=0, count=0)
         with pytest.raises(DomainError):
-            SampleConfig(seed=0, count=1, dirichlet_concentration=0.0)
-        with pytest.raises(DomainError):
             SampleConfig(seed=0, count=1, cap_u=0)
         with pytest.raises(DomainError):
             SampleConfig(seed=0, count=1, refine_top=-1)
@@ -113,7 +136,6 @@ class TestSupportWeightAndConfig:
             {"seed": 1, "refine_steps": False},
             {"seed": 1, "refine_top": True},
             {"seed": 1, "cap_u": True},
-            {"seed": 1, "dirichlet_concentration": True},
             {"seed": 1, "step_size": True},
         ):
             with pytest.raises(DomainError):
@@ -169,13 +191,13 @@ class TestInformationKernel:
                 mutual_information(j, "u", "x"),
                 mutual_information(j, "v", "z"),
             )
-            assert np.allclose(_inner_stats(pxz, ru, rv), want, rtol=0.0, atol=1e-14)
+            assert np.allclose(inner_stats(pxz, ru, rv), want, rtol=0.0, atol=1e-14)
 
     def test_ib_stats_match_label_path(self):
         for pxz, ru, _, _ in kernel_cases(32):
             j = labeled(pxz[:, :, None] * ru[:, None, :], "xzu")
             want = (mutual_information(j, "u", "x"), mutual_information(j, "u", "z"))
-            assert np.allclose(_ib_stats(pxz, ru), want, rtol=0.0, atol=1e-14)
+            assert np.allclose(ib_stats(pxz, ru), want, rtol=0.0, atol=1e-14)
 
     def test_outer_stats_match_label_path(self):
         for pxz, _, _, q in kernel_cases(33):
@@ -205,8 +227,8 @@ class TestInformationKernel:
                 inner = np.array(_batch_inner_stats(pxz, ru, rv)).T
                 ib = np.array(_batch_ib_stats(pxz, ru)).T
                 for b in range(len(cases)):
-                    assert inner[b].tolist() == list(_inner_stats(pxz, ru[b], rv[b]))
-                    assert ib[b].tolist() == list(_ib_stats(pxz, ru[b]))
+                    assert inner[b].tolist() == list(inner_stats(pxz, ru[b], rv[b]))
+                    assert ib[b].tolist() == list(ib_stats(pxz, ru[b]))
 
     def test_projection_returns_stats_of_its_table(self):
         moved = 0
@@ -355,7 +377,7 @@ class TestLocalRefine:
         lam = SupportWeight(1.0, 0.0, 0.0)
         eye = np.eye(2)
         ru, rv = local_refine(src, (eye, eye.copy()), lam, "inner", steps=120)
-        iuv, _, _ = _inner_stats(src.mass, ru, rv)
+        iuv, _, _ = inner_stats(src.mass, ru, rv)
         assert abs(iuv - I_XZ_01) <= 1e-12
         assert np.array_equal(ru, eye)
 
@@ -496,7 +518,7 @@ class TestConjecture:
                 for b in (0.1, 0.3, 0.45):
                     rows_u = np.array([[1 - a, a], [a, 1 - a]])
                     rows_v = np.array([[1 - b, b], [b, 1 - b]])
-                    iuv, iux, ivz = _inner_stats(pxz, rows_u, rows_v)
+                    iuv, iux, ivz = inner_stats(pxz, rows_u, rows_v)
                     alpha = binary_entropy_inverse(min(max(LOG2 - iux, 0.0), LOG2))
                     beta = binary_entropy_inverse(min(max(LOG2 - ivz, 0.0), LOG2))
                     eff = binary_convolution(binary_convolution(alpha, p), beta)
@@ -506,7 +528,7 @@ class TestConjecture:
     def test_identity_channels_margin_zero(self):
         pxz = dsbs(0.1).mass
         eye = np.eye(2)
-        iuv, iux, ivz = _inner_stats(pxz, eye, eye)
+        iuv, iux, ivz = inner_stats(pxz, eye, eye)
         alpha = binary_entropy_inverse(min(max(LOG2 - iux, 0.0), LOG2))
         assert alpha <= 1e-7
         margin = (LOG2 - binary_entropy(binary_convolution(binary_convolution(alpha, 0.1), alpha))) - iuv
@@ -720,3 +742,48 @@ class TestLockstep:
             expected = bits((want[0][b], [t[b] for t in want[1]]))
             for values, batch, j in ((full[0], full[1], b), (alone[0], alone[1], 0), (some[0], some[1], 0)):
                 assert bits((values[j], [t[j] for t in batch])) == expected
+
+
+class TestDrawBlocks:
+    """Inner and bottleneck draws are scored a block at a time; no result
+    depends on the block size."""
+
+    @staticmethod
+    def results(count):
+        lam = SupportWeight(0.9, -0.2, -0.3)
+        cfg = SampleConfig(seed=6, count=count, refine_top=4, refine_steps=40)
+        out = [conjecture_test(0.1, cfg), ib_curve(SOURCE3, [0.2, 0.5, 0.9], cfg)]
+        for src in (dsbs(0.1), SOURCE3):
+            out.append([(pt.mu, pt.r1, pt.r2) for pt in sample_region_points(src, cfg, "inner")])
+            # refine_top 0 keeps no draw, so the best one is drawn again
+            for c in (cfg, replace(cfg, refine_top=0)):
+                out.append(support_function(src, lam, c, "inner"))
+        return bits(out)
+
+    # the default block of a 2x2x2x2 joint (conjecture_test, DSBS inner) and
+    # of SOURCE3's 3x2x3x2 inner joint
+    @pytest.mark.parametrize("count", [6, 7, 8, 56, 57, 128, 129])
+    def test_block_size_does_not_change_results(self, monkeypatch, count):
+        want = self.results(count)
+        # budgets of 1 and 7 draws of a 2x2x2x2 joint: blocks of 1 draw
+        # everywhere, then 7, 6 (SOURCE3's bottleneck) and 3 (its inner) draws
+        for block in (1, 7):
+            monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
+            assert self.results(count) == want
+
+    @pytest.mark.parametrize("n, blocks", [(2, [20]), (4, [8, 8, 4]), (16, [1] * 20)])
+    def test_blocks_are_sized_by_joint_cells(self, monkeypatch, n, blocks):
+        # default caps: an n x n source has n^4 inner joint cells, and a large
+        # alphabet is scored one draw at a time
+        seen = []
+
+        batch_inner_stats = optimize._batch_inner_stats
+
+        def stats(pxz, rows_u, rows_v):
+            seen.append(len(rows_u))
+            return batch_inner_stats(pxz, rows_u, rows_v)
+
+        monkeypatch.setattr(optimize, "_batch_inner_stats", stats)
+        src = JointPmf((Alphabet(n, "x"), Alphabet(n, "z")), np.full((n, n), 1.0 / n**2))
+        assert len(sample_region_points(src, SampleConfig(seed=1, count=20), "inner")) == 20
+        assert seen == blocks

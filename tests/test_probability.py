@@ -475,3 +475,55 @@ class TestMrsGerber:
                     binary_convolution(binary_entropy_inverse(min(h_z_v, LOG2)), p)
                 )
                 assert h_x_v >= bound - 1e-10
+
+
+def _bool_cases():
+    # one call per count or real that a bool must not pass as; imported here
+    # because the checks span every layer
+    from coinfo.optimize import sample_channel
+    from coinfo.regions import log_loss_fidelity, optimal_posterior_decoder
+    from coinfo.typicality import (
+        CodeSpec,
+        TypeClass,
+        best_theta,
+        enumerate_types,
+        type_of,
+        typical_set,
+        typical_set_size,
+    )
+
+    src = dsbs(0.1)
+    rng = np.random.default_rng(0)
+    decoder = optimal_posterior_decoder(src, ("x",), ("z",))
+    return {
+        "Alphabet.size": lambda: Alphabet(True, "x"),
+        "dsbs": lambda: dsbs(True),
+        "bsc_channel": lambda: bsc_channel(True),
+        "binary_entropy": lambda: binary_entropy(False),
+        "binary_entropy_inverse": lambda: binary_entropy_inverse(False),
+        "sample_channel.input": lambda: sample_channel(True, 2, rng),
+        "sample_channel.output": lambda: sample_channel(2, True, rng),
+        "TypeClass.n": lambda: TypeClass((1,), True),
+        "CodeSpec.n": lambda: CodeSpec(True, (0, 1), (0, 1), 2, 2),
+        "CodeSpec.m1": lambda: CodeSpec(1, (0, 0), (0, 1), True, 2),
+        "CodeSpec.m2": lambda: CodeSpec(1, (0, 1), (0, 0), 2, True),
+        "type_of": lambda: type_of((0,), True),
+        "enumerate_types.size": lambda: enumerate_types(True, 2),
+        "enumerate_types.n": lambda: enumerate_types(2, True),
+        "typical_set.n": lambda: list(typical_set([0.5, 0.5], True, 0.1)),
+        "typical_set.delta": lambda: list(typical_set([0.5, 0.5], 2, True)),
+        "typical_set_size.n": lambda: typical_set_size([0.5, 0.5], True, 0.1),
+        "typical_set_size.delta": lambda: typical_set_size([0.5, 0.5], 2, True),
+        "best_theta.n": lambda: best_theta(src, True, 2, 2),
+        "best_theta.m1": lambda: best_theta(src, 1, True, 2),
+        "best_theta.m2": lambda: best_theta(src, 1, 2, True),
+        "log_loss_fidelity.n": lambda: log_loss_fidelity(
+            src, decoder, n=True, u_labels=("x",), y_labels=("z",)
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bool_cases()))
+def test_bools_are_not_numbers(case):
+    with pytest.raises(DomainError):
+        _bool_cases()[case]()

@@ -141,6 +141,9 @@ class TestTypicalSet:
         # delta >= max (1-p)/p makes every type qualify
         assert typical_set_size([0.75, 0.25], 5, 3.0) == 32
         assert len(list(typical_set([0.75, 0.25], 5, 3.0))) == 32
+        # an infinite delta is valid: every sequence is typical
+        assert typical_set_size([0.75, 0.25], 5, math.inf) == 32
+        assert len(list(typical_set([0.75, 0.25], 5, math.inf))) == 32
 
     def test_delta_zero_uniform(self):
         seqs = list(typical_set([0.5, 0.5], 8, 0.0))
