@@ -46,7 +46,7 @@ from .probability import (
     mutual_information,
     _MAX_CELLS,
 )
-from .regions import sb_point
+from .regions import sb_surface
 from .typicality import (
     best_theta,
     enumerate_types,
@@ -174,19 +174,22 @@ def _sample_config(args, default_caps=None, refine=False):
 
 
 def cmd_dsbs_surface(args):
-    grid = np.linspace(0.0, 0.5, args.grid)
-    rows = []
-    for a in grid:
-        for b in grid:
-            pt = sb_point(args.p, float(a), float(b))
-            rows.append((pt.r1, pt.r2, pt.mu))
+    rates, mu = sb_surface(args.p, np.linspace(0.0, 0.5, args.grid).tolist())
+    scale = _unit_scale(args.units)
+    # each distinct rate is formatted once; row (a, b) is "r1(a) r2(b) mu(a, b)"
+    text = [_fmt(r / scale) for r in rates]
+    lines = [
+        f"{text[i]} {text[j]} {_fmt(m / scale)}"
+        for i, row in enumerate(mu)
+        for j, m in enumerate(row)
+    ]
     manifest = RunManifest(
         "dsbs-surface",
         (("p", args.p), ("grid_points", args.grid), ("grid_lo", 0.0),
          ("grid_hi", 0.5), ("units", args.units)),
     )
-    _write_lines(args.out, manifest, _table_lines(rows, _unit_scale(args.units)))
-    print(f"wrote {args.out} rows {len(rows)}")
+    _write_lines(args.out, manifest, lines)
+    print(f"wrote {args.out} rows {len(lines)}")
     return 0
 
 

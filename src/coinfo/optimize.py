@@ -9,22 +9,23 @@ Determinism contract: every sampler takes draw i from one routine
 (_draw), which seeds a substream from (seed, i) and draws one
 flat-Dirichlet table per shape, in order; every reduction is an
 associative max with lowest-index tie-break, and no BLAS-backed kernels
-are used, so a run is bit-reproducible for any thread count. Inner and
-bottleneck draws are scored a block of at most _DRAW_CELLS joint cells
-at a time, with one call of probability.batch_entropies, which builds
-all the marginals of every table with np.bincount over a cached index
-plan and sums them in a fixed order, with elementwise operations only;
-its rows are bitwise equal to one table's, so no result depends on the
-block size. Outer draws are projected onto the short chains one at a
-time and scored with probability.entropies.
+are used, so a run is bit-reproducible for any thread count. Draws are
+scored a block of at most _DRAW_CELLS joint cells at a time, with one
+call of probability.batch_entropies, which builds all the marginals of
+every table with np.bincount over a cached index plan and sums them in
+a fixed order, with elementwise operations only; its rows are bitwise
+equal to one table's, so no result depends on the block size. Outer
+draws are projected onto the short chains a block at a time
+(_project_chains): every sweep scores the tables still unprojected with
+one batch_entropies call, and each table leaves the batch on its own
+sweep, so it gets the floats of a projection of its own.
 
 Refinement runs in lockstep (_lockstep): all the candidates one call
-refines climb together, and each step scores all their proposals with
-one probability.batch_entropies call, whose rows are bitwise equal to
-entropies; outer proposals are projected onto the short chains one by
-one. A candidate gets exactly the proposals and decisions of a climb of
-its own, so its result does not depend on which candidates share its
-batch.
+refines climb together, and each step scores the "+" and "-" proposals
+of all of them with one objective call, one batch_entropies call for
+the inner and bottleneck objectives and one batched projection for the
+outer ones. A candidate gets exactly the decisions of a climb of its
+own, so its result does not depend on which candidates share its batch.
 """
 
 import heapq
@@ -43,9 +44,7 @@ from .probability import (
     binary_entropy_inverse,
     batch_entropies,
     dsbs,
-    entropies,
     _check_probability,
-    _clamp_measure,
     _clamp_measures,
     _is_int,
     _is_real,
@@ -224,15 +223,20 @@ def _stats_rows(pxz, stats, candidates):
     return list(zip(*(c.tolist() for c in stats(pxz, *_stack(candidates)))))
 
 
+def _blocks(cfg, cells):
+    # the index ranges of cfg's draw blocks, each block holding at most
+    # _DRAW_CELLS joint cells (a draw's joint has `cells`) and at least one draw
+    size = max(1, _DRAW_CELLS // cells)
+    return (range(lo, min(lo + size, cfg.count)) for lo in range(0, cfg.count, size))
+
+
 def _scored_draws(cfg, pxz, shapes, stats):
     """(index, tables, stats row) of every draw of cfg, in index order.
 
     The draws are scored a block at a time, with one stats call per block
     of at most _DRAW_CELLS joint cells; see _stats_rows.
     """
-    size = max(1, _DRAW_CELLS // (pxz.size * math.prod(cols for _, cols in shapes)))
-    for lo in range(0, cfg.count, size):
-        block = range(lo, min(lo + size, cfg.count))
+    for block in _blocks(cfg, pxz.size * math.prod(cols for _, cols in shapes)):
         drawn = [_draw(cfg.seed, i, shapes) for i in block]
         yield from zip(block, drawn, _stats_rows(pxz, stats, drawn))
 
@@ -275,21 +279,39 @@ def _batch_ib_stats(pxz, rows):
     return _clamp_measures(h_x + h_u - h_xu), _clamp_measures(h_z + h_u - h_zu)
 
 
-def _outer_stats(pxz, q):
-    """All information terms of a (x,z,u,v) joint given q(u,v|x,z)."""
-    (h_x, h_z, h_u, h_v, h_xz, h_uv, h_xu, h_zv, h_zu, h_xv, h_xzu, h_xzv,
-     h_all) = entropies(pxz[:, :, None, None] * q, _OUTER_GROUPS)
-    iux = _clamp_measure(h_x + h_u - h_xu)
-    ivz = _clamp_measure(h_z + h_v - h_zv)
-    return {
-        "iux": iux,
-        "ivz": ivz,
-        "iuz": _clamp_measure(h_z + h_u - h_zu),
-        "ivx": _clamp_measure(h_x + h_v - h_xv),
-        "mu_ro": ivz + iux - _clamp_measure(h_xz + h_uv - h_all),
-        "cmi_uz_x": _clamp_measure(h_xu + h_xz - h_xzu - h_x),
-        "cmi_vx_z": _clamp_measure(h_zv + h_xz - h_xzv - h_z),
-    }
+# the columns of _batch_outer_stats. Column j is H(A) + H(B) - H(C) for its
+# (A, B, C) axis groups of the (x, z, u, v) joint below, less H(x) and H(z)
+# in the two CMIs; mu_ro = I(v;z) + I(u;x) - I(x,z;u,v) replaces I(x,z;u,v)
+_OUTER_KEYS = ("iux", "ivz", "iuz", "ivx", "mu_ro", "cmi_uz_x", "cmi_vx_z")
+_OUTER_TERMS = (
+    ((0,), (2,), (0, 2)),  # I(u;x)
+    ((1,), (3,), (1, 3)),  # I(v;z)
+    ((1,), (2,), (1, 2)),  # I(u;z)
+    ((0,), (3,), (0, 3)),  # I(v;x)
+    ((0, 1), (2, 3), (0, 1, 2, 3)),  # I(x,z;u,v)
+    ((0, 2), (0, 1), (0, 1, 2)),  # I(u;z|x) + H(x)
+    ((1, 3), (0, 1), (0, 1, 3)),  # I(v;x|z) + H(z)
+)
+# the _OUTER_GROUPS columns of every A, every B and every C
+_OUTER_A, _OUTER_B, _OUTER_C = (
+    np.array([_OUTER_GROUPS.index(g) for g in col]) for col in zip(*_OUTER_TERMS)
+)
+
+
+def _batch_outer_stats(pxz, q):
+    """All information terms of the (x,z,u,v) joints of a batch of tables
+    q[b] = q(u,v|x,z): row b holds the _OUTER_KEYS terms of table b."""
+    h = batch_entropies(pxz[:, :, None, None] * q, _OUTER_GROUPS)
+    st = h[:, _OUTER_A] + h[:, _OUTER_B] - h[:, _OUTER_C]
+    st[:, 5:] -= h[:, :2]  # H(x) and H(z), the first two groups
+    _clamp_measures(st)
+    st[:, 4] = st[:, 1] + st[:, 0] - st[:, 4]
+    return st
+
+
+def _stats_dicts(stats):
+    # one dict of floats per row of _batch_outer_stats
+    return [dict(zip(_OUTER_KEYS, row)) for row in stats.tolist()]
 
 
 def _source_conditionals(pxz):
@@ -302,31 +324,47 @@ def _source_conditionals(pxz):
 
 
 def _project_chains(pxz, q, cond, tol=MARKOV_TOL, max_sweeps=_MAX_SWEEPS):
-    """Alternately restore the chains u-x-z and x-z-v on q(u,v|x,z).
+    """Alternately restore the chains u-x-z and x-z-v on a batch of tables
+    q[b] = q(u,v|x,z).
 
     Each half-sweep replaces one conditional by its source-weighted
     average, which zeroes the corresponding CMI exactly while keeping the
-    other conditional untouched. cond is _source_conditionals(pxz).
-    Returns (q, stats): stats is _outer_stats of the returned q, or None
-    when the sweep budget ran out before both chains held.
+    other conditional untouched. cond is _source_conditionals(pxz). Each
+    sweep scores the tables still in the batch with one batch_entropies
+    call; a table leaves the batch on the sweep where both chains hold, so
+    it gets the sweeps and the floats of a projection of its own.
+    Returns (q, stats): the projected batch and, per table, the
+    _batch_outer_stats of its row as a dict of floats, or None when the
+    sweep budget ran out before both chains held.
     """
     z_given_x, x_given_z = cond
-    for _ in range(max_sweeps):
-        st = _outer_stats(pxz, q)
-        if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol:
-            return q, st
+    out = np.array(q, dtype=np.float64)
+    found = np.zeros((len(out), len(_OUTER_KEYS)))
+    active, q = np.arange(len(out)), out
+    for sweep in range(max_sweeps + 1):
+        st = _batch_outer_stats(pxz, q)
+        held = (st[:, 5] <= tol) & (st[:, 6] <= tol)
+        if held.any():
+            found[active[held]] = st[held]
+            out[active[held]] = q[held]
+            active, q = active[~held], q[~held]
+        if sweep == max_sweeps or not active.size:
+            break
         # enforce u - x - z: q(u,v|x,z) -> p(u|x) * q(v|x,z,u)
-        q_u = np.sum(q, axis=3, keepdims=True)
-        u_given_x = np.einsum("xz,xzu->xu", z_given_x, q_u[..., 0], optimize=False)
-        v_cond = np.divide(q, q_u, out=np.full(q.shape, 1.0 / q.shape[3]), where=q_u > 0.0)
-        q = u_given_x[:, None, :, None] * v_cond
+        q_u = q.sum(axis=4, keepdims=True)
+        u_given_x = np.einsum("xz,bxzu->bxu", z_given_x, q_u[..., 0], optimize=False)
+        v_cond = np.divide(q, q_u, out=np.full(q.shape, 1.0 / q.shape[4]), where=q_u > 0.0)
+        q = u_given_x[:, :, None, :, None] * v_cond
         # enforce x - z - v: q(u,v|x,z) -> p(v|z) * q(u|x,z,v)
-        q_v = np.sum(q, axis=2, keepdims=True)
-        v_given_z = np.einsum("xz,xzv->zv", x_given_z, q_v[:, :, 0, :], optimize=False)
-        u_cond = np.divide(q, q_v, out=np.full(q.shape, 1.0 / q.shape[2]), where=q_v > 0.0)
-        q = v_given_z[None, :, None, :] * u_cond
-    st = _outer_stats(pxz, q)
-    return q, (st if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol else None)
+        q_v = q.sum(axis=3, keepdims=True)
+        v_given_z = np.einsum("xz,bxzv->bzv", x_given_z, q_v[:, :, :, 0, :], optimize=False)
+        u_cond = np.divide(q, q_v, out=np.full(q.shape, 1.0 / q.shape[3]), where=q_v > 0.0)
+        q = v_given_z[:, None, :, None, :] * u_cond
+    out[active] = q
+    stats = _stats_dicts(found)
+    for b in active.tolist():
+        stats[b] = None
+    return out, stats
 
 
 def _constant_rows(n_rows, n_cols):
@@ -352,16 +390,18 @@ def _lockstep(tables, value_fn, steps, step_size):
     """Deterministic round-robin hill climb of a batch of candidates in step.
 
     tables[t][b] is row-stochastic table t of candidate b; every candidate
-    has the same table shapes. value_fn(trial, idx) scores the candidates
-    idx of the batch, whose tables are trial, and returns (values,
+    has the same table shapes. value_fn(trial, idx) scores the proposals
+    trial of the candidates idx of the batch and returns (values,
     canonical tables), a value of -inf marking an infeasible proposal; it
     may overwrite trial. Step s nudges entry s mod (entries per candidate)
-    by +delta, delta = step_size * 0.9 ** (s // 50), and by -delta for the
-    candidates whose "+" proposal was infeasible or did not improve; a
-    nudge clips its row at 0 and renormalizes it, and a row clipped to all
-    zeros is no proposal. So each candidate gets exactly the proposals and
-    decisions of a climb of its own, whatever else shares its batch, and
-    its objective never decreases. Returns (values, tables).
+    by +delta and by -delta, delta = step_size * 0.9 ** (s // 50), and
+    scores both in one value_fn call, so idx may name a candidate twice;
+    the "-" result counts only for the candidates whose "+" proposal was
+    infeasible or did not improve. A nudge clips its row at 0 and
+    renormalizes it, and a row clipped to all zeros is no proposal. So
+    each candidate gets exactly the decisions of a climb of its own,
+    whatever else shares its batch, and its objective never decreases.
+    Returns (values, tables).
     """
     best, tables = value_fn(tables, np.arange(len(tables[0])))
     if np.any(best == -np.inf):
@@ -386,19 +426,22 @@ def _lockstep(tables, value_fn, steps, step_size):
         mass = nudged.sum(axis=2, keepdims=True)
         pending = mass[:, :, 0] > 0.0
         np.divide(nudged, mass, out=nudged, where=pending[:, :, None])
-        for sign in (0, 1):
-            who = pending[sign].nonzero()[0]
-            if not who.size:
-                continue
-            trial = [tab[who] for tab in tables]
-            trial[t][:, r] = nudged[sign, who]
-            values, trial = value_fn(trial, who)
-            up = values > best[who]
-            won = who[up]
-            best[won] = values[up]
-            for tab, new in zip(tables, trial):
-                tab[won] = new[up]
-            pending[1, won] = False  # an accepted "+" move ends the step
+        # both signs in one value_fn call, every "+" proposal before every "-"
+        sign, who = pending.nonzero()
+        if not who.size:
+            continue
+        trial = [tab[who] for tab in tables]
+        trial[t][:, r] = nudged[sign, who]
+        values, trial = value_fn(trial, who)
+        up = values > best[who]
+        # an accepted "+" move ends its candidate's step, so its "-" result is void
+        plus_won = np.zeros(len(best), dtype=bool)
+        plus_won[who[up & (sign == 0)]] = True
+        up &= (sign == 0) | ~plus_won[who]
+        won = who[up]
+        best[won] = values[up]
+        for tab, new in zip(tables, trial):
+            tab[won] = new[up]
     return best, tables
 
 
@@ -421,13 +464,21 @@ def _seed_tables(variant, pxz, cap_u, cap_v):
     return [[q.reshape(nx * nz, cap_u * cap_v)]]
 
 
-def _draw_outer(seed, index, pxz, cond, cap_u, cap_v):
-    """Draw `index` projected onto the short chains: ([q], stats), q with
-    one row per (x, z), and stats None when the projection ran out of sweeps."""
+def _draw_outer(seed, block, pxz, cond, cap_u, cap_v):
+    """The draws of a block of indices projected onto the short chains in
+    one batch: (tables, stats) lists, tables[j] = [q] with q one row per
+    (x, z), and stats[j] None when its projection ran out of sweeps."""
     nx, nz = pxz.shape
-    (flat,) = _draw(seed, index, [(nx * nz, cap_u * cap_v)])
-    q, st = _project_chains(pxz, flat.reshape(nx, nz, cap_u, cap_v), cond)
-    return [q.reshape(nx * nz, cap_u * cap_v)], st
+    flat = np.stack([_draw(seed, i, [(nx * nz, cap_u * cap_v)])[0] for i in block])
+    q, stats = _project_chains(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
+    return [[t] for t in q.reshape(flat.shape)], stats
+
+
+def _outer_draws(cfg, pxz, cond, cap_u, cap_v):
+    """(index, [q], stats) of every draw of cfg, in index order, projected
+    a block of at most _DRAW_CELLS joint cells at a time; see _draw_outer."""
+    for block in _blocks(cfg, pxz.size * cap_u * cap_v):
+        yield from zip(block, *_draw_outer(cfg.seed, block, pxz, cond, cap_u, cap_v))
 
 
 def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
@@ -449,22 +500,18 @@ def _outer_score(lam, variant):
 def _projected_value_fn(pxz, cond, cap_u, cap_v, score):
     """Batched objective over flat tables q(u,v|x,z), one row per (x, z).
 
-    Each candidate is projected onto the short chains by itself, as each
-    needs its own number of sweeps; a candidate whose sweep budget runs
-    out is infeasible, and score(stats, b) is the value of candidate b of
-    the batch otherwise (-inf when it breaks a constraint of its own).
+    The proposals are projected onto the short chains in one batch, each
+    with its own number of sweeps; a proposal whose sweep budget runs out
+    is infeasible, and score(stats, b) is the value of candidate b of the
+    batch otherwise (-inf when it breaks a constraint of its own).
     """
     nx, nz = pxz.shape
 
     def fn(tables, idx):
         (flat,) = tables
-        values = np.full(len(idx), -np.inf)
-        for j, b in enumerate(idx.tolist()):
-            q, st = _project_chains(pxz, flat[j].reshape(nx, nz, cap_u, cap_v), cond)
-            if st is not None:
-                values[j] = score(st, b)
-                flat[j] = q.reshape(nx * nz, cap_u * cap_v)
-        return values, [flat]
+        q, stats = _project_chains(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
+        values = [-np.inf if st is None else score(st, b) for st, b in zip(stats, idx.tolist())]
+        return np.array(values, dtype=np.float64), [q.reshape(flat.shape)]
 
     return fn
 
@@ -509,21 +556,20 @@ def support_function(p_xz, lam, cfg, variant="inner"):
         cond = _source_conditionals(pxz)
         score = _outer_score(lam, variant)
         baseline = [_constant_rows(nx * nz, cap_u * cap_v)]
-        base_val = score(_project_chains(pxz, baseline[0].reshape(nx, nz, cap_u, cap_v), cond)[1])
+        _, (base_st,) = _project_chains(pxz, baseline[0].reshape(1, nx, nz, cap_u, cap_v), cond)
+        base_val = score(base_st)
         if lam.degenerate:
             # constant channels are provably optimal on this face
             return base_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
-
-        def outer_draws():
-            for i in range(cfg.count):
-                tables, st = _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)
-                if st is not None:
-                    yield i, tables, score(st)
+        draws = (
+            (i, tables, score(st))
+            for i, tables, st in _outer_draws(cfg, pxz, cond, cap_u, cap_v)
+            if st is not None
+        )
 
         def redraw(i):
-            return _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)[0]
-
-        draws = outer_draws()
+            (tables,), _ = _draw_outer(cfg.seed, [i], pxz, cond, cap_u, cap_v)
+            return tables
 
     values = np.full(cfg.count, -np.inf)
     top = []
@@ -725,11 +771,9 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
     for a in dsbs_alpha_grid(r_grid):
         r, mu = _sb_curve_point(p, a)
         candidates.append((r, mu, ("bsc", a)))
-    for i in range(cfg.count):
-        _, st = _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)
-        if st is None:
-            continue
-        candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
+    for i, _, st in _outer_draws(cfg, pxz, cond, cap_u, cap_v):
+        if st is not None:
+            candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
 
     points = [(r, mu) for r, mu, _ in candidates]
     caps = sorted(set(r_grid))
@@ -738,9 +782,11 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
         coupled = []
         if 0.0 <= rcap <= LOG2:
             a_cap = binary_entropy_inverse(min(max(LOG2 - rcap, 0.0), LOG2))
-            for s_same, s_diff in _COUPLING_SEEDS:
-                q = _pad_table(_coupled_pair_table(a_cap, s_same, s_diff), cap_u, cap_v)
-                st = _outer_stats(pxz, q)
+            tables = np.stack([
+                _pad_table(_coupled_pair_table(a_cap, s_same, s_diff), cap_u, cap_v)
+                for s_same, s_diff in _COUPLING_SEEDS
+            ])
+            for q, st in zip(tables, _stats_dicts(_batch_outer_stats(pxz, tables))):
                 r_at = max(st["iux"], st["ivz"])
                 if r_at <= rcap + 1e-12:
                     coupled.append((r_at, st["mu_ro"], ("table", q)))
@@ -750,7 +796,8 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
     def start(item):
         kind, arg = item
         if kind == "sample":
-            return _draw_outer(cfg.seed, arg, pxz, cond, cap_u, cap_v)[0]
+            (tables,), _ = _draw_outer(cfg.seed, [arg], pxz, cond, cap_u, cap_v)
+            return tables
         q = _pad_table(_bsc_pair_table(arg), cap_u, cap_v) if kind == "bsc" else arg
         return [q.reshape(4, cap_u * cap_v)]
 
@@ -760,9 +807,11 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
 
         return _projected_value_fn(pxz, cond, cap_u, cap_v, score)
 
-    for (flat,) in _refine_under_caps(caps, candidates, extras, start, objective, cfg):
-        st = _outer_stats(pxz, flat.reshape(2, 2, cap_u, cap_v))
-        points.append((max(st["iux"], st["ivz"]), st["mu_ro"]))
+    refined = _refine_under_caps(caps, candidates, extras, start, objective, cfg)
+    if refined:
+        q = np.stack([flat.reshape(2, 2, cap_u, cap_v) for (flat,) in refined])
+        for st in _stats_dicts(_batch_outer_stats(pxz, q)):
+            points.append((max(st["iux"], st["ivz"]), st["mu_ro"]))
     return upper_concave_envelope(points)
 
 
@@ -936,10 +985,9 @@ def sample_region_points(p_xz, cfg, variant="inner"):
     if variant == "inner":
         draws = _scored_draws(cfg, pxz, [(nx, cap_u), (nz, cap_v)], _batch_inner_stats)
         return [RegionPoint(mu=iuv, r1=iux, r2=ivz) for _, _, (iuv, iux, ivz) in draws]
-    cond = _source_conditionals(pxz)
-    points = []
-    for i in range(cfg.count):
-        _, st = _draw_outer(cfg.seed, i, pxz, cond, cap_u, cap_v)
-        if st is not None:
-            points.append(RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"]))
-    return points
+    draws = _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v)
+    return [
+        RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"])
+        for _, _, st in draws
+        if st is not None
+    ]

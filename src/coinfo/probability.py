@@ -196,23 +196,26 @@ def batch_entropies(w, groups):
     Returns a (len(w), len(groups)) array whose row b is bitwise equal to
     entropies(w[b], groups). The tables share one index plan and sit end
     to end in the same two bincounts, so each table's cells and each
-    marginal's terms are summed in the same order as in a call of its own.
-    The unbatched kernel stays separate for the chain projection of the
-    outer samplers, which scores one table at a time after every sweep,
-    and a batch of one costs more than the unbatched call.
+    marginal's terms are summed in the same order as in a call of its own;
+    the plan of a power-of-two number of tables is cached and a smaller
+    batch uses its prefix, so a call costs a few numpy operations however
+    small its batch.
+    Every sampler and objective of optimize scores its tables with it,
+    the chain projection of the outer samplers included, which scores the
+    tables of a block still off the chains after every sweep; the
+    unbatched entropies is its reference.
     """
     w = np.asarray(w, dtype=np.float64)
     batch = w.shape[0]
-    cells, target, n_cells, owner = _entropy_plan(w.shape[1:], groups)
-    offset = np.arange(batch)[:, None]
+    size = 1 << (batch - 1).bit_length()
+    cells, target, n_cells, owner = _batch_plan(w.shape[1:], groups, size)
+    copies = batch * (len(target) // size)
     marg = np.bincount(
-        (offset * n_cells + target).ravel(),
-        weights=w.reshape(batch, -1)[:, cells].ravel(),
-        minlength=batch * n_cells,
+        target[:copies], weights=w.ravel()[cells[:copies]], minlength=batch * n_cells
     )
     pos = marg > 0.0
     m = marg[pos]
-    owner = (offset * len(groups) + owner).ravel()[pos]
+    owner = owner[: batch * n_cells][pos]
     h = -np.bincount(owner, weights=m * np.log(m), minlength=batch * len(groups))
     return _clamp_measures(h).reshape(batch, len(groups))
 
@@ -244,6 +247,21 @@ def _entropy_plan(shape, groups):
     target, owner = np.concatenate(target), np.concatenate(owner)
     for a in (cells, target, owner):
         a.setflags(write=False)  # one plan serves every call with its key
+    return cells, target, n_cells, owner
+
+
+@functools.lru_cache(maxsize=32)
+def _batch_plan(shape, groups, size):
+    # the _entropy_plan of `size` tables end to end: table b's cells, marginal
+    # cells and groups are offset by b tables' worth. A batch of fewer tables
+    # uses the prefixes, so batch_entropies asks for the next power of two
+    cells, target, n_cells, owner = _entropy_plan(shape, groups)
+    offset = np.arange(size)[:, None]
+    cells = (offset * math.prod(shape) + cells).ravel()
+    target = (offset * n_cells + target).ravel()
+    owner = (offset * len(groups) + owner).ravel()
+    for a in (cells, target, owner):
+        a.setflags(write=False)
     return cells, target, n_cells, owner
 
 

@@ -51,13 +51,16 @@ class RegionPoint:
     r2: float
 
     def __post_init__(self):
-        for name in ("mu", "r1", "r2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConstraintError(f"RegionPoint.{name} must be finite")
-        if self.mu > min(self.r1, self.r2) + _POINT_TOL:
-            raise ConstraintError(
-                f"mu={self.mu} exceeds min(r1, r2)={min(self.r1, self.r2)}"
-            )
+        _check_point(self.mu, self.r1, self.r2)
+
+
+def _check_point(mu, r1, r2):
+    # the RegionPoint invariants
+    for name, v in (("mu", mu), ("r1", r1), ("r2", r2)):
+        if not math.isfinite(v):
+            raise ConstraintError(f"RegionPoint.{name} must be finite")
+    if mu > min(r1, r2) + _POINT_TOL:
+        raise ConstraintError(f"mu={mu} exceeds min(r1, r2)={min(r1, r2)}")
 
 
 @dataclass(frozen=True)
@@ -205,20 +208,46 @@ def sb_point(p, alpha, beta):
     (log2 - h_b(alpha*p*beta), log2 - h_b(alpha), log2 - h_b(beta)) with
     * the binary convolution; matches inner_point with BSC test channels.
     """
-    vals = {}
-    for name, val in (("p", p), ("alpha", alpha), ("beta", beta)):
-        v = _check_probability(val, "sb_point")
-        if v > 0.5:
-            raise DomainError(f"sb_point {name}={val} outside [0, 1/2]")
-        vals[name] = v
+    p, alpha, beta = (_sb_arg(*arg) for arg in (("p", p), ("alpha", alpha), ("beta", beta)))
     # every argument below lies in [0, 1/2], so the unchecked forms give
     # the same floats as binary_convolution and binary_entropy
-    eff = _bconv(_bconv(vals["alpha"], vals["p"]), vals["beta"])
+    eff = _bconv(_bconv(alpha, p), beta)
     return RegionPoint(
         mu=LOG2 - _hb_closed(eff),
-        r1=LOG2 - _hb_closed(vals["alpha"]),
-        r2=LOG2 - _hb_closed(vals["beta"]),
+        r1=LOG2 - _hb_closed(alpha),
+        r2=LOG2 - _hb_closed(beta),
     )
+
+
+def sb_surface(p, grid):
+    """sb_point(p, alpha, beta) for every (alpha, beta) in grid x grid.
+
+    Returns (rates, mu): rates[i] = log2 - h_b(grid[i]), the r1 of row i
+    and the r2 of column j, and mu[i][j] the co-information of cell
+    (i, j). p and the grid are validated once, and every value is bitwise
+    equal to sb_point's; every cell is checked as a RegionPoint.
+    """
+    p = _sb_arg("p", p)
+    grid = [_sb_arg("alpha", a) for a in grid]
+    rates = [LOG2 - _hb_closed(a) for a in grid]
+    # _bconv(alpha, p) once per row, as sb_point computes it
+    mu = [[LOG2 - _hb_closed(_bconv(ap, b)) for b in grid] for ap in (_bconv(a, p) for a in grid)]
+    r = np.array(rates, dtype=np.float64)
+    m = np.array(mu, dtype=np.float64).reshape(len(r), len(r))
+    finite = np.isfinite(m) & np.isfinite(r)[:, None] & np.isfinite(r)[None, :]
+    if not np.all(finite & (m <= np.minimum(r[:, None], r[None, :]) + _POINT_TOL)):
+        # raise RegionPoint's error for the first offending cell
+        for i, j in itertools.product(range(len(r)), repeat=2):
+            _check_point(mu[i][j], rates[i], rates[j])
+    return rates, mu
+
+
+def _sb_arg(name, val):
+    # an sb_point argument: a probability in [0, 1/2]
+    v = _check_probability(val, "sb_point")
+    if v > 0.5:
+        raise DomainError(f"sb_point {name}={val} outside [0, 1/2]")
+    return v
 
 
 def _hb_closed(q):

@@ -151,9 +151,10 @@ class TestIbCurve:
 
 
 class TestPinnedRefineOutputs:
-    """The bytes of refined and sampled outputs, pinned to a version that
-    refined each candidate by itself and scored each draw by itself;
-    batching the refinement or the draws must not move them."""
+    """The bytes of refined, sampled and closed-form outputs, pinned to
+    versions that refined each candidate by itself, scored and projected
+    each draw by itself and evaluated each surface point by itself;
+    batching any of them must not move them."""
 
     def test_ib_curve(self, tmp_path, capsys):
         out = tmp_path / "ib.dat"
@@ -193,6 +194,30 @@ class TestPinnedRefineOutputs:
         out = tmp_path / "rs.dat"
         assert main(["region-sample", "--source", "dsbs:0.1", "--seed", "3", "--variant",
                      variant, "--samples", samples, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out) == digest
+
+    # outer draws are projected in blocks of 128 draws of a 2x2x2x2 joint
+    # (ro_prime: two full blocks and a partial one) and of 56 at caps 3,3
+    @pytest.mark.parametrize("variant, samples, caps, digest", [
+        ("ro_prime", "300", (), "5bf26881698f810e548c87f292902f4cefcc1bced7a17e5b77955be2a46dc98a"),
+        ("ro", "150", ("--caps", "3,3"), "43937cec685dc69fbe58639dba2fdb3447cc7b7c586d4808e0417303b92c51d3"),
+    ])
+    def test_outer_region_sample_blocks(self, tmp_path, capsys, variant, samples, caps, digest):
+        out = tmp_path / "rs.dat"
+        assert main(["region-sample", "--source", "dsbs:0.1", "--seed", "3", "--variant",
+                     variant, "--samples", samples, *caps, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out) == digest
+
+    @pytest.mark.parametrize("units, digest", [
+        ("nats", "3cd9b7648563afa031e8df030f0f556915bb5472d39b500e3fbaa09d898e8f56"),
+        ("bits", "40df3f3b13bc0b3f14047e52b7b03490730480756974c88023b6659535421646"),
+    ])
+    def test_dsbs_surface(self, tmp_path, capsys, units, digest):
+        out = tmp_path / "surface.dat"
+        assert main(["dsbs-surface", "--p", "0.25", "--grid", "31", "--units", units,
+                     "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == digest
 

@@ -25,13 +25,16 @@ from coinfo.optimize import (
     upper_concave_envelope,
     _IB_GROUPS,
     _INNER_GROUPS,
+    _MAX_SWEEPS,
+    _OUTER_GROUPS,
     _batch_ib_stats,
     _batch_inner_stats,
+    _batch_outer_stats,
     _lockstep,
     _make_value_fn,
-    _outer_stats,
     _project_chains,
     _source_conditionals,
+    _stats_dicts,
 )
 from coinfo.probability import (
     LOG2,
@@ -75,6 +78,52 @@ def ib_stats(pxz, rows):
     """(I(u;x), I(u;z)) of a test channel p(u|x) on the source."""
     h_x, h_z, h_u, h_xu, h_zu = entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS)
     return _clamp_measure(h_x + h_u - h_xu), _clamp_measure(h_z + h_u - h_zu)
+
+
+def outer_stats(pxz, q):
+    """All information terms of a (x,z,u,v) joint given q(u,v|x,z)."""
+    (h_x, h_z, h_u, h_v, h_xz, h_uv, h_xu, h_zv, h_zu, h_xv, h_xzu, h_xzv,
+     h_all) = entropies(pxz[:, :, None, None] * q, _OUTER_GROUPS)
+    iux = _clamp_measure(h_x + h_u - h_xu)
+    ivz = _clamp_measure(h_z + h_v - h_zv)
+    return {
+        "iux": iux,
+        "ivz": ivz,
+        "iuz": _clamp_measure(h_z + h_u - h_zu),
+        "ivx": _clamp_measure(h_x + h_v - h_xv),
+        "mu_ro": ivz + iux - _clamp_measure(h_xz + h_uv - h_all),
+        "cmi_uz_x": _clamp_measure(h_xu + h_xz - h_xzu - h_x),
+        "cmi_vx_z": _clamp_measure(h_zv + h_xz - h_xzv - h_z),
+    }
+
+
+# The per-table chain projection that the batched one replaced, kept here as
+# its bitwise reference.
+
+
+def project_chains(pxz, q, cond, tol=MARKOV_TOL, max_sweeps=_MAX_SWEEPS):
+    """Alternately restore the chains u-x-z and x-z-v on q(u,v|x,z).
+
+    Returns (q, stats): stats is outer_stats of the returned q, or None
+    when the sweep budget ran out before both chains held.
+    """
+    z_given_x, x_given_z = cond
+    for _ in range(max_sweeps):
+        st = outer_stats(pxz, q)
+        if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol:
+            return q, st
+        # enforce u - x - z: q(u,v|x,z) -> p(u|x) * q(v|x,z,u)
+        q_u = np.sum(q, axis=3, keepdims=True)
+        u_given_x = np.einsum("xz,xzu->xu", z_given_x, q_u[..., 0], optimize=False)
+        v_cond = np.divide(q, q_u, out=np.full(q.shape, 1.0 / q.shape[3]), where=q_u > 0.0)
+        q = u_given_x[:, None, :, None] * v_cond
+        # enforce x - z - v: q(u,v|x,z) -> p(v|z) * q(u|x,z,v)
+        q_v = np.sum(q, axis=2, keepdims=True)
+        v_given_z = np.einsum("xz,xzv->zv", x_given_z, q_v[:, :, 0, :], optimize=False)
+        u_cond = np.divide(q, q_v, out=np.full(q.shape, 1.0 / q.shape[2]), where=q_v > 0.0)
+        q = v_given_z[None, :, None, :] * u_cond
+    st = outer_stats(pxz, q)
+    return q, (st if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol else None)
 
 
 class TestSampleChannel:
@@ -213,7 +262,7 @@ class TestInformationKernel:
                 "cmi_uz_x": conditional_mutual_information(j, "u", "z", "x"),
                 "cmi_vx_z": conditional_mutual_information(j, "v", "x", "z"),
             }
-            got = _outer_stats(pxz, q)
+            (got,) = _stats_dicts(_batch_outer_stats(pxz, q[None]))
             assert got.keys() == want.keys()
             for key in want:
                 assert abs(got[key] - want[key]) <= 1e-14, key
@@ -226,21 +275,68 @@ class TestInformationKernel:
                 rv = np.stack([c[2] for c in cases])
                 inner = np.array(_batch_inner_stats(pxz, ru, rv)).T
                 ib = np.array(_batch_ib_stats(pxz, ru)).T
+                q = np.stack([c[3] for c in cases])
+                outer = _stats_dicts(_batch_outer_stats(pxz, q))
                 for b in range(len(cases)):
                     assert inner[b].tolist() == list(inner_stats(pxz, ru[b], rv[b]))
                     assert ib[b].tolist() == list(ib_stats(pxz, ru[b]))
+                    assert bits(outer[b]) == bits(outer_stats(pxz, q[b]))
 
     def test_projection_returns_stats_of_its_table(self):
         moved = 0
         for pxz, _, _, q in kernel_cases(34):
-            out, st = _project_chains(pxz, q, _source_conditionals(pxz))
+            (out,), (st,) = _project_chains(pxz, q[None], _source_conditionals(pxz))
             assert st is not None
-            assert st == _outer_stats(pxz, out)
+            assert st == outer_stats(pxz, out)
             assert st["cmi_uz_x"] <= MARKOV_TOL and st["cmi_vx_z"] <= MARKOV_TOL
             moved += not np.array_equal(out, q)
         assert moved > 0
         pxz, _, _, q = kernel_cases(34)[1]
-        assert _project_chains(pxz, q, _source_conditionals(pxz), max_sweeps=0)[1] is None
+        assert _project_chains(pxz, q[None], _source_conditionals(pxz), max_sweeps=0)[1] == [None]
+
+
+def projection_batches(seed):
+    """(source, batch of 64 tables) pairs at caps 2 and 3: every kernel_cases
+    source with its cap's tables and random ones, and the 3x2 SOURCE3."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for cap in (2, 3):
+        cases = [c for c in kernel_cases(seed) if c[3].shape[2] == cap]
+        for pxz in [c[0] for c in cases] + [SOURCE3.mass]:
+            nx, nz = pxz.shape
+            q = rng.dirichlet(np.ones(cap * cap), size=(64, nx * nz)).reshape(64, nx, nz, cap, cap)
+            if nx == 2:
+                q[: len(cases)] = [c[3] for c in cases]
+            q[-1, 0, 1, 0, :] = 0.0  # a zero row of u given (x, z)
+            q[-1] /= q[-1].sum(axis=(2, 3), keepdims=True)
+            out.append((pxz, q))
+    return out
+
+
+class TestBatchedProjection:
+    """Every table of a batch gets the per-table projection's floats, sweep
+    count and None, whatever else shares its batch."""
+
+    @pytest.mark.parametrize("max_sweeps", [0, 3, 200])
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_batch_equals_per_table_projection_bitwise(self, size, max_sweeps):
+        outcomes = set()
+        for pxz, q in projection_batches(36):
+            cond = _source_conditionals(pxz)
+            want = [project_chains(pxz, t.copy(), cond, max_sweeps=max_sweeps) for t in q]
+            for lo in range(0, len(q), size):
+                got_q, got_st = _project_chains(pxz, q[lo : lo + size], cond, max_sweeps=max_sweeps)
+                for b, (w_q, w_st) in enumerate(want[lo : lo + size]):
+                    assert bits((got_q[b], got_st[b])) == bits((w_q, w_st))
+                    outcomes.add(w_st is None)
+        # the constant tables hold the chains from the start; at 200 sweeps all do
+        assert outcomes == ({False} if max_sweeps == 200 else {True, False})
+
+    def test_input_is_not_modified(self):
+        pxz, q = projection_batches(37)[0]
+        before = q.copy()
+        _project_chains(pxz, q, _source_conditionals(pxz))
+        assert np.array_equal(q, before)
 
 
 class TestSupportFunction:
@@ -646,6 +742,8 @@ def bits(obj):
         return [bits(o) for o in obj]
     if isinstance(obj, dict):
         return {k: bits(v) for k, v in obj.items()}
+    if obj is None:
+        return None
     return type(obj).__name__, float(obj).hex()
 
 
@@ -706,21 +804,32 @@ class TestLockstep:
         fn = _make_value_fn("inner", pxz, lam, 3, 3, None)
         self.check_batches([ru, rv], fn, 120, 1.0)
 
+    def test_accepted_plus_move_ends_the_step(self):
+        # a convex objective: the "+" and "-" nudges of a row both improve it,
+        # and only the "+" move may be taken
+        def spread(trial, idx):
+            return np.sum((trial[0] - 0.5) ** 2, axis=(1, 2)), trial
+
+        rows = np.random.default_rng(10).dirichlet(np.ones(2), size=(9, 3))
+        rows[0] = 0.5
+        self.check_batches([rows], spread, 30, 0.01)
+
     def test_exhausted_projection_rejects_only_its_own_proposal(self, monkeypatch):
         pxz = dsbs(0.2).mass
         cond = _source_conditionals(pxz)
         rng = np.random.default_rng(9)
         starts = []
         while len(starts) < 10:
-            q, st = _project_chains(pxz, rng.dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2), cond)
+            table = rng.dirichlet(np.ones(4), size=4).reshape(1, 2, 2, 2, 2)
+            (q,), (st,) = _project_chains(pxz, table, cond)
             if st is not None:
                 starts.append(q.reshape(4, 4))
         exhausted = []
 
         def short_budget(pxz, q, cond):
-            # a two-sweep budget leaves some proposals off the chains
+            # a two-sweep budget leaves some proposals of a batch off the chains
             out = _project_chains(pxz, q, cond, max_sweeps=2)
-            exhausted.append(out[1] is None)
+            exhausted.extend(st is None for st in out[1])
             return out
 
         monkeypatch.setattr(optimize, "_project_chains", short_budget)
@@ -760,8 +869,20 @@ class TestDrawBlocks:
                 out.append(support_function(src, lam, c, "inner"))
         return bits(out)
 
-    # the default block of a 2x2x2x2 joint (conjecture_test, DSBS inner) and
-    # of SOURCE3's 3x2x3x2 inner joint
+    @staticmethod
+    def outer_results(count):
+        lam = SupportWeight(0.9, -0.2, -0.3)
+        cfg = SampleConfig(seed=6, count=count, refine_top=4, refine_steps=40)
+        out = [dsbs_outer_boundary_sampled(0.1, [0.675, 0.69], cfg)]
+        for src in (dsbs(0.1), SOURCE3):
+            for variant in ("ro", "ro_prime"):
+                out.append([(pt.mu, pt.r1, pt.r2) for pt in sample_region_points(src, cfg, variant)])
+            for c in (cfg, replace(cfg, refine_top=0)):
+                out.append(support_function(src, lam, c, "ro"))
+        return bits(out)
+
+    # the default block of a 2x2x2x2 joint (conjecture_test, DSBS inner and
+    # outer) and of SOURCE3's 3x2x3x2 inner and outer joints
     @pytest.mark.parametrize("count", [6, 7, 8, 56, 57, 128, 129])
     def test_block_size_does_not_change_results(self, monkeypatch, count):
         want = self.results(count)
@@ -770,6 +891,14 @@ class TestDrawBlocks:
         for block in (1, 7):
             monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
             assert self.results(count) == want
+
+    @pytest.mark.parametrize("count", [6, 8, 57, 129])
+    def test_block_size_does_not_change_outer_results(self, monkeypatch, count):
+        want = self.outer_results(count)
+        # blocks of 1 draw everywhere, then 7 (DSBS) and 3 (SOURCE3) draws
+        for block in (1, 7):
+            monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
+            assert self.outer_results(count) == want
 
     @pytest.mark.parametrize("n, blocks", [(2, [20]), (4, [8, 8, 4]), (16, [1] * 20)])
     def test_blocks_are_sized_by_joint_cells(self, monkeypatch, n, blocks):

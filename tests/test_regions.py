@@ -54,7 +54,9 @@ from coinfo.regions import (
     outer_point_ro,
     outer_point_ro_prime,
     sb_point,
+    sb_surface,
 )
+from coinfo import regions
 
 HB_QUARTER = 0.56233514461880835
 
@@ -140,6 +142,29 @@ class TestInnerPoint:
         pt = sb_point(0.25, 0.0, 0.0)
         assert pt.r1 == pt.r2 == LOG2
         assert pt.mu == pytest.approx(0.13081203594113696, abs=1e-12)
+
+    def test_sb_surface_equals_sb_point_bitwise(self):
+        grid = np.linspace(0.0, 0.5, 13).tolist() + [1e-300, 0.5 - 1e-16]
+        for p in (0.0, 0.1, 0.25, 0.5):
+            rates, mu = sb_surface(p, grid)
+            for i, j in itertools.product(range(len(grid)), repeat=2):
+                pt = sb_point(p, grid[i], grid[j])
+                assert (rates[i], rates[j], mu[i][j]) == (pt.r1, pt.r2, pt.mu)
+                assert math.copysign(1.0, mu[i][j]) == math.copysign(1.0, pt.mu)
+        assert sb_surface(0.1, []) == ([], [])
+
+    def test_sb_surface_domain(self):
+        for p, grid in ((0.6, [0.1]), (-0.2, [0.1]), (0.1, [0.1, 0.6]), (0.1, [math.nan]), (0.6, [])):
+            with pytest.raises(DomainError):
+                sb_surface(p, grid)
+
+    def test_sb_surface_checks_every_cell(self, monkeypatch):
+        # a non-finite mu in the last cell breaks the RegionPoint invariants
+        hb_closed = regions._hb_closed
+        # at p = 1/4, cell (1/4, 1/4) alone has the effective crossover 7/16
+        monkeypatch.setattr(regions, "_hb_closed", lambda q: math.nan if q == 0.4375 else hb_closed(q))
+        with pytest.raises(ConstraintError, match="RegionPoint.mu must be finite"):
+            sb_surface(0.25, [0.0, 0.25])
 
 
 class TestOuterPoints:
