@@ -15,26 +15,27 @@ call of probability.batch_entropies, which builds all the marginals of
 every table with np.bincount over a cached index plan and sums them in
 a fixed order, with elementwise operations only; its rows are bitwise
 equal to one table's, so no result depends on the block size. Outer
-draws are projected onto the short chains a block at a time
-(_project_chains): every sweep scores the tables still unprojected with
-one batch_entropies call, and each table leaves the batch on its own
-sweep, so it gets the floats of a projection of its own.
+candidates are feasible by construction: every draw, baseline and
+refinement proposal goes through one closed-form map onto the two short
+chains (_chain_map), a block of tables per call, with the floats each
+table would get alone.
 
 Refinement runs in lockstep (_lockstep): all the candidates one call
 refines climb together, and each step scores the "+" and "-" proposals
 of all of them with one objective call, one batch_entropies call for
-the inner and bottleneck objectives and one batched projection for the
+the inner and bottleneck objectives and one batched chain map for the
 outer ones. A candidate gets exactly the decisions of a climb of its
 own, so its result does not depend on which candidates share its batch.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, InternalCheckError, SizeError
 from .probability import (
     LOG2,
     Alphabet,
@@ -52,8 +53,6 @@ from .probability import (
 from .regions import MARKOV_TOL, RegionPoint
 
 _VARIANTS = ("inner", "ro", "ro_prime")
-# alternating-projection budget for the two short-chain constraints
-_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -315,56 +314,49 @@ def _stats_dicts(stats):
 
 
 def _source_conditionals(pxz):
-    """(p(z|x), p(x|z)) of a source; rows of a zero-mass symbol are zero."""
+    """(p(z|x), p(x|z)) of a source; the row of a zero-mass symbol is
+    uniform, so its cells are still mapped to conditional tables."""
     px = np.sum(pxz, axis=1)[:, None]
     pz = np.sum(pxz, axis=0)[None, :]
-    z_given_x = np.divide(pxz, px, out=np.zeros(pxz.shape), where=px > 0.0)
-    x_given_z = np.divide(pxz, pz, out=np.zeros(pxz.shape), where=pz > 0.0)
+    z_given_x = np.divide(pxz, px, out=np.full(pxz.shape, 1.0 / pxz.shape[1]), where=px > 0.0)
+    x_given_z = np.divide(pxz, pz, out=np.full(pxz.shape, 1.0 / pxz.shape[0]), where=pz > 0.0)
     return z_given_x, x_given_z
 
 
-def _project_chains(pxz, q, cond, tol=MARKOV_TOL, max_sweeps=_MAX_SWEEPS):
-    """Alternately restore the chains u-x-z and x-z-v on a batch of tables
-    q[b] = q(u,v|x,z).
+def _chain_map(pxz, q, cond):
+    """Map a batch of tables q[b] = q(u,v|x,z) onto the two short chains in
+    one pass.
 
-    Each half-sweep replaces one conditional by its source-weighted
-    average, which zeroes the corresponding CMI exactly while keeping the
-    other conditional untouched. cond is _source_conditionals(pxz). Each
-    sweep scores the tables still in the batch with one batch_entropies
-    call; a table leaves the batch on the sweep where both chains hold, so
-    it gets the sweeps and the floats of a projection of its own.
-    Returns (q, stats): the projected batch and, per table, the
-    _batch_outer_stats of its row as a dict of floats, or None when the
-    sweep budget ran out before both chains held.
+    The chains u-x-z and x-z-v pin only two conditionals: cell (x, z) must
+    have u-marginal p(u|x) and v-marginal p(v|z). These are the
+    source-weighted averages of the cells' own marginals (cond is
+    _source_conditionals(pxz)). With P their product and D = q(u,v|x,z) -
+    q(u|x,z) q(v|x,z), which has zero row and column sums, each cell
+    becomes P + lam * D, lam = min(1, min over D < 0 of P / -D): it keeps
+    as much of its dependence between u and v as stays nonnegative. So
+    every output holds both chains exactly, a feasible table maps to
+    itself (the map is a projection onto the feasible set: a second pass
+    changes nothing), and a binary cell is the one-scalar Frechet coupling
+    of its two rows. Every operation acts on one table at a time, so a table gets
+    the same floats in any batch, and q is not modified.
+    Returns (q, stats): the mapped batch and, per table, the
+    _batch_outer_stats of its row as a dict of floats. Raises
+    InternalCheckError when a chain CMI of an output exceeds MARKOV_TOL.
     """
     z_given_x, x_given_z = cond
-    out = np.array(q, dtype=np.float64)
-    found = np.zeros((len(out), len(_OUTER_KEYS)))
-    active, q = np.arange(len(out)), out
-    for sweep in range(max_sweeps + 1):
-        st = _batch_outer_stats(pxz, q)
-        held = (st[:, 5] <= tol) & (st[:, 6] <= tol)
-        if held.any():
-            found[active[held]] = st[held]
-            out[active[held]] = q[held]
-            active, q = active[~held], q[~held]
-        if sweep == max_sweeps or not active.size:
-            break
-        # enforce u - x - z: q(u,v|x,z) -> p(u|x) * q(v|x,z,u)
-        q_u = q.sum(axis=4, keepdims=True)
-        u_given_x = np.einsum("xz,bxzu->bxu", z_given_x, q_u[..., 0], optimize=False)
-        v_cond = np.divide(q, q_u, out=np.full(q.shape, 1.0 / q.shape[4]), where=q_u > 0.0)
-        q = u_given_x[:, :, None, :, None] * v_cond
-        # enforce x - z - v: q(u,v|x,z) -> p(v|z) * q(u|x,z,v)
-        q_v = q.sum(axis=3, keepdims=True)
-        v_given_z = np.einsum("xz,bxzv->bzv", x_given_z, q_v[:, :, :, 0, :], optimize=False)
-        u_cond = np.divide(q, q_v, out=np.full(q.shape, 1.0 / q.shape[3]), where=q_v > 0.0)
-        q = v_given_z[:, None, :, None, :] * u_cond
-    out[active] = q
-    stats = _stats_dicts(found)
-    for b in active.tolist():
-        stats[b] = None
-    return out, stats
+    q_u, q_v = q.sum(axis=4), q.sum(axis=3)
+    u_given_x = np.einsum("xz,bxzu->bxu", z_given_x, q_u, optimize=False)
+    v_given_z = np.einsum("xz,bxzv->bzv", x_given_z, q_v, optimize=False)
+    prod = u_given_x[:, :, None, :, None] * v_given_z[:, None, :, None, :]
+    dep = q - q_u[..., None] * q_v[..., None, :]
+    ratio = np.divide(prod, -dep, out=np.full(q.shape, np.inf), where=dep < 0.0)
+    lam = np.minimum(ratio.min(axis=(3, 4), keepdims=True), 1.0)
+    out = np.maximum(prod + lam * dep, 0.0)
+    st = _batch_outer_stats(pxz, out)
+    worst = float(st[:, 5:].max())
+    if not worst <= MARKOV_TOL:  # also true for nan
+        raise InternalCheckError(f"chain map output off the short chains: CMI {worst:.6e}")
+    return out, _stats_dicts(st)
 
 
 def _constant_rows(n_rows, n_cols):
@@ -465,18 +457,18 @@ def _seed_tables(variant, pxz, cap_u, cap_v):
 
 
 def _draw_outer(seed, block, pxz, cond, cap_u, cap_v):
-    """The draws of a block of indices projected onto the short chains in
-    one batch: (tables, stats) lists, tables[j] = [q] with q one row per
-    (x, z), and stats[j] None when its projection ran out of sweeps."""
+    """The draws of a block of indices mapped onto the short chains in one
+    batch: (tables, stats) lists, tables[j] = [q] with q one row per
+    (x, z); see _chain_map."""
     nx, nz = pxz.shape
     flat = np.stack([_draw(seed, i, [(nx * nz, cap_u * cap_v)])[0] for i in block])
-    q, stats = _project_chains(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
+    q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
     return [[t] for t in q.reshape(flat.shape)], stats
 
 
 def _outer_draws(cfg, pxz, cond, cap_u, cap_v):
-    """(index, [q], stats) of every draw of cfg, in index order, projected
-    a block of at most _DRAW_CELLS joint cells at a time; see _draw_outer."""
+    """(index, [q], stats) of every draw of cfg, in index order, mapped a
+    block of at most _DRAW_CELLS joint cells at a time; see _draw_outer."""
     for block in _blocks(cfg, pxz.size * cap_u * cap_v):
         yield from zip(block, *_draw_outer(cfg.seed, block, pxz, cond, cap_u, cap_v))
 
@@ -489,7 +481,7 @@ def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
             return _lam_dot(lam, *_batch_inner_stats(pxz, *tables)), tables
 
         return fn
-    return _projected_value_fn(pxz, cond, cap_u, cap_v, _outer_score(lam, variant))
+    return _mapped_value_fn(pxz, cond, cap_u, cap_v, _outer_score(lam, variant))
 
 
 def _outer_score(lam, variant):
@@ -497,20 +489,19 @@ def _outer_score(lam, variant):
     return lambda st, b=None: _lam_dot(lam, _region_mu(st, variant), st["iux"], st["ivz"])
 
 
-def _projected_value_fn(pxz, cond, cap_u, cap_v, score):
+def _mapped_value_fn(pxz, cond, cap_u, cap_v, score):
     """Batched objective over flat tables q(u,v|x,z), one row per (x, z).
 
-    The proposals are projected onto the short chains in one batch, each
-    with its own number of sweeps; a proposal whose sweep budget runs out
-    is infeasible, and score(stats, b) is the value of candidate b of the
-    batch otherwise (-inf when it breaks a constraint of its own).
+    The proposals are mapped onto the short chains in one batch
+    (_chain_map), and score(stats, b) is the value of candidate b of the
+    batch (-inf when it breaks a constraint of its own, such as a rate cap).
     """
     nx, nz = pxz.shape
 
     def fn(tables, idx):
         (flat,) = tables
-        q, stats = _project_chains(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
-        values = [-np.inf if st is None else score(st, b) for st, b in zip(stats, idx.tolist())]
+        q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
+        values = [score(st, b) for st, b in zip(stats, idx.tolist())]
         return np.array(values, dtype=np.float64), [q.reshape(flat.shape)]
 
     return fn
@@ -528,7 +519,10 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     pool: the constant channel and, when the caps allow it, the refined
     identity corner. Ties break toward them, then toward the lowest
     sample index. The identity corner and every refined sample are
-    hill-climbed together in one batch.
+    hill-climbed together in one batch. Every outer candidate (draw,
+    baseline and refinement proposal) is mapped onto the two short chains
+    by _chain_map, so every draw is scored and the returned table holds
+    both chains.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -556,15 +550,13 @@ def support_function(p_xz, lam, cfg, variant="inner"):
         cond = _source_conditionals(pxz)
         score = _outer_score(lam, variant)
         baseline = [_constant_rows(nx * nz, cap_u * cap_v)]
-        _, (base_st,) = _project_chains(pxz, baseline[0].reshape(1, nx, nz, cap_u, cap_v), cond)
+        _, (base_st,) = _chain_map(pxz, baseline[0].reshape(1, nx, nz, cap_u, cap_v), cond)
         base_val = score(base_st)
         if lam.degenerate:
             # constant channels are provably optimal on this face
             return base_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
         draws = (
-            (i, tables, score(st))
-            for i, tables, st in _outer_draws(cfg, pxz, cond, cap_u, cap_v)
-            if st is not None
+            (i, tables, score(st)) for i, tables, st in _outer_draws(cfg, pxz, cond, cap_u, cap_v)
         )
 
         def redraw(i):
@@ -745,8 +737,8 @@ def _pad_table(q, cap_u, cap_v):
 def dsbs_outer_boundary_sampled(p, r_grid, cfg):
     """Sampled-and-refined symmetric-rate outer boundary for the DSBS.
 
-    Candidates are conditional tables q(u,v|x,z) restored onto the two
-    short chains by alternating projection; each contributes at abscissa
+    Candidates are conditional tables q(u,v|x,z) mapped onto the two
+    short chains (_chain_map); each contributes at abscissa
     max(r1, r2). The long-chain BSC points on dsbs_alpha_grid(r_grid)
     seed the pool (they are feasible here too), so the result dominates
     an inner curve built on the same grid, and the best candidate under
@@ -772,8 +764,7 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
         r, mu = _sb_curve_point(p, a)
         candidates.append((r, mu, ("bsc", a)))
     for i, _, st in _outer_draws(cfg, pxz, cond, cap_u, cap_v):
-        if st is not None:
-            candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
+        candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
 
     points = [(r, mu) for r, mu, _ in candidates]
     caps = sorted(set(r_grid))
@@ -801,18 +792,22 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
         q = _pad_table(_bsc_pair_table(arg), cap_u, cap_v) if kind == "bsc" else arg
         return [q.reshape(4, cap_u * cap_v)]
 
-    def objective(row_caps):
-        def score(st, b):
-            return st["mu_ro"] if max(st["iux"], st["ivz"]) <= row_caps[b] + 1e-12 else -math.inf
-
-        return _projected_value_fn(pxz, cond, cap_u, cap_v, score)
-
+    objective = functools.partial(_capped_mu_value_fn, pxz, cond, cap_u, cap_v)
     refined = _refine_under_caps(caps, candidates, extras, start, objective, cfg)
     if refined:
         q = np.stack([flat.reshape(2, 2, cap_u, cap_v) for (flat,) in refined])
         for st in _stats_dicts(_batch_outer_stats(pxz, q)):
             points.append((max(st["iux"], st["ivz"]), st["mu_ro"]))
     return upper_concave_envelope(points)
+
+
+def _capped_mu_value_fn(pxz, cond, cap_u, cap_v, row_caps):
+    # the refinement objective of dsbs_outer_boundary_sampled: mu_ro of
+    # candidate b, -inf when max(I(u;x), I(v;z)) breaks row_caps[b]
+    def score(st, b):
+        return st["mu_ro"] if max(st["iux"], st["ivz"]) <= row_caps[b] + 1e-12 else -math.inf
+
+    return _mapped_value_fn(pxz, cond, cap_u, cap_v, score)
 
 
 def _refine_under_caps(caps, candidates, extras, start, objective, cfg):
@@ -970,9 +965,9 @@ def cardinality_robustness(p_xz, lams, cfg, variant="inner"):
 def sample_region_points(p_xz, cfg, variant="inner"):
     """Raw sampled (mu, r1, r2) triples for one region variant.
 
-    One candidate per substream index, in index order; outer draws that
-    fail to converge onto the short chains are dropped. This is the dump
-    behind the CLI's region-sample command.
+    One candidate per substream index, in index order, so exactly
+    cfg.count of them; outer draws are mapped onto the short chains
+    (_chain_map). This is the dump behind the CLI's region-sample command.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
@@ -987,7 +982,5 @@ def sample_region_points(p_xz, cfg, variant="inner"):
         return [RegionPoint(mu=iuv, r1=iux, r2=ivz) for _, _, (iuv, iux, ivz) in draws]
     draws = _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v)
     return [
-        RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"])
-        for _, _, st in draws
-        if st is not None
+        RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"]) for _, _, st in draws
     ]

@@ -154,18 +154,23 @@ def _clamp_measure(value):
     return value
 
 
-def entropy(p):
-    """Shannon entropy of a JointPmf in nats, with 0*log(0) = 0."""
-    m = p.mass.ravel()
+def _entropy_of_mass(mass):
+    # the one entropy body; entropy and entropy_of_array both call it and
+    # not each other, so a tracer that wraps both public names (as
+    # bench/tracing.py does) counts one evaluation once
+    m = np.asarray(mass, dtype=np.float64).ravel()
     m = m[m > 0.0]
     return _clamp_measure(-float(np.sum(m * np.log(m))))
+
+
+def entropy(p):
+    """Shannon entropy of a JointPmf in nats, with 0*log(0) = 0."""
+    return _entropy_of_mass(p.mass)
 
 
 def entropy_of_array(mass):
     """Entropy of a raw nonnegative array that already sums to 1."""
-    m = np.asarray(mass, dtype=np.float64).ravel()
-    m = m[m > 0.0]
-    return _clamp_measure(-float(np.sum(m * np.log(m))))
+    return _entropy_of_mass(mass)
 
 
 def entropies(w, groups):
@@ -201,9 +206,8 @@ def batch_entropies(w, groups):
     batch uses its prefix, so a call costs a few numpy operations however
     small its batch.
     Every sampler and objective of optimize scores its tables with it,
-    the chain projection of the outer samplers included, which scores the
-    tables of a block still off the chains after every sweep; the
-    unbatched entropies is its reference.
+    the outer ones once per block of tables mapped onto the short chains;
+    the unbatched entropies is its reference.
     """
     w = np.asarray(w, dtype=np.float64)
     batch = w.shape[0]

@@ -152,9 +152,11 @@ class TestIbCurve:
 
 class TestPinnedRefineOutputs:
     """The bytes of refined, sampled and closed-form outputs, pinned to
-    versions that refined each candidate by itself, scored and projected
-    each draw by itself and evaluated each surface point by itself;
-    batching any of them must not move them."""
+    versions that refined each candidate by itself, scored each draw by
+    itself and evaluated each surface point by itself; batching any of
+    them must not move them. The outer region-sample digests are of the
+    closed-form chain map, which puts every draw on the short chains, so
+    the row count is exactly --samples."""
 
     def test_ib_curve(self, tmp_path, capsys):
         out = tmp_path / "ib.dat"
@@ -177,6 +179,20 @@ class TestPinnedRefineOutputs:
             "f3556fc42a8adc3c27f91aa38b3d15529df0a406a0aad70d20339e30f2314641"
         )
 
+    def test_default_dsbs_gap(self, tmp_path, capsys):
+        # the default budget: every outer candidate sits exactly on the
+        # short chains, so no knot comes from the 1e-9 chain tolerance and
+        # both tables have 44 rows (the grid and the knots of both curves)
+        out = tmp_path / "gap"
+        assert main(["dsbs-gap", "--p", "0.1", "--seed", "20240", "--out-dir", str(out)]) == 0
+        assert "max_gap 0.000197385574849329 at_r 0.6755\n" in capsys.readouterr().out
+        for name, digest in (
+            ("inner", "51db69fc058d7a346412f759477fd72bdd6ed2edb1c0f5a8c166f5296b159876"),
+            ("outer", "fc42936f675fef61f9d543b4f8ae1ff1008208d4ac5b2d49e14e48b56e9dbc37"),
+        ):
+            assert len(read_table(out / f"{name}.dat")[1]) == 44
+            assert body_sha256(out / f"{name}.dat") == digest
+
     def test_conjecture(self, tmp_path, capsys):
         out = tmp_path / "conj.dat"
         assert main(["conjecture", "--p", "0.1", "--seed", "3", "--samples", "600",
@@ -188,7 +204,7 @@ class TestPinnedRefineOutputs:
 
     @pytest.mark.parametrize("variant, samples, digest", [
         ("inner", "600", "5b4ccc4bd535a5cda1c75a02cab861d774e2e634a0c0e272733a71ecd17e9dc5"),
-        ("ro", "100", "b73d2a4793676ce147fbdf1304fcc694af8de0b81b001ddedfeff6b3a260fccf"),
+        ("ro", "100", "57269ea038d4c8314a34f63e3808b82f2cee913f0eff7fc8506c920f2840db51"),
     ])
     def test_region_sample(self, tmp_path, capsys, variant, samples, digest):
         out = tmp_path / "rs.dat"
@@ -196,12 +212,14 @@ class TestPinnedRefineOutputs:
                      variant, "--samples", samples, "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == digest
+        assert len(read_table(out)[1]) == int(samples)
 
-    # outer draws are projected in blocks of 128 draws of a 2x2x2x2 joint
-    # (ro_prime: two full blocks and a partial one) and of 56 at caps 3,3
+    # outer draws are mapped onto the chains in blocks of 128 draws of a
+    # 2x2x2x2 joint (ro_prime: two full blocks and a partial one) and of 56
+    # at caps 3,3
     @pytest.mark.parametrize("variant, samples, caps, digest", [
-        ("ro_prime", "300", (), "5bf26881698f810e548c87f292902f4cefcc1bced7a17e5b77955be2a46dc98a"),
-        ("ro", "150", ("--caps", "3,3"), "43937cec685dc69fbe58639dba2fdb3447cc7b7c586d4808e0417303b92c51d3"),
+        ("ro_prime", "300", (), "e33776e1b71895a5f4d66efcbcc34382c2a06dac85dfefb0235f8220403cb2f8"),
+        ("ro", "150", ("--caps", "3,3"), "3423f2473f564b9e81f6cadbc4bdd91c4b4f0ea110d3f759d7d5a1f858a94313"),
     ])
     def test_outer_region_sample_blocks(self, tmp_path, capsys, variant, samples, caps, digest):
         out = tmp_path / "rs.dat"
@@ -209,6 +227,7 @@ class TestPinnedRefineOutputs:
                      variant, "--samples", samples, *caps, "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == digest
+        assert len(read_table(out)[1]) == int(samples)
 
     @pytest.mark.parametrize("units, digest", [
         ("nats", "3cd9b7648563afa031e8df030f0f556915bb5472d39b500e3fbaa09d898e8f56"),
@@ -332,7 +351,7 @@ class TestRegionSample:
         main(["region-sample", "--source", "dsbs:0.1", "--variant", "ro",
               "--seed", "4", "--samples", "40", "--out", str(out)])
         _, rows = read_table(out)
-        assert rows and any(r[0] < 0 for r in rows)
+        assert len(rows) == 40 and any(r[0] < 0 for r in rows)
         for mu, r1, r2 in rows:
             assert mu <= min(r1, r2) + 1e-9
 

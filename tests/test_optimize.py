@@ -23,16 +23,20 @@ from coinfo.optimize import (
     sample_region_points,
     support_function,
     upper_concave_envelope,
+    _COUPLING_SEEDS,
     _IB_GROUPS,
     _INNER_GROUPS,
-    _MAX_SWEEPS,
     _OUTER_GROUPS,
     _batch_ib_stats,
     _batch_inner_stats,
     _batch_outer_stats,
+    _bsc_pair_table,
+    _capped_mu_value_fn,
+    _chain_map,
+    _coupled_pair_table,
     _lockstep,
     _make_value_fn,
-    _project_chains,
+    _pad_table,
     _source_conditionals,
     _stats_dicts,
 )
@@ -50,7 +54,7 @@ from coinfo.probability import (
     mutual_information,
     _clamp_measure,
 )
-from coinfo.regions import MARKOV_TOL, inner_point, outer_point_ro, outer_point_ro_prime
+from coinfo.regions import inner_point, outer_point_ro, outer_point_ro_prime
 
 I_XZ_01 = LOG2 - binary_entropy(0.1)  # 0.36806420716849707
 
@@ -95,35 +99,6 @@ def outer_stats(pxz, q):
         "cmi_uz_x": _clamp_measure(h_xu + h_xz - h_xzu - h_x),
         "cmi_vx_z": _clamp_measure(h_zv + h_xz - h_xzv - h_z),
     }
-
-
-# The per-table chain projection that the batched one replaced, kept here as
-# its bitwise reference.
-
-
-def project_chains(pxz, q, cond, tol=MARKOV_TOL, max_sweeps=_MAX_SWEEPS):
-    """Alternately restore the chains u-x-z and x-z-v on q(u,v|x,z).
-
-    Returns (q, stats): stats is outer_stats of the returned q, or None
-    when the sweep budget ran out before both chains held.
-    """
-    z_given_x, x_given_z = cond
-    for _ in range(max_sweeps):
-        st = outer_stats(pxz, q)
-        if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol:
-            return q, st
-        # enforce u - x - z: q(u,v|x,z) -> p(u|x) * q(v|x,z,u)
-        q_u = np.sum(q, axis=3, keepdims=True)
-        u_given_x = np.einsum("xz,xzu->xu", z_given_x, q_u[..., 0], optimize=False)
-        v_cond = np.divide(q, q_u, out=np.full(q.shape, 1.0 / q.shape[3]), where=q_u > 0.0)
-        q = u_given_x[:, None, :, None] * v_cond
-        # enforce x - z - v: q(u,v|x,z) -> p(v|z) * q(u|x,z,v)
-        q_v = np.sum(q, axis=2, keepdims=True)
-        v_given_z = np.einsum("xz,xzv->zv", x_given_z, q_v[:, :, 0, :], optimize=False)
-        u_cond = np.divide(q, q_v, out=np.full(q.shape, 1.0 / q.shape[2]), where=q_v > 0.0)
-        q = v_given_z[None, :, None, :] * u_cond
-    st = outer_stats(pxz, q)
-    return q, (st if st["cmi_uz_x"] <= tol and st["cmi_vx_z"] <= tol else None)
 
 
 class TestSampleChannel:
@@ -282,27 +257,17 @@ class TestInformationKernel:
                     assert ib[b].tolist() == list(ib_stats(pxz, ru[b]))
                     assert bits(outer[b]) == bits(outer_stats(pxz, q[b]))
 
-    def test_projection_returns_stats_of_its_table(self):
-        moved = 0
-        for pxz, _, _, q in kernel_cases(34):
-            (out,), (st,) = _project_chains(pxz, q[None], _source_conditionals(pxz))
-            assert st is not None
-            assert st == outer_stats(pxz, out)
-            assert st["cmi_uz_x"] <= MARKOV_TOL and st["cmi_vx_z"] <= MARKOV_TOL
-            moved += not np.array_equal(out, q)
-        assert moved > 0
-        pxz, _, _, q = kernel_cases(34)[1]
-        assert _project_chains(pxz, q[None], _source_conditionals(pxz), max_sweeps=0)[1] == [None]
 
-
-def projection_batches(seed):
+def map_batches(seed):
     """(source, batch of 64 tables) pairs at caps 2 and 3: every kernel_cases
-    source with its cap's tables and random ones, and the 3x2 SOURCE3."""
+    source (one has a zero cell) with its cap's tables and random ones, a
+    source with a zero-mass symbol, and the 3x2 SOURCE3."""
     rng = np.random.default_rng(seed)
     out = []
     for cap in (2, 3):
         cases = [c for c in kernel_cases(seed) if c[3].shape[2] == cap]
-        for pxz in [c[0] for c in cases] + [SOURCE3.mass]:
+        sources = [c[0] for c in cases] + [np.array([[0.6, 0.4], [0.0, 0.0]]), SOURCE3.mass]
+        for pxz in sources:
             nx, nz = pxz.shape
             q = rng.dirichlet(np.ones(cap * cap), size=(64, nx * nz)).reshape(64, nx, nz, cap, cap)
             if nx == 2:
@@ -314,29 +279,93 @@ def projection_batches(seed):
 
 
 class TestBatchedProjection:
-    """Every table of a batch gets the per-table projection's floats, sweep
-    count and None, whatever else shares its batch."""
+    """The chain map is a projection onto the short chains (TestChainMap
+    checks that a second pass changes nothing). Every table of a batch gets
+    the floats and stats of a map of its own, whatever else shares its
+    batch, and the batch is not modified. The seeds draw three sets of
+    random tables for map_batches."""
 
-    @pytest.mark.parametrize("max_sweeps", [0, 3, 200])
+    @pytest.mark.parametrize("seed", [0, 3, 200])
     @pytest.mark.parametrize("size", [1, 7, 64])
-    def test_batch_equals_per_table_projection_bitwise(self, size, max_sweeps):
-        outcomes = set()
-        for pxz, q in projection_batches(36):
+    def test_batch_equals_per_table_projection_bitwise(self, size, seed):
+        for pxz, q in map_batches(seed):
             cond = _source_conditionals(pxz)
-            want = [project_chains(pxz, t.copy(), cond, max_sweeps=max_sweeps) for t in q]
+            alone = [_chain_map(pxz, t[None], cond) for t in q]
             for lo in range(0, len(q), size):
-                got_q, got_st = _project_chains(pxz, q[lo : lo + size], cond, max_sweeps=max_sweeps)
-                for b, (w_q, w_st) in enumerate(want[lo : lo + size]):
-                    assert bits((got_q[b], got_st[b])) == bits((w_q, w_st))
-                    outcomes.add(w_st is None)
-        # the constant tables hold the chains from the start; at 200 sweeps all do
-        assert outcomes == ({False} if max_sweeps == 200 else {True, False})
+                got_q, got_st = _chain_map(pxz, q[lo : lo + size], cond)
+                for b, (want_q, (want_st,)) in enumerate(alone[lo : lo + size]):
+                    assert bits((got_q[b], got_st[b])) == bits((want_q[0], want_st))
 
     def test_input_is_not_modified(self):
-        pxz, q = projection_batches(37)[0]
-        before = q.copy()
-        _project_chains(pxz, q, _source_conditionals(pxz))
-        assert np.array_equal(q, before)
+        for pxz, q in map_batches(37):
+            before = q.copy()
+            _chain_map(pxz, q, _source_conditionals(pxz))
+            assert np.array_equal(q, before)
+
+
+class TestChainMap:
+    """_chain_map puts every table on both short chains in one pass: the
+    cells keep the source-weighted marginals of the input and a feasible
+    table, its own output included, stays put; TestBatchedProjection checks
+    its batch independence."""
+
+    def test_cells_take_the_source_weighted_marginals(self):
+        for pxz, q in map_batches(34):
+            z_given_x, x_given_z = _source_conditionals(pxz)
+            out, _ = _chain_map(pxz, q, (z_given_x, x_given_z))
+            u_given_x = np.einsum("xz,bxzu->bxu", z_given_x, q.sum(axis=4))
+            v_given_z = np.einsum("xz,bxzv->bzv", x_given_z, q.sum(axis=3))
+            assert np.abs(out.sum(axis=4) - u_given_x[:, :, None, :]).max() <= 1e-15
+            assert np.abs(out.sum(axis=3) - v_given_z[:, None, :, :]).max() <= 1e-15
+            # conditional tables, on the cells of a zero-mass symbol too
+            assert out.min() >= 0.0
+            assert np.abs(out.sum(axis=(3, 4)) - 1.0).max() <= 1e-15
+
+    def test_chains_hold_and_stats_are_of_the_output(self):
+        moved = 0
+        for pxz, q in map_batches(35):
+            out, stats = _chain_map(pxz, q, _source_conditionals(pxz))
+            for b, st in enumerate(stats):
+                assert st["cmi_uz_x"] <= 1e-14 and st["cmi_vx_z"] <= 1e-14
+                assert bits(st) == bits(outer_stats(pxz, out[b]))
+            moved += not np.array_equal(out, q)
+            again, _ = _chain_map(pxz, out, _source_conditionals(pxz))
+            assert np.abs(again - out).max() <= 1e-15
+        assert moved > 0
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_feasible_tables_map_to_themselves(self, cap):
+        for p in (0.05, 0.1, 0.3):
+            pxz = dsbs(p).mass
+            tables = [_bsc_pair_table(a) for a in (0.0, 0.02, 0.2, 0.5)]
+            for a in (0.0, 0.003, 0.1, 0.4):
+                tables += [_coupled_pair_table(a, s, d) for s, d in _COUPLING_SEEDS]
+                tables += [_coupled_pair_table(a, -0.5, -1.0)]
+            q = np.stack([_pad_table(t, cap, cap) for t in tables])
+            out, _ = _chain_map(pxz, q, _source_conditionals(pxz))
+            assert np.abs(out - q).max() <= 1e-15
+
+    def test_every_outer_candidate_holds_the_chains(self, monkeypatch):
+        # draws, baselines, coupling seeds and refinement proposals: every
+        # outer table these calls score is on both chains to 1e-14
+        worst = []
+        batch_outer_stats = optimize._batch_outer_stats
+
+        def stats(pxz, q):
+            st = batch_outer_stats(pxz, q)
+            worst.append(float(st[:, 5:].max()))
+            return st
+
+        monkeypatch.setattr(optimize, "_batch_outer_stats", stats)
+        cfg = SampleConfig(seed=6, count=150, refine_top=4, refine_steps=60)
+        lam = SupportWeight(0.9, -0.2, -0.3)
+        dsbs_outer_boundary_sampled(0.1, [0.675, 0.69], cfg)
+        for src, cap in ((dsbs(0.1), None), (SOURCE3, 3)):
+            c = replace(cfg, cap_u=cap, cap_v=cap)
+            for variant in ("ro", "ro_prime"):
+                support_function(src, lam, c, variant)
+                sample_region_points(src, c, variant)
+        assert len(worst) > 100 and max(worst) <= 1e-14
 
 
 class TestSupportFunction:
@@ -814,28 +843,24 @@ class TestLockstep:
         rows[0] = 0.5
         self.check_batches([rows], spread, 30, 0.01)
 
-    def test_exhausted_projection_rejects_only_its_own_proposal(self, monkeypatch):
+    def test_capped_mu_rejects_only_proposals_over_their_cap(self):
         pxz = dsbs(0.2).mass
         cond = _source_conditionals(pxz)
-        rng = np.random.default_rng(9)
-        starts = []
-        while len(starts) < 10:
-            table = rng.dirichlet(np.ones(4), size=4).reshape(1, 2, 2, 2, 2)
-            (q,), (st,) = _project_chains(pxz, table, cond)
-            if st is not None:
-                starts.append(q.reshape(4, 4))
-        exhausted = []
+        draws = np.random.default_rng(9).dirichlet(np.ones(4), size=(10, 2, 2)).reshape(10, 2, 2, 2, 2)
+        starts, stats = _chain_map(pxz, draws, cond)
+        # one cap for every candidate, a little above the highest start rate,
+        # so a candidate's cap does not depend on its place in a batch
+        rcap = max(max(st["iux"], st["ivz"]) for st in stats) + 0.01
+        fn = _capped_mu_value_fn(pxz, cond, 2, 2, [rcap] * len(starts))
+        over_cap = []
 
-        def short_budget(pxz, q, cond):
-            # a two-sweep budget leaves some proposals of a batch off the chains
-            out = _project_chains(pxz, q, cond, max_sweeps=2)
-            exhausted.extend(st is None for st in out[1])
-            return out
+        def recorded(trial, idx):
+            values, canon = fn(trial, idx)
+            over_cap.extend((values == -np.inf).tolist())
+            return values, canon
 
-        monkeypatch.setattr(optimize, "_project_chains", short_budget)
-        fn = _make_value_fn("ro", pxz, SupportWeight(1.0, -0.3, -0.3), 2, 2, cond)
-        self.check_batches([np.stack(starts)], fn, 60, 0.2)
-        assert any(exhausted) and not all(exhausted)
+        self.check_batches([starts.reshape(10, 4, 4)], recorded, 60, 0.2)
+        assert any(over_cap) and not all(over_cap)
 
     @staticmethod
     def check_batches(tables, fn, steps, step_size):
@@ -876,7 +901,9 @@ class TestDrawBlocks:
         out = [dsbs_outer_boundary_sampled(0.1, [0.675, 0.69], cfg)]
         for src in (dsbs(0.1), SOURCE3):
             for variant in ("ro", "ro_prime"):
-                out.append([(pt.mu, pt.r1, pt.r2) for pt in sample_region_points(src, cfg, variant)])
+                points = sample_region_points(src, cfg, variant)
+                assert len(points) == count  # every draw is mapped onto the chains, none dropped
+                out.append([(pt.mu, pt.r1, pt.r2) for pt in points])
             for c in (cfg, replace(cfg, refine_top=0)):
                 out.append(support_function(src, lam, c, "ro"))
         return bits(out)

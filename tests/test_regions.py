@@ -598,7 +598,7 @@ class TestInternalChecks:
         code = """
 import sys
 import numpy as np
-from coinfo import regions, typicality
+from coinfo import optimize, regions, typicality
 from coinfo.errors import InternalCheckError
 from coinfo.probability import Alphabet, Channel, JointPmf, dsbs
 
@@ -629,6 +629,16 @@ try:
     regions.log_loss_fidelity(joint, decoder, 1, ("u",), ("z",))
 except InternalCheckError:
     print("raised log_loss_fidelity")
+
+# a cell of mass 2 is no conditional table, and the map leaves its u-marginal
+# off p(u|x): the chain u - x - z breaks
+pxz = dsbs(0.1).mass
+q = np.full((1, 2, 2, 2, 2), 0.25)
+q[0, 0, 0, 0] = 0.75
+try:
+    optimize._chain_map(pxz, q, optimize._source_conditionals(pxz))
+except InternalCheckError:
+    print("raised _chain_map")
 """
         res = subprocess.run(
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
@@ -636,5 +646,5 @@ except InternalCheckError:
         assert res.returncode == 0, res.stderr
         lines = res.stdout.split("\n")
         assert "optimize 1" in lines
-        for name in ("best_theta", "ceo_point", "log_loss_fidelity"):
+        for name in ("best_theta", "ceo_point", "log_loss_fidelity", "_chain_map"):
             assert f"raised {name}" in lines
