@@ -144,14 +144,23 @@ def _parse_pair(text, name, cast):
     parts = text.split(",")
     if len(parts) != 2:
         raise DomainError(f"{name} must be two comma-separated values, got {text!r}")
-    return cast(parts[0]), cast(parts[1])
+    try:
+        return cast(parts[0]), cast(parts[1])
+    except ValueError:
+        raise DomainError(f"{name} must be two {cast.__name__} values, got {text!r}") from None
+
+
+def _check_points(name, value):
+    # a grid size: at least one point
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 def _sample_config(args, default_caps=None, refine=False):
     """The SampleConfig of a sampling command and its manifest parameters.
 
-    Only the commands that refine (refine=True) take a refinement budget,
-    and the manifest lists only what the command reads.
+    Only the command that refines (ib-curve, refine=True) takes a
+    refinement budget, and the manifest lists only what the command reads.
     """
     caps = default_caps
     if args.caps:
@@ -174,6 +183,7 @@ def _sample_config(args, default_caps=None, refine=False):
 
 
 def cmd_dsbs_surface(args):
+    _check_points("--grid", args.grid)
     rates, mu = sb_surface(args.p, np.linspace(0.0, 0.5, args.grid).tolist())
     scale = _unit_scale(args.units)
     # each distinct rate is formatted once; row (a, b) is "r1(a) r2(b) mu(a, b)"
@@ -216,8 +226,9 @@ def cmd_dsbs_gap(args):
     lo, hi = _parse_pair(args.window, "--window", float)
     if not lo < hi:
         raise DomainError(f"window must be increasing, got {args.window!r}")
+    _check_points("--window-points", args.window_points)
     r_grid = np.linspace(lo, hi, args.window_points)
-    cfg, cfg_params = _sample_config(args, default_caps=(2, 2), refine=True)
+    cfg, cfg_params = _sample_config(args, default_caps=(2, 2))
     inner = dsbs_inner_boundary(args.p, dsbs_alpha_grid(r_grid))
     outer = dsbs_outer_boundary_sampled(args.p, r_grid, cfg)
     knots_in = [r for r, _ in inner.knots if lo <= r <= hi]
@@ -249,6 +260,7 @@ def cmd_dsbs_gap(args):
 def cmd_ib_curve(args):
     src = _parse_source(args.source)
     nx = src.mass.shape[0]
+    _check_points("--grid", args.grid)
     r_grid = np.linspace(0.0, math.log(nx), args.grid)
     cfg, cfg_params = _sample_config(args, refine=True)
     curve = ib_curve(src, r_grid, cfg)
@@ -413,7 +425,7 @@ def _build_parser():
     cmd.add_argument("--p", type=float, required=True)
     cmd.add_argument("--window", default="0.673,0.694")
     cmd.add_argument("--window-points", type=int, default=43)
-    add_sampling(cmd, 100000, refine=True)
+    add_sampling(cmd, 100000)
     cmd.add_argument("--out-dir", required=True)
 
     cmd = add("ib-curve", cmd_ib_curve, "rate-relevance curve for one encoder")

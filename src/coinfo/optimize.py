@@ -18,7 +18,8 @@ equal to one table's, so no result depends on the block size. Outer
 candidates are feasible by construction: every draw, baseline and
 refinement proposal goes through one closed-form map onto the two short
 chains (_chain_map), a block of tables per call, with the floats each
-table would get alone.
+table would get alone, and every outer table scored is checked to hold
+both chains (_checked_outer_stats).
 
 Refinement runs in lockstep (_lockstep): all the candidates one call
 refines climb together, and each step scores the "+" and "-" proposals
@@ -26,9 +27,11 @@ of all of them with one objective call, one batch_entropies call for
 the inner and bottleneck objectives and one batched chain map for the
 outer ones. A candidate gets exactly the decisions of a climb of its
 own, so its result does not depend on which candidates share its batch.
+The DSBS outer curve is not refined: at each rate cap a deterministic
+grid-and-zoom search over the Frechet couplings of a BSC pair
+(_coupling_solve) gives its best point.
 """
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -308,6 +311,17 @@ def _batch_outer_stats(pxz, q):
     return st
 
 
+def _checked_outer_stats(pxz, q):
+    """_batch_outer_stats of a batch of tables that must hold both short
+    chains. Raises InternalCheckError when a chain CMI of a table exceeds
+    MARKOV_TOL."""
+    st = _batch_outer_stats(pxz, q)
+    worst = float(st[:, 5:].max())
+    if not worst <= MARKOV_TOL:  # also true for nan
+        raise InternalCheckError(f"outer table off the short chains: CMI {worst:.6e}")
+    return st
+
+
 def _stats_dicts(stats):
     # one dict of floats per row of _batch_outer_stats
     return [dict(zip(_OUTER_KEYS, row)) for row in stats.tolist()]
@@ -340,8 +354,8 @@ def _chain_map(pxz, q, cond):
     of its two rows. Every operation acts on one table at a time, so a table gets
     the same floats in any batch, and q is not modified.
     Returns (q, stats): the mapped batch and, per table, the
-    _batch_outer_stats of its row as a dict of floats. Raises
-    InternalCheckError when a chain CMI of an output exceeds MARKOV_TOL.
+    _batch_outer_stats of its row as a dict of floats, checked by
+    _checked_outer_stats.
     """
     z_given_x, x_given_z = cond
     q_u, q_v = q.sum(axis=4), q.sum(axis=3)
@@ -352,11 +366,7 @@ def _chain_map(pxz, q, cond):
     ratio = np.divide(prod, -dep, out=np.full(q.shape, np.inf), where=dep < 0.0)
     lam = np.minimum(ratio.min(axis=(3, 4), keepdims=True), 1.0)
     out = np.maximum(prod + lam * dep, 0.0)
-    st = _batch_outer_stats(pxz, out)
-    worst = float(st[:, 5:].max())
-    if not worst <= MARKOV_TOL:  # also true for nan
-        raise InternalCheckError(f"chain map output off the short chains: CMI {worst:.6e}")
-    return out, _stats_dicts(st)
+    return out, _stats_dicts(_checked_outer_stats(pxz, out))
 
 
 def _constant_rows(n_rows, n_cols):
@@ -474,37 +484,32 @@ def _outer_draws(cfg, pxz, cond, cap_u, cap_v):
 
 
 def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
-    # the batched objective of support_function and local_refine
+    """The batched objective of support_function and local_refine.
+
+    Outer candidates are flat tables q(u,v|x,z), one row per (x, z); their
+    proposals are mapped onto the short chains in one batch (_chain_map)
+    and scored on the mapped tables.
+    """
     if variant == "inner":
 
         def fn(tables, idx):
             return _lam_dot(lam, *_batch_inner_stats(pxz, *tables)), tables
 
         return fn
-    return _mapped_value_fn(pxz, cond, cap_u, cap_v, _outer_score(lam, variant))
-
-
-def _outer_score(lam, variant):
-    # the objective of an outer candidate from its stats; b, its place in a batch, is unused
-    return lambda st, b=None: _lam_dot(lam, _region_mu(st, variant), st["iux"], st["ivz"])
-
-
-def _mapped_value_fn(pxz, cond, cap_u, cap_v, score):
-    """Batched objective over flat tables q(u,v|x,z), one row per (x, z).
-
-    The proposals are mapped onto the short chains in one batch
-    (_chain_map), and score(stats, b) is the value of candidate b of the
-    batch (-inf when it breaks a constraint of its own, such as a rate cap).
-    """
     nx, nz = pxz.shape
+    score = _outer_score(lam, variant)
 
     def fn(tables, idx):
         (flat,) = tables
         q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
-        values = [score(st, b) for st, b in zip(stats, idx.tolist())]
-        return np.array(values, dtype=np.float64), [q.reshape(flat.shape)]
+        return np.array([score(st) for st in stats], dtype=np.float64), [q.reshape(flat.shape)]
 
     return fn
+
+
+def _outer_score(lam, variant):
+    # the objective of an outer candidate from its stats
+    return lambda st: _lam_dot(lam, _region_mu(st, variant), st["iux"], st["ivz"])
 
 
 def support_function(p_xz, lam, cfg, variant="inner"):
@@ -654,8 +659,8 @@ def dsbs_alpha_grid(r_grid=(), points=201):
     """Uniform alpha grid joined with points aligned to given abscissae.
 
     Comparing two sampled boundary curves is only meaningful when both
-    are built over the same parameter set; aligning the outer sampler's
-    deterministic seeds with the inner curve's grid makes the dominance
+    are built over the same parameter set; putting the outer curve's
+    long-chain BSC points on the inner curve's grid makes the dominance
     check structural instead of resolution-dependent.
     """
     if not isinstance(points, int) or points < 2:
@@ -682,68 +687,105 @@ def dsbs_inner_boundary(p, alpha_grid):
     return upper_concave_envelope(pts)
 
 
-def _bsc_pair_table(alpha):
-    rows = np.array([[1.0 - alpha, alpha], [alpha, 1.0 - alpha]])
-    return np.einsum("xu,zv->xzuv", rows, rows, optimize=False)
-
-
-# (same-input, crossed-input) coupling fractions for the corner seeds
-_COUPLING_SEEDS = (
-    (0.0, 0.0),
-    (0.0, 0.9),
-    (0.0, 1.0),
-    (0.05, 0.95),
-    (0.1, 0.95),
-    (0.1, 1.0),
-    (0.15, 0.95),
-    (0.2, 1.0),
-)
+# the coupling solve of dsbs_outer_boundary_sampled: a first grid of
+# _COUPLING_GRID points per axis over [-1, 1]^2 (step 0.05, so it holds
+# every coupling whose coordinates are multiples of 0.05), then
+# _ZOOM_ROUNDS stencils of _ZOOM_POINTS per axis around the best point so
+# far, the first one a grid step wide on each side and each next one
+# _ZOOM_SHRINK times narrower, so that it spans two cells of the one before
+_COUPLING_GRID = 41
+_ZOOM_POINTS = 9
+_ZOOM_ROUNDS = 12
+_ZOOM_SHRINK = 4
 
 
 def _coupled_pair_table(alpha, s_same, s_diff):
-    """BSC(alpha) pair with Frechet-coupled conditional noise.
+    """BSC(alpha) pairs with Frechet-coupled conditional noise, a batch.
 
-    Adding t(x,z) * [[1,-1],[-1,1]] to the product coupling leaves both
-    single-letter conditionals untouched, so the two short chains hold
-    exactly while u and v stay correlated given (x, z); s in [-1, 1]
-    scales t to the Frechet bound of the cell. These tables populate the
-    ridge near the rate corner that Dirichlet sampling has no density on:
-    mu_ro = I(u;v) - I(u;v|x,z) gains more from the aligned coupling on
-    disagreeing (x, z) than the conditional term costs.
+    alpha, s_same and s_diff broadcast to one shape (n,); table b is
+    q(u,v|x,z) of shape (2, 2, 2, 2). Adding t(x,z) * [[1,-1],[-1,1]] to the
+    product coupling leaves both single-letter conditionals untouched, so
+    the two short chains hold exactly while u and v stay correlated given
+    (x, z); s in [-1, 1] scales t to the Frechet bound of the cell, s_same
+    on the cells x = z and s_diff on the others, and s = 0 is the
+    long-chain BSC pair. These tables hold the ridge near the rate corner
+    that Dirichlet sampling has no density on: mu_ro = I(u;v) - I(u;v|x,z)
+    gains more from the aligned coupling on disagreeing (x, z) than the
+    conditional term costs. Every table is built on its own, elementwise.
     """
-    rows = np.array([[1.0 - alpha, alpha], [alpha, 1.0 - alpha]])
+    alpha, s_same, s_diff = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (alpha, s_same, s_diff))
+    )
+    rows = np.stack([np.stack([1.0 - alpha, alpha], -1), np.stack([alpha, 1.0 - alpha], -1)], 1)
+    pu0, pv0 = rows[:, :, None, 0], rows[:, None, :, 0]
+    s = np.where(np.eye(2, dtype=bool), s_same[:, None, None], s_diff[:, None, None])
+    t = np.where(
+        s >= 0.0,
+        s * (np.minimum(pu0, pv0) - pu0 * pv0),
+        s * (pu0 * pv0 - np.maximum(0.0, pu0 + pv0 - 1.0)),
+    )
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    q = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for z in range(2):
-            pu0, pv0 = rows[x, 0], rows[z, 0]
-            s = s_same if x == z else s_diff
-            if s >= 0.0:
-                t = s * (min(pu0, pv0) - pu0 * pv0)
-            else:
-                t = s * (pu0 * pv0 - max(0.0, pu0 + pv0 - 1.0))
-            q[x, z] = np.outer(rows[x], rows[z]) + t * sign
+    q = rows[:, :, None, :, None] * rows[:, None, :, None, :] + t[..., None, None] * sign
     return np.maximum(q, 0.0)
 
 
-def _pad_table(q, cap_u, cap_v):
-    if q.shape[2] == cap_u and q.shape[3] == cap_v:
-        return q
-    padded = np.zeros(q.shape[:2] + (cap_u, cap_v))
-    padded[:, :, : q.shape[2], : q.shape[3]] = q
-    return padded
+def _coupling_stats(pxz, alpha, s_same, s_diff):
+    """_checked_outer_stats of the _coupled_pair_table tables of flat
+    arrays, built and scored a block of at most _DRAW_CELLS joint cells at
+    a time."""
+    size = max(1, _DRAW_CELLS // (pxz.size * 4))
+    blocks = (slice(lo, lo + size) for lo in range(0, len(alpha), size))
+    return np.concatenate([
+        _checked_outer_stats(pxz, _coupled_pair_table(alpha[b], s_same[b], s_diff[b]))
+        for b in blocks
+    ])
+
+
+def _coupling_solve(pxz, alphas):
+    """The Frechet coupling of a BSC(alpha) pair with the largest mu_ro on
+    the source pxz, for every alpha of alphas in one batch.
+
+    A deterministic grid-and-zoom search over (s_same, s_diff) in
+    [-1, 1]^2 (see _COUPLING_GRID). Each round scores a square stencil
+    around the best point so far, every alpha in one batch, and moves to
+    its largest mu_ro, the first one on ties; the stencil holds its own
+    centre, so the best mu_ro never decreases. Every coupling of a
+    BSC(alpha) pair has I(u;x) = I(v;z) = ln 2 - h_b(alpha), so the search
+    moves mu_ro alone. Returns the arrays (s_same, s_diff) of the solved
+    couplings, one entry per alpha.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    best = (np.zeros(len(alphas)), np.zeros(len(alphas)))
+    step = 2.0 / (_COUPLING_GRID - 1)
+    rounds = [(_COUPLING_GRID, 1.0)]
+    rounds += [(_ZOOM_POINTS, step / _ZOOM_SHRINK**k) for k in range(_ZOOM_ROUNDS)]
+    for points, width in rounds:
+        half = (points - 1) // 2
+        axis = np.arange(-half, half + 1) / half  # exact multiples of 1 / half
+        offsets = [width * g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")]
+        s_same, s_diff = (np.clip(b[:, None] + o, -1.0, 1.0) for b, o in zip(best, offsets))
+        alpha = np.broadcast_to(alphas[:, None], s_same.shape)
+        mu = _coupling_stats(pxz, alpha.ravel(), s_same.ravel(), s_diff.ravel())[:, 4]
+        pick = np.argmax(mu.reshape(s_same.shape), axis=1)[:, None]
+        best = tuple(np.take_along_axis(s, pick, 1)[:, 0] for s in (s_same, s_diff))
+    return best
 
 
 def dsbs_outer_boundary_sampled(p, r_grid, cfg):
-    """Sampled-and-refined symmetric-rate outer boundary for the DSBS.
+    """Symmetric-rate outer boundary for the DSBS: the upper concave
+    envelope of three kinds of (max(r1, r2), mu_ro) points.
 
-    Candidates are conditional tables q(u,v|x,z) mapped onto the two
-    short chains (_chain_map); each contributes at abscissa
-    max(r1, r2). The long-chain BSC points on dsbs_alpha_grid(r_grid)
-    seed the pool (they are feasible here too), so the result dominates
-    an inner curve built on the same grid, and the best candidate under
-    each grid cap is hill-climbed before the envelope pass, every cap in
-    one batch.
+    - The long-chain BSC points on dsbs_alpha_grid(r_grid); they are
+      feasible here too, so the result dominates an inner curve built on
+      the same grid.
+    - The cfg.count draws of tables q(u,v|x,z) with cfg's caps, mapped
+      onto the two short chains (_chain_map).
+    - At each cap r of r_grid in [0, ln 2], the coupled BSC(alpha) pair of
+      largest mu_ro (_coupling_solve), alpha = h_b^-1(ln 2 - r), whose
+      point lies at abscissa r. Its auxiliaries are binary whatever the
+      caps.
+
+    Nothing is refined, so cfg's refinement budget is not read.
     """
     p = _check_probability(p, "dsbs_outer_boundary_sampled")
     if not 0.0 < p < 0.5:
@@ -755,91 +797,15 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
     pxz = dsbs(p).mass
     cap_u = cfg.cap_u if cfg.cap_u is not None else 2
     cap_v = cfg.cap_v if cfg.cap_v is not None else 2
-    cond = _source_conditionals(pxz)
 
-    # a candidate's item tells start() how to build its table: ("bsc", alpha),
-    # ("sample", index) to redraw, or ("table", q)
-    candidates = []
-    for a in dsbs_alpha_grid(r_grid):
-        r, mu = _sb_curve_point(p, a)
-        candidates.append((r, mu, ("bsc", a)))
-    for i, _, st in _outer_draws(cfg, pxz, cond, cap_u, cap_v):
-        candidates.append((max(st["iux"], st["ivz"]), st["mu_ro"], ("sample", i)))
-
-    points = [(r, mu) for r, mu, _ in candidates]
-    caps = sorted(set(r_grid))
-    extras = []
-    for rcap in caps:
-        coupled = []
-        if 0.0 <= rcap <= LOG2:
-            a_cap = binary_entropy_inverse(min(max(LOG2 - rcap, 0.0), LOG2))
-            tables = np.stack([
-                _pad_table(_coupled_pair_table(a_cap, s_same, s_diff), cap_u, cap_v)
-                for s_same, s_diff in _COUPLING_SEEDS
-            ])
-            for q, st in zip(tables, _stats_dicts(_batch_outer_stats(pxz, tables))):
-                r_at = max(st["iux"], st["ivz"])
-                if r_at <= rcap + 1e-12:
-                    coupled.append((r_at, st["mu_ro"], ("table", q)))
-        points += [(r, mu) for r, mu, _ in coupled]
-        extras.append(coupled)
-
-    def start(item):
-        kind, arg = item
-        if kind == "sample":
-            (tables,), _ = _draw_outer(cfg.seed, [arg], pxz, cond, cap_u, cap_v)
-            return tables
-        q = _pad_table(_bsc_pair_table(arg), cap_u, cap_v) if kind == "bsc" else arg
-        return [q.reshape(4, cap_u * cap_v)]
-
-    objective = functools.partial(_capped_mu_value_fn, pxz, cond, cap_u, cap_v)
-    refined = _refine_under_caps(caps, candidates, extras, start, objective, cfg)
-    if refined:
-        q = np.stack([flat.reshape(2, 2, cap_u, cap_v) for (flat,) in refined])
-        for st in _stats_dicts(_batch_outer_stats(pxz, q)):
-            points.append((max(st["iux"], st["ivz"]), st["mu_ro"]))
+    points = [_sb_curve_point(p, a) for a in dsbs_alpha_grid(r_grid)]
+    draws = _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v)
+    points += [(max(st["iux"], st["ivz"]), st["mu_ro"]) for _, _, st in draws]
+    alphas = np.array([binary_entropy_inverse(LOG2 - r) for r in sorted(set(r_grid)) if r <= LOG2])
+    if alphas.size:
+        stats = _coupling_stats(pxz, alphas, *_coupling_solve(pxz, alphas))
+        points += [(max(st["iux"], st["ivz"]), st["mu_ro"]) for st in _stats_dicts(stats)]
     return upper_concave_envelope(points)
-
-
-def _capped_mu_value_fn(pxz, cond, cap_u, cap_v, row_caps):
-    # the refinement objective of dsbs_outer_boundary_sampled: mu_ro of
-    # candidate b, -inf when max(I(u;x), I(v;z)) breaks row_caps[b]
-    def score(st, b):
-        return st["mu_ro"] if max(st["iux"], st["ivz"]) <= row_caps[b] + 1e-12 else -math.inf
-
-    return _mapped_value_fn(pxz, cond, cap_u, cap_v, score)
-
-
-def _refine_under_caps(caps, candidates, extras, start, objective, cfg):
-    """Hill-climb the best candidate under each rate cap, every cap in one batch.
-
-    candidates holds (r, mu, item) triples that any cap may pick, and
-    extras[j] more that only caps[j] may pick, ranked after them. Cap j
-    picks the largest mu among the triples with r <= caps[j] + 1e-12, the
-    first one on ties, and a cap with no such triple is skipped. start(item)
-    gives a pick's tables and objective(row_caps) is the batched objective
-    with candidate b held under row_caps[b]. Returns the refined tables of
-    each picked cap in cap order, and none when cfg.refine_steps is 0.
-    """
-    if cfg.refine_steps == 0:
-        return []
-    r = np.array([c[0] for c in candidates], dtype=np.float64)
-    mu = np.array([c[1] for c in candidates], dtype=np.float64)
-    picked, row_caps = [], []
-    for rcap, extra in zip(caps, extras):
-        pool_r = np.concatenate([r, [c[0] for c in extra]])
-        pool_mu = np.concatenate([mu, [c[1] for c in extra]])
-        ok = np.flatnonzero(pool_r <= rcap + 1e-12)
-        if ok.size:
-            # argmax returns the first maximum, the lowest index on ties
-            i = int(ok[np.argmax(pool_mu[ok])])
-            pick = candidates[i] if i < len(candidates) else extra[i - len(candidates)]
-            picked.append(start(pick[2]))
-            row_caps.append(rcap)
-    if not picked:
-        return []
-    _, batch = _lockstep(_stack(picked), objective(row_caps), cfg.refine_steps, cfg.step_size)
-    return [[t[j] for t in batch] for j in range(len(picked))]
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +818,7 @@ def ib_curve(p_xz, r_grid, cfg):
     The output alphabet is capped at |X| + 1 unless cfg overrides it. The
     identity and constant channels seed the pool, so the curve hits (0, 0)
     and (H(x), I(x;z)) exactly. The best channel under each grid cap is
-    hill-climbed, every cap in one batch.
+    hill-climbed under that cap, every cap in one batch.
     """
     if len(p_xz.axes) != 2:
         raise DomainError(f"ib_curve needs a two-axis source, got {p_xz.labels}")
@@ -874,22 +840,29 @@ def ib_curve(p_xz, r_grid, cfg):
     draws = _scored_draws(cfg, pxz, [(nx, cap_u)], _batch_ib_stats)
     candidates += [(*st, rows) for _, (rows,), st in draws]
 
-    def objective(row_caps):
+    points = [(r, mu) for r, mu, _ in candidates]
+    if cfg.refine_steps == 0:
+        return upper_concave_envelope(points)
+    # cap j picks the largest relevance among the candidates with rate at
+    # most caps[j] + 1e-12, the first one on ties, and is skipped when there is none
+    r = np.array([c[0] for c in candidates], dtype=np.float64)
+    mu = np.array([c[1] for c in candidates], dtype=np.float64)
+    picked, row_caps = [], []
+    for rcap in sorted(set(r_grid)):
+        ok = np.flatnonzero(r <= rcap + 1e-12)
+        if ok.size:
+            # argmax returns the first maximum, the lowest index on ties
+            picked.append(candidates[int(ok[np.argmax(mu[ok])])][2])
+            row_caps.append(rcap)
+    if picked:
         row_caps = np.array(row_caps)
 
         def fn(tables, idx):
             iux, iuz = _batch_ib_stats(pxz, tables[0])
             return np.where(iux > row_caps[idx] + 1e-12, -np.inf, iuz), tables
 
-        return fn
-
-    points = [(r, mu) for r, mu, _ in candidates]
-    caps = sorted(set(r_grid))
-    refined = _refine_under_caps(
-        caps, candidates, [[]] * len(caps), lambda rows: [rows], objective, cfg
-    )
-    if refined:
-        points += _stats_rows(pxz, _batch_ib_stats, refined)
+        _, (rows,) = _lockstep([np.stack(picked)], fn, cfg.refine_steps, cfg.step_size)
+        points += _stats_rows(pxz, _batch_ib_stats, [[t] for t in rows])
     return upper_concave_envelope(points)
 
 

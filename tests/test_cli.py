@@ -25,7 +25,7 @@ I_DSBS_01 = LOG2 - binary_entropy(0.1)
 
 GAP_ARGS = [
     "--p", "0.1", "--window", "0.673,0.694", "--window-points", "5",
-    "--seed", "3", "--samples", "40", "--refine-steps", "30",
+    "--seed", "3", "--samples", "40",
 ]
 
 
@@ -135,6 +135,25 @@ class TestDsbsGap:
         capsys.readouterr()
 
 
+class TestMalformedNumbers:
+    """Malformed or empty numeric options exit 2 with a message and write nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dsbs-gap", "--p", "0.1", "--seed", "1", "--window", "0.6,abc"],
+        ["dsbs-gap", "--p", "0.1", "--seed", "1", "--caps", "2,x"],
+        ["dsbs-gap", "--p", "0.1", "--seed", "1", "--window-points", "0"],
+        ["dsbs-surface", "--p", "0.25", "--grid", "0"],
+        ["dsbs-surface", "--p", "0.25", "--grid", "-3"],
+        ["ib-curve", "--source", "dsbs:0.25", "--seed", "1", "--grid", "0"],
+    ], ids=["window", "caps", "window-points", "surface-grid", "surface-grid-negative", "ib-grid"])
+    def test_exit_code_2(self, tmp_path, capsys, argv):
+        out = "--out-dir" if argv[0] == "dsbs-gap" else "--out"
+        assert main([*argv, out, str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[-2] in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestIbCurve:
     def test_endpoints_and_monotone(self, tmp_path):
         out = tmp_path / "ib.dat"
@@ -176,19 +195,20 @@ class TestPinnedRefineOutputs:
             "576872ba4b75ebac47101a0527c73b9c97803400d7b2cfdc5203d9021963f24d"
         )
         assert body_sha256(out / "outer.dat") == (
-            "f3556fc42a8adc3c27f91aa38b3d15529df0a406a0aad70d20339e30f2314641"
+            "3edfc9179001ca17bcb3f63d901f491944c19c76d24b91bfcbdf95a2acc87ca5"
         )
 
     def test_default_dsbs_gap(self, tmp_path, capsys):
         # the default budget: every outer candidate sits exactly on the
         # short chains, so no knot comes from the 1e-9 chain tolerance and
-        # both tables have 44 rows (the grid and the knots of both curves)
+        # both tables have 44 rows (the grid and the knots of both curves);
+        # the outer curve holds the solved coupling of every cap
         out = tmp_path / "gap"
         assert main(["dsbs-gap", "--p", "0.1", "--seed", "20240", "--out-dir", str(out)]) == 0
-        assert "max_gap 0.000197385574849329 at_r 0.6755\n" in capsys.readouterr().out
+        assert "max_gap 0.000198845490561206 at_r 0.676\n" in capsys.readouterr().out
         for name, digest in (
             ("inner", "51db69fc058d7a346412f759477fd72bdd6ed2edb1c0f5a8c166f5296b159876"),
-            ("outer", "fc42936f675fef61f9d543b4f8ae1ff1008208d4ac5b2d49e14e48b56e9dbc37"),
+            ("outer", "cad5626e24742ae03dc11d8bb2296154867327f8c80104ff3f154273891c84bf"),
         ):
             assert len(read_table(out / f"{name}.dat")[1]) == 44
             assert body_sha256(out / f"{name}.dat") == digest
@@ -251,6 +271,8 @@ class TestSamplingOptions:
         (["conjecture", "--p", "0.1"], ["--step-size", "0.1"]),
         (["region-sample", "--source", "dsbs:0.1"], ["--refine-steps", "10"]),
         (["region-sample", "--source", "dsbs:0.1"], ["--step-size", "0.1"]),
+        (["dsbs-gap", "--p", "0.1"], ["--refine-steps", "10"]),
+        (["dsbs-gap", "--p", "0.1"], ["--step-size", "0.1"]),
     ])
     def test_options_no_command_reads_are_rejected(self, tmp_path, capsys, argv, flag):
         out = "--out-dir" if argv[0] == "dsbs-gap" else "--out"
@@ -273,8 +295,7 @@ class TestSamplingOptions:
             keys[path] = [line.split()[1] for line in header[2:]]
         assert keys[conj] == ["p", "seed", "samples", "caps", "units"]
         assert keys[gap / "outer.dat"] == [
-            "p", "window", "window_points", "seed", "samples", "caps", "refine_steps",
-            "step_size", "units", "curve",
+            "p", "window", "window_points", "seed", "samples", "caps", "units", "curve",
         ]
 
 

@@ -23,20 +23,18 @@ from coinfo.optimize import (
     sample_region_points,
     support_function,
     upper_concave_envelope,
-    _COUPLING_SEEDS,
     _IB_GROUPS,
     _INNER_GROUPS,
     _OUTER_GROUPS,
     _batch_ib_stats,
     _batch_inner_stats,
     _batch_outer_stats,
-    _bsc_pair_table,
-    _capped_mu_value_fn,
     _chain_map,
     _coupled_pair_table,
+    _coupling_solve,
+    _coupling_stats,
     _lockstep,
     _make_value_fn,
-    _pad_table,
     _source_conditionals,
     _stats_dicts,
 )
@@ -335,18 +333,19 @@ class TestChainMap:
 
     @pytest.mark.parametrize("cap", [2, 3])
     def test_feasible_tables_map_to_themselves(self, cap):
+        # long-chain BSC pairs (coupling 0, 0), the former corner seeds and a
+        # negative coupling, padded with never-used symbols at cap 3
+        alpha = [0.0, 0.02, 0.2, 0.5] + [a for a in (0.0, 0.003, 0.1, 0.4) for _ in range(9)]
+        same, diff = np.array([(0.0, 0.0)] * 4 + [*FORMER_SEEDS, (-0.5, -1.0)] * 4).T
         for p in (0.05, 0.1, 0.3):
             pxz = dsbs(p).mass
-            tables = [_bsc_pair_table(a) for a in (0.0, 0.02, 0.2, 0.5)]
-            for a in (0.0, 0.003, 0.1, 0.4):
-                tables += [_coupled_pair_table(a, s, d) for s, d in _COUPLING_SEEDS]
-                tables += [_coupled_pair_table(a, -0.5, -1.0)]
-            q = np.stack([_pad_table(t, cap, cap) for t in tables])
+            q = np.zeros((len(alpha), 2, 2, cap, cap))
+            q[:, :, :, :2, :2] = _coupled_pair_table(alpha, same, diff)
             out, _ = _chain_map(pxz, q, _source_conditionals(pxz))
             assert np.abs(out - q).max() <= 1e-15
 
     def test_every_outer_candidate_holds_the_chains(self, monkeypatch):
-        # draws, baselines, coupling seeds and refinement proposals: every
+        # draws, baselines, solved couplings and refinement proposals: every
         # outer table these calls score is on both chains to 1e-14
         worst = []
         batch_outer_stats = optimize._batch_outer_stats
@@ -589,6 +588,58 @@ class TestDsbsInnerBoundary:
             dsbs_inner_boundary(0.1, [0.6])
 
 
+# the (s_same, s_diff) couplings an earlier version tried at every cap in
+# place of a solve
+FORMER_SEEDS = (
+    (0.0, 0.0), (0.0, 0.9), (0.0, 1.0), (0.05, 0.95),
+    (0.1, 0.95), (0.1, 1.0), (0.15, 0.95), (0.2, 1.0),
+)
+# the rate caps of the default dsbs-gap window that are solved: 41 of its
+# 43 points, the last two being above ln 2
+DEFAULT_CAPS = [r for r in np.linspace(0.673, 0.694, 43) if r <= LOG2]
+
+
+class TestCouplingSolve:
+    @staticmethod
+    def solve(p, caps):
+        pxz = dsbs(p).mass
+        alphas = np.array([binary_entropy_inverse(LOG2 - r) for r in caps])
+        return pxz, alphas, _coupling_solve(pxz, alphas)
+
+    def test_solved_tables_hold_both_chains_at_their_cap(self):
+        for p, caps in ((0.1, DEFAULT_CAPS), (0.25, np.linspace(0.3, 0.6, 7)), (0.1, [0.0, LOG2])):
+            pxz, alphas, best = self.solve(p, caps)
+            mu = _coupling_stats(pxz, alphas, *best)[:, 4]
+            for rcap, q, want in zip(caps, _coupled_pair_table(alphas, *best), mu):
+                joint = JointPmf(tuple(Alphabet(2, k) for k in "xzuv"), pxz[:, :, None, None] * q)
+                # the label path checks both short chains within MARKOV_TOL
+                pt = outer_point_ro(joint)
+                assert conditional_mutual_information(joint, "u", "z", "x") <= 1e-14
+                assert conditional_mutual_information(joint, "v", "x", "z") <= 1e-14
+                assert abs(pt.r1 - rcap) <= 1e-12 and abs(pt.r2 - rcap) <= 1e-12
+                assert abs(pt.mu - want) <= 1e-12
+
+    def test_solved_mu_is_at_least_every_former_seed(self):
+        pxz, alphas, best = self.solve(0.1, DEFAULT_CAPS)
+        solved = _coupling_stats(pxz, alphas, *best)[:, 4]
+        ones = np.ones(len(alphas))
+        seeds = np.array([
+            _coupling_stats(pxz, alphas, s_same * ones, s_diff * ones)[:, 4]
+            for s_same, s_diff in FORMER_SEEDS
+        ])
+        assert np.all(solved >= seeds)
+        # the seeds miss an interior ridge of the coupling box
+        assert np.max(solved - seeds.max(axis=0)) >= 1e-6
+
+    def test_outer_curve_holds_the_solved_points(self):
+        cfg = SampleConfig(seed=3, count=20)
+        grid = [0.675, 0.68, 0.69]
+        pxz, alphas, best = self.solve(0.1, grid)
+        curve = dsbs_outer_boundary_sampled(0.1, grid, cfg)
+        for rcap, mu in zip(grid, _coupling_stats(pxz, alphas, *best)[:, 4]):
+            assert curve.value_at(rcap) >= mu - 1e-12
+
+
 class TestDsbsOuterBoundary:
     def test_small_run_dominates_inner_and_pins_endpoint(self):
         grid = list(np.linspace(0.673, 0.694, 5))
@@ -803,15 +854,6 @@ class TestLockstep:
             got, want = lockstep_and_reference(monkeypatch, ib_curve, src, grid, cfg)
             assert got == want
 
-    def test_dsbs_outer_matches_scalar_reference(self, monkeypatch):
-        grid = np.linspace(0.673, 0.694, 4)
-        for cap in (2, 3):
-            cfg = SampleConfig(seed=3, count=40, refine_steps=100, cap_u=cap, cap_v=cap)
-            got, want = lockstep_and_reference(
-                monkeypatch, dsbs_outer_boundary_sampled, 0.1, grid, cfg
-            )
-            assert got == want
-
     def test_local_refine_matches_scalar_reference(self, monkeypatch):
         lam = SupportWeight(1.0, -0.3, -0.2)
         # one-hot rows at step size 1: their "-" nudges empty the row
@@ -842,25 +884,6 @@ class TestLockstep:
         rows = np.random.default_rng(10).dirichlet(np.ones(2), size=(9, 3))
         rows[0] = 0.5
         self.check_batches([rows], spread, 30, 0.01)
-
-    def test_capped_mu_rejects_only_proposals_over_their_cap(self):
-        pxz = dsbs(0.2).mass
-        cond = _source_conditionals(pxz)
-        draws = np.random.default_rng(9).dirichlet(np.ones(4), size=(10, 2, 2)).reshape(10, 2, 2, 2, 2)
-        starts, stats = _chain_map(pxz, draws, cond)
-        # one cap for every candidate, a little above the highest start rate,
-        # so a candidate's cap does not depend on its place in a batch
-        rcap = max(max(st["iux"], st["ivz"]) for st in stats) + 0.01
-        fn = _capped_mu_value_fn(pxz, cond, 2, 2, [rcap] * len(starts))
-        over_cap = []
-
-        def recorded(trial, idx):
-            values, canon = fn(trial, idx)
-            over_cap.extend((values == -np.inf).tolist())
-            return values, canon
-
-        self.check_batches([starts.reshape(10, 4, 4)], recorded, 60, 0.2)
-        assert any(over_cap) and not all(over_cap)
 
     @staticmethod
     def check_batches(tables, fn, steps, step_size):
