@@ -27,9 +27,11 @@ of all of them with one objective call, one batch_entropies call for
 the inner and bottleneck objectives and one batched chain map for the
 outer ones. A candidate gets exactly the decisions of a climb of its
 own, so its result does not depend on which candidates share its batch.
-The DSBS outer curve is not refined: at each rate cap a deterministic
-grid-and-zoom search over the Frechet couplings of a BSC pair
-(_coupling_solve) gives its best point.
+The DSBS outer curve draws nothing and is not refined: it is the
+envelope of the long-chain BSC points and, at each rate cap of at most
+ln 2, the best point of a deterministic grid-and-zoom search over the
+Frechet couplings of a BSC pair (_coupling_solve); its auxiliaries are
+binary.
 """
 
 import heapq
@@ -771,21 +773,22 @@ def _coupling_solve(pxz, alphas):
     return best
 
 
-def dsbs_outer_boundary_sampled(p, r_grid, cfg):
+# The name keeps "sampled", though nothing is drawn, because the benchmark's
+# tracer reports this function's time as optimize.dsbs_outer_s under it.
+def dsbs_outer_boundary_sampled(p, r_grid):
     """Symmetric-rate outer boundary for the DSBS: the upper concave
-    envelope of three kinds of (max(r1, r2), mu_ro) points.
+    envelope of two kinds of (max(r1, r2), mu_ro) points, with no draw.
 
     - The long-chain BSC points on dsbs_alpha_grid(r_grid); they are
       feasible here too, so the result dominates an inner curve built on
       the same grid.
-    - The cfg.count draws of tables q(u,v|x,z) with cfg's caps, mapped
-      onto the two short chains (_chain_map).
     - At each cap r of r_grid in [0, ln 2], the coupled BSC(alpha) pair of
       largest mu_ro (_coupling_solve), alpha = h_b^-1(ln 2 - r), whose
-      point lies at abscissa r. Its auxiliaries are binary whatever the
-      caps.
+      point lies at abscissa r. A cap above ln 2 has no such pair and is
+      skipped.
 
-    Nothing is refined, so cfg's refinement budget is not read.
+    The auxiliaries of both kinds are binary, and the curve depends on p
+    and r_grid alone.
     """
     p = _check_probability(p, "dsbs_outer_boundary_sampled")
     if not 0.0 < p < 0.5:
@@ -795,12 +798,8 @@ def dsbs_outer_boundary_sampled(p, r_grid, cfg):
         if not math.isfinite(r) or r < 0.0:
             raise DomainError(f"grid abscissa {r} must be finite and nonnegative")
     pxz = dsbs(p).mass
-    cap_u = cfg.cap_u if cfg.cap_u is not None else 2
-    cap_v = cfg.cap_v if cfg.cap_v is not None else 2
 
     points = [_sb_curve_point(p, a) for a in dsbs_alpha_grid(r_grid)]
-    draws = _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v)
-    points += [(max(st["iux"], st["ivz"]), st["mu_ro"]) for _, _, st in draws]
     alphas = np.array([binary_entropy_inverse(LOG2 - r) for r in sorted(set(r_grid)) if r <= LOG2])
     if alphas.size:
         stats = _coupling_stats(pxz, alphas, *_coupling_solve(pxz, alphas))

@@ -129,6 +129,22 @@ class TestDsbsGap:
         for name in ("inner.dat", "outer.dat"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_seed_and_samples_change_no_byte(self, tmp_path, capsys):
+        # the curves draw nothing, so neither option reaches the output files
+        window = GAP_ARGS[:6]
+        runs = {
+            "a": ["--seed", "1", "--samples", "10"],
+            "b": ["--seed", "2", "--samples", "3000"],
+            "c": [],
+        }
+        for name, extra in runs.items():
+            assert main(["dsbs-gap", *window, *extra, "--out-dir", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        for name in ("inner.dat", "outer.dat"):
+            first = (tmp_path / "a" / name).read_bytes()
+            assert (tmp_path / "b" / name).read_bytes() == first
+            assert (tmp_path / "c" / name).read_bytes() == first
+
     def test_bad_window(self, tmp_path, capsys):
         assert main(["dsbs-gap", "--window", "0.7,0.6", "--p", "0.1", "--seed",
                      "1", "--out-dir", str(tmp_path / "g")]) == 2
@@ -140,7 +156,7 @@ class TestMalformedNumbers:
 
     @pytest.mark.parametrize("argv", [
         ["dsbs-gap", "--p", "0.1", "--seed", "1", "--window", "0.6,abc"],
-        ["dsbs-gap", "--p", "0.1", "--seed", "1", "--caps", "2,x"],
+        ["conjecture", "--p", "0.1", "--seed", "1", "--caps", "2,x"],
         ["dsbs-gap", "--p", "0.1", "--seed", "1", "--window-points", "0"],
         ["dsbs-surface", "--p", "0.25", "--grid", "0"],
         ["dsbs-surface", "--p", "0.25", "--grid", "-3"],
@@ -273,6 +289,7 @@ class TestSamplingOptions:
         (["region-sample", "--source", "dsbs:0.1"], ["--step-size", "0.1"]),
         (["dsbs-gap", "--p", "0.1"], ["--refine-steps", "10"]),
         (["dsbs-gap", "--p", "0.1"], ["--step-size", "0.1"]),
+        (["dsbs-gap", "--p", "0.1"], ["--caps", "2,2"]),
     ])
     def test_options_no_command_reads_are_rejected(self, tmp_path, capsys, argv, flag):
         out = "--out-dir" if argv[0] == "dsbs-gap" else "--out"
@@ -294,9 +311,7 @@ class TestSamplingOptions:
             header = [line for line in path.read_text().splitlines() if line.startswith("#")]
             keys[path] = [line.split()[1] for line in header[2:]]
         assert keys[conj] == ["p", "seed", "samples", "caps", "units"]
-        assert keys[gap / "outer.dat"] == [
-            "p", "window", "window_points", "seed", "samples", "caps", "units", "curve",
-        ]
+        assert keys[gap / "outer.dat"] == ["p", "window", "window_points", "units", "curve"]
 
 
 class TestConjecture:

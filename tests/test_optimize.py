@@ -358,7 +358,7 @@ class TestChainMap:
         monkeypatch.setattr(optimize, "_batch_outer_stats", stats)
         cfg = SampleConfig(seed=6, count=150, refine_top=4, refine_steps=60)
         lam = SupportWeight(0.9, -0.2, -0.3)
-        dsbs_outer_boundary_sampled(0.1, [0.675, 0.69], cfg)
+        dsbs_outer_boundary_sampled(0.1, [0.675, 0.69])
         for src, cap in ((dsbs(0.1), None), (SOURCE3, 3)):
             c = replace(cfg, cap_u=cap, cap_v=cap)
             for variant in ("ro", "ro_prime"):
@@ -594,9 +594,10 @@ FORMER_SEEDS = (
     (0.0, 0.0), (0.0, 0.9), (0.0, 1.0), (0.05, 0.95),
     (0.1, 0.95), (0.1, 1.0), (0.15, 0.95), (0.2, 1.0),
 )
-# the rate caps of the default dsbs-gap window that are solved: 41 of its
+# the default dsbs-gap window, and its rate caps that are solved: 41 of its
 # 43 points, the last two being above ln 2
-DEFAULT_CAPS = [r for r in np.linspace(0.673, 0.694, 43) if r <= LOG2]
+DEFAULT_WINDOW = np.linspace(0.673, 0.694, 43)
+DEFAULT_CAPS = [r for r in DEFAULT_WINDOW if r <= LOG2]
 
 
 class TestCouplingSolve:
@@ -632,10 +633,9 @@ class TestCouplingSolve:
         assert np.max(solved - seeds.max(axis=0)) >= 1e-6
 
     def test_outer_curve_holds_the_solved_points(self):
-        cfg = SampleConfig(seed=3, count=20)
         grid = [0.675, 0.68, 0.69]
         pxz, alphas, best = self.solve(0.1, grid)
-        curve = dsbs_outer_boundary_sampled(0.1, grid, cfg)
+        curve = dsbs_outer_boundary_sampled(0.1, grid)
         for rcap, mu in zip(grid, _coupling_stats(pxz, alphas, *best)[:, 4]):
             assert curve.value_at(rcap) >= mu - 1e-12
 
@@ -643,8 +643,7 @@ class TestCouplingSolve:
 class TestDsbsOuterBoundary:
     def test_small_run_dominates_inner_and_pins_endpoint(self):
         grid = list(np.linspace(0.673, 0.694, 5))
-        cfg = SampleConfig(seed=3, count=150, refine_top=10, refine_steps=80)
-        outer = dsbs_outer_boundary_sampled(0.1, grid, cfg)
+        outer = dsbs_outer_boundary_sampled(0.1, grid)
         inner = dsbs_inner_boundary(0.1, dsbs_alpha_grid(grid))
         gaps = [outer.value_at(r) - inner.value_at(r) for r in np.linspace(0.673, 0.694, 43)]
         assert min(gaps) >= -1e-9
@@ -653,19 +652,37 @@ class TestDsbsOuterBoundary:
 
     def test_deterministic(self):
         grid = [0.68, 0.69]
-        cfg = SampleConfig(seed=3, count=60, refine_top=5, refine_steps=30)
-        a = dsbs_outer_boundary_sampled(0.1, grid, cfg)
-        b = dsbs_outer_boundary_sampled(0.1, grid, cfg)
+        a = dsbs_outer_boundary_sampled(0.1, grid)
+        b = dsbs_outer_boundary_sampled(0.1, grid)
         assert a.knots == b.knots
 
     def test_domain_errors(self):
-        cfg = small_cfg(0, 5)
         with pytest.raises(DomainError):
-            dsbs_outer_boundary_sampled(0.0, [0.1], cfg)
+            dsbs_outer_boundary_sampled(0.0, [0.1])
         with pytest.raises(DomainError):
-            dsbs_outer_boundary_sampled(0.5, [0.1], cfg)
+            dsbs_outer_boundary_sampled(0.5, [0.1])
         with pytest.raises(DomainError):
-            dsbs_outer_boundary_sampled(0.1, [-0.2], cfg)
+            dsbs_outer_boundary_sampled(0.1, [-0.2])
+
+    @pytest.mark.parametrize("p, grid", [
+        (0.1, DEFAULT_WINDOW),
+        (0.25, np.linspace(0.3, 0.6, 9)),
+    ])
+    def test_mapped_draws_never_beat_the_curve(self, p, grid):
+        # why the curve needs no draws: no mapped Dirichlet draw, at binary or
+        # ternary auxiliaries, lies above it
+        curve = dsbs_outer_boundary_sampled(p, grid)
+        for cap in (2, 3):
+            cfg = SampleConfig(seed=5, count=2000, cap_u=cap, cap_v=cap)
+            for pt in sample_region_points(dsbs(p), cfg, "ro"):
+                assert pt.mu <= curve.value_at(max(pt.r1, pt.r2)) + 1e-12
+
+    def test_draws_nothing(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("dsbs_outer_boundary_sampled made a draw")
+
+        monkeypatch.setattr(optimize, "_draw", draw)
+        assert dsbs_outer_boundary_sampled(0.1, DEFAULT_WINDOW).knots
 
 
 class TestIbCurve:
@@ -921,7 +938,7 @@ class TestDrawBlocks:
     def outer_results(count):
         lam = SupportWeight(0.9, -0.2, -0.3)
         cfg = SampleConfig(seed=6, count=count, refine_top=4, refine_steps=40)
-        out = [dsbs_outer_boundary_sampled(0.1, [0.675, 0.69], cfg)]
+        out = [dsbs_outer_boundary_sampled(0.1, [0.675, 0.69])]
         for src in (dsbs(0.1), SOURCE3):
             for variant in ("ro", "ro_prime"):
                 points = sample_region_points(src, cfg, variant)
