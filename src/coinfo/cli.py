@@ -36,6 +36,7 @@ from .optimize import (
     dsbs_outer_boundary_sampled,
     ib_curve,
     sample_region_points,
+    _DRAW_BLOCK,
 )
 from .probability import (
     LOG2,
@@ -161,6 +162,8 @@ def _sample_config(args, default_caps=None, refine=False):
 
     Only the command that refines (ib-curve, refine=True) takes a
     refinement budget, and the manifest lists only what the command reads.
+    draw_block names the RNG layout of the draws: draw i is entry
+    i % draw_block of the block drawn from substream (seed, i // draw_block).
     """
     caps = default_caps
     if args.caps:
@@ -178,6 +181,7 @@ def _sample_config(args, default_caps=None, refine=False):
         ("samples", cfg.count),
         ("caps", (cfg.cap_u if cfg.cap_u is not None else "auto",
                   cfg.cap_v if cfg.cap_v is not None else "auto")),
+        ("draw_block", _DRAW_BLOCK),
     ) + tuple(budget.items())
     return cfg, params
 

@@ -5,16 +5,22 @@ deterministic hill-climb refinement, upper concave envelopes, the
 symmetric-binary boundary curves, the bottleneck curve, the conjecture
 margin search, and the cardinality robustness report.
 
-Determinism contract: every sampler takes draw i from one routine
-(_draw), which seeds a substream from (seed, i) and draws one
-flat-Dirichlet table per shape, in order; every reduction is an
-associative max with lowest-index tie-break, and no BLAS-backed kernels
-are used, so a run is bit-reproducible for any thread count. Draws are
-scored a block of at most _DRAW_CELLS joint cells at a time, with one
-call of probability.batch_entropies, which builds all the marginals of
+Determinism contract: draws come in blocks of _DRAW_BLOCK. Block k of a
+seed comes from one substream (seed, k), one flat-Dirichlet array of
+_DRAW_BLOCK draws per shape, in order, and draw i is entry
+i % _DRAW_BLOCK of block i // _DRAW_BLOCK. A block larger than
+_DRAW_FLOATS floats is drawn in pieces with the same bits
+(_draw_pieces); _draws_at gives single draws. So a draw depends only on
+the seed, its index and the shapes. Every reduction is an associative
+max or min with lowest-index tie-break, and no BLAS-backed kernels are
+used, so a run is bit-reproducible for any thread count. A piece of a
+draw block is scored in blocks of at most _DRAW_CELLS joint cells, with
+one call of probability.batch_entropies each, which builds all the marginals of
 every table with np.bincount over a cached index plan and sums them in
 a fixed order, with elementwise operations only; its rows are bitwise
-equal to one table's, so no result depends on the block size. Outer
+equal to one table's, so no result depends on the scoring block size.
+The conjecture tail scores a block as arrays too, with one h_b^-1 call
+(probability.binary_entropy_inverses) for both rate equalities. Outer
 candidates are feasible by construction: every draw, baseline and
 refinement proposal goes through one closed-form map onto the two short
 chains (_chain_map), a block of tables per call, with the floats each
@@ -34,6 +40,7 @@ Frechet couplings of a BSC pair (_coupling_solve); its auxiliaries are
 binary.
 """
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -47,11 +54,13 @@ from .probability import (
     Channel,
     binary_convolution,
     binary_entropy,
-    binary_entropy_inverse,
+    binary_entropy_inverses,
     batch_entropies,
     dsbs,
+    _bconv,
     _check_probability,
     _clamp_measures,
+    _hb_closed_array,
     _is_int,
     _is_real,
 )
@@ -196,11 +205,26 @@ def upper_concave_envelope(points):
 # sampling plumbing
 
 
-# joint cells scored per batched stats call, summed over the block's draws:
-# a block holds max(1, _DRAW_CELLS // cells) draws, the rule of
-# typicality._BLOCK_CELLS, so its memory stays bounded on a large alphabet
-# (128 draws of a 2x2x2x2 joint, one draw of any joint past 2048 cells). No
-# result depends on it, since a batched row is bitwise equal to one table's.
+# draws per RNG substream: draw i of a seed is entry i % _DRAW_BLOCK of
+# block i // _DRAW_BLOCK, and every shape of a block is drawn for all its
+# draws, the last block's too, so a draw depends only on (seed, index,
+# shapes), whatever the count.
+_DRAW_BLOCK = 256
+
+# floats of drawn tables held at once (1 MiB): a draw block whose tables
+# hold more is drawn in pieces of max(1, _DRAW_FLOATS // floats of a draw)
+# draws, so a large outer table (65536 floats a draw on a 16x16 source at
+# its default caps) never makes a 256-draw array. No draw depends on it: a
+# Dirichlet array drawn in successive pieces from one generator is bitwise
+# the array drawn whole.
+_DRAW_FLOATS = 1 << 17
+
+# joint cells scored per batched stats call, summed over the scoring
+# block's draws: a piece of a draw block is scored in scoring blocks of
+# max(1, _DRAW_CELLS // cells) draws, the rule of typicality._BLOCK_CELLS,
+# so the joints of a call stay bounded on a large alphabet (128 draws of a
+# 2x2x2x2 joint, one draw of any joint past 2048 cells). No result depends
+# on it, since a batched row is bitwise equal to one table's.
 _DRAW_CELLS = 1 << 11
 
 
@@ -208,12 +232,66 @@ def _substream(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def _draw_pieces(seed, k, shapes, stop):
+    """(lo, tables) pieces of the first `stop` draws of block k of a seed,
+    in order: tables[t][b] is table t, of shape shapes[t], of draw
+    k * _DRAW_BLOCK + lo + b, a flat-Dirichlet row per table row.
+
+    The block comes from the one substream (seed, k), one
+    rng.dirichlet(np.ones(cols), size=(_DRAW_BLOCK, rows)) per shape, in
+    order. When that takes at most _DRAW_FLOATS floats it is drawn so, in
+    one piece. Otherwise each shape is drawn in pieces from a copy of the
+    generator at that shape's start, found by drawing the shapes before it
+    in pieces and dropping them.
+    """
+    rng = _substream(seed, k)
+    size = min(_DRAW_BLOCK, max(1, _DRAW_FLOATS // sum(rows * cols for rows, cols in shapes)))
+    if size == _DRAW_BLOCK:
+        block = [rng.dirichlet(np.ones(cols), size=(_DRAW_BLOCK, rows)) for rows, cols in shapes]
+        yield 0, [t[:stop] for t in block]
+        return
+    gens = []
+    for t, (rows, cols) in enumerate(shapes):
+        gens.append(copy.deepcopy(rng))
+        if t < len(shapes) - 1:
+            for lo in range(0, _DRAW_BLOCK, size):
+                rng.dirichlet(np.ones(cols), size=(min(size, _DRAW_BLOCK - lo), rows))
+    for lo in range(0, stop, size):
+        n = min(size, stop - lo)
+        yield lo, [g.dirichlet(np.ones(cols), size=(n, rows)) for g, (rows, cols) in zip(gens, shapes)]
+
+
+def _draws_at(seed, indices, shapes):
+    """{i: tables of draw i} for the given draw indices: one table per
+    shape, bitwise the tables a sampler scores. Each draw block is drawn
+    once, up to the last draw asked of it."""
+    wanted = {}
+    for i in indices:
+        wanted.setdefault(i // _DRAW_BLOCK, set()).add(i % _DRAW_BLOCK)
+    out = {}
+    for k, entries in wanted.items():
+        for lo, tables in _draw_pieces(seed, k, shapes, max(entries) + 1):
+            for b in entries & set(range(lo, lo + len(tables[0]))):
+                out[k * _DRAW_BLOCK + b] = [t[b - lo].copy() for t in tables]
+    return out
+
+
 def _draw(seed, index, shapes):
-    """Draw `index` of a seed: one row-stochastic table per (rows, columns)
-    shape, in order, each row from the flat Dirichlet, all from the draw's
-    own substream."""
-    rng = _substream(seed, index)
-    return [rng.dirichlet(np.ones(cols), size=rows) for rows, cols in shapes]
+    """Draw `index` of a seed alone; see _draws_at."""
+    return _draws_at(seed, [index], shapes)[index]
+
+
+def _drawn(cfg, shapes, cells):
+    """(lo, tables) of cfg's draws in index order, one scoring block at a
+    time: tables[t][b] is table t of draw lo + b. A scoring block lies in
+    one piece of a draw block (_draw_pieces) and holds at most _DRAW_CELLS
+    joint cells (a draw's joint has `cells`) and at least one draw."""
+    size = max(1, _DRAW_CELLS // cells)
+    for start in range(0, cfg.count, _DRAW_BLOCK):
+        stop = min(_DRAW_BLOCK, cfg.count - start)
+        for p, piece in _draw_pieces(cfg.seed, start // _DRAW_BLOCK, shapes, stop):
+            for lo in range(0, len(piece[0]), size):
+                yield start + p + lo, [t[lo : lo + size] for t in piece]
 
 
 def _stack(candidates):
@@ -227,22 +305,13 @@ def _stats_rows(pxz, stats, candidates):
     return list(zip(*(c.tolist() for c in stats(pxz, *_stack(candidates)))))
 
 
-def _blocks(cfg, cells):
-    # the index ranges of cfg's draw blocks, each block holding at most
-    # _DRAW_CELLS joint cells (a draw's joint has `cells`) and at least one draw
-    size = max(1, _DRAW_CELLS // cells)
-    return (range(lo, min(lo + size, cfg.count)) for lo in range(0, cfg.count, size))
-
-
 def _scored_draws(cfg, pxz, shapes, stats):
-    """(index, tables, stats row) of every draw of cfg, in index order.
-
-    The draws are scored a block at a time, with one stats call per block
-    of at most _DRAW_CELLS joint cells; see _stats_rows.
-    """
-    for block in _blocks(cfg, pxz.size * math.prod(cols for _, cols in shapes)):
-        drawn = [_draw(cfg.seed, i, shapes) for i in block]
-        yield from zip(block, drawn, _stats_rows(pxz, stats, drawn))
+    """(lo, tables, scores) of every scoring block of cfg's draws, in index
+    order: tables as _drawn gives them and scores = stats(pxz, *tables)
+    (_batch_inner_stats or _batch_ib_stats), arrays with one entry per
+    draw."""
+    for lo, tables in _drawn(cfg, shapes, pxz.size * math.prod(cols for _, cols in shapes)):
+        yield lo, tables, stats(pxz, *tables)
 
 
 def sample_channel(input_size, output_size, rng, input_label="x", output_label="u"):
@@ -468,21 +537,16 @@ def _seed_tables(variant, pxz, cap_u, cap_v):
     return [[q.reshape(nx * nz, cap_u * cap_v)]]
 
 
-def _draw_outer(seed, block, pxz, cond, cap_u, cap_v):
-    """The draws of a block of indices mapped onto the short chains in one
-    batch: (tables, stats) lists, tables[j] = [q] with q one row per
-    (x, z); see _chain_map."""
-    nx, nz = pxz.shape
-    flat = np.stack([_draw(seed, i, [(nx * nz, cap_u * cap_v)])[0] for i in block])
-    q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
-    return [[t] for t in q.reshape(flat.shape)], stats
-
-
 def _outer_draws(cfg, pxz, cond, cap_u, cap_v):
-    """(index, [q], stats) of every draw of cfg, in index order, mapped a
-    block of at most _DRAW_CELLS joint cells at a time; see _draw_outer."""
-    for block in _blocks(cfg, pxz.size * cap_u * cap_v):
-        yield from zip(block, *_draw_outer(cfg.seed, block, pxz, cond, cap_u, cap_v))
+    """(lo, q, stats) of every scoring block of cfg's draws, in index
+    order, mapped onto the short chains in one batch: q[b] is the flat
+    table of draw lo + b, one row per (x, z), and stats[b] its stats dict;
+    see _chain_map."""
+    nx, nz = pxz.shape
+    shapes = [(nx * nz, cap_u * cap_v)]
+    for lo, (flat,) in _drawn(cfg, shapes, pxz.size * cap_u * cap_v):
+        q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
+        yield lo, q.reshape(flat.shape), stats
 
 
 def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
@@ -546,8 +610,8 @@ def support_function(p_xz, lam, cfg, variant="inner"):
         (base_st,) = _stats_rows(pxz, _batch_inner_stats, [baseline])
         base_val = _lam_dot(lam, *base_st)
         draws = (
-            (i, tables, _lam_dot(lam, *st))
-            for i, tables, st in _scored_draws(cfg, pxz, shapes, _batch_inner_stats)
+            (lo, tables, _lam_dot(lam, *st))
+            for lo, tables, st in _scored_draws(cfg, pxz, shapes, _batch_inner_stats)
         )
 
         def redraw(i):
@@ -563,25 +627,30 @@ def support_function(p_xz, lam, cfg, variant="inner"):
             # constant channels are provably optimal on this face
             return base_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
         draws = (
-            (i, tables, score(st)) for i, tables, st in _outer_draws(cfg, pxz, cond, cap_u, cap_v)
+            (lo, [q], np.array([score(st) for st in stats]))
+            for lo, q, stats in _outer_draws(cfg, pxz, cond, cap_u, cap_v)
         )
 
         def redraw(i):
-            (tables,), _ = _draw_outer(cfg.seed, [i], pxz, cond, cap_u, cap_v)
-            return tables
+            (flat,) = _draw(cfg.seed, i, [(nx * nz, cap_u * cap_v)])
+            q, _ = _chain_map(pxz, flat.reshape(1, nx, nz, cap_u, cap_v), cond)
+            return [q.reshape(flat.shape)]
 
     values = np.full(cfg.count, -np.inf)
     top = []
     kept = {}  # the tables of each sample that ranked among the running best
-    for i, tables, value in draws:
-        values[i] = value
-        if cfg.refine_top > 0:
+    for lo, tables, block_values in draws:
+        values[lo : lo + len(block_values)] = block_values
+        if cfg.refine_top == 0:
+            continue
+        for i in range(lo, lo + len(block_values)):
             if len(top) < cfg.refine_top:
                 heapq.heappush(top, values[i])
-                kept[i] = tables
             elif values[i] > top[0]:
                 heapq.heapreplace(top, values[i])
-                kept[i] = tables
+            else:
+                continue
+            kept[i] = [t[i - lo].copy() for t in tables]
 
     seeds = _seed_tables(variant, pxz, cap_u, cap_v)
     refined = list(kept) if cfg.refine_steps > 0 else []
@@ -668,10 +737,9 @@ def dsbs_alpha_grid(r_grid=(), points=201):
     if not isinstance(points, int) or points < 2:
         raise DomainError(f"points must be an integer >= 2, got {points!r}")
     alphas = [float(a) for a in np.linspace(0.0, 0.5, points)]
-    for r in r_grid:
-        r = float(r)
-        if 0.0 <= r <= LOG2:
-            alphas.append(binary_entropy_inverse(min(max(LOG2 - r, 0.0), LOG2)))
+    rs = np.array([float(r) for r in r_grid])
+    rs = rs[(0.0 <= rs) & (rs <= LOG2)]
+    alphas += binary_entropy_inverses(np.minimum(np.maximum(LOG2 - rs, 0.0), LOG2)).tolist()
     return sorted(set(alphas))
 
 
@@ -800,7 +868,7 @@ def dsbs_outer_boundary_sampled(p, r_grid):
     pxz = dsbs(p).mass
 
     points = [_sb_curve_point(p, a) for a in dsbs_alpha_grid(r_grid)]
-    alphas = np.array([binary_entropy_inverse(LOG2 - r) for r in sorted(set(r_grid)) if r <= LOG2])
+    alphas = binary_entropy_inverses(LOG2 - np.array([r for r in sorted(set(r_grid)) if r <= LOG2]))
     if alphas.size:
         stats = _coupling_stats(pxz, alphas, *_coupling_solve(pxz, alphas))
         points += [(max(st["iux"], st["ivz"]), st["mu_ro"]) for st in _stats_dicts(stats)]
@@ -829,31 +897,32 @@ def ib_curve(p_xz, r_grid, cfg):
         if not math.isfinite(r) or r < 0.0:
             raise DomainError(f"grid abscissa {r} must be finite and nonnegative")
 
-    seeds = [[_constant_rows(nx, cap_u)]]
+    seeds = [_constant_rows(nx, cap_u)]
     if cap_u >= nx:
         ident = np.zeros((nx, cap_u))
         ident[:, :nx] = np.eye(nx)
-        seeds.append([ident])
-    seed_stats = _stats_rows(pxz, _batch_ib_stats, seeds)
-    candidates = [(*st, rows) for st, (rows,) in zip(seed_stats, seeds)]
-    draws = _scored_draws(cfg, pxz, [(nx, cap_u)], _batch_ib_stats)
-    candidates += [(*st, rows) for _, (rows,), st in draws]
+        seeds.append(ident)
+    # candidate j is seed j, then draw j - len(seeds)
+    scores = [_batch_ib_stats(pxz, np.stack(seeds))]
+    scores += [st for _, _, st in _scored_draws(cfg, pxz, [(nx, cap_u)], _batch_ib_stats)]
+    r, mu = (np.concatenate(col) for col in zip(*scores))
 
-    points = [(r, mu) for r, mu, _ in candidates]
+    points = list(zip(r.tolist(), mu.tolist()))
     if cfg.refine_steps == 0:
         return upper_concave_envelope(points)
+
     # cap j picks the largest relevance among the candidates with rate at
     # most caps[j] + 1e-12, the first one on ties, and is skipped when there is none
-    r = np.array([c[0] for c in candidates], dtype=np.float64)
-    mu = np.array([c[1] for c in candidates], dtype=np.float64)
     picked, row_caps = [], []
     for rcap in sorted(set(r_grid)):
         ok = np.flatnonzero(r <= rcap + 1e-12)
         if ok.size:
             # argmax returns the first maximum, the lowest index on ties
-            picked.append(candidates[int(ok[np.argmax(mu[ok])])][2])
+            picked.append(int(ok[np.argmax(mu[ok])]))
             row_caps.append(rcap)
     if picked:
+        drawn = _draws_at(cfg.seed, [j - len(seeds) for j in picked if j >= len(seeds)], [(nx, cap_u)])
+        picked = [seeds[j] if j < len(seeds) else drawn[j - len(seeds)][0] for j in picked]
         row_caps = np.array(row_caps)
 
         def fn(tables, idx):
@@ -885,21 +954,21 @@ def conjecture_test(p, cfg):
     cap_v = cfg.cap_v if cfg.cap_v is not None else 2
     worst = None
     draws = _scored_draws(cfg, pxz, [(2, cap_u), (2, cap_v)], _batch_inner_stats)
-    for i, (rows_u, rows_v), (iuv, iux, ivz) in draws:
-        alpha = binary_entropy_inverse(min(max(LOG2 - iux, 0.0), LOG2))
-        beta = binary_entropy_inverse(min(max(LOG2 - ivz, 0.0), LOG2))
-        bound = LOG2 - binary_entropy(
-            binary_convolution(binary_convolution(alpha, p), beta)
-        )
-        margin = bound - iuv
-        if worst is None or margin < worst["min_margin"]:
+    for lo, (rows_u, rows_v), (iuv, iux, ivz) in draws:
+        # both rate equalities solved in one call
+        h = np.minimum(np.maximum(LOG2 - np.stack([iux, ivz]), 0.0), LOG2)
+        alpha, beta = binary_entropy_inverses(h)
+        margin = LOG2 - _hb_closed_array(_bconv(_bconv(alpha, p), beta)) - iuv
+        # the first minimum wins: argmin within a block, a strict < across blocks
+        j = int(np.argmin(margin))
+        if worst is None or margin[j] < worst["min_margin"]:
             worst = {
-                "min_margin": margin,
-                "worst_index": i,
-                "worst_ch_u": rows_u,
-                "worst_ch_v": rows_v,
-                "alpha": alpha,
-                "beta": beta,
+                "min_margin": float(margin[j]),
+                "worst_index": lo + j,
+                "worst_ch_u": rows_u[j].copy(),
+                "worst_ch_v": rows_v[j].copy(),
+                "alpha": float(alpha[j]),
+                "beta": float(beta[j]),
             }
     worst["samples"] = cfg.count
     worst["p"] = p
@@ -937,8 +1006,8 @@ def cardinality_robustness(p_xz, lams, cfg, variant="inner"):
 def sample_region_points(p_xz, cfg, variant="inner"):
     """Raw sampled (mu, r1, r2) triples for one region variant.
 
-    One candidate per substream index, in index order, so exactly
-    cfg.count of them; outer draws are mapped onto the short chains
+    One candidate per draw index, in index order, so exactly cfg.count of
+    them; outer draws are mapped onto the short chains
     (_chain_map). This is the dump behind the CLI's region-sample command.
     """
     if variant not in _VARIANTS:
@@ -951,8 +1020,14 @@ def sample_region_points(p_xz, cfg, variant="inner"):
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
     if variant == "inner":
         draws = _scored_draws(cfg, pxz, [(nx, cap_u), (nz, cap_v)], _batch_inner_stats)
-        return [RegionPoint(mu=iuv, r1=iux, r2=ivz) for _, _, (iuv, iux, ivz) in draws]
+        return [
+            RegionPoint(mu=iuv, r1=iux, r2=ivz)
+            for _, _, st in draws
+            for iuv, iux, ivz in zip(*(c.tolist() for c in st))
+        ]
     draws = _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v)
     return [
-        RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"]) for _, _, st in draws
+        RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"])
+        for _, _, stats in draws
+        for st in stats
     ]

@@ -285,7 +285,9 @@ def binary_entropy(p):
 def binary_entropy_inverse(h):
     """The unique p in [0, 1/2] with binary_entropy(p) = h.
 
-    Bisection to interval width 1e-14; h must lie in [0, log 2].
+    h must be a finite real in [0, log 2] (up to 1e-12 of float noise).
+    The value is binary_entropy_inverses' for a one-entry array: the same
+    46-halving bisection, so the scalar and the array agree bitwise.
     """
     if not _is_real(h):
         raise DomainError(f"binary_entropy_inverse needs a finite real, got {h!r}")
@@ -295,15 +297,63 @@ def binary_entropy_inverse(h):
         return 0.0
     if h >= LOG2:
         return 0.5
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        # mid stays inside (0, 1/2), so the unchecked h_b is exact here
-        if _hb(mid) < h:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_hb_inverse(np.float64(h)))
+
+
+def binary_entropy_inverses(h):
+    """binary_entropy_inverse of every entry of an array of reals.
+
+    Every entry is checked as the scalar checks its argument: a NaN, an
+    infinity or an entry outside [0, log 2] beyond 1e-12 raises
+    DomainError, as does an array that does not hold real numbers. Returns
+    a float array of h's shape, entry for entry bitwise equal to the
+    scalar call.
+    """
+    a = np.asarray(h)
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"binary_entropy_inverses needs an array of reals, got dtype {a.dtype}")
+    a = a.astype(np.float64)
+    bad = ~((a >= -_NEG_TOL) & (a <= LOG2 + _NEG_TOL))  # also true for nan
+    if bad.any():
+        raise DomainError(
+            f"binary_entropy_inverses argument {float(a[bad][0])} outside [0, log 2]"
+        )
+    return _hb_inverse(a)
+
+
+# halvings that take [0, 1/2] to a bracket narrower than 1e-14
+_HB_HALVINGS = 46
+
+
+def _hb_open(p):
+    # _hb of every entry of a float array inside (0, 1), unchecked; the same
+    # expression, with numpy's log and log1p
+    return -(p * np.log(p) + (1.0 - p) * np.log1p(-p))
+
+
+def _hb_closed(q):
+    # binary_entropy on [0, 1], unchecked
+    return 0.0 if q == 0.0 or q == 1.0 else _hb(q)
+
+
+def _hb_closed_array(p):
+    # _hb_closed of every entry of a float array in [0, 1], with _hb_open
+    inside = (p > 0.0) & (p < 1.0)
+    return np.where(inside, _hb_open(np.where(inside, p, 0.5)), 0.0)
+
+
+def _hb_inverse(h):
+    # the one h_b^-1 body, on a checked np.float64 or float array: bracket
+    # [lo, lo + 2 * width] is halved to the side where h_b of its midpoint
+    # lo + width is below h. Every bound is a multiple of 2^-47 in [0, 1/2],
+    # so lo + width is exactly the midpoint (lo + hi) / 2, each midpoint lies
+    # inside (0, 1/2), and adding width * False leaves lo unchanged
+    lo = h * 0.0
+    width = 0.5
+    for _ in range(_HB_HALVINGS):
+        width *= 0.5
+        lo = lo + width * (_hb_open(lo + width) < h)
+    return np.where(h <= 0.0, 0.0, np.where(h >= LOG2, 0.5, lo + 0.5 * width))
 
 
 def binary_convolution(a, b):

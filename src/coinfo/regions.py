@@ -31,7 +31,7 @@ from .probability import (
     mutual_information,
     _bconv,
     _check_probability,
-    _hb,
+    _hb_closed,
     _is_int,
     _normalized,
 )
@@ -248,11 +248,6 @@ def _sb_arg(name, val):
     if v > 0.5:
         raise DomainError(f"sb_point {name}={val} outside [0, 1/2]")
     return v
-
-
-def _hb_closed(q):
-    # binary_entropy on [0, 1], unchecked
-    return 0.0 if q == 0.0 or q == 1.0 else _hb(q)
 
 
 def _check_short_chains(p, u, x, z, v, markov_tol):

@@ -189,9 +189,11 @@ class TestPinnedRefineOutputs:
     """The bytes of refined, sampled and closed-form outputs, pinned to
     versions that refined each candidate by itself, scored each draw by
     itself and evaluated each surface point by itself; batching any of
-    them must not move them. The outer region-sample digests are of the
-    closed-form chain map, which puts every draw on the short chains, so
-    the row count is exactly --samples."""
+    them must not move them. The sampled digests (ib-curve, conjecture and
+    region-sample) are of the block layout, one RNG substream per 256
+    draws. The outer region-sample digests are of the closed-form chain
+    map, which puts every draw on the short chains, so the row count is
+    exactly --samples."""
 
     def test_ib_curve(self, tmp_path, capsys):
         out = tmp_path / "ib.dat"
@@ -199,7 +201,7 @@ class TestPinnedRefineOutputs:
                      "--samples", "400", "--grid", "11", "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == (
-            "702d948378075acc4f1285c0cd74a87c03deb9012b8a1c05d72a9629f0bb0214"
+            "f9a706797098c67e772f47c5d51002351a3b8f6d0b19972ab31ddb28a9d392a7"
         )
 
     def test_dsbs_gap(self, tmp_path, capsys):
@@ -235,12 +237,15 @@ class TestPinnedRefineOutputs:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == (
-            "ffa08f01abb236fde72b6c0fbf3217f01215a3eac6b5c15b57f7c166988c912c"
+            "c8d40e9e33aecdbf7f5a5ab04d371963c7061bdc75220672c1fa741fa921ff40"
         )
 
+    # the digests are left out of the test ids, so a re-pin keeps the ids
     @pytest.mark.parametrize("variant, samples, digest", [
-        ("inner", "600", "5b4ccc4bd535a5cda1c75a02cab861d774e2e634a0c0e272733a71ecd17e9dc5"),
-        ("ro", "100", "57269ea038d4c8314a34f63e3808b82f2cee913f0eff7fc8506c920f2840db51"),
+        pytest.param("inner", "600", "c038c9ec58d44ffe7ceba364e18568ee7313669baca847812dfab95d97800df6",
+                     id="inner-600"),
+        pytest.param("ro", "100", "21b982070698d1f61c26b0ee8c7dad0f3d4d6818b7e7a170cdb691e46f15bc35",
+                     id="ro-100"),
     ])
     def test_region_sample(self, tmp_path, capsys, variant, samples, digest):
         out = tmp_path / "rs.dat"
@@ -250,12 +255,17 @@ class TestPinnedRefineOutputs:
         assert body_sha256(out) == digest
         assert len(read_table(out)[1]) == int(samples)
 
-    # outer draws are mapped onto the chains in blocks of 128 draws of a
-    # 2x2x2x2 joint (ro_prime: two full blocks and a partial one) and of 56
+    # outer draws come in draw blocks of 256 and are mapped onto the chains
+    # in scoring blocks of 128 draws of a 2x2x2x2 joint (ro_prime: two
+    # blocks in the first draw block, and 44 draws of the second) and of 56
     # at caps 3,3
     @pytest.mark.parametrize("variant, samples, caps, digest", [
-        ("ro_prime", "300", (), "e33776e1b71895a5f4d66efcbcc34382c2a06dac85dfefb0235f8220403cb2f8"),
-        ("ro", "150", ("--caps", "3,3"), "3423f2473f564b9e81f6cadbc4bdd91c4b4f0ea110d3f759d7d5a1f858a94313"),
+        pytest.param("ro_prime", "300", (),
+                     "094b38581ad0f1e8eaaed3c9905a18d8b7ab38779ee5e418bf085e93c466a46a",
+                     id="ro_prime-300-caps0"),
+        pytest.param("ro", "150", ("--caps", "3,3"),
+                     "966243e087a0d1ab7b06c5d90b0aaec1c6b89eb6aba359122cc1b7ef76d27b45",
+                     id="ro-150-caps1"),
     ])
     def test_outer_region_sample_blocks(self, tmp_path, capsys, variant, samples, caps, digest):
         out = tmp_path / "rs.dat"
@@ -301,17 +311,31 @@ class TestSamplingOptions:
 
     def test_manifest_lists_what_the_command_reads(self, tmp_path, capsys):
         conj, gap = tmp_path / "conj.dat", tmp_path / "gap"
+        rs, ib = tmp_path / "rs.dat", tmp_path / "ib.dat"
         assert main(["conjecture", "--p", "0.1", "--seed", "1", "--samples", "5",
                      "--out", str(conj)]) == 0
         assert main(["dsbs-gap", *GAP_ARGS, "--out-dir", str(gap)]) == 0
+        assert main(["region-sample", "--source", "dsbs:0.1", "--seed", "1", "--samples", "5",
+                     "--out", str(rs)]) == 0
+        assert main(["ib-curve", "--source", "dsbs:0.1", "--seed", "1", "--samples", "5",
+                     "--grid", "3", "--refine-steps", "2", "--out", str(ib)]) == 0
         capsys.readouterr()
-        keys = {}
-        for path in (conj, gap / "outer.dat"):
+        keys, values = {}, {}
+        for path in (conj, gap / "outer.dat", rs, ib):
             # after the "# coinfo <version>" and "# command <name>" lines
             header = [line for line in path.read_text().splitlines() if line.startswith("#")]
             keys[path] = [line.split()[1] for line in header[2:]]
-        assert keys[conj] == ["p", "seed", "samples", "caps", "units"]
+            values[path] = {line.split()[1]: line.split()[2:] for line in header[2:]}
+        sampled = ["seed", "samples", "caps", "draw_block"]
+        assert keys[conj] == ["p", *sampled, "units"]
         assert keys[gap / "outer.dat"] == ["p", "window", "window_points", "units", "curve"]
+        assert keys[rs] == ["source", "variant", *sampled, "units"]
+        assert keys[ib] == [
+            "source", "grid_points", "grid_lo", "grid_hi", *sampled, "refine_steps", "step_size", "units",
+        ]
+        # the draws' RNG layout: one substream per block of 256 draws
+        for path in (conj, rs, ib):
+            assert values[path]["draw_block"] == ["256"]
 
 
 class TestConjecture:

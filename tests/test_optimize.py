@@ -1,6 +1,7 @@
 """Tests for the samplers, refinement, envelopes, and boundary curves."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -394,14 +395,19 @@ class TestSupportFunction:
         assert abs(value - I_XZ_01) <= 1e-3
 
     def test_count_monotone_without_refinement(self):
+        # near the slope (1 - 2p)^2 = 0.64 of this direction, a draw above the
+        # constant channels' 0 is a tail event: 3 of the 15000 draws of seeds
+        # 0-9 at count 1500 have one
         src = dsbs(0.1)
         lam = SupportWeight(1.0, -0.6, 0.0)
         vals = [
             support_function(src, lam, SampleConfig(seed=12, count=n, refine_top=0, refine_steps=0), "inner")[0]
-            for n in (20, 100, 400, 1500)
+            for n in (20, 100, 400, 1500, 6000)
         ]
+        # the contract: nondecreasing in the count, at every count
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > vals[0]
+        # the tail event, at a count where seed 12 has drawn one
+        assert vals[-1] > vals[0], "no draw of 6000 beat the constant channels"
 
     def test_count_monotone_with_refinement(self):
         src = dsbs(0.1)
@@ -678,10 +684,10 @@ class TestDsbsOuterBoundary:
                 assert pt.mu <= curve.value_at(max(pt.r1, pt.r2)) + 1e-12
 
     def test_draws_nothing(self, monkeypatch):
-        def draw(*args):
+        def substream(*args):
             raise AssertionError("dsbs_outer_boundary_sampled made a draw")
 
-        monkeypatch.setattr(optimize, "_draw", draw)
+        monkeypatch.setattr(optimize, "_substream", substream)
         assert dsbs_outer_boundary_sampled(0.1, DEFAULT_WINDOW).knots
 
 
@@ -743,6 +749,46 @@ class TestConjecture:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             conjecture_test(0.7, small_cfg(0, 5))
+
+    @staticmethod
+    def scalar_conjecture(p, cfg):
+        """conjecture_test's tail before it was batched: alpha, beta, the
+        bound and the margin of each draw in Python scalars, over the same
+        draws."""
+        pxz = dsbs(p).mass
+        worst = None
+        draws = optimize._scored_draws(cfg, pxz, [(2, 2), (2, 2)], _batch_inner_stats)
+        for lo, (rows_u, rows_v), st in draws:
+            for j, (iuv, iux, ivz) in enumerate(zip(*(c.tolist() for c in st))):
+                alpha = binary_entropy_inverse(min(max(LOG2 - iux, 0.0), LOG2))
+                beta = binary_entropy_inverse(min(max(LOG2 - ivz, 0.0), LOG2))
+                bound = LOG2 - binary_entropy(binary_convolution(binary_convolution(alpha, p), beta))
+                margin = bound - iuv
+                if worst is None or margin < worst["min_margin"]:
+                    worst = {
+                        "min_margin": margin,
+                        "worst_index": lo + j,
+                        "worst_ch_u": rows_u[j].copy(),
+                        "worst_ch_v": rows_v[j].copy(),
+                        "alpha": alpha,
+                        "beta": beta,
+                    }
+        return worst
+
+    @pytest.mark.parametrize("p, seed, count", [
+        (0.1, 3, 600), (0.25, 7, 3000), (0.0, 1, 300), (0.5, 2, 700),
+    ])
+    def test_batched_tail_matches_scalar_loop(self, p, seed, count):
+        # p = 0.5 makes every margin about 0, so first-minimum ties across
+        # draws and blocks decide the worst index
+        cfg = SampleConfig(seed=seed, count=count)
+        got, want = conjecture_test(p, cfg), self.scalar_conjecture(p, cfg)
+        assert got["worst_index"] == want["worst_index"]
+        assert abs(got["min_margin"] - want["min_margin"]) <= 4.5e-16
+        for key in ("worst_ch_u", "worst_ch_v"):
+            assert got[key].tobytes() == want[key].tobytes()
+        # alpha and beta come from the one h_b^-1 body either way
+        assert (got["alpha"], got["beta"]) == (want["alpha"], want["beta"])
 
 
 class TestCardinalityRobustness:
@@ -950,7 +996,7 @@ class TestDrawBlocks:
 
     # the default block of a 2x2x2x2 joint (conjecture_test, DSBS inner and
     # outer) and of SOURCE3's 3x2x3x2 inner and outer joints
-    @pytest.mark.parametrize("count", [6, 7, 8, 56, 57, 128, 129])
+    @pytest.mark.parametrize("count", [6, 7, 8, 56, 57, 128, 129, optimize._DRAW_BLOCK + 1])
     def test_block_size_does_not_change_results(self, monkeypatch, count):
         want = self.results(count)
         # budgets of 1 and 7 draws of a 2x2x2x2 joint: blocks of 1 draw
@@ -959,7 +1005,7 @@ class TestDrawBlocks:
             monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
             assert self.results(count) == want
 
-    @pytest.mark.parametrize("count", [6, 8, 57, 129])
+    @pytest.mark.parametrize("count", [6, 8, 57, 129, optimize._DRAW_BLOCK + 1])
     def test_block_size_does_not_change_outer_results(self, monkeypatch, count):
         want = self.outer_results(count)
         # blocks of 1 draw everywhere, then 7 (DSBS) and 3 (SOURCE3) draws
@@ -983,3 +1029,108 @@ class TestDrawBlocks:
         src = JointPmf((Alphabet(n, "x"), Alphabet(n, "z")), np.full((n, n), 1.0 / n**2))
         assert len(sample_region_points(src, SampleConfig(seed=1, count=20), "inner")) == 20
         assert seen == blocks
+
+
+class TestDrawLayout:
+    """Draw i of a seed depends on the seed, i and the shapes alone: not on
+    the count, the draw blocks or the scoring blocks."""
+
+    B = optimize._DRAW_BLOCK
+
+    @pytest.mark.parametrize("i", [0, B - 1, B, 2 * B + 3])
+    @pytest.mark.parametrize("variant", ["inner", "ro"])
+    def test_draw_does_not_depend_on_the_count(self, i, variant):
+        counts = [n for n in (i + 1, self.B, self.B + 1, 3 * self.B + 5) if n > i]
+        points = [
+            sample_region_points(dsbs(0.1), SampleConfig(seed=4, count=n), variant)[i]
+            for n in counts
+        ]
+        assert len({(pt.mu.hex(), pt.r1.hex(), pt.r2.hex()) for pt in points}) == 1
+
+    # the default budget draws SOURCE3's 13-float pairs a block at a time,
+    # 40 floats three draws at a time, with the first shape skipped
+    @pytest.mark.parametrize("floats", [optimize._DRAW_FLOATS, 40])
+    def test_single_draw_is_the_scored_draw(self, monkeypatch, floats):
+        # _draw, the re-draw of support_function, gives the tables the
+        # samplers score, across the edge of a draw block
+        monkeypatch.setattr(optimize, "_DRAW_FLOATS", floats)
+        scored = []
+        batch_inner_stats = optimize._batch_inner_stats
+
+        def stats(pxz, rows_u, rows_v):
+            scored.append((rows_u.copy(), rows_v.copy()))
+            return batch_inner_stats(pxz, rows_u, rows_v)
+
+        monkeypatch.setattr(optimize, "_batch_inner_stats", stats)
+        count = 2 * self.B + 4
+        sample_region_points(SOURCE3, SampleConfig(seed=8, count=count), "inner")
+        rows_u, rows_v = (np.concatenate(kind) for kind in zip(*scored))
+        assert len(rows_u) == count
+        for i in (0, self.B - 1, self.B, 2 * self.B + 3):
+            u, v = optimize._draw(8, i, [(3, 3), (2, 2)])
+            assert u.tobytes() == rows_u[i].tobytes() and v.tobytes() == rows_v[i].tobytes()
+
+    def test_one_substream_per_draw_block(self, monkeypatch):
+        opened = []
+        substream = optimize._substream
+
+        def spy(seed, index):
+            opened.append(index)
+            return substream(seed, index)
+
+        monkeypatch.setattr(optimize, "_substream", spy)
+        assert len(sample_region_points(dsbs(0.1), SampleConfig(seed=1, count=3000), "inner")) == 3000
+        assert opened == list(range(math.ceil(3000 / self.B)))
+
+    @pytest.mark.parametrize("count", [7, B + 5])
+    @pytest.mark.parametrize("floats", [1, 40, 300])
+    def test_draw_pieces_do_not_change_results(self, monkeypatch, count, floats):
+        # the samplers' draws hold 8 to 36 floats: a budget of 1 float draws
+        # one draw at a time, 40 and 300 cut every block into uneven pieces
+        want = TestDrawBlocks.results(count), TestDrawBlocks.outer_results(count)
+        monkeypatch.setattr(optimize, "_DRAW_FLOATS", floats)
+        assert (TestDrawBlocks.results(count), TestDrawBlocks.outer_results(count)) == want
+
+    @pytest.mark.parametrize("shapes", [[(256, 256)], [(64, 64), (1, 1), (3, 2)]])
+    def test_pieces_hold_at_most_the_float_budget(self, shapes):
+        per_draw = sum(rows * cols for rows, cols in shapes)
+        seen = 0
+        for lo, tables in optimize._draw_pieces(2, 0, shapes, self.B):
+            assert lo == seen
+            assert [t.shape[1:] for t in tables] == shapes
+            assert len(tables[0]) * per_draw <= max(optimize._DRAW_FLOATS, per_draw)
+            seen += len(tables[0])
+        assert seen == self.B
+
+    def test_outer_draws_stay_small_on_a_large_source(self):
+        # an outer draw of a 16x16 source at its default caps is 65536
+        # floats (512 KiB), so a whole 256-draw block would be 128 MiB
+        n = 16
+        src = JointPmf((Alphabet(n, "x"), Alphabet(n, "z")), np.full((n, n), 1.0 / n**2))
+        cfg = SampleConfig(seed=1, count=4)
+        sample_region_points(src, cfg, "ro")  # builds the cached index plans
+        tracemalloc.start()
+        try:
+            assert len(sample_region_points(src, cfg, "ro")) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_ib_curve_draws_each_picked_block_once(self, monkeypatch):
+        opened = []
+        substream = optimize._substream
+
+        def spy(seed, index):
+            opened.append(index)
+            return substream(seed, index)
+
+        monkeypatch.setattr(optimize, "_substream", spy)
+        count = 3 * self.B + 1
+        grid = np.linspace(0.0, 1.1, 25).tolist()
+        ib_curve(SOURCE3, grid, SampleConfig(seed=3, count=count, refine_top=0, refine_steps=5))
+        walk = math.ceil(count / self.B)
+        assert opened[:walk] == list(range(walk))
+        # the caps pick draws of several blocks, each drawn again once
+        redrawn = opened[walk:]
+        assert len(redrawn) > 1 and len(redrawn) == len(set(redrawn))

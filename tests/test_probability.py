@@ -31,6 +31,7 @@ from coinfo.probability import (
     binary_convolution,
     binary_entropy,
     binary_entropy_inverse,
+    binary_entropy_inverses,
     bsc_channel,
     compose_markov,
     conditional_mutual_information,
@@ -216,6 +217,37 @@ class TestBinaryEntropyInverse:
             binary_entropy_inverse(LOG2 + 1e-3)
         with pytest.raises(DomainError):
             binary_entropy_inverse(-1e-3)
+
+    def test_array_equals_scalar_bitwise(self):
+        # the inputs of test_pinned_outputs, the ends, float noise past them,
+        # and 10^4 seeded uniforms on [0, ln 2]
+        h = np.concatenate([
+            [1e-09, 0.05, 0.1, 0.3, 0.5, 0.6, 0.6931, 0.6931461805599453],
+            [0.0, LOG2, -1e-13, LOG2 + 1e-13, 5e-324],
+            np.random.default_rng(20261).uniform(0.0, LOG2, 10**4),
+        ])
+        got = binary_entropy_inverses(h)
+        assert got.shape == h.shape and got.dtype == np.float64
+        want = np.array([binary_entropy_inverse(float(v)) for v in h])
+        assert got.tobytes() == want.tobytes()
+
+    def test_array_keeps_its_shape(self):
+        h = np.array([[0.1, 0.2], [0.3, LOG2]])
+        got = binary_entropy_inverses(h)
+        assert got.shape == (2, 2)
+        assert got[1, 1] == 0.5 and got[0, 0] == binary_entropy_inverse(0.1)
+        assert binary_entropy_inverses([0, 0.0]).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [LOG2 + 1e-3, -1e-3, math.nan, math.inf, -math.inf])
+    def test_array_domain_error(self, bad):
+        # one bad entry among good ones is enough
+        with pytest.raises(DomainError):
+            binary_entropy_inverses(np.array([0.1, bad, 0.3]))
+
+    @pytest.mark.parametrize("bad", [np.array([True, False]), np.array(["0.1"]), [0.1, None]])
+    def test_array_of_non_reals_rejected(self, bad):
+        with pytest.raises(DomainError):
+            binary_entropy_inverses(bad)
 
 
 class TestBinaryConvolution:
