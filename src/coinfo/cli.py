@@ -190,10 +190,11 @@ def cmd_dsbs_surface(args):
     _check_points("--grid", args.grid)
     rates, mu = sb_surface(args.p, np.linspace(0.0, 0.5, args.grid).tolist())
     scale = _unit_scale(args.units)
-    # each distinct rate is formatted once; row (a, b) is "r1(a) r2(b) mu(a, b)"
+    # each distinct rate is formatted once; row (a, b) is "r1(a) r2(b) mu(a, b)",
+    # and mu, always a float, is formatted inline as _fmt formats a float
     text = [_fmt(r / scale) for r in rates]
     lines = [
-        f"{text[i]} {text[j]} {_fmt(m / scale)}"
+        f"{text[i]} {text[j]} {m / scale:.15g}"
         for i, row in enumerate(mu)
         for j, m in enumerate(row)
     ]

@@ -29,9 +29,10 @@ both chains (_checked_outer_stats).
 
 Refinement runs in lockstep (_lockstep): all the candidates one call
 refines climb together, and each step scores the "+" and "-" proposals
-of all of them with one objective call, one batch_entropies call for
-the inner and bottleneck objectives and one batched chain map for the
-outer ones. A candidate gets exactly the decisions of a climb of its
+of all of them with one objective call per scoring block of at most
+_DRAW_CELLS joint cells (_in_scoring_blocks): one batch_entropies call
+for the inner and bottleneck objectives and one batched chain map for
+the outer ones. A candidate gets exactly the decisions of a climb of its
 own, so its result does not depend on which candidates share its batch.
 The DSBS outer curve draws nothing and is not refined: it is the
 envelope of the long-chain BSC points and, at each rate cap of at most
@@ -556,12 +557,13 @@ def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
     proposals are mapped onto the short chains in one batch (_chain_map)
     and scored on the mapped tables.
     """
+    cells = pxz.size * cap_u * cap_v
     if variant == "inner":
 
         def fn(tables, idx):
             return _lam_dot(lam, *_batch_inner_stats(pxz, *tables)), tables
 
-        return fn
+        return _in_scoring_blocks(fn, cells)
     nx, nz = pxz.shape
     score = _outer_score(lam, variant)
 
@@ -569,6 +571,27 @@ def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
         (flat,) = tables
         q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
         return np.array([score(st) for st in stats], dtype=np.float64), [q.reshape(flat.shape)]
+
+    return _in_scoring_blocks(fn, cells)
+
+
+def _in_scoring_blocks(value_fn, cells):
+    """value_fn, a _lockstep objective, called on scoring blocks of at most
+    _DRAW_CELLS joint cells (a candidate's joint has `cells`), as the
+    draws are scored: a step's proposals are scored a block at a time, so
+    no call's temporaries grow with the batch. No value depends on the
+    blocking, since a batched row is bitwise a lone table's."""
+    size = max(1, _DRAW_CELLS // cells)
+
+    def fn(tables, idx):
+        if len(idx) <= size:
+            return value_fn(tables, idx)
+        parts = [
+            value_fn([t[lo : lo + size] for t in tables], idx[lo : lo + size])
+            for lo in range(0, len(idx), size)
+        ]
+        values = np.concatenate([v for v, _ in parts])
+        return values, [np.concatenate(kind) for kind in zip(*(t for _, t in parts))]
 
     return fn
 
@@ -929,6 +952,7 @@ def ib_curve(p_xz, r_grid, cfg):
             iux, iuz = _batch_ib_stats(pxz, tables[0])
             return np.where(iux > row_caps[idx] + 1e-12, -np.inf, iuz), tables
 
+        fn = _in_scoring_blocks(fn, pxz.size * cap_u)
         _, (rows,) = _lockstep([np.stack(picked)], fn, cfg.refine_steps, cfg.step_size)
         points += _stats_rows(pxz, _batch_ib_stats, [[t] for t in rows])
     return upper_concave_envelope(points)
@@ -945,10 +969,18 @@ def conjecture_test(p, cfg):
     admissible parameters (turning the two rate inequalities into
     equalities) and the reported margin is the slack of the third
     inequality; a negative minimum is a counterexample candidate.
+
+    The domain is p in (0, 1/2]. At p = 0, x = z and the inequality is
+    false, so p = 0 raises DomainError, as does p outside [0, 1/2].
     """
     p = _check_probability(p, "conjecture_test")
+    if p == 0.0:
+        raise DomainError(
+            "conjecture_test needs p in (0, 1/2], got 0: at p = 0, x = z and "
+            "the conjectured inequality is false"
+        )
     if p > 0.5:
-        raise DomainError(f"conjecture_test needs p in [0, 1/2], got {p}")
+        raise DomainError(f"conjecture_test needs p in (0, 1/2], got {p}")
     pxz = dsbs(p).mass
     cap_u = cfg.cap_u if cfg.cap_u is not None else 2
     cap_v = cfg.cap_v if cfg.cap_v is not None else 2

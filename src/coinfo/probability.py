@@ -48,20 +48,22 @@ class JointPmf:
     """Dense joint pmf over an ordered tuple of labeled alphabets.
 
     The mass tensor is validated (nonnegative, total within 1e-9 of 1),
-    renormalized to sum to 1, and frozen. Axes are addressed by label.
+    renormalized to sum to 1, and frozen. Axes are addressed by label,
+    through a label -> index dict, so a lookup costs one dict access.
     Each marginal entropy the information measures need is computed once
-    per joint and remembered, so repeated measures on one joint reuse it.
+    per joint and remembered, keyed by the frozenset of its labels (labels
+    are unique per joint), so repeated measures on one joint reuse it.
     """
 
-    __slots__ = ("axes", "mass", "_entropies")
+    __slots__ = ("axes", "mass", "_index", "_entropies")
 
     def __init__(self, axes, mass):
         axes = tuple(axes)
         if not axes:
             raise AxisError("a JointPmf needs at least one axis")
-        labels = [a.label for a in axes]
-        if len(set(labels)) != len(labels):
-            raise AxisError(f"duplicate axis labels: {labels}")
+        index = {a.label: i for i, a in enumerate(axes)}
+        if len(index) != len(axes):
+            raise AxisError(f"duplicate axis labels: {[a.label for a in axes]}")
         mass = np.array(mass, dtype=np.float64)
         shape = tuple(a.size for a in axes)
         if mass.shape != shape:
@@ -72,7 +74,8 @@ class JointPmf:
         mass.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "mass", mass)
-        # entropy of each marginal, keyed by the frozenset of its axis indices;
+        object.__setattr__(self, "_index", index)
+        # entropy of each marginal, keyed by the frozenset of its labels;
         # filled on first use by the information measures below
         object.__setattr__(self, "_entropies", {})
 
@@ -84,10 +87,10 @@ class JointPmf:
         return tuple(a.label for a in self.axes)
 
     def axis_index(self, label):
-        for i, a in enumerate(self.axes):
-            if a.label == label:
-                return i
-        raise AxisError(f"no axis labeled {label!r}; have {self.labels}")
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise AxisError(f"no axis labeled {label!r}; have {self.labels}") from None
 
     def alphabet(self, label):
         return self.axes[self.axis_index(label)]
@@ -111,6 +114,14 @@ def _normalized(mass, axis=None):
         raise DomainError(f"negative probability mass {lo}")
     if lo < 0.0:
         mass = np.maximum(mass, 0.0)
+    if axis is None:
+        # the same rule on a Python float: keepdims does not change the
+        # order of the reduction, so the total and the quotient are the
+        # same bits as the array form's, at a fraction of its calls
+        total = float(mass.sum())
+        if not abs(total - 1.0) <= _NORM_TOL:  # also true for nan and inf
+            raise NormalizationError(f"total mass {total} deviates from 1 beyond {_NORM_TOL}")
+        return mass if total == 1.0 else mass / total
     totals = mass.sum(axis=axis, keepdims=True)
     bad = ~(np.abs(totals - 1.0) <= _NORM_TOL)  # also true for nan and inf
     if bad.any():
@@ -173,41 +184,24 @@ def entropy_of_array(mass):
     return _entropy_of_mass(mass)
 
 
-def entropies(w, groups):
-    """Entropy in nats of the marginal of w on each group of kept axes.
-
-    w is a dense nonnegative array that sums to 1; groups is a nonempty
-    tuple of tuples of distinct axis indices. One bincount over the cells
-    of w builds every marginal at once and a second sums their m*log(m)
-    terms, so a call costs a handful of numpy operations however many
-    groups it asks for. Semantics match entropy_of_array: 0*log(0) = 0
-    and each entropy is clamped the same way. Returns a list of floats,
-    one per group.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    cells, target, n_cells, owner = _entropy_plan(w.shape, groups)
-    marg = np.bincount(target, weights=w.ravel()[cells], minlength=n_cells)
-    pos = marg > 0.0
-    m = marg[pos]
-    h = (-np.bincount(owner[pos], weights=m * np.log(m), minlength=len(groups))).tolist()
-    if min(h) < 0.0:
-        h = [_clamp_measure(v) for v in h]
-    return h
-
-
 def batch_entropies(w, groups):
-    """entropies of every table in a block: w[b] is one dense table.
+    """Entropy in nats of the marginal of each table of a block on each group.
 
-    Returns a (len(w), len(groups)) array whose row b is bitwise equal to
-    entropies(w[b], groups). The tables share one index plan and sit end
-    to end in the same two bincounts, so each table's cells and each
-    marginal's terms are summed in the same order as in a call of its own;
-    the plan of a power-of-two number of tables is cached and a smaller
-    batch uses its prefix, so a call costs a few numpy operations however
-    small its batch.
-    Every sampler and objective of optimize scores its tables with it,
-    the outer ones once per block of tables mapped onto the short chains;
-    the unbatched entropies is its reference.
+    w[b] is one dense nonnegative table that sums to 1; groups is a
+    nonempty tuple of tuples of distinct axis indices of a table. Returns
+    a (len(w), len(groups)) array: entry (b, i) is the entropy of the
+    marginal of w[b] on the kept axes groups[i], with 0*log(0) = 0 and
+    the clamp of entropy_of_array. One bincount over the cells builds
+    every marginal of every table and a second sums their m*log(m) terms.
+    The tables share one index plan and sit end to end in the two
+    bincounts, so each table's cells and each marginal's terms are summed
+    in the same order as for that table alone, and row b does not depend
+    on the other tables of the block; the plan of a power-of-two number
+    of tables is cached and a smaller batch uses its prefix, so a call
+    costs a few numpy operations however small its batch.
+    Every sampler and objective of optimize and the code oracle of
+    typicality score their tables with it; the tests keep an unbatched
+    one-table form as its bitwise reference.
     """
     w = np.asarray(w, dtype=np.float64)
     batch = w.shape[0]
@@ -236,7 +230,7 @@ def _entropy_plan(shape, groups):
     # of w's cells adds to the cells of marginal k, and owner[j] is the
     # group of entry j
     if not groups:
-        raise AxisError("entropies needs at least one group")
+        raise AxisError("batch_entropies needs at least one group")
     coords = np.indices(shape).reshape(len(shape), -1)
     target, owner = [], []
     n_cells = 0
@@ -408,9 +402,10 @@ def marginalize(p, keep):
 
 
 def _marginal_entropy(p, labels):
-    # entropy(marginalize(p, labels)), computed once per joint and axis set;
-    # marginalize keeps p's axis order, so the order of labels is irrelevant
-    key = frozenset(map(p.axis_index, labels))
+    # entropy(marginalize(p, labels)), computed once per joint and label set;
+    # marginalize keeps p's axis order, so the order of labels is irrelevant.
+    # Every caller has checked the labels with _check_groups_disjoint
+    key = frozenset(labels)
     h = p._entropies.get(key)
     if h is None:
         h = p._entropies[key] = entropy(marginalize(p, labels))

@@ -30,6 +30,7 @@ from .probability import (
     marginalize,
     mutual_information,
     _bconv,
+    _check_groups_disjoint,
     _check_probability,
     _hb_closed,
     _is_int,
@@ -230,8 +231,14 @@ def sb_surface(p, grid):
     p = _sb_arg("p", p)
     grid = [_sb_arg("alpha", a) for a in grid]
     rates = [LOG2 - _hb_closed(a) for a in grid]
-    # _bconv(alpha, p) once per row, as sb_point computes it
-    mu = [[LOG2 - _hb_closed(_bconv(ap, b)) for b in grid] for ap in (_bconv(a, p) for a in grid)]
+    # sb_point's _bconv(_bconv(alpha, p), beta), written out with 1 - beta
+    # taken once per column and alpha * p and 1 - (alpha * p) once per row
+    cols = [(b, 1.0 - b) for b in grid]
+    mu = []
+    for a in grid:
+        ap = _bconv(a, p)
+        nap = 1.0 - ap
+        mu.append([LOG2 - _hb_closed(ap * nb + nap * b) for b, nb in cols])
     r = np.array(rates, dtype=np.float64)
     m = np.array(mu, dtype=np.float64).reshape(len(r), len(r))
     finite = np.isfinite(m) & np.isfinite(r)[:, None] & np.isfinite(r)[None, :]
@@ -392,25 +399,28 @@ def multi_outer_point_ro(p, u_labels, x_labels, markov_tol=MARKOV_TOL):
     return MultiRegionPoint(mu=mu, rates=rates)
 
 
-def _side_constraints(joint, rates, u_labels, x_labels, active, binned, side):
-    """Yield (description, slack) for one side's rate-sum constraints."""
+def _rate_sum_constraints(active, binned):
+    """(sub, helpers) of each of one side's rate-sum constraints, in order.
+
+    Every nonempty sub of the active set that meets the binned set asks
+    sum of R_k over sub >= I(x_sub; u_sub | u_helpers), helpers being the
+    rest of the active set.
+    """
     active = sorted(active)
     for r in range(1, len(active) + 1):
         for sub in itertools.combinations(active, r):
-            if not (set(sub) & binned):
-                continue
-            helpers = tuple(i for i in active if i not in sub)
-            need = conditional_mutual_information(
-                joint,
-                _labels_for(x_labels, sub),
-                _labels_for(u_labels, sub),
-                _labels_for(u_labels, helpers),
-            )
-            have = sum(rates[i - 1] for i in sub)
-            yield (
-                f"sum of R_k over {side}'={sorted(sub)} >= {need:.6g}",
-                have - need,
-            )
+            if set(sub) & binned:
+                yield sub, tuple(i for i in active if i not in sub)
+
+
+def _rate_sum_need(joint, u_labels, x_labels, sub, helpers):
+    # the right-hand side I(x_sub; u_sub | u_helpers) of one constraint
+    return conditional_mutual_information(
+        joint,
+        _labels_for(x_labels, sub),
+        _labels_for(u_labels, sub),
+        _labels_for(u_labels, helpers),
+    )
 
 
 def multi_inner_membership(p_xk, channels, point, choice, tol=MARKOV_TOL):
@@ -435,8 +445,7 @@ def _encoder_joint(p_xk, channels):
 def _membership(joint, u_labels, x_labels, point, choice, tol):
     # multi_inner_membership on a joint built once by the caller
     rates = point.rates
-    if len(rates) != len(u_labels):
-        raise ConstraintError(f"{len(rates)} rates for {len(u_labels)} encoders")
+    _check_rate_count(rates, u_labels)
     ok = True
     certificate = {}
     for pair, target in point.mu.items():
@@ -445,16 +454,12 @@ def _membership(joint, u_labels, x_labels, point, choice, tol):
             raise ConstraintError(f"no binning choice for pair {pair!r}")
         bc.check_within(pair)
         worst = ("", math.inf)
-        for desc, slack in _side_constraints(
-            joint, rates, u_labels, x_labels, bc.a_active, bc.a_bin, "A"
-        ):
-            if slack < worst[1]:
-                worst = (desc, slack)
-        for desc, slack in _side_constraints(
-            joint, rates, u_labels, x_labels, bc.b_active, bc.b_bin, "B"
-        ):
-            if slack < worst[1]:
-                worst = (desc, slack)
+        for side, active, binned in (("A", bc.a_active, bc.a_bin), ("B", bc.b_active, bc.b_bin)):
+            for sub, helpers in _rate_sum_constraints(active, binned):
+                need = _rate_sum_need(joint, u_labels, x_labels, sub, helpers)
+                slack = sum(rates[i - 1] for i in sub) - need
+                if slack < worst[1]:
+                    worst = (f"sum of R_k over {side}'={list(sub)} >= {need:.6g}", slack)
         cap = mutual_information(
             joint, _labels_for(u_labels, bc.a_bin), _labels_for(u_labels, bc.b_bin)
         )
@@ -464,6 +469,11 @@ def _membership(joint, u_labels, x_labels, point, choice, tol):
         if worst[1] < -tol:
             ok = False
     return ok, certificate
+
+
+def _check_rate_count(rates, u_labels):
+    if len(rates) != len(u_labels):
+        raise ConstraintError(f"{len(rates)} rates for {len(u_labels)} encoders")
 
 
 def _binning_candidates(universe):
@@ -483,25 +493,58 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
     lexicographic order, with the B side iterated innermost. Returns
     {pair: BinningChoice}, or None if any pair has no satisfying choice.
     Guarded to K <= 6 encoders.
+
+    A candidate is accepted exactly when multi_inner_membership accepts
+    it, and the search builds none of its certificates. A side's rate-sum constraints read only the rates, which
+    are the point's for every pair, and the side's (active, binned) sets,
+    so each side's verdict is computed once per (active, binned) and each
+    constraint's CMI once per (sub, active). A side stops at its first
+    violated constraint, and a failed A side skips every B candidate and
+    the cap I(u_Ab; u_Bb).
     """
     channels = list(channels)
     if len(channels) > 6:
         raise SizeError(f"multi_inner_search supports K <= 6, got {len(channels)}")
     # one joint for every candidate, so its marginal entropies are shared
     joint, u_labels, x_labels = _encoder_joint(p_xk, channels)
-    choices = {}
-    for pair in point.mu:
-        single = MultiRegionPoint({pair: point.mu[pair]}, point.rates)
-        found = None
-        for a_act, a_bin in _binning_candidates(pair.a):
-            for b_act, b_bin in _binning_candidates(pair.b):
-                bc = BinningChoice(a_act, a_bin, b_act, b_bin)
-                ok, _ = _membership(joint, u_labels, x_labels, single, {pair: bc}, tol)
-                if ok:
-                    found = bc
+    rates = point.rates
+    if point.mu:
+        _check_rate_count(rates, u_labels)
+    needs, verdicts = {}, {}
+
+    def side_ok(active, binned):
+        ok = verdicts.get((active, binned))
+        if ok is None:
+            ok = True
+            for sub, helpers in _rate_sum_constraints(active, binned):
+                need = needs.get((sub, active))
+                if need is None:
+                    need = needs[sub, active] = _rate_sum_need(joint, u_labels, x_labels, sub, helpers)
+                if sum(rates[i - 1] for i in sub) - need < -tol:
+                    ok = False
                     break
-            if found is not None:
-                break
+            verdicts[active, binned] = ok
+        return ok
+
+    def first_choice(pair, target):
+        for a_act, a_bin in _binning_candidates(pair.a):
+            if not side_ok(a_act, a_bin):
+                continue
+            u_ab = _labels_for(u_labels, a_bin)
+            for b_act, b_bin in _binning_candidates(pair.b):
+                # a slack is violated only when below -tol, as in _membership,
+                # so a nan slack violates nothing
+                if side_ok(b_act, b_bin) and not (
+                    mutual_information(joint, u_ab, _labels_for(u_labels, b_bin)) - target < -tol
+                ):
+                    return BinningChoice(a_act, a_bin, b_act, b_bin)
+        return None
+
+    choices = {}
+    for pair, target in point.mu.items():
+        # an overlapping pair has no cap: raise the AxisError its first cap would
+        _check_groups_disjoint(joint, _labels_for(u_labels, pair.a), _labels_for(u_labels, pair.b))
+        found = first_choice(pair, target)
         if found is None:
             return None
         choices[pair] = found

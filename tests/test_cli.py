@@ -240,6 +240,13 @@ class TestPinnedRefineOutputs:
             "c8d40e9e33aecdbf7f5a5ab04d371963c7061bdc75220672c1fa741fa921ff40"
         )
 
+    def test_conjecture_at_p_zero_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "conj.dat"
+        assert main(["conjecture", "--p", "0", "--seed", "1", "--samples", "300",
+                     "--out", str(out)]) == 2
+        assert "x = z and the conjectured inequality is false" in capsys.readouterr().err
+        assert not out.exists()
+
     # the digests are left out of the test ids, so a re-pin keeps the ids
     @pytest.mark.parametrize("variant, samples, digest", [
         pytest.param("inner", "600", "c038c9ec58d44ffe7ceba364e18568ee7313669baca847812dfab95d97800df6",

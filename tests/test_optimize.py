@@ -49,11 +49,11 @@ from coinfo.probability import (
     binary_entropy_inverse,
     conditional_mutual_information,
     dsbs,
-    entropies,
     mutual_information,
     _clamp_measure,
 )
 from coinfo.regions import inner_point, outer_point_ro, outer_point_ro_prime
+from entropy_reference import entropies
 
 I_XZ_01 = LOG2 - binary_entropy(0.1)  # 0.36806420716849707
 
@@ -750,6 +750,15 @@ class TestConjecture:
         with pytest.raises(DomainError):
             conjecture_test(0.7, small_cfg(0, 5))
 
+    def test_p_zero_is_outside_the_domain(self):
+        # p = 0 (x = z), where the inequality is false, is outside the
+        # domain; just inside it the sampled margin is still negative (about
+        # -9e-4 at p = 1e-9 for this seed), and the check does not hide that
+        for p in (0.0, 0, -1e-13):
+            with pytest.raises(DomainError, match=r"\(0, 1/2\].*x = z"):
+                conjecture_test(p, small_cfg(1, 300))
+        assert conjecture_test(1e-9, small_cfg(1, 300))["min_margin"] < 0.0
+
     @staticmethod
     def scalar_conjecture(p, cfg):
         """conjecture_test's tail before it was batched: alpha, beta, the
@@ -776,11 +785,12 @@ class TestConjecture:
         return worst
 
     @pytest.mark.parametrize("p, seed, count", [
-        (0.1, 3, 600), (0.25, 7, 3000), (0.0, 1, 300), (0.5, 2, 700),
+        (0.1, 3, 600), (0.25, 7, 3000), (1e-9, 1, 300), (0.5, 2, 700),
     ])
     def test_batched_tail_matches_scalar_loop(self, p, seed, count):
         # p = 0.5 makes every margin about 0, so first-minimum ties across
-        # draws and blocks decide the worst index
+        # draws and blocks decide the worst index; p = 1e-9, next to the
+        # excluded p = 0, has negative margins
         cfg = SampleConfig(seed=seed, count=count)
         got, want = conjecture_test(p, cfg), self.scalar_conjecture(p, cfg)
         assert got["worst_index"] == want["worst_index"]
@@ -1012,6 +1022,56 @@ class TestDrawBlocks:
         for block in (1, 7):
             monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
             assert self.outer_results(count) == want
+
+    @staticmethod
+    def refined_results():
+        lam = SupportWeight(0.9, -0.2, -0.3)
+        cfg = SampleConfig(seed=6, count=300, refine_top=6, refine_steps=40)
+        out = [ib_curve(SOURCE3, [0.2, 0.5, 0.9], cfg)]
+        for src in (dsbs(0.1), SOURCE3):
+            for variant in ("inner", "ro", "ro_prime"):
+                value, candidate = support_function(src, lam, cfg, variant)
+                out += [value, candidate, local_refine(src, candidate, lam, variant, 40, 0.05)]
+        return bits(out)
+
+    def test_refinement_block_size_does_not_change_results(self, monkeypatch):
+        # each lockstep step scores its proposals in scoring blocks of the
+        # draws' cell budget: blocks of 1 table, then 7 (DSBS) and 3 (SOURCE3)
+        want = self.refined_results()
+        inside, scored, batches = [False], [], []
+
+        def spy(fn, cells):
+            def wrapped(pxz, *tables):
+                if inside[0]:
+                    scored.append((len(tables[0]), cells(pxz, *tables)))
+                return fn(pxz, *tables)
+
+            return wrapped
+
+        real_lockstep = optimize._lockstep
+
+        def lockstep(tables, *args):
+            batches.append(len(tables[0]))
+            inside[0] = True
+            try:
+                return real_lockstep(tables, *args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(optimize, "_lockstep", lockstep)
+        monkeypatch.setattr(optimize, "_batch_inner_stats", spy(
+            optimize._batch_inner_stats, lambda pxz, u, v: pxz.size * u.shape[2] * v.shape[2]))
+        monkeypatch.setattr(optimize, "_batch_ib_stats", spy(
+            optimize._batch_ib_stats, lambda pxz, u: pxz.size * u.shape[2]))
+        monkeypatch.setattr(optimize, "_chain_map", spy(
+            optimize._chain_map, lambda pxz, q, cond: q[0].size))
+        for tables in (1, 7):
+            monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * tables)
+            scored.clear()
+            assert self.refined_results() == want
+            assert scored and all(n <= max(1, 16 * tables // cells) for n, cells in scored)
+        # a step's 2 x (candidates) proposals spanned several blocks
+        assert max(batches) * 2 > 7
 
     @pytest.mark.parametrize("n, blocks", [(2, [20]), (4, [8, 8, 4]), (16, [1] * 20)])
     def test_blocks_are_sized_by_joint_cells(self, monkeypatch, n, blocks):

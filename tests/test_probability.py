@@ -11,6 +11,7 @@ Frozen constants were computed independently with mpmath at 50 digits:
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,12 +37,13 @@ from coinfo.probability import (
     compose_markov,
     conditional_mutual_information,
     dsbs,
-    entropies,
     entropy,
     kl_divergence,
     marginalize,
     mutual_information,
+    _normalized,
 )
+from entropy_reference import entropies
 
 LN2 = 0.69314718055994531
 
@@ -88,6 +90,44 @@ class TestAlphabetAndPmf:
     def test_channel_row_normalization(self):
         with pytest.raises(NormalizationError):
             Channel(Alphabet(2, "x"), Alphabet(2, "u"), [[0.5, 0.4], [0.5, 0.5]])
+
+
+class TestNormalizedRule:
+    """_normalized, the mass rule of JointPmf (axis None) and of Channel,
+    Decoder and the code oracle (axis 1): one set of errors and messages,
+    and the whole-array form gives the bits of the per-part array form."""
+
+    @pytest.mark.parametrize(
+        "axis, mass, error, message",
+        [
+            (None, [[0.5, math.nan], [0.25, 0.25]], NormalizationError, "total mass nan deviates from 1 beyond 1e-09"),
+            (1, [[0.5, math.nan], [0.25, 0.75]], NormalizationError, "total mass nan deviates from 1 beyond 1e-09"),
+            (None, [[0.5, math.inf], [0.25, 0.25]], NormalizationError, "total mass inf deviates from 1 beyond 1e-09"),
+            (1, [[0.5, 0.5], [math.inf, 0.75]], NormalizationError, "total mass inf deviates from 1 beyond 1e-09"),
+            (None, [[0.5, -math.inf], [0.25, 0.25]], DomainError, "negative probability mass -inf"),
+            (None, [[0.5, -0.1], [0.3, 0.3]], DomainError, "negative probability mass -0.1"),
+            (1, [[0.5, 0.5], [1.1, -0.1]], DomainError, "negative probability mass -0.1"),
+            (None, [[0.5, 0.1], [0.3, 0.3]], NormalizationError, "total mass 1.2 deviates from 1 beyond 1e-09"),
+            (1, [[0.5, 0.5], [0.5, 0.7]], NormalizationError, "total mass 1.2 deviates from 1 beyond 1e-09"),
+        ],
+    )
+    def test_errors_and_messages(self, axis, mass, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            _normalized(np.array(mass), axis)
+
+    def test_whole_array_total_is_bitwise_the_array_form(self):
+        # axis None totals a Python float; the keepdims array form, which
+        # Channel's rows still use, is its reference
+        rng = np.random.default_rng(31)
+        for shape in ((4,), (2, 3), (2, 2, 3), (3, 1, 2, 2), (16, 16)):
+            for scale in (1.0, 1 + 4e-10, 1 - 7e-10):
+                mass = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape) * scale
+                mass.flat[1] += mass.flat[0]
+                mass.flat[0] = -5e-13  # float noise, clipped
+                clipped = np.maximum(mass, 0.0)
+                totals = clipped.sum(axis=None, keepdims=True)
+                want = np.where(totals != 1.0, clipped / totals, clipped)
+                assert _normalized(mass).tobytes() == want.tobytes()
 
 
 class TestEntropy:

@@ -428,6 +428,174 @@ class TestMultiSource:
             multi_inner_membership(src, [ch1, ch2], pt, {})
 
 
+def documented_candidates(universe):
+    """(active, binned) in multi_inner_search's documented order: |active|
+    descending, then |binned| descending, each lexicographic."""
+    items = sorted(universe)
+    for ra in range(len(items), 0, -1):
+        for active in itertools.combinations(items, ra):
+            for rb in range(ra, 0, -1):
+                for binned in itertools.combinations(active, rb):
+                    yield set(active), set(binned)
+
+
+def reference_search(src, chs, point):
+    """multi_inner_search by its definition: for each pair, the first
+    candidate in the documented order, B innermost, that the public
+    multi_inner_membership accepts; None when a pair has none."""
+    choices = {}
+    for pair, mu in point.mu.items():
+        single = MultiRegionPoint({pair: mu}, point.rates)
+        found = None
+        for a_act, a_bin in documented_candidates(pair.a):
+            for b_act, b_bin in documented_candidates(pair.b):
+                bc = BinningChoice(a_act, a_bin, b_act, b_bin)
+                if multi_inner_membership(src, chs, single, {pair: bc})[0]:
+                    found = bc
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return None
+        choices[pair] = found
+    return choices
+
+
+def seeded_multi_source(rng, k):
+    labels = tuple(f"x{i}" for i in range(1, k + 1))
+    src = random_joint(rng, (2,) * k, labels)
+    chs = [random_channel(rng, 2, 2, l, f"u{l[1:]}") for l in labels]
+    return src, chs
+
+
+def is_first_candidate(pair, bc):
+    return bc.a_active == bc.a_bin == pair.a and bc.b_active == bc.b_bin == pair.b
+
+
+class TestInnerSearchSemantics:
+    def test_search_equals_membership_scan(self):
+        # seeded K = 2..4 points: rates above or below each I(u_k; x_k), mu a
+        # fraction of the full cap, one or two pairs a point
+        outcomes = {"none": 0, "first": 0, "later": 0}
+        for k, trials in ((2, 60), (3, 60), (4, 30)):
+            for trial in range(trials):
+                rng = np.random.default_rng([7, k, trial])
+                src, chs = seeded_multi_source(rng, k)
+                j = attach_channels(src, chs)
+                u = [ch.output.label for ch in chs]
+                rates = tuple(
+                    mutual_information(j, u[i], src.labels[i])
+                    * (rng.uniform(1.0, 1.5) if rng.uniform() < 0.6 else rng.uniform(0.0, 0.9))
+                    for i in range(k)
+                )
+                pairs = omega_pairs(k)
+                picked = rng.choice(len(pairs), size=1 + trial % 2, replace=False)
+                mu = {}
+                for i in sorted(picked):
+                    pair = pairs[i]
+                    cap = mutual_information(
+                        j, [u[a - 1] for a in sorted(pair.a)], [u[b - 1] for b in sorted(pair.b)]
+                    )
+                    mu[pair] = cap * rng.uniform(0.0, 0.5)
+                point = MultiRegionPoint(mu, rates)
+                got = multi_inner_search(src, chs, point)
+                assert got == reference_search(src, chs, point)
+                if got is None:
+                    outcomes["none"] += 1
+                for pair, bc in (got or {}).items():
+                    outcomes["first" if is_first_candidate(pair, bc) else "later"] += 1
+        # the sweep covers infeasible points, first winners and later winners
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_overlapping_pair_raises_like_membership(self):
+        rng = np.random.default_rng(41)
+        src, chs = seeded_multi_source(rng, 3)
+        pair = SubsetPair({1, 2}, {2, 3})
+        point = MultiRegionPoint({pair: 0.0}, (0.0, 0.0, 0.0))
+        with pytest.raises(AxisError, match="'u2' appears in more than one group"):
+            multi_inner_membership(src, chs, point, {pair: BinningChoice({1, 2}, {1, 2}, {2, 3}, {2, 3})})
+        with pytest.raises(AxisError, match="'u2' appears in more than one group"):
+            multi_inner_search(src, chs, point)
+
+
+class TestMultiSourcePins:
+    """The exact floats and choices of the multi-source evaluators on one
+    seeded K = 4 source, so a faster label path cannot move a bit."""
+
+    RATES = ["0x1.7971048080000p-19", "0x1.7d82e8eb2de80p-7", "0x1.dde982051aec0p-4", "0x1.f6a2998161000p-10"]
+    RO = {"1,2|3,4": "0x1.d28bfdaca0000p-16", "1,3|2,4": "0x1.561574b454000p-13",
+          "1,4|2,3": "0x1.1e4ede942c000p-13", "2,3|1,4": "0x1.1e4ede942c000p-13",
+          "2,4|1,3": "0x1.561574b454000p-13", "3,4|1,2": "0x1.d28bfdaca0000p-16"}
+    RO_PRIME = {"1,2|3,4": "0x1.c08431892e000p-10", "1,3|2,4": "0x1.83aa463db88c0p-5",
+                "1,4|2,3": "0x1.cd77716ba0000p-11", "2,3|1,4": "0x1.5ab7369d9c440p-5",
+                "2,4|1,3": "0x1.85f6656f22000p-9", "3,4|1,2": "0x1.c59e0f1400080p-6"}
+    CEO = {"1|1": "0x1.5f4a926a00000p-21", "2|1": "0x1.adb1977610000p-15",
+           "3|1": "0x1.3c57f6ebb3420p-5", "1,2|1": "0x1.b336c7ece8000p-15",
+           "1,3|1": "0x1.3c59352096880p-5", "2,3|1": "0x1.3e45059e85aa0p-5",
+           "1,2,3|1": "0x1.3e4645c832880p-5"}
+    # the pairs whose first satisfying choice is not full activation and full
+    # binning, as "a_active/a_bin b_active/b_bin"
+    LATER = {"1|2,3": "1/1 2,3/3", "1|2,4": "1/1 4/4", "1|2,3,4": "1/1 2,3,4/3",
+             "3|1,2": "3/3 1/1", "3|2,4": "3/3 4/4", "3|1,2,4": "3/3 1,4/1,4",
+             "4|1,2": "4/4 1/1", "4|2,3": "4/4 2,3/3", "4|1,2,3": "4/4 1,2,3/3",
+             "1,2|3": "1/1 3/3", "1,2|4": "1/1 4/4", "1,2|3,4": "1/1 3,4/3,4",
+             "1,3|2,4": "1,3/1,3 4/4", "1,4|2,3": "1,4/1,4 2,3/3", "2,3|1": "2,3/3 1/1",
+             "2,3|4": "2,3/3 4/4", "2,3|1,4": "2,3/3 1,4/1,4", "2,4|1": "4/4 1/1",
+             "2,4|3": "4/4 3/3", "2,4|1,3": "4/4 1,3/1,3", "3,4|1,2": "3,4/3,4 1/1",
+             "1,2,3|4": "1,2,3/3 4/4", "1,2,4|3": "1,4/1,4 3/3", "2,3,4|1": "2,3,4/3 1/1"}
+
+    @staticmethod
+    def setup():
+        rng = np.random.default_rng(2024)
+        labels = ("x1", "x2", "x3", "x4")
+        src = JointPmf(tuple(Alphabet(2, l) for l in labels), rng.dirichlet(np.ones(16)).reshape((2,) * 4))
+        chs = [Channel(Alphabet(2, l), Alphabet(2, "u" + l[1]), rng.dirichlet(np.ones(2), size=2)) for l in labels]
+        return src, chs, labels, tuple(ch.output.label for ch in chs)
+
+    @staticmethod
+    def key(pair):
+        return ",".join(map(str, sorted(pair.a))) + "|" + ",".join(map(str, sorted(pair.b)))
+
+    def test_outer_points_and_ceo(self):
+        src, chs, x, u = self.setup()
+        j = attach_channels(src, chs)
+        ro = multi_outer_point_ro(j, u, x)
+        ro_prime = multi_outer_point_ro_prime(j, u, x)
+        assert [r.hex() for r in ro.rates] == [r.hex() for r in ro_prime.rates] == self.RATES
+        for got, want in ((ro.mu, self.RO), (ro_prime.mu, self.RO_PRIME)):
+            assert {key: got[pair].hex() for pair in got if (key := self.key(pair)) in want} == want
+        ceo = ceo_point(src, chs[:3], x[:3], x[3:])
+        assert [r.hex() for r in ceo.rates] == self.RATES[:3]
+        assert {self.key(pair): v.hex() for pair, v in ceo.mu.items()} == self.CEO
+
+    def test_search_choices(self):
+        # encoder 2's rate is a fifth of I(u_2; x_2): the pairs it takes part
+        # in ask mu = 0 and are met by leaving it out of the binning
+        src, chs, x, u = self.setup()
+        j = attach_channels(src, chs)
+        scale = (1.2, 0.2, 1.2, 1.2)
+        rates = tuple(mutual_information(j, u[i], x[i]) * scale[i] for i in range(4))
+        mu = {
+            pair: 0.0 if 2 in pair.a | pair.b else 0.2 * mutual_information(
+                j, [u[a - 1] for a in sorted(pair.a)], [u[b - 1] for b in sorted(pair.b)]
+            )
+            for pair in omega_pairs(4)
+            if pair.a != {2} and pair.b != {2}
+        }
+        found = multi_inner_search(src, chs, MultiRegionPoint(mu, rates))
+        assert set(found) == set(mu)
+
+        def sets(*s):
+            return " ".join("/".join(",".join(map(str, sorted(t))) for t in pair) for pair in s)
+
+        later = {
+            self.key(pair): sets((bc.a_active, bc.a_bin), (bc.b_active, bc.b_bin))
+            for pair, bc in found.items()
+            if not is_first_candidate(pair, bc)
+        }
+        assert later == self.LATER
+
+
 def binary_xor_source():
     # x1 fair, x3 ~ Bernoulli(0.25) independent, x2 = x1 xor x3
     mass = np.zeros((2, 2, 2))
