@@ -157,24 +157,23 @@ def _check_points(name, value):
         raise DomainError(f"{name} must be >= 1, got {value}")
 
 
-def _sample_config(args, default_caps=None, refine=False):
+def _sample_config(args, default_caps=None):
     """The SampleConfig of a sampling command and its manifest parameters.
 
-    Only the command that refines (ib-curve, refine=True) takes a
-    refinement budget, and the manifest lists only what the command reads.
-    draw_block names the RNG layout of the draws: draw i is entry
-    i % draw_block of the block drawn from substream (seed, i // draw_block).
+    The sampling commands (conjecture and region-sample) never refine, so
+    neither takes a refinement budget and the manifest lists only what
+    they read. draw_block names the RNG layout of the draws: draw i is
+    entry i % draw_block of the block drawn from substream
+    (seed, i // draw_block).
     """
     caps = default_caps
     if args.caps:
         caps = _parse_pair(args.caps, "--caps", int)
-    budget = {"refine_steps": args.refine_steps, "step_size": args.step_size} if refine else {}
     cfg = SampleConfig(
         seed=args.seed,
         count=args.samples,
         cap_u=None if caps is None else caps[0],
         cap_v=None if caps is None else caps[1],
-        **budget,
     )
     params = (
         ("seed", cfg.seed),
@@ -182,7 +181,7 @@ def _sample_config(args, default_caps=None, refine=False):
         ("caps", (cfg.cap_u if cfg.cap_u is not None else "auto",
                   cfg.cap_v if cfg.cap_v is not None else "auto")),
         ("draw_block", _DRAW_BLOCK),
-    ) + tuple(budget.items())
+    )
     return cfg, params
 
 
@@ -265,13 +264,12 @@ def cmd_ib_curve(args):
     nx = src.mass.shape[0]
     _check_points("--grid", args.grid)
     r_grid = np.linspace(0.0, math.log(nx), args.grid)
-    cfg, cfg_params = _sample_config(args, refine=True)
-    curve = ib_curve(src, r_grid, cfg)
+    curve = ib_curve(src)
     rows = [(float(r), curve.value_at(float(r))) for r in r_grid]
     params = (
         ("source", args.source), ("grid_points", args.grid),
-        ("grid_lo", 0.0), ("grid_hi", math.log(nx)),
-    ) + cfg_params + (("units", args.units),)
+        ("grid_lo", 0.0), ("grid_hi", math.log(nx)), ("units", args.units),
+    )
     _write_lines(
         args.out, RunManifest("ib-curve", params),
         _table_lines(rows, _unit_scale(args.units)),
@@ -411,13 +409,15 @@ def _build_parser():
         cmd.add_argument("--units", choices=("nats", "bits"), default="nats")
         return cmd
 
-    def add_sampling(cmd, samples_default, refine=False):
+    def add_sampling(cmd, samples_default):
         cmd.add_argument("--seed", type=int, required=True)
         cmd.add_argument("--samples", type=int, default=samples_default)
         cmd.add_argument("--caps", help="auxiliary sizes as U,V")
-        if refine:
-            cmd.add_argument("--refine-steps", type=int, default=500)
-            cmd.add_argument("--step-size", type=float, default=0.05)
+
+    def add_ignored_sampling(cmd):
+        # accepted so that existing invocations keep running; the command draws nothing
+        cmd.add_argument("--seed", type=int, help="ignored: nothing is drawn")
+        cmd.add_argument("--samples", type=int, help="ignored: nothing is drawn")
 
     cmd = add("dsbs-surface", cmd_dsbs_surface, "closed-form inner surface mesh")
     cmd.add_argument("--p", type=float, required=True)
@@ -428,15 +428,13 @@ def _build_parser():
     cmd.add_argument("--p", type=float, required=True)
     cmd.add_argument("--window", default="0.673,0.694")
     cmd.add_argument("--window-points", type=int, default=43)
-    # accepted so that existing invocations keep running; the curves draw nothing
-    cmd.add_argument("--seed", type=int, help="ignored by dsbs-gap")
-    cmd.add_argument("--samples", type=int, help="ignored by dsbs-gap")
+    add_ignored_sampling(cmd)
     cmd.add_argument("--out-dir", required=True)
 
     cmd = add("ib-curve", cmd_ib_curve, "rate-relevance curve for one encoder")
     cmd.add_argument("--source", required=True)
     cmd.add_argument("--grid", type=int, default=41)
-    add_sampling(cmd, 100000, refine=True)
+    add_ignored_sampling(cmd)
     cmd.add_argument("--out", required=True)
 
     cmd = add("conjecture", cmd_conjecture, "margin search for the binary inequality")

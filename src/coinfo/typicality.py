@@ -153,6 +153,11 @@ def enumerate_types(alphabet_size, n):
 
 
 def _check_pmf_vector(p):
+    # the dtype-kind rule of probability.binary_entropy_inverses: a bool,
+    # str or object array is not a vector of reals, whatever it converts to
+    p = np.asarray(p)
+    if p.dtype.kind not in "iuf":
+        raise DomainError(f"pmf must hold real numbers, got dtype {p.dtype}")
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DomainError("pmf must be a nonempty vector")

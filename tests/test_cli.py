@@ -174,13 +174,12 @@ class TestIbCurve:
     def test_endpoints_and_monotone(self, tmp_path):
         out = tmp_path / "ib.dat"
         assert main(["ib-curve", "--source", "dsbs:0.25", "--grid", "9",
-                     "--seed", "9", "--samples", "300", "--refine-steps", "80",
                      "--out", str(out)]) == 0
         _, rows = read_table(out)
         assert len(rows) == 9
-        assert rows[0][0] == 0.0 and rows[0][1] <= 1e-9
+        assert rows[0] == [0.0, 0.0]
         assert abs(rows[-1][0] - LOG2) <= 1e-12
-        assert abs(rows[-1][1] - I_DSBS_025) <= 2e-3
+        assert abs(rows[-1][1] - I_DSBS_025) <= 1e-15
         values = [r[1] for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -189,11 +188,12 @@ class TestPinnedRefineOutputs:
     """The bytes of refined, sampled and closed-form outputs, pinned to
     versions that refined each candidate by itself, scored each draw by
     itself and evaluated each surface point by itself; batching any of
-    them must not move them. The sampled digests (ib-curve, conjecture and
+    them must not move them. The sampled digests (conjecture and
     region-sample) are of the block layout, one RNG substream per 256
     draws. The outer region-sample digests are of the closed-form chain
     map, which puts every draw on the short chains, so the row count is
-    exactly --samples."""
+    exactly --samples. The ib-curve digest is of the deterministic
+    bottleneck solve, which ignores --seed and --samples."""
 
     def test_ib_curve(self, tmp_path, capsys):
         out = tmp_path / "ib.dat"
@@ -201,8 +201,10 @@ class TestPinnedRefineOutputs:
                      "--samples", "400", "--grid", "11", "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == (
-            "f9a706797098c67e772f47c5d51002351a3b8f6d0b19972ab31ddb28a9d392a7"
+            "0f69e52ff608d9324c4f9c15dc14c629c7e3a6e41baded1d3346ec7477496bfb"
         )
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert body[0] == "0 0" and body[-1] == "0.693147180559945 0.130812035941137"
 
     def test_dsbs_gap(self, tmp_path, capsys):
         out = tmp_path / "gap"
@@ -307,6 +309,9 @@ class TestSamplingOptions:
         (["dsbs-gap", "--p", "0.1"], ["--refine-steps", "10"]),
         (["dsbs-gap", "--p", "0.1"], ["--step-size", "0.1"]),
         (["dsbs-gap", "--p", "0.1"], ["--caps", "2,2"]),
+        (["ib-curve", "--source", "dsbs:0.1"], ["--caps", "2,2"]),
+        (["ib-curve", "--source", "dsbs:0.1"], ["--refine-steps", "10"]),
+        (["ib-curve", "--source", "dsbs:0.1"], ["--step-size", "0.1"]),
     ])
     def test_options_no_command_reads_are_rejected(self, tmp_path, capsys, argv, flag):
         out = "--out-dir" if argv[0] == "dsbs-gap" else "--out"
@@ -325,7 +330,7 @@ class TestSamplingOptions:
         assert main(["region-sample", "--source", "dsbs:0.1", "--seed", "1", "--samples", "5",
                      "--out", str(rs)]) == 0
         assert main(["ib-curve", "--source", "dsbs:0.1", "--seed", "1", "--samples", "5",
-                     "--grid", "3", "--refine-steps", "2", "--out", str(ib)]) == 0
+                     "--grid", "3", "--out", str(ib)]) == 0
         capsys.readouterr()
         keys, values = {}, {}
         for path in (conj, gap / "outer.dat", rs, ib):
@@ -337,11 +342,9 @@ class TestSamplingOptions:
         assert keys[conj] == ["p", *sampled, "units"]
         assert keys[gap / "outer.dat"] == ["p", "window", "window_points", "units", "curve"]
         assert keys[rs] == ["source", "variant", *sampled, "units"]
-        assert keys[ib] == [
-            "source", "grid_points", "grid_lo", "grid_hi", *sampled, "refine_steps", "step_size", "units",
-        ]
+        assert keys[ib] == ["source", "grid_points", "grid_lo", "grid_hi", "units"]
         # the draws' RNG layout: one substream per block of 256 draws
-        for path in (conj, rs, ib):
+        for path in (conj, rs):
             assert values[path]["draw_block"] == ["256"]
 
 
@@ -567,6 +570,24 @@ class TestSubprocess:
             one = (tmp_path / "one" / name).read_bytes()
             four = (tmp_path / "four" / name).read_bytes()
             assert one == four
+
+    def test_ib_curve_rerun_across_thread_counts_and_ignored_options(self, tmp_path):
+        # the bottleneck solve draws nothing: neither the thread count nor
+        # --seed and --samples reach the output
+        runs = [
+            ("1", ["--seed", "1", "--samples", "5"]),
+            ("3", ["--seed", "1", "--samples", "5"]),
+            ("1", ["--seed", "2", "--samples", "400"]),
+            ("3", ["--seed", "2", "--samples", "400"]),
+        ]
+        bodies = set()
+        for i, (threads, extra) in enumerate(runs):
+            argv = ["ib-curve", "--source", "dsbs:0.25", "--grid", "11", *extra, "--out", f"ib{i}.dat"]
+            res = self._run(argv, threads, tmp_path)
+            assert res.returncode == 0, res.stderr
+            text = (tmp_path / f"ib{i}.dat").read_bytes().decode()
+            bodies.add("".join(line for line in text.splitlines(True) if not line.startswith("#")))
+        assert len(bodies) == 1
 
     def test_console_script_version(self, tmp_path):
         res = subprocess.run(

@@ -1,5 +1,7 @@
 """Tests for the samplers, refinement, envelopes, and boundary curves."""
 
+import hashlib
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -47,6 +49,7 @@ from coinfo.probability import (
     binary_convolution,
     binary_entropy,
     binary_entropy_inverse,
+    compose_markov,
     conditional_mutual_information,
     dsbs,
     mutual_information,
@@ -56,6 +59,11 @@ from coinfo.regions import inner_point, outer_point_ro, outer_point_ro_prime
 from entropy_reference import entropies
 
 I_XZ_01 = LOG2 - binary_entropy(0.1)  # 0.36806420716849707
+
+SOURCE3 = JointPmf((Alphabet(3, "x"), Alphabet(2, "z")), [[0.2, 0.1], [0.05, 0.25], [0.3, 0.1]])
+DIRICHLET4 = JointPmf(
+    (Alphabet(4, "x"), Alphabet(4, "z")), np.random.default_rng(5).dirichlet(np.ones(16)).reshape(4, 4)
+)
 
 
 def small_cfg(seed, count, top=8, steps=60):
@@ -473,6 +481,44 @@ class TestSupportFunction:
         assert np.array_equal(c3[0].rows, c4[0].rows)
         assert np.array_equal(c3[1].rows, c4[1].rows)
 
+    # float.hex digests of (value, candidate tables), taken when the best
+    # sample was drawn a second time whenever it was not kept; keeping the
+    # first maximum during the scan must give the same bytes. SOURCE3's
+    # inner refine_top 0 case is the one that returns a sample not kept
+    @pytest.mark.parametrize("source, variant, top, digest", [
+        pytest.param("dsbs", "inner", 0,
+                     "d933020d9e1bd2010eeb72220738d54fc5186ce57c8b6949b5f0b72c6ef4f543",
+                     id="dsbs-inner-0"),
+        pytest.param("dsbs", "inner", 4,
+                     "d933020d9e1bd2010eeb72220738d54fc5186ce57c8b6949b5f0b72c6ef4f543",
+                     id="dsbs-inner-4"),
+        pytest.param("dsbs", "ro", 0,
+                     "e66ce5cbfca8f8c6b87c745b1261eaf3e53e5a3508b8ba91a4ecc491eee38618",
+                     id="dsbs-ro-0"),
+        pytest.param("dsbs", "ro", 4,
+                     "e66ce5cbfca8f8c6b87c745b1261eaf3e53e5a3508b8ba91a4ecc491eee38618",
+                     id="dsbs-ro-4"),
+        pytest.param("SOURCE3", "inner", 0,
+                     "03315ef9a5bc346c9b712d595a6741e71a96bfbbb787db040207bea9953171b4",
+                     id="SOURCE3-inner-0"),
+        pytest.param("SOURCE3", "inner", 4,
+                     "c8f5cd4d4f458f9edb4ad9d81245e8d2bf7342d1008febd77f90066c56b1248a",
+                     id="SOURCE3-inner-4"),
+        pytest.param("SOURCE3", "ro", 0,
+                     "ed27ea49e28cbdad3aa07d022944cee85ce1efde6e6e1632200199373361162b",
+                     id="SOURCE3-ro-0"),
+        pytest.param("SOURCE3", "ro", 4,
+                     "ed27ea49e28cbdad3aa07d022944cee85ce1efde6e6e1632200199373361162b",
+                     id="SOURCE3-ro-4"),
+    ])
+    def test_best_draw_kept_from_the_scan(self, source, variant, top, digest):
+        src = dsbs(0.1) if source == "dsbs" else SOURCE3
+        cfg = SampleConfig(seed=6, count=300, refine_top=top, refine_steps=40)
+        value, candidate = support_function(src, SupportWeight(1.0, -0.2, 0.0), cfg, variant)
+        tables = [ch.rows for ch in candidate] if variant == "inner" else [candidate]
+        words = [value.hex()] + [float(v).hex() for t in tables for v in np.ravel(t)]
+        assert hashlib.sha256(" ".join(words).encode()).hexdigest() == digest
+
     def test_variant_validation(self):
         with pytest.raises(DomainError):
             support_function(dsbs(0.1), SupportWeight(1, 0, 0), small_cfg(0, 5), "outer")
@@ -691,21 +737,78 @@ class TestDsbsOuterBoundary:
         assert dsbs_outer_boundary_sampled(0.1, DEFAULT_WINDOW).knots
 
 
+# ib_curve(SOURCE3) and ib_curve(DIRICHLET4) at np.linspace(0, ln |X|, 41), as
+# the sampled and refined ib_curve(src, grid, SampleConfig(seed=1,
+# count=20000)) gave them before the bottleneck solve replaced it
+SAMPLED_IB_SOURCE3 = (
+    2.220446049250313e-16, 0.007718376093995197, 0.015436752187990234, 0.02307603263664606,
+    0.03039900128924939, 0.03761029273519526, 0.04475444530033898, 0.051898597865482704,
+    0.059042123977930044, 0.06540221634692761, 0.07176230871592519, 0.07812174499738853,
+    0.08398954924760592, 0.08985735349782333, 0.09572515774804073, 0.10159296199825812,
+    0.10746045998720488, 0.11189001482055913, 0.11631956965391337, 0.12074912448726763,
+    0.12517867932062188, 0.12960618710536656, 0.13100996441313525, 0.13226699539573344,
+    0.1335240263783316, 0.13476197625592864, 0.1349583091423443, 0.1351546384227159,
+    0.13534922218807535, 0.13551878692128871, 0.1356883516545021, 0.13585791638771547,
+    0.13602748112092883, 0.13619704585414222, 0.136366586637179, 0.13651693450674382,
+    0.13666727013097815, 0.13680317288815805, 0.1369085885692137, 0.13701400425026938,
+    0.13708214271773045,
+)
+SAMPLED_IB_DIRICHLET4 = (
+    0.0, 0.009045629840233039, 0.018091259680466078, 0.027136889520699113,
+    0.036182519360932155, 0.0452281492011652, 0.05427214508268728, 0.06245035902633943,
+    0.07062857296999157, 0.07880678691364372, 0.08698043531465584, 0.09352461085254533,
+    0.10005299091876789, 0.10658137098499046, 0.11310975105121304, 0.1196381311174356,
+    0.12616580846209902, 0.12923237964386047, 0.1322989508256219, 0.1353061669771414,
+    0.13690912151791557, 0.1385120760586897, 0.14011503059946387, 0.141717985140238,
+    0.14331326625388724, 0.14471554446003648, 0.14577323131151768, 0.1468309181629989,
+    0.1478886050144801, 0.1489462918659613, 0.1500039787174425, 0.1510616655689237,
+    0.15211935242040492, 0.1531770392718861, 0.1542347261233673, 0.15529241297484853,
+    0.15635009982632972, 0.1569661493154091, 0.1569661493154091, 0.1569661493154091,
+    0.1569661493154091,
+)
+
+
 class TestIbCurve:
     def test_endpoints_and_monotone(self):
-        src = dsbs(0.1)
-        cfg = SampleConfig(seed=9, count=400, refine_top=10, refine_steps=100)
-        curve = ib_curve(src, [0.0, 0.2, 0.5, LOG2], cfg)
-        assert curve.value_at(0.0) <= 1e-9
-        assert abs(curve.value_at(LOG2) - I_XZ_01) <= 2e-3
+        curve = ib_curve(dsbs(0.1))
+        assert curve.knots[0] == (0.0, 0.0)
+        assert curve.r_max == LOG2 and abs(curve.value_at(LOG2) - I_XZ_01) <= 1e-15
         assert curve.value_at(0.9) == curve.value_at(curve.r_max)
         vals = [curve.value_at(r) for r in np.linspace(0.0, LOG2, 30)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_relevance_never_exceeds_source_mi(self):
-        src = dsbs(0.25)
-        curve = ib_curve(src, [0.3], SampleConfig(seed=4, count=200, refine_top=6, refine_steps=50))
+        curve = ib_curve(dsbs(0.25))
         assert curve.value_at(curve.r_max) <= (LOG2 - binary_entropy(0.25)) + 1e-9
+
+    def test_draws_and_climbs_nothing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("ib_curve drew or climbed")
+
+        monkeypatch.setattr(optimize, "_substream", forbidden)
+        monkeypatch.setattr(optimize, "_lockstep", forbidden)
+        assert list(inspect.signature(ib_curve).parameters) == ["p_xz"]
+        assert len(ib_curve(dsbs(0.25)).knots) > 2
+
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.25, 0.45])
+    def test_dsbs_closed_form(self, p):
+        # the DSBS curve is ln 2 - h_b(p * h_b^-1(ln 2 - r)) (Mrs. Gerber's lemma)
+        curve = ib_curve(dsbs(p))
+        rs = np.linspace(0.0, LOG2, 401)
+        got = np.array([curve.value_at(r) for r in rs])
+        alphas = [binary_entropy_inverse(min(max(LOG2 - r, 0.0), LOG2)) for r in rs]
+        want = np.array([LOG2 - binary_entropy(binary_convolution(p, a)) for a in alphas])
+        assert np.max(got - want) <= 1e-12
+        assert np.max(want - got) <= 3e-4
+
+    @pytest.mark.parametrize("src, sampled", [
+        (SOURCE3, SAMPLED_IB_SOURCE3), (DIRICHLET4, SAMPLED_IB_DIRICHLET4),
+    ], ids=["SOURCE3", "DIRICHLET4"])
+    def test_no_lower_than_the_sampled_curve(self, src, sampled):
+        curve = ib_curve(src)
+        rs = np.linspace(0.0, math.log(src.mass.shape[0]), 41)
+        got = np.array([curve.value_at(r) for r in rs])
+        assert np.min(got - np.array(sampled)) >= -3e-4
 
 
 class TestConjecture:
@@ -758,6 +861,24 @@ class TestConjecture:
             with pytest.raises(DomainError, match=r"\(0, 1/2\].*x = z"):
                 conjecture_test(p, small_cfg(1, 300))
         assert conjecture_test(1e-9, small_cfg(1, 300))["min_margin"] < 0.0
+
+    @pytest.mark.parametrize("p, negative", [(1e-3, True), (0.01, True), (0.05, False)])
+    def test_counterexample_candidates_at_small_p(self, p, negative):
+        # 3000 draws find negative margins (about -1.3e-3 and -2.1e-4) at
+        # p <= 0.01, and the label path gives the same margins
+        rep = conjecture_test(p, SampleConfig(seed=1, count=3000))
+        assert (rep["min_margin"] < 0.0) == negative
+        if negative:
+            ch_u = Channel(Alphabet(2, "x"), Alphabet(2, "u"), rep["worst_ch_u"])
+            ch_v = Channel(Alphabet(2, "z"), Alphabet(2, "v"), rep["worst_ch_v"])
+            joint = compose_markov(dsbs(p), ch_u, ch_v)
+            alpha, beta = (
+                binary_entropy_inverse(min(max(LOG2 - mutual_information(joint, a, b), 0.0), LOG2))
+                for a, b in (("u", "x"), ("v", "z"))
+            )
+            bound = LOG2 - binary_entropy(binary_convolution(binary_convolution(alpha, p), beta))
+            margin = bound - mutual_information(joint, "u", "v")
+            assert abs(margin - rep["min_margin"]) <= 1e-15
 
     @staticmethod
     def scalar_conjecture(p, cfg):
@@ -908,9 +1029,6 @@ def lockstep_and_reference(monkeypatch, fn, *args):
     return bits(got), bits(want)
 
 
-SOURCE3 = JointPmf((Alphabet(3, "x"), Alphabet(2, "z")), [[0.2, 0.1], [0.05, 0.25], [0.3, 0.1]])
-
-
 class TestLockstep:
     @pytest.mark.parametrize("variant", ["inner", "ro", "ro_prime"])
     def test_support_function_matches_scalar_reference(self, monkeypatch, variant):
@@ -918,13 +1036,6 @@ class TestLockstep:
         for src, cap in ((dsbs(0.1), None), (SOURCE3, 3)):
             cfg = SampleConfig(seed=4, count=60, refine_top=6, refine_steps=80, cap_u=cap, cap_v=cap)
             got, want = lockstep_and_reference(monkeypatch, support_function, src, lam, cfg, variant)
-            assert got == want
-
-    def test_ib_curve_matches_scalar_reference(self, monkeypatch):
-        cfg = SampleConfig(seed=3, count=150, refine_top=5, refine_steps=150)
-        for src in (dsbs(0.25), SOURCE3):
-            grid = np.linspace(0.0, math.log(src.mass.shape[0]), 9)
-            got, want = lockstep_and_reference(monkeypatch, ib_curve, src, grid, cfg)
             assert got == want
 
     def test_local_refine_matches_scalar_reference(self, monkeypatch):
@@ -975,14 +1086,14 @@ class TestLockstep:
 
 
 class TestDrawBlocks:
-    """Inner and bottleneck draws are scored a block at a time; no result
-    depends on the block size."""
+    """Inner draws and the solved bottleneck channels are scored a block at
+    a time; no result depends on the block size."""
 
     @staticmethod
     def results(count):
         lam = SupportWeight(0.9, -0.2, -0.3)
         cfg = SampleConfig(seed=6, count=count, refine_top=4, refine_steps=40)
-        out = [conjecture_test(0.1, cfg), ib_curve(SOURCE3, [0.2, 0.5, 0.9], cfg)]
+        out = [conjecture_test(0.1, cfg), ib_curve(SOURCE3)]
         for src in (dsbs(0.1), SOURCE3):
             out.append([(pt.mu, pt.r1, pt.r2) for pt in sample_region_points(src, cfg, "inner")])
             # refine_top 0 keeps no draw, so the best one is drawn again
@@ -1010,7 +1121,8 @@ class TestDrawBlocks:
     def test_block_size_does_not_change_results(self, monkeypatch, count):
         want = self.results(count)
         # budgets of 1 and 7 draws of a 2x2x2x2 joint: blocks of 1 draw
-        # everywhere, then 7, 6 (SOURCE3's bottleneck) and 3 (its inner) draws
+        # everywhere, then 7, 4 (SOURCE3's bottleneck channels) and 3 (its
+        # inner draws)
         for block in (1, 7):
             monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
             assert self.results(count) == want
@@ -1027,7 +1139,7 @@ class TestDrawBlocks:
     def refined_results():
         lam = SupportWeight(0.9, -0.2, -0.3)
         cfg = SampleConfig(seed=6, count=300, refine_top=6, refine_steps=40)
-        out = [ib_curve(SOURCE3, [0.2, 0.5, 0.9], cfg)]
+        out = []
         for src in (dsbs(0.1), SOURCE3):
             for variant in ("inner", "ro", "ro_prime"):
                 value, candidate = support_function(src, lam, cfg, variant)
@@ -1061,8 +1173,6 @@ class TestDrawBlocks:
         monkeypatch.setattr(optimize, "_lockstep", lockstep)
         monkeypatch.setattr(optimize, "_batch_inner_stats", spy(
             optimize._batch_inner_stats, lambda pxz, u, v: pxz.size * u.shape[2] * v.shape[2]))
-        monkeypatch.setattr(optimize, "_batch_ib_stats", spy(
-            optimize._batch_ib_stats, lambda pxz, u: pxz.size * u.shape[2]))
         monkeypatch.setattr(optimize, "_chain_map", spy(
             optimize._chain_map, lambda pxz, q, cond: q[0].size))
         for tables in (1, 7):
@@ -1106,29 +1216,6 @@ class TestDrawLayout:
             for n in counts
         ]
         assert len({(pt.mu.hex(), pt.r1.hex(), pt.r2.hex()) for pt in points}) == 1
-
-    # the default budget draws SOURCE3's 13-float pairs a block at a time,
-    # 40 floats three draws at a time, with the first shape skipped
-    @pytest.mark.parametrize("floats", [optimize._DRAW_FLOATS, 40])
-    def test_single_draw_is_the_scored_draw(self, monkeypatch, floats):
-        # _draw, the re-draw of support_function, gives the tables the
-        # samplers score, across the edge of a draw block
-        monkeypatch.setattr(optimize, "_DRAW_FLOATS", floats)
-        scored = []
-        batch_inner_stats = optimize._batch_inner_stats
-
-        def stats(pxz, rows_u, rows_v):
-            scored.append((rows_u.copy(), rows_v.copy()))
-            return batch_inner_stats(pxz, rows_u, rows_v)
-
-        monkeypatch.setattr(optimize, "_batch_inner_stats", stats)
-        count = 2 * self.B + 4
-        sample_region_points(SOURCE3, SampleConfig(seed=8, count=count), "inner")
-        rows_u, rows_v = (np.concatenate(kind) for kind in zip(*scored))
-        assert len(rows_u) == count
-        for i in (0, self.B - 1, self.B, 2 * self.B + 3):
-            u, v = optimize._draw(8, i, [(3, 3), (2, 2)])
-            assert u.tobytes() == rows_u[i].tobytes() and v.tobytes() == rows_v[i].tobytes()
 
     def test_one_substream_per_draw_block(self, monkeypatch):
         opened = []
@@ -1176,21 +1263,3 @@ class TestDrawLayout:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-
-    def test_ib_curve_draws_each_picked_block_once(self, monkeypatch):
-        opened = []
-        substream = optimize._substream
-
-        def spy(seed, index):
-            opened.append(index)
-            return substream(seed, index)
-
-        monkeypatch.setattr(optimize, "_substream", spy)
-        count = 3 * self.B + 1
-        grid = np.linspace(0.0, 1.1, 25).tolist()
-        ib_curve(SOURCE3, grid, SampleConfig(seed=3, count=count, refine_top=0, refine_steps=5))
-        walk = math.ceil(count / self.B)
-        assert opened[:walk] == list(range(walk))
-        # the caps pick draws of several blocks, each drawn again once
-        redrawn = opened[walk:]
-        assert len(redrawn) > 1 and len(redrawn) == len(set(redrawn))

@@ -198,6 +198,18 @@ class TestTypicalSet:
         with pytest.raises(DomainError):
             next(typical_set([0.5, 0.5], 4, -0.1))
 
+    @pytest.mark.parametrize("pmf", [
+        [True, False], ["0.5", "0.5"], np.array([0.5, 0.5], dtype=object),
+    ], ids=["bool", "str", "object"])
+    def test_non_numbers_are_rejected(self, pmf):
+        # neither is converted: [True, False] is not the pmf (1, 0)
+        with pytest.raises(DomainError, match="real numbers"):
+            typical_set_size(pmf, 3, 0.1)
+        with pytest.raises(DomainError, match="real numbers"):
+            next(typical_set(pmf, 3, 0.1))
+        with pytest.raises(DomainError, match="real numbers"):
+            sequence_probability_identity_check(pmf, (0, 1))
+
 
 class TestSequenceProbabilityIdentity:
     def test_fair_coin(self):
