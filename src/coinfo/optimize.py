@@ -1,9 +1,10 @@
 """Sampling-based and deterministic optimizers for the bound regions.
 
-Support-function maximization over Markov-constrained auxiliary channels,
-deterministic hill-climb refinement, upper concave envelopes, the
-symmetric-binary boundary curves, the bottleneck curve, the conjecture
-margin search, and the cardinality robustness report.
+Support-function maximization over Markov-constrained auxiliary channels
+(the inner one solved, the outer ones sampled and hill-climbed), upper
+concave envelopes, the symmetric-binary boundary curves, the bottleneck
+curve, the conjecture margin search, and the cardinality robustness
+report.
 
 Determinism contract: draws come in blocks of _DRAW_BLOCK. Block k of a
 seed comes from one substream (seed, k), one flat-Dirichlet array of
@@ -28,11 +29,15 @@ chains (_chain_map), a block of tables per call, with the floats each
 table would get alone, and every outer table scored is checked to hold
 both chains (_checked_outer_stats).
 
-Refinement runs in lockstep (_lockstep): all the candidates one call
-refines climb together, and each step scores the "+" and "-" proposals
-of all of them with one objective call per scoring block of at most
-_DRAW_CELLS joint cells (_in_scoring_blocks): one batch_entropies call
-for the inner objective and one batched chain map for the outer ones. A
+The inner support function draws nothing and is not hill-climbed: it is
+a two-sided Blahut-Arimoto solve (_inner_solve). Each round makes one
+bottleneck update of p(u|x) against v and then one of p(v|z) against u
+(_bottleneck_update), from a fixed family of start pairs (_inner_starts),
+all in one batch, for a fixed number of rounds; the best scored iterate
+of each pair is kept. Outer refinement runs in lockstep (_lockstep): all
+the candidates one call refines climb together, and each step scores the
+"+" and "-" proposals of all of them with one batched chain map per
+scoring block of at most _DRAW_CELLS joint cells (_in_scoring_blocks). A
 candidate gets exactly the decisions of a climb of its own, so its
 result does not depend on which candidates share its batch.
 The DSBS outer curve draws nothing and is not refined: it is the
@@ -42,12 +47,13 @@ Frechet couplings of a BSC pair (_coupling_solve); its auxiliaries are
 binary. The bottleneck curve draws nothing and is not refined either:
 it is the envelope of the constant and identity channels and of the
 self-consistent bottleneck channels of a fixed schedule of Lagrange
-multipliers (_ib_solve), all solved in one batch with elementwise
-operations and einsum(optimize=False) only.
+multipliers (_ib_solve), the same update as the inner solve's, all
+solved in one batch. Both solves use elementwise operations and
+einsum(optimize=False) only.
 """
-
 import copy
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -66,6 +72,7 @@ from .probability import (
     _bconv,
     _check_probability,
     _clamp_measures,
+    _NEG_TOL,
     _hb_closed_array,
     _is_int,
     _is_real,
@@ -106,7 +113,10 @@ class SampleConfig:
     """Budgets and seeds for the samplers.
 
     cap_u / cap_v default to the source alphabet sizes, the cardinality
-    bounds under which the regions are already exhausted.
+    bounds under which the regions are already exhausted. The inner
+    support function (support_function, cardinality_robustness) is
+    solved, not sampled, and reads cap_u and cap_v alone; every field is
+    still validated.
     """
 
     seed: int
@@ -497,18 +507,13 @@ def _lockstep(tables, value_fn, steps, step_size):
     return best, tables
 
 
-def _seed_tables(variant, pxz, cap_u, cap_v):
-    # the identity corner u = x, v = z; feasible for every variant and the
-    # best starting point whenever rates are cheap relative to mu
+def _seed_tables(pxz, cap_u, cap_v):
+    # the identity corner u = x, v = z of an outer table; feasible for both
+    # outer variants and the best starting point whenever rates are cheap
+    # relative to mu
     nx, nz = pxz.shape
     if cap_u < nx or cap_v < nz:
         return []
-    if variant == "inner":
-        eu = np.zeros((nx, cap_u))
-        eu[:, :nx] = np.eye(nx)
-        ev = np.zeros((nz, cap_v))
-        ev[:, :nz] = np.eye(nz)
-        return [[eu, ev]]
     q = np.zeros((nx, nz, cap_u, cap_v))
     for x in range(nx):
         for z in range(nz):
@@ -529,19 +534,12 @@ def _outer_draws(cfg, pxz, cond, cap_u, cap_v):
 
 
 def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
-    """The batched objective of support_function and local_refine.
+    """The batched objective of an outer variant's refinement.
 
-    Outer candidates are flat tables q(u,v|x,z), one row per (x, z); their
+    Candidates are flat tables q(u,v|x,z), one row per (x, z); their
     proposals are mapped onto the short chains in one batch (_chain_map)
     and scored on the mapped tables.
     """
-    cells = pxz.size * cap_u * cap_v
-    if variant == "inner":
-
-        def fn(tables, idx):
-            return _lam_dot(lam, *_batch_inner_stats(pxz, *tables)), tables
-
-        return _in_scoring_blocks(fn, cells)
     nx, nz = pxz.shape
     score = _outer_score(lam, variant)
 
@@ -550,7 +548,7 @@ def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
         q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
         return np.array([score(st) for st in stats], dtype=np.float64), [q.reshape(flat.shape)]
 
-    return _in_scoring_blocks(fn, cells)
+    return _in_scoring_blocks(fn, pxz.size * cap_u * cap_v)
 
 
 def _in_scoring_blocks(value_fn, cells):
@@ -580,23 +578,29 @@ def _outer_score(lam, variant):
 
 
 def support_function(p_xz, lam, cfg, variant="inner"):
-    """Best sampled-and-refined value of lam . (mu, r1, r2) for a variant.
+    """Best value of lam . (mu, r1, r2) for a variant, and its candidate.
 
     Returns (value, candidate): channel pair (chU, chV) for the inner
     variant, else the conditional table q(u,v|x,z) with row axis (x,z)
-    and column axis (u,v), both C-ordered. The value is nondecreasing in
-    cfg.count for a fixed seed: a sample is refined iff it ranks among
-    the running refine_top best at its own arrival, which depends only on
-    earlier samples. Two count-independent candidates are always in the
-    pool: the constant channel and, when the caps allow it, the refined
-    identity corner. Ties break toward them, then toward the lowest
-    sample index. The identity corner and every refined sample are
-    hill-climbed together in one batch. Every outer candidate (draw,
-    baseline and refinement proposal) is mapped onto the two short chains
-    by _chain_map, so every draw is scored and the returned table holds
-    both chains. The scan keeps the tables of the first largest raw draw
-    value (argmax within a block, a strict > across blocks), which is the
-    winner whenever no sample is kept, so no draw is made twice.
+    and column axis (u,v), both C-ordered. Caps default to the source
+    alphabet sizes (cfg.cap_u, cfg.cap_v).
+
+    The inner variant is solved, not sampled (_inner_support): it reads
+    the caps of cfg alone, so its result does not depend on the seed, the
+    count or the refinement budget. The outer variants are sampled and
+    refined. Their value is nondecreasing in cfg.count for a fixed seed:
+    a sample is refined iff it ranks among the running refine_top best at
+    its own arrival, which depends only on earlier samples. Two
+    count-independent candidates are always in the pool: the constant
+    channel and, when the caps allow it, the refined identity corner.
+    Ties break toward them, then toward the lowest sample index. The
+    identity corner and every refined sample are hill-climbed together in
+    one batch. Every outer candidate (draw, baseline and refinement
+    proposal) is mapped onto the two short chains by _chain_map, so every
+    draw is scored and the returned table holds both chains. The scan
+    keeps the tables of the first largest raw draw value (argmax within a
+    block, a strict > across blocks), which is the winner whenever no
+    sample is kept, so no draw is made twice.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -607,38 +611,27 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
     if variant == "inner":
-        cond = None
-        shapes = [(nx, cap_u), (nz, cap_v)]
-        baseline = [_constant_rows(nx, cap_u), _constant_rows(nz, cap_v)]
-        base_st = _batch_inner_stats(pxz, *_stack([baseline]))
-        base_val = _lam_dot(lam, *(float(c[0]) for c in base_st))
-        draws = (
-            (lo, tables, _lam_dot(lam, *st))
-            for lo, tables, st in _scored_draws(cfg, pxz, shapes, _batch_inner_stats)
-        )
-    else:
-        cond = _source_conditionals(pxz)
-        score = _outer_score(lam, variant)
-        baseline = [_constant_rows(nx * nz, cap_u * cap_v)]
-        _, (base_st,) = _chain_map(pxz, baseline[0].reshape(1, nx, nz, cap_u, cap_v), cond)
-        base_val = score(base_st)
-        if lam.degenerate:
-            # constant channels are provably optimal on this face
-            return base_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
-        draws = (
-            (lo, [q], np.array([score(st) for st in stats]))
-            for lo, q, stats in _outer_draws(cfg, pxz, cond, cap_u, cap_v)
-        )
+        value, tables = _inner_support(pxz, lam, cap_u, cap_v)
+        return value, _public_candidate(variant, tables, p_xz, cap_u, cap_v)
+    cond = _source_conditionals(pxz)
+    score = _outer_score(lam, variant)
+    baseline = [_constant_rows(nx * nz, cap_u * cap_v)]
+    _, (base_st,) = _chain_map(pxz, baseline[0].reshape(1, nx, nz, cap_u, cap_v), cond)
+    best_val, best_tables = score(base_st), baseline
+    if lam.degenerate:
+        # constant channels are provably optimal on this face
+        return best_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
 
     values = np.full(cfg.count, -np.inf)
     top = []
     kept = {}  # the tables of each sample that ranked among the running best
     first_max = None  # (raw value, tables) of the first largest raw draw value
-    for lo, tables, block_values in draws:
+    for lo, q, stats in _outer_draws(cfg, pxz, cond, cap_u, cap_v):
+        block_values = np.array([score(st) for st in stats])
         values[lo : lo + len(block_values)] = block_values
         j = int(np.argmax(block_values))
         if first_max is None or block_values[j] > first_max[0]:
-            first_max = block_values[j], [t[j].copy() for t in tables]
+            first_max = block_values[j], [q[j].copy()]
         if cfg.refine_top == 0:
             continue
         for i in range(lo, lo + len(block_values)):
@@ -648,11 +641,10 @@ def support_function(p_xz, lam, cfg, variant="inner"):
                 heapq.heapreplace(top, values[i])
             else:
                 continue
-            kept[i] = [t[i - lo].copy() for t in tables]
+            kept[i] = [q[i - lo].copy()]
 
-    seeds = _seed_tables(variant, pxz, cap_u, cap_v)
+    seeds = _seed_tables(pxz, cap_u, cap_v)
     refined = list(kept) if cfg.refine_steps > 0 else []
-    best_val, best_tables = base_val, baseline
     if seeds or refined:
         value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond)
         batch = _stack(seeds + [kept[i] for i in refined])
@@ -686,10 +678,14 @@ def _public_candidate(variant, tables, p_xz, cap_u, cap_v):
 
 
 def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.05):
-    """Hill-climb a candidate; the objective never decreases.
+    """Improve a candidate; the objective never decreases.
 
     Accepts and returns the candidate forms produced by support_function.
-    steps must be an integer >= 0 and step_size finite and positive.
+    steps must be an integer >= 0 and step_size finite and positive. An
+    inner candidate runs `steps` rounds of the two-sided bottleneck solve
+    (_inner_solve) and the best scored iterate is returned; step_size is
+    not read. An outer candidate is hill-climbed for `steps` steps
+    (_lockstep).
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -698,11 +694,9 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.0
     nx, nz = pxz.shape
     if variant == "inner":
         ch_u, ch_v = candidate
-        rows_u = np.array(ch_u.rows if isinstance(ch_u, Channel) else ch_u)
-        rows_v = np.array(ch_v.rows if isinstance(ch_v, Channel) else ch_v)
-        cap_u, cap_v = rows_u.shape[1], rows_v.shape[1]
-        value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v, None)
-        _, (rows_u, rows_v) = _lockstep([rows_u[None], rows_v[None]], value_fn, steps, step_size)
+        rows_u = np.array(ch_u.rows if isinstance(ch_u, Channel) else ch_u, dtype=np.float64)
+        rows_v = np.array(ch_v.rows if isinstance(ch_v, Channel) else ch_v, dtype=np.float64)
+        _, rows_u, rows_v = _inner_solve(pxz, lam, rows_u[None], rows_v[None], steps)
         if isinstance(ch_u, Channel):
             return (
                 Channel(ch_u.input, ch_u.output, rows_u[0]),
@@ -714,6 +708,195 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.0
     value_fn = _make_value_fn(variant, pxz, lam, cap_u, cap_v, _source_conditionals(pxz))
     _, (flat,) = _lockstep([q.reshape(1, nx * nz, cap_u * cap_v)], value_fn, steps, step_size)
     return flat[0].reshape(nx, nz, cap_u, cap_v)
+
+
+# ---------------------------------------------------------------------------
+# the inner support solve
+
+
+# rounds of the inner support solve, and the shares of a starting row
+# spread evenly over all outputs around its corner (_noisy_corner)
+_INNER_ROUNDS = 60
+_INNER_SPREADS = (0.01, 0.3)
+_TINY = np.finfo(np.float64).tiny  # stands in for a zero under a log
+
+
+def _bottleneck_update(pxy, y_given_x, enc, beta, relevance=None):
+    """One self-consistent bottleneck update of a batch of encoders
+    enc[b] = q(u|x) on the source p(x, y) (Tishby, Pereira & Bialek 1999):
+    q(u|x) ~ q(u) exp(-beta D(p(v|x) || q(v|u))), a Blahut-Arimoto step.
+
+    The relevance v is y itself when relevance is None; else it is the
+    output of the channels relevance[b] = q(v|y), so p(v|x) =
+    sum_y p(y|x) q(v|y) on the chain u - x - y - v. beta broadcasts
+    against (batch, |X|, |U|). beta = inf is the hard limit, the
+    co-clustering step of Dhillon, Mallela & Modha (2003): every x goes to
+    the first u of least D(p(v|x) || q(v|u)). For a fixed relevance the
+    update never lowers beta I(u;v) - I(u;x). Elementwise numpy and
+    einsum(optimize=False) only, so no BLAS kernel runs.
+    """
+    px = pxy.sum(axis=1)
+    q_u = np.einsum("x,bxu->bu", px, enc, optimize=False)[:, :, None]
+    q_uv = np.einsum("xy,bxu->buy", pxy, enc, optimize=False)
+    if relevance is None:
+        v_given_x = np.broadcast_to(y_given_x, (len(enc), *y_given_x.shape))
+    else:
+        q_uv = np.einsum("buy,byv->buv", q_uv, relevance, optimize=False)
+        v_given_x = np.einsum("xy,byv->bxv", y_given_x, relevance, optimize=False)
+    v_given_u = np.divide(q_uv, q_u, out=np.zeros(q_uv.shape), where=q_u > 0.0)
+    # beta * cross = -beta D(p(v|x) || q(v|u)) - beta H(v|x), whose last
+    # term is the same for every u of a row and drops out
+    log_decoder = np.log(np.maximum(v_given_u, _TINY))
+    cross = np.einsum("bxv,buv->bxu", v_given_x, log_decoder, optimize=False)
+    if np.isscalar(beta) and beta == math.inf:
+        return (np.argmax(cross, axis=2)[:, :, None] == np.arange(enc.shape[2])).astype(np.float64)
+    w = np.log(np.maximum(q_u[:, None, :, 0], _TINY)) + beta * cross
+    w = np.exp(w - w.max(axis=2, keepdims=True))
+    return w / w.sum(axis=2, keepdims=True)
+
+
+def _inner_iterates(pxz, lam, rows_u, rows_v):
+    """The rounds of the two-sided solve of l1 I(u;v) + l2 I(u;x) +
+    l3 I(v;z) from a batch of start pairs, without end.
+
+    With p(v|z) fixed, u - x - v is a Markov chain and the u terms are a
+    bottleneck problem of relevance v and beta_u = l1 / -l2; with p(u|x)
+    fixed, the v terms are one of relevance u and beta_v = l1 / -l3 (a
+    zero weight gives the hard limit, beta = inf). Each round makes one
+    _bottleneck_update of p(u|x) and then one of p(v|z), so the objective
+    never decreases but by rounding, and yields the pair (rows_u, rows_v).
+    Every operation acts on each pair alone, so a pair gets the same
+    floats in any batch.
+    """
+    z_given_x, x_given_z = _source_conditionals(pxz)
+    beta_u = lam.l1 / -lam.l2 if lam.l2 < 0.0 else math.inf
+    beta_v = lam.l1 / -lam.l3 if lam.l3 < 0.0 else math.inf
+    while True:
+        rows_u = _bottleneck_update(pxz, z_given_x, rows_u, beta_u, rows_v)
+        rows_v = _bottleneck_update(pxz.T, x_given_z.T, rows_v, beta_v, rows_u)
+        yield rows_u, rows_v
+
+
+def _inner_solve(pxz, lam, rows_u, rows_v, rounds):
+    """(values, rows_u, rows_v): the best scored iterate of each start pair
+    over its start and `rounds` rounds of _inner_iterates, the first on
+    ties. The start and each round are scored with _batch_inner_stats, in
+    blocks of at most _DRAW_CELLS joint cells, so no value depends on the
+    batch; a round at a time, so the index plans batch_entropies caches
+    stay those of one round's batch."""
+    pairs = [(rows_u, rows_v), *itertools.islice(_inner_iterates(pxz, lam, rows_u, rows_v), rounds)]
+    cells = pxz.size * rows_u.shape[2] * rows_v.shape[2]
+    values = np.concatenate([_lam_dot(lam, *_blocked_stats(_batch_inner_stats, pxz, pair, cells)) for pair in pairs])
+    us, vs = (np.concatenate(side) for side in zip(*pairs))
+    starts = np.arange(len(rows_u))
+    best = np.argmax(values.reshape(rounds + 1, len(starts)), axis=0) * len(starts) + starts
+    return values[best], us[best], vs[best]
+
+
+def _merged_labels(pxy, cap):
+    """The group of each x when x is clustered into min(cap, |X|) groups
+    by agglomerative bottleneck merges (Slonim & Tishby 1999): from one
+    group per x, the two groups whose merge loses the least I(group; y)
+    merge, the first pair on ties, and groups keep the order of their
+    first member. At cap >= |X| this is the identity."""
+    py = pxy.sum(axis=0)
+    labels = np.arange(len(pxy))
+    mass = pxy.copy()
+
+    def info(m):
+        # each group's term of I(group; y), from its row of the joint
+        ratio = np.divide(m, m.sum(axis=-1, keepdims=True) * py, out=np.ones(m.shape), where=m > 0.0)
+        return np.sum(m * np.log(ratio), axis=-1)
+
+    while len(mass) > cap:
+        i, j = np.triu_indices(len(mass), 1)
+        k = int(np.argmin(info(mass[i]) + info(mass[j]) - info(mass[i] + mass[j])))
+        i, j = int(i[k]), int(j[k])
+        mass[i] += mass[j]
+        mass = np.delete(mass, j, axis=0)
+        labels[labels == j] = i
+        labels[labels > j] -= 1
+    return labels
+
+
+def _noisy_corner(labels, cap, spread):
+    # row x: 1 - spread on output labels[x], spread evenly over all outputs
+    rows = np.full((len(labels), cap), spread / cap)
+    rows[np.arange(len(labels)), labels] += 1.0 - spread
+    return rows
+
+
+def _posterior_splits(pxy, cap):
+    """For each y, the group of each x when x is split into cap groups
+    contiguous in the (stable) order of p(y|x), x going to the group of
+    its mass midpoint on the cumulative mass scale; none when cap >= |X|.
+    For a binary relevance the best hard clustering is contiguous in that
+    order (Kurkoski & Yagi 2014)."""
+    n = len(pxy)
+    if cap >= n:
+        return []
+    px = pxy.sum(axis=1)
+    y_given_x, _ = _source_conditionals(pxy)
+    splits = []
+    for y in range(pxy.shape[1]):
+        order = np.argsort(y_given_x[:, y], kind="stable")
+        mid = np.cumsum(px[order]) - 0.5 * px[order]
+        labels = np.empty(n, dtype=np.intp)
+        labels[order] = np.minimum((mid * cap).astype(np.intp), cap - 1)
+        splits.append(labels)
+    return splits
+
+
+def _inner_starts(pxz, cap_u, cap_v):
+    """The start pairs of the inner support solve, stacked: the corner
+    u = x, v = z, each side merged down to its cap by _merged_labels when
+    the cap is smaller than its alphabet, then the noisy corners of every
+    pair of spreads of _INNER_SPREADS. A side whose cap is below its
+    alphabet adds one pair per letter of the other source: its
+    _posterior_splits corner with the other side's merged corner."""
+    label_u, label_v = _merged_labels(pxz, cap_u), _merged_labels(pxz.T, cap_v)
+    spreads = [(0.0, 0.0), *itertools.product(_INNER_SPREADS, repeat=2)]
+    corners = [(label_u, label_v, su, sv) for su, sv in spreads]
+    corners += [(split, label_v, 0.0, 0.0) for split in _posterior_splits(pxz, cap_u)]
+    corners += [(label_u, split, 0.0, 0.0) for split in _posterior_splits(pxz.T, cap_v)]
+    return _stack(
+        [_noisy_corner(lu, cap_u, su), _noisy_corner(lv, cap_v, sv)] for lu, lv, su, sv in corners
+    )
+
+
+def _inner_support(pxz, lam, cap_u, cap_v):
+    """(value, [rows_u, rows_v]) of the inner support function: the best of
+    the constant channel pair and of _INNER_ROUNDS rounds of _inner_solve
+    from each start pair (_inner_starts), all start pairs in one batch.
+    Nothing is drawn.
+
+    The constant pair's (mu, r1, r2) is (0, 0, 0) by definition, not a
+    score. A solved value within the clamp's float noise of it (1e-12 per
+    measure, weighted by |l1| + |l2| + |l3|) is rounding and does not
+    lift it, so a direction whose optimum is the constant pair returns
+    exactly 0. On a degenerate direction the constant pair is returned
+    directly.
+    """
+    nx, nz = pxz.shape
+    best = 0.0, [_constant_rows(nx, cap_u), _constant_rows(nz, cap_v)]
+    if lam.degenerate:
+        return best
+    values, rows_u, rows_v = _inner_solve(pxz, lam, *_inner_starts(pxz, cap_u, cap_v), _INNER_ROUNDS)
+    j = int(np.argmax(values))
+    if values[j] > _NEG_TOL * (lam.l1 - lam.l2 - lam.l3):
+        best = float(values[j]), [rows_u[j], rows_v[j]]
+    return best
+
+
+def _blocked_stats(stats, pxz, tables, cells):
+    """The columns of stats(pxz, *tables) (_batch_inner_stats,
+    _batch_ib_stats), scored a block of at most _DRAW_CELLS joint cells at a
+    time; a table's joint has `cells`."""
+    size = max(1, _DRAW_CELLS // cells)
+    if len(tables[0]) <= size:
+        return stats(pxz, *tables)
+    blocks = (stats(pxz, *(t[lo : lo + size] for t in tables)) for lo in range(0, len(tables[0]), size))
+    return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -887,18 +1070,16 @@ _IB_ITERATIONS = 100
 # the share of each starting row spread over all |X| + 1 outputs, the rest
 # on u = x: at 0 the spare output is never used, and a large share dies slowly
 _IB_START_SPREAD = 0.01
-_TINY = np.finfo(np.float64).tiny  # stands in for a zero under a log
 
 
 def _ib_solve(pxz):
     """The (_IB_POINTS, |X|, |X| + 1) batch of bottleneck channels
-    q(u|x): per beta, _IB_ITERATIONS self-consistent updates (Tishby,
-    Pereira & Bialek 1999), q(u|x) ~ q(u) exp(-beta D(p(z|x) || q(z|u))),
-    a Blahut-Arimoto iteration. All betas start from one fixed table and
+    q(u|x): per beta, _IB_ITERATIONS self-consistent updates
+    (_bottleneck_update, relevance z), q(u|x) ~ q(u) exp(-beta
+    D(p(z|x) || q(z|u))), a Blahut-Arimoto iteration. All betas start from one fixed table and
     run in one batch, elementwise and with einsum(optimize=False), so no
     BLAS kernel runs and no result depends on the thread count."""
     nx = pxz.shape[0]
-    px = pxz.sum(axis=1)
     z_given_x, _ = _source_conditionals(pxz)
     start = np.full((nx, nx + 1), _IB_START_SPREAD / (nx + 1))
     start[:, :nx] += (1.0 - _IB_START_SPREAD) * np.eye(nx)
@@ -906,38 +1087,28 @@ def _ib_solve(pxz):
     # computed here, not at import, where numpy's power loop costs 0.3 MiB
     beta = ((_IB_POINTS / np.arange(1, _IB_POINTS + 1)) ** 1.5)[:, None, None]
     for _ in range(_IB_ITERATIONS):
-        q_u = np.einsum("x,bxu->bu", px, q, optimize=False)[:, :, None]
-        q_uz = np.einsum("xz,bxu->buz", pxz, q, optimize=False)
-        z_given_u = np.divide(q_uz, q_u, out=np.zeros(q_uz.shape), where=q_u > 0.0)
-        # beta * cross = -beta D(p(z|x) || q(z|u)) - beta H(z|x), whose last
-        # term is the same for every u of a row and drops out
-        log_decoder = np.log(np.maximum(z_given_u, _TINY))
-        cross = np.einsum("xz,buz->bxu", z_given_x, log_decoder, optimize=False)
-        w = np.log(np.maximum(q_u[:, None, :, 0], _TINY)) + beta * cross
-        w = np.exp(w - w.max(axis=2, keepdims=True))
-        q = w / w.sum(axis=2, keepdims=True)
+        q = _bottleneck_update(pxz, z_given_x, q, beta)
     return q
 
 
 def ib_curve(p_xz):
     """Upper concave envelope of (I(u;x), I(u;z)) over the constant and
     identity channels and the solved bottleneck channels (_ib_solve), with
-    |X| + 1 outputs, the cardinality bound. A solved channel counts only
-    when its rate lies strictly between the constant channel's and the
-    identity's, so no rounding lifts (0, 0) or (H(x), I(x;z)). Nothing is
-    drawn: the curve depends on the source alone."""
+    |X| + 1 outputs, the cardinality bound. The constant channel's point
+    is (0, 0) by definition, not a score. A solved channel counts only
+    when its rate lies strictly between the identity's and the clamp's
+    float noise above 0 (1e-12), so no rounding lifts (0, 0) or
+    (H(x), I(x;z)). Nothing is drawn: the curve depends on the source
+    alone."""
     if len(p_xz.axes) != 2:
         raise DomainError(f"ib_curve needs a two-axis source, got {p_xz.labels}")
     pxz = p_xz.mass
     nx = pxz.shape[0]
-    # scored in blocks of at most _DRAW_CELLS joint cells
-    tables = np.concatenate([[_constant_rows(nx, nx + 1), np.eye(nx, nx + 1)], _ib_solve(pxz)])
-    size = max(1, _DRAW_CELLS // (pxz.size * (nx + 1)))
-    blocks = (_batch_ib_stats(pxz, tables[lo : lo + size]) for lo in range(0, len(tables), size))
-    r, mu = (np.concatenate(col) for col in zip(*blocks))
-    keep = (r > r[0]) & (r < r[1])
-    keep[:2] = True
-    return upper_concave_envelope(zip(r[keep].tolist(), mu[keep].tolist()))
+    tables = np.concatenate([[np.eye(nx, nx + 1)], _ib_solve(pxz)])
+    r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1))
+    keep = (r > _NEG_TOL) & (r < r[0])
+    keep[0] = True
+    return upper_concave_envelope([(0.0, 0.0), *zip(r[keep].tolist(), mu[keep].tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -998,8 +1169,11 @@ def conjecture_test(p, cfg):
 def cardinality_robustness(p_xz, lams, cfg, variant="inner"):
     """Support-function values at source-size caps versus caps plus one.
 
-    The cardinality reductions predict a difference of zero in the limit;
-    the report carries the sampled difference per direction.
+    The cardinality reductions predict a difference of zero; the report
+    carries the difference per direction. The inner variant is solved
+    (see support_function): it reads no seed, count or refinement budget
+    of cfg, draws nothing, and its difference stays within rounding of
+    zero. The outer variants report a sampled difference.
     """
     nx, nz = p_xz.mass.shape
     report = []

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalCheckError, SizeError, SupportError
+from .errors import DomainError, InternalCheckError, NormalizationError, SizeError, SupportError
 from .probability import (
     _clamp_measures,
     _is_int,
@@ -153,19 +153,20 @@ def enumerate_types(alphabet_size, n):
 
 
 def _check_pmf_vector(p):
-    # the dtype-kind rule of probability.binary_entropy_inverses: a bool,
-    # str or object array is not a vector of reals, whatever it converts to
+    # a pmf vector under probability's shared mass rule (_normalized), with
+    # the dtype-kind rule of probability.binary_entropy_inverses first: a
+    # bool, str or object array is not a vector of reals, whatever it
+    # converts to. Every rejection is a DomainError
     p = np.asarray(p)
     if p.dtype.kind not in "iuf":
         raise DomainError(f"pmf must hold real numbers, got dtype {p.dtype}")
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DomainError("pmf must be a nonempty vector")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise DomainError("pmf entries must be finite and nonnegative")
-    if abs(float(np.sum(p)) - 1.0) > 1e-9:
-        raise DomainError(f"pmf sums to {float(np.sum(p))}, expected 1")
-    return p
+    try:
+        return _normalized(p)
+    except NormalizationError as exc:
+        raise DomainError(f"pmf: {exc}") from None
 
 
 def _type_is_typical(counts, n, p, delta):

@@ -184,6 +184,18 @@ class TestIbCurve:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+    def test_source_file_starts_at_the_origin(self, tmp_path):
+        # this source renormalizes to a total of 0.9999999999999998, so a
+        # scored constant channel reads (2.2e-16, 2.2e-16); its row is 0 0
+        src = tmp_path / "source3.txt"
+        src.write_text("x z\n0 0 0.2\n0 1 0.1\n1 0 0.05\n1 1 0.25\n2 0 0.3\n2 1 0.1\n")
+        out = tmp_path / "ib.dat"
+        assert main(["ib-curve", "--source", str(src), "--grid", "9", "--out", str(out)]) == 0
+        _, rows = read_table(out)
+        assert rows[0] == [0.0, 0.0]
+        assert all(r > 1e-12 for r, _ in rows[1:])
+
+
 class TestPinnedRefineOutputs:
     """The bytes of refined, sampled and closed-form outputs, pinned to
     versions that refined each candidate by itself, scored each draw by

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -63,6 +64,9 @@ I_XZ_01 = LOG2 - binary_entropy(0.1)  # 0.36806420716849707
 SOURCE3 = JointPmf((Alphabet(3, "x"), Alphabet(2, "z")), [[0.2, 0.1], [0.05, 0.25], [0.3, 0.1]])
 DIRICHLET4 = JointPmf(
     (Alphabet(4, "x"), Alphabet(4, "z")), np.random.default_rng(5).dirichlet(np.ones(16)).reshape(4, 4)
+)
+SOURCE43 = JointPmf(
+    (Alphabet(4, "x"), Alphabet(3, "z")), np.random.default_rng(43).dirichlet(np.ones(12)).reshape(4, 3)
 )
 
 
@@ -403,19 +407,18 @@ class TestSupportFunction:
         assert abs(value - I_XZ_01) <= 1e-3
 
     def test_count_monotone_without_refinement(self):
-        # near the slope (1 - 2p)^2 = 0.64 of this direction, a draw above the
-        # constant channels' 0 is a tail event: 3 of the 15000 draws of seeds
-        # 0-9 at count 1500 have one
+        # unrefined draws of the min-form outer region: seed 12 has a draw
+        # above the constant channel's 0 within 20 draws, and more draws find
+        # better ones
         src = dsbs(0.1)
         lam = SupportWeight(1.0, -0.6, 0.0)
         vals = [
-            support_function(src, lam, SampleConfig(seed=12, count=n, refine_top=0, refine_steps=0), "inner")[0]
+            support_function(src, lam, SampleConfig(seed=12, count=n, refine_top=0, refine_steps=0), "ro_prime")[0]
             for n in (20, 100, 400, 1500, 6000)
         ]
         # the contract: nondecreasing in the count, at every count
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        # the tail event, at a count where seed 12 has drawn one
-        assert vals[-1] > vals[0], "no draw of 6000 beat the constant channels"
+        assert vals[-1] > vals[0] > 0.0
 
     def test_count_monotone_with_refinement(self):
         src = dsbs(0.1)
@@ -481,16 +484,18 @@ class TestSupportFunction:
         assert np.array_equal(c3[0].rows, c4[0].rows)
         assert np.array_equal(c3[1].rows, c4[1].rows)
 
-    # float.hex digests of (value, candidate tables), taken when the best
-    # sample was drawn a second time whenever it was not kept; keeping the
-    # first maximum during the scan must give the same bytes. SOURCE3's
-    # inner refine_top 0 case is the one that returns a sample not kept
+    # float.hex digests of (value, candidate tables). For "ro" they were
+    # taken when the best sample was drawn a second time whenever it was not
+    # kept; keeping the first maximum during the scan must give the same
+    # bytes. The inner variant scans no draws: its cases pin the bytes of the
+    # solve, which refine_top must not change, and its value may not fall
+    # below the value 0.3.0 sampled and climbed to with the same config
     @pytest.mark.parametrize("source, variant, top, digest", [
         pytest.param("dsbs", "inner", 0,
-                     "d933020d9e1bd2010eeb72220738d54fc5186ce57c8b6949b5f0b72c6ef4f543",
+                     "21ff6f37bbcdde80717d8e3ee1fa968827213cbf85d8a56b077a292743d1c83b",
                      id="dsbs-inner-0"),
         pytest.param("dsbs", "inner", 4,
-                     "d933020d9e1bd2010eeb72220738d54fc5186ce57c8b6949b5f0b72c6ef4f543",
+                     "21ff6f37bbcdde80717d8e3ee1fa968827213cbf85d8a56b077a292743d1c83b",
                      id="dsbs-inner-4"),
         pytest.param("dsbs", "ro", 0,
                      "e66ce5cbfca8f8c6b87c745b1261eaf3e53e5a3508b8ba91a4ecc491eee38618",
@@ -499,10 +504,10 @@ class TestSupportFunction:
                      "e66ce5cbfca8f8c6b87c745b1261eaf3e53e5a3508b8ba91a4ecc491eee38618",
                      id="dsbs-ro-4"),
         pytest.param("SOURCE3", "inner", 0,
-                     "03315ef9a5bc346c9b712d595a6741e71a96bfbbb787db040207bea9953171b4",
+                     "673f48ae15f098e3eb7d73cc485e983025c6630b64d28a7c3518edb76513ce54",
                      id="SOURCE3-inner-0"),
         pytest.param("SOURCE3", "inner", 4,
-                     "c8f5cd4d4f458f9edb4ad9d81245e8d2bf7342d1008febd77f90066c56b1248a",
+                     "673f48ae15f098e3eb7d73cc485e983025c6630b64d28a7c3518edb76513ce54",
                      id="SOURCE3-inner-4"),
         pytest.param("SOURCE3", "ro", 0,
                      "ed27ea49e28cbdad3aa07d022944cee85ce1efde6e6e1632200199373361162b",
@@ -518,6 +523,10 @@ class TestSupportFunction:
         tables = [ch.rows for ch in candidate] if variant == "inner" else [candidate]
         words = [value.hex()] + [float(v).hex() for t in tables for v in np.ravel(t)]
         assert hashlib.sha256(" ".join(words).encode()).hexdigest() == digest
+        if variant == "inner":
+            sampled = {("dsbs", 0): 0.22943477105650792, ("dsbs", 4): 0.22943477105650792,
+                       ("SOURCE3", 0): 0.000799663673339699, ("SOURCE3", 4): 0.019256029725375476}
+            assert value >= sampled[source, top] - 1e-12
 
     def test_variant_validation(self):
         with pytest.raises(DomainError):
@@ -790,6 +799,14 @@ class TestIbCurve:
         assert list(inspect.signature(ib_curve).parameters) == ["p_xz"]
         assert len(ib_curve(dsbs(0.25)).knots) > 2
 
+    def test_constant_channel_is_the_origin(self):
+        # SOURCE3 renormalizes to 0.9999999999999998, so its scored constant
+        # channel reads (2.2e-16, 2.2e-16); the curve starts at (0, 0) and
+        # no solved channel within rounding of it is a knot
+        knots = ib_curve(SOURCE3).knots
+        assert knots[0] == (0.0, 0.0)
+        assert all(r > 1e-12 for r, _ in knots[1:])
+
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.25, 0.45])
     def test_dsbs_closed_form(self, p):
         # the DSBS curve is ln 2 - h_b(p * h_b^-1(ln 2 - r)) (Mrs. Gerber's lemma)
@@ -944,6 +961,188 @@ class TestCardinalityRobustness:
         assert abs(row["difference"]) <= 5e-3
 
 
+# The inner support values of the sampled-and-refined solver that the
+# two-sided bottleneck solve replaced, as cardinality_robustness gave them:
+# (direction, value at caps |X|, |Z|, value at caps plus one).
+SAMPLED_INNER = {
+    # dsbs(0.1) at criterion 9's directions and budget (seed 20259, 20000
+    # draws, the best 40 refined for 400 steps)
+    "criterion-9": (dsbs(0.1), (
+        ((0.9437401623221084, -0.2697205880015057, -0.05494799873662581), 0.1229044291126936, 0.12290353557265109),
+        ((0.5727119069216235, -0.22125058224499253, -0.2827645884101454), 0.0, 0.0),
+        ((0.994496063506646, -0.15205177164169745, -0.3831356265221775), 0.0, 0.0),
+        ((0.6771257653912939, -0.3566142286238006, -0.06857281605211853), 0.0, 0.0),
+        ((0.9318434809478502, -0.03107773828863758, -0.3046857692889991), 0.11172840004093951, 0.11172840718888846),
+    )),
+    # dsbs(0.1) at the benchmark's cardinality directions and budgets of
+    # seeds 11-20 (4 draws, all refined for 400 steps)
+    "bench-11-20": (dsbs(0.1), (
+        ((0.9340309021183891, -0.26421718134066674, -0.06385189739695209), 0.1163831865032017, 0.1163831865032026),
+        ((0.8761695419586887, -0.16055755592230703, -0.22677209876876603), 0.05401018970983543, 0.054010189709836204),
+        ((0.8595807101297919, -0.08642810719165327, -0.12856817754048433), 0.1673568239783111, 0.16735682397831164),
+        ((0.8501056586950503, -0.22489897034750345, -0.06531011629693174), 0.11173585509657946, 0.11173585509658004),
+        ((0.8428901959958632, -0.08805440163961369, -0.24755858953726328), 0.07760851312577435, 0.07760851312577477),
+        ((0.9534212040615465, -0.24754989930268312, -0.2644596361954876), 0.0, 0.0),
+        ((0.9525466857605371, -0.16280089544532084, -0.06514141872514297), 0.19260076828786526, 0.1926007682878657),
+        ((0.9619130650520021, -0.28096247561223403, -0.13496486506152128), 0.06574690614757468, 0.06574690614757515),
+        ((0.8989894249953189, -0.061307263280931903, -0.15250259392872828), 0.1826841302629646, 0.18268413026296515),
+        ((0.829278740049545, -0.23187146980296747, -0.0737625759055842), 0.09337844491201387, 0.09337844491201427),
+    )),
+    # seed 1, 20000 draws, the best 40 refined for 400 steps
+    "SOURCE3": (SOURCE3, (
+        ((1.0, -0.05, -0.05), 0.06923158325559355, 0.06923238340078308),
+        ((1.0, -0.1, 0.0), 0.07321688674783733, 0.07320237352470813),
+        ((1.0, 0.0, -0.1), 0.0686210389650492, 0.06862104596386792),
+        ((0.9, -0.02, -0.08), 0.05366997353965958, 0.05366997329130746),
+        ((1.0, -0.15, -0.02), 0.030608240596474053, 0.030676268620358875),
+        ((1.0, -0.2, -0.1), 1.5543122344752188e-16, 1.5543122344752188e-16),
+    )),
+    "SOURCE43": (SOURCE43, (
+        ((1.0, -0.05, -0.05), 0.07894492026550495, 0.07894672730234223),
+        ((1.0, -0.1, 0.0), 0.07988714829709198, 0.07981055130717478),
+        ((1.0, 0.0, -0.1), 0.08138341618328823, 0.08140093958249026),
+        ((0.9, -0.02, -0.08), 0.060680909081907985, 0.060657890245739074),
+        ((1.0, -0.15, -0.02), 0.011332915613072203, 0.011300812854442819),
+        ((1.0, -0.2, -0.1), 0.0, 0.0),
+    )),
+}
+
+# directions of the solver checks: soft on both sides, and the hard limit
+# (beta = inf) on the u side
+SOLVER_LAMS = (SupportWeight(1.0, -0.05, -0.1), SupportWeight(1.0, 0.0, -0.1))
+
+
+def extended_objective(pxz, lam, rows_u, rows_v):
+    """lam . (I(u;v), I(u;x), I(v;z)) of a batch of channel pairs, summed in
+    extended precision: at a fixed point of the solve, the float64 scores
+    of successive rounds differ by a few ulps of the joint entropies, which
+    would hide the solver's own steps."""
+    ld = np.longdouble
+    w = (pxz.astype(ld)[None, :, :, None, None] * rows_u.astype(ld)[:, :, None, :, None]
+         * rows_v.astype(ld)[:, None, :, None, :])
+
+    def h(keep):
+        # entropy of the marginal on the kept axes of (x, z, u, v)
+        m = w.sum(axis=tuple(1 + a for a in range(4) if a not in keep)).reshape(len(w), -1)
+        return -np.sum(m * np.log(np.where(m > 0.0, m, 1.0)), axis=1)
+
+    iuv = h((2,)) + h((3,)) - h((2, 3))
+    iux = h((0,)) + h((2,)) - h((0, 2))
+    ivz = h((1,)) + h((3,)) - h((1, 3))
+    return lam.l1 * iuv + lam.l2 * iux + lam.l3 * ivz
+
+
+class TestInnerSupport:
+    @pytest.mark.parametrize("case", SAMPLED_INNER)
+    def test_never_below_the_sampled_values(self, case):
+        src, rows = SAMPLED_INNER[case]
+        lams = [SupportWeight(*lam) for lam, _, _ in rows]
+        report = cardinality_robustness(src, lams, SampleConfig(seed=0))
+        for (_, base, plus), entry in zip(rows, report):
+            assert entry["value_base"] >= base - 1e-12
+            assert entry["value_plus"] >= plus - 1e-12
+            assert abs(entry["difference"]) <= 1e-12
+
+    def test_draws_and_climbs_nothing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the inner support drew or climbed")
+
+        monkeypatch.setattr(optimize, "_substream", forbidden)
+        monkeypatch.setattr(optimize, "_lockstep", forbidden)
+        lam = SupportWeight(1.0, -0.05, -0.1)
+        results = set()
+        for seed in (0, 1, 2):
+            for count in (1, 10**4):
+                # the budgets and the step size go unread too
+                cfg = SampleConfig(seed=seed, count=count, refine_top=seed, refine_steps=7 * seed,
+                                   step_size=0.01 + seed)
+                out = [support_function(src, lam, cfg, "inner") for src in (dsbs(0.1), SOURCE3)]
+                out.append(cardinality_robustness(DIRICHLET4, [lam], cfg))
+                results.add(repr(bits(out)))
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("src", [dsbs(0.1), SOURCE3, DIRICHLET4], ids=["dsbs", "SOURCE3", "DIRICHLET4"])
+    @pytest.mark.parametrize("caps", [0, 1, -1], ids=["caps", "caps+1", "caps-1"])
+    def test_start_pair_alone_equals_the_batch(self, src, caps):
+        nx, nz = src.mass.shape
+        rows_u, rows_v = optimize._inner_starts(src.mass, nx + caps, nz + caps)
+        for lam in SOLVER_LAMS:
+            full = optimize._inner_solve(src.mass, lam, rows_u, rows_v, 60)
+            # the best iterate is kept, so no pair ends below its start
+            assert np.all(full[0] >= optimize._lam_dot(lam, *_batch_inner_stats(src.mass, rows_u, rows_v)))
+            for b in range(len(rows_u)):
+                alone = optimize._inner_solve(src.mass, lam, rows_u[[b]], rows_v[[b]], 60)
+                assert bits([t[0] for t in alone]) == bits([t[b] for t in full])
+
+    @pytest.mark.parametrize("src", [dsbs(0.1), SOURCE3, DIRICHLET4], ids=["dsbs", "SOURCE3", "DIRICHLET4"])
+    def test_objective_never_decreases(self, src):
+        pxz = src.mass
+        nx, nz = pxz.shape
+        for lam in SOLVER_LAMS:
+            for caps in (0, 1):
+                pair = optimize._inner_starts(pxz, nx + caps, nz + caps)
+                values = [extended_objective(pxz, lam, *pair)]
+                for pair in itertools.islice(optimize._inner_iterates(pxz, lam, *pair), 100):
+                    values.append(extended_objective(pxz, lam, *pair))
+                assert np.min(np.diff(values, axis=0)) >= -1e-15
+
+    def test_hard_limit_assigns_each_letter_to_one_output(self):
+        # l2 = 0: I(u;x) costs nothing, each update of p(u|x) is a hard
+        # assignment, and with u = x allowed the solve keeps the identity
+        lam = SupportWeight(1.0, 0.0, -0.1)
+        for caps in (None, 2):
+            cfg = SampleConfig(seed=0, cap_u=caps, cap_v=caps)
+            value, (ch_u, _) = support_function(DIRICHLET4, lam, cfg, "inner")
+            assert value > 0.0
+            assert np.all((ch_u.rows == 0.0) | (ch_u.rows == 1.0))
+        assert np.array_equal(support_function(DIRICHLET4, lam, SampleConfig(seed=0), "inner")[1][0].rows,
+                              np.eye(4))
+        # x = 0 and x = 1 differ in p(z|x) by 1e-9, so a large finite beta
+        # (1e6) would split each between two outputs; the hard limit does not
+        twins = JointPmf((Alphabet(3, "x"), Alphabet(2, "z")), [[0.2, 0.1], [0.2 + 1e-9, 0.1], [0.1, 0.3 - 1e-9]])
+        for cap in (2, 3):
+            _, (ch_u, _) = support_function(twins, lam, SampleConfig(seed=0, cap_u=cap), "inner")
+            assert np.all((ch_u.rows == 0.0) | (ch_u.rows == 1.0))
+
+    def test_small_caps_start_from_merged_corners(self):
+        # below the alphabet sizes, the corner is merged by bottleneck merges;
+        # the sampled-and-refined solver (seed 1, 5000 draws, the best 20
+        # refined for 300 steps) gave these values at caps (2, 2) and (3, 2)
+        for lam, caps, sampled in (
+            ((1.0, 0.0, 0.0), (2, 2), 0.1258633706156148),
+            ((1.0, 0.0, 0.0), (3, 2), 0.12701646737665073),
+            ((1.0, -0.02, -0.01), (2, 2), 0.10926245979941525),
+        ):
+            cfg = SampleConfig(seed=0, cap_u=caps[0], cap_v=caps[1])
+            value, (ch_u, ch_v) = support_function(DIRICHLET4, SupportWeight(*lam), cfg, "inner")
+            assert value >= sampled - 1e-12
+            assert ch_u.rows.shape == (4, caps[0]) and ch_v.rows.shape == (4, caps[1])
+        assert optimize._merged_labels(DIRICHLET4.mass, 4).tolist() == [0, 1, 2, 3]
+        assert sorted(set(optimize._merged_labels(DIRICHLET4.mass, 2).tolist())) == [0, 1]
+
+    def test_constant_pair_scores_exactly_zero(self):
+        # SOURCE3 renormalizes to 0.9999999999999998, so a scored constant pair
+        # reads -4.4e-16; here its (mu, r1, r2) is (0, 0, 0) by definition, and
+        # a solved value within rounding of it does not lift it
+        constant = (np.eye(1, 3, 0).repeat(3, axis=0), np.eye(1, 2, 0).repeat(2, axis=0))
+        for lam in (SupportWeight(0.0, -1.0, -1.0), SupportWeight(1.0, -0.2, -0.1), SupportWeight(1.0, -0.5, -0.5)):
+            value, (ch_u, ch_v) = support_function(SOURCE3, lam, SampleConfig(seed=0), "inner")
+            assert value.hex() == "0x0.0p+0"
+            assert np.array_equal(ch_u.rows, constant[0]) and np.array_equal(ch_v.rows, constant[1])
+        (entry,) = cardinality_robustness(SOURCE3, [SupportWeight(0.0, -1.0, -1.0)], SampleConfig(seed=0))
+        assert entry["value_base"] == entry["value_plus"] == entry["difference"] == 0.0
+
+    def test_local_refine_runs_the_solve_from_the_candidate(self):
+        lam = SupportWeight(1.0, -0.05, -0.1)
+        rng = np.random.default_rng(77)
+        start = (rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(2), size=2))
+        ru, rv = local_refine(SOURCE3, start, lam, "inner", steps=40)
+        _, want_u, want_v = optimize._inner_solve(SOURCE3.mass, lam, start[0][None], start[1][None], 40)
+        assert bits([ru, rv]) == bits([want_u[0], want_v[0]])
+        # step_size is validated but not read
+        assert bits(local_refine(SOURCE3, start, lam, "inner", 40, 3.5)) == bits((ru, rv))
+
+
 # ---------------------------------------------------------------------------
 # The scalar hill climb that the lockstep engine replaced, kept here as its
 # reference: one candidate and one proposal per objective call.
@@ -1030,7 +1229,7 @@ def lockstep_and_reference(monkeypatch, fn, *args):
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("variant", ["inner", "ro", "ro_prime"])
+    @pytest.mark.parametrize("variant", ["ro", "ro_prime"])
     def test_support_function_matches_scalar_reference(self, monkeypatch, variant):
         lam = SupportWeight(0.9, -0.2, -0.3)
         for src, cap in ((dsbs(0.1), None), (SOURCE3, 3)):
@@ -1040,24 +1239,20 @@ class TestLockstep:
 
     def test_local_refine_matches_scalar_reference(self, monkeypatch):
         lam = SupportWeight(1.0, -0.3, -0.2)
-        # one-hot rows at step size 1: their "-" nudges empty the row
-        assert perturb_row(np.eye(3), 0, -1.0) is None
-        eye = (np.eye(3), np.eye(2, 3))
-        got, want = lockstep_and_reference(monkeypatch, local_refine, SOURCE3, eye, lam, "inner", 90, 1.0)
-        assert got == want
         _, q = support_function(dsbs(0.1), lam, small_cfg(2, 30, top=3, steps=10), "ro")
         got, want = lockstep_and_reference(monkeypatch, local_refine, dsbs(0.1), q, lam, "ro", 90, 0.2)
         assert got == want
 
     def test_candidate_result_does_not_depend_on_its_batch(self):
+        # SOURCE3's outer tables at caps 3, the identity corner first; at step
+        # size 1 the "-" nudges of a one-hot row empty it
         pxz = SOURCE3.mass
         lam = SupportWeight(1.0, -0.3, -0.2)
-        rng = np.random.default_rng(8)
-        ru = rng.dirichlet(np.ones(3), size=(12, 3))
-        rv = rng.dirichlet(np.ones(3), size=(12, 2))
-        ru[0], rv[0] = np.eye(3), np.eye(2, 3)
-        fn = _make_value_fn("inner", pxz, lam, 3, 3, None)
-        self.check_batches([ru, rv], fn, 120, 1.0)
+        assert perturb_row(np.eye(3), 0, -1.0) is None
+        flat = np.random.default_rng(8).dirichlet(np.ones(9), size=(12, 6))
+        flat[0] = optimize._seed_tables(pxz, 3, 3)[0][0]
+        fn = _make_value_fn("ro", pxz, lam, 3, 3, _source_conditionals(pxz))
+        self.check_batches([flat], fn, 120, 1.0)
 
     def test_accepted_plus_move_ends_the_step(self):
         # a convex objective: the "+" and "-" nudges of a row both improve it,
@@ -1086,8 +1281,9 @@ class TestLockstep:
 
 
 class TestDrawBlocks:
-    """Inner draws and the solved bottleneck channels are scored a block at
-    a time; no result depends on the block size."""
+    """Inner draws, the solved bottleneck channels and the iterates of the
+    inner support solve are scored a block at a time; no result depends
+    on the block size."""
 
     @staticmethod
     def results(count):
@@ -1096,9 +1292,7 @@ class TestDrawBlocks:
         out = [conjecture_test(0.1, cfg), ib_curve(SOURCE3)]
         for src in (dsbs(0.1), SOURCE3):
             out.append([(pt.mu, pt.r1, pt.r2) for pt in sample_region_points(src, cfg, "inner")])
-            # refine_top 0 keeps no draw, so the best one is drawn again
-            for c in (cfg, replace(cfg, refine_top=0)):
-                out.append(support_function(src, lam, c, "inner"))
+            out.append(support_function(src, SupportWeight(1.0, -0.05, -0.05), cfg, "inner"))
         return bits(out)
 
     @staticmethod
@@ -1141,7 +1335,7 @@ class TestDrawBlocks:
         cfg = SampleConfig(seed=6, count=300, refine_top=6, refine_steps=40)
         out = []
         for src in (dsbs(0.1), SOURCE3):
-            for variant in ("inner", "ro", "ro_prime"):
+            for variant in ("ro", "ro_prime"):
                 value, candidate = support_function(src, lam, cfg, variant)
                 out += [value, candidate, local_refine(src, candidate, lam, variant, 40, 0.05)]
         return bits(out)
@@ -1171,8 +1365,6 @@ class TestDrawBlocks:
                 inside[0] = False
 
         monkeypatch.setattr(optimize, "_lockstep", lockstep)
-        monkeypatch.setattr(optimize, "_batch_inner_stats", spy(
-            optimize._batch_inner_stats, lambda pxz, u, v: pxz.size * u.shape[2] * v.shape[2]))
         monkeypatch.setattr(optimize, "_chain_map", spy(
             optimize._chain_map, lambda pxz, q, cond: q[0].size))
         for tables in (1, 7):

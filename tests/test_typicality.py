@@ -211,6 +211,25 @@ class TestTypicalSet:
             sequence_probability_identity_check(pmf, (0, 1))
 
 
+    @pytest.mark.parametrize("pmf", [
+        [0.5, math.nan], [math.inf, 0.5], [-math.inf, 1.0], [0.5, -0.1, 0.6], [1.0, -1e-11], [0.6, 0.6],
+    ], ids=["nan", "inf", "minus-inf", "negative", "negative-beyond-noise", "sum"])
+    def test_malformed_pmfs_are_domain_errors(self, pmf):
+        with pytest.raises(DomainError):
+            typical_set_size(pmf, 3, 0.1)
+        with pytest.raises(DomainError):
+            next(typical_set(pmf, 3, 0.1))
+        with pytest.raises(DomainError):
+            sequence_probability_identity_check(pmf, (0, 1))
+
+    @pytest.mark.parametrize("pmf", [[0.7, 0.3], [0.7, 0.3 + 5e-10], [1.0, -1e-13], [0.2, 0.5, 0.3]])
+    def test_pmfs_take_the_shared_mass_rule(self, pmf):
+        # the rule of JointPmf: noise down to -1e-12 is clipped and a total
+        # within 1e-9 of 1 is divided out
+        want = JointPmf((Alphabet(len(pmf), "x"),), pmf).mass
+        assert np.array_equal(typicality._check_pmf_vector(pmf), want)
+
+
 class TestSequenceProbabilityIdentity:
     def test_fair_coin(self):
         res = sequence_probability_identity_check([0.5, 0.5], (0, 1) * 5)
