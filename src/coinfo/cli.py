@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 failed internal check, 2 validation error,
 
 import argparse
 import bisect
+import functools
 import math
 import os
 import sys
@@ -88,7 +89,14 @@ def _write_lines(path, manifest, lines):
 
 
 def _table_lines(rows, scale):
-    return [" ".join(_fmt(v / scale) for v in row) for row in rows]
+    """One line per row of a rectangular table of reals: each value v is
+    written as _fmt(v / scale) writes it, and the whole table takes one
+    %-format call."""
+    table = np.asarray(rows, dtype=np.float64) / scale
+    if not len(table):
+        return []
+    line = " ".join(["%.15g"] * table.shape[1])
+    return ("\n".join([line] * len(table)) % tuple(table.ravel().tolist())).split("\n")
 
 
 def _unit_scale(units):
@@ -330,8 +338,7 @@ def cmd_bruteforce(args):
 def cmd_region_sample(args):
     src = _parse_source(args.source)
     cfg, cfg_params = _sample_config(args)
-    points = sample_region_points(src, cfg, args.variant)
-    rows = [(pt.mu, pt.r1, pt.r2) for pt in points]
+    rows = sample_region_points(src, cfg, args.variant)
     params = (
         ("source", args.source), ("variant", args.variant),
     ) + cfg_params + (("units", args.units),)
@@ -395,7 +402,9 @@ def cmd_typicality_check(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="coinfo",
         description="Deterministic experiment drivers for the biclustering bounds.",

@@ -21,8 +21,10 @@ one call of probability.batch_entropies each, which builds all the marginals of
 every table with np.bincount over a cached index plan and sums them in
 a fixed order, with elementwise operations only; its rows are bitwise
 equal to one table's, so no result depends on the scoring block size.
-The conjecture tail scores a block as arrays too, with one h_b^-1 call
-(probability.binary_entropy_inverses) for both rate equalities. Outer
+The conjecture tail runs once per chunk of draws whose tables hold at
+most _DRAW_FLOATS floats, with one h_b^-1 call
+(probability.binary_entropy_inverses) for both rate equalities; it is
+elementwise, so no result depends on the chunk size either. Outer
 candidates are feasible by construction: every draw, baseline and
 refinement proposal goes through one closed-form map onto the two short
 chains (_chain_map), a block of tables per call, with the floats each
@@ -51,6 +53,7 @@ multipliers (_ib_solve), the same update as the inner solve's, all
 solved in one batch. Both solves use elementwise operations and
 einsum(optimize=False) only.
 """
+import bisect
 import copy
 import heapq
 import itertools
@@ -77,7 +80,7 @@ from .probability import (
     _is_int,
     _is_real,
 )
-from .regions import MARKOV_TOL, RegionPoint
+from .regions import MARKOV_TOL, _check_region_points
 
 _VARIANTS = ("inner", "ro", "ro_prime")
 
@@ -382,11 +385,6 @@ def _checked_outer_stats(pxz, q):
     return st
 
 
-def _stats_dicts(stats):
-    # one dict of floats per row of _batch_outer_stats
-    return [dict(zip(_OUTER_KEYS, row)) for row in stats.tolist()]
-
-
 def _source_conditionals(pxz):
     """(p(z|x), p(x|z)) of a source; the row of a zero-mass symbol is
     uniform, so its cells are still mapped to conditional tables."""
@@ -413,9 +411,8 @@ def _chain_map(pxz, q, cond):
     changes nothing), and a binary cell is the one-scalar Frechet coupling
     of its two rows. Every operation acts on one table at a time, so a table gets
     the same floats in any batch, and q is not modified.
-    Returns (q, stats): the mapped batch and, per table, the
-    _batch_outer_stats of its row as a dict of floats, checked by
-    _checked_outer_stats.
+    Returns (q, stats): the mapped batch and its _batch_outer_stats, one
+    row per table, checked by _checked_outer_stats.
     """
     z_given_x, x_given_z = cond
     q_u, q_v = q.sum(axis=4), q.sum(axis=3)
@@ -426,7 +423,7 @@ def _chain_map(pxz, q, cond):
     ratio = np.divide(prod, -dep, out=np.full(q.shape, np.inf), where=dep < 0.0)
     lam = np.minimum(ratio.min(axis=(3, 4), keepdims=True), 1.0)
     out = np.maximum(prod + lam * dep, 0.0)
-    return out, _stats_dicts(_checked_outer_stats(pxz, out))
+    return out, _checked_outer_stats(pxz, out)
 
 
 def _constant_rows(n_rows, n_cols):
@@ -444,8 +441,11 @@ def _lam_dot(lam, mu, r1, r2):
 
 
 def _region_mu(st, variant):
-    # the co-information coordinate of an outer variant
-    return st["mu_ro"] if variant == "ro" else min(st["iuz"], st["ivx"])
+    # the co-information coordinate of an outer variant, per row of
+    # _batch_outer_stats; min(iuz, ivx) keeps iuz on ties, as Python's min
+    if variant == "ro":
+        return st[:, 4]
+    return np.where(st[:, 3] < st[:, 2], st[:, 3], st[:, 2])
 
 
 def _lockstep(tables, value_fn, steps, step_size):
@@ -524,8 +524,8 @@ def _seed_tables(pxz, cap_u, cap_v):
 def _outer_draws(cfg, pxz, cond, cap_u, cap_v):
     """(lo, q, stats) of every scoring block of cfg's draws, in index
     order, mapped onto the short chains in one batch: q[b] is the flat
-    table of draw lo + b, one row per (x, z), and stats[b] its stats dict;
-    see _chain_map."""
+    table of draw lo + b, one row per (x, z), and stats[b] its
+    _batch_outer_stats row; see _chain_map."""
     nx, nz = pxz.shape
     shapes = [(nx * nz, cap_u * cap_v)]
     for lo, (flat,) in _drawn(cfg, shapes, pxz.size * cap_u * cap_v):
@@ -546,7 +546,7 @@ def _make_value_fn(variant, pxz, lam, cap_u, cap_v, cond):
     def fn(tables, idx):
         (flat,) = tables
         q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
-        return np.array([score(st) for st in stats], dtype=np.float64), [q.reshape(flat.shape)]
+        return score(stats), [q.reshape(flat.shape)]
 
     return _in_scoring_blocks(fn, pxz.size * cap_u * cap_v)
 
@@ -573,8 +573,8 @@ def _in_scoring_blocks(value_fn, cells):
 
 
 def _outer_score(lam, variant):
-    # the objective of an outer candidate from its stats
-    return lambda st: _lam_dot(lam, _region_mu(st, variant), st["iux"], st["ivz"])
+    # the objectives of outer candidates from their _batch_outer_stats rows
+    return lambda st: _lam_dot(lam, _region_mu(st, variant), st[:, 0], st[:, 1])
 
 
 def support_function(p_xz, lam, cfg, variant="inner"):
@@ -616,8 +616,8 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     cond = _source_conditionals(pxz)
     score = _outer_score(lam, variant)
     baseline = [_constant_rows(nx * nz, cap_u * cap_v)]
-    _, (base_st,) = _chain_map(pxz, baseline[0].reshape(1, nx, nz, cap_u, cap_v), cond)
-    best_val, best_tables = score(base_st), baseline
+    _, base_st = _chain_map(pxz, baseline[0].reshape(1, nx, nz, cap_u, cap_v), cond)
+    best_val, best_tables = float(score(base_st)[0]), baseline
     if lam.degenerate:
         # constant channels are provably optimal on this face
         return best_val, _public_candidate(variant, baseline, p_xz, cap_u, cap_v)
@@ -627,7 +627,7 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     kept = {}  # the tables of each sample that ranked among the running best
     first_max = None  # (raw value, tables) of the first largest raw draw value
     for lo, q, stats in _outer_draws(cfg, pxz, cond, cap_u, cap_v):
-        block_values = np.array([score(st) for st in stats])
+        block_values = score(stats)
         values[lo : lo + len(block_values)] = block_values
         j = int(np.argmax(block_values))
         if first_max is None or block_values[j] > first_max[0]:
@@ -1053,8 +1053,10 @@ def dsbs_outer_boundary_sampled(p, r_grid):
     points = [_sb_curve_point(p, a) for a in dsbs_alpha_grid(r_grid)]
     alphas = binary_entropy_inverses(LOG2 - np.array([r for r in sorted(set(r_grid)) if r <= LOG2]))
     if alphas.size:
-        stats = _coupling_stats(pxz, alphas, *_coupling_solve(pxz, alphas))
-        points += [(max(st["iux"], st["ivz"]), st["mu_ro"]) for st in _stats_dicts(stats)]
+        st = _coupling_stats(pxz, alphas, *_coupling_solve(pxz, alphas))
+        # max(iux, ivz) keeps iux on ties, as Python's max
+        rate = np.where(st[:, 1] > st[:, 0], st[:, 1], st[:, 0])
+        points += zip(rate.tolist(), st[:, 4].tolist())
     return upper_concave_envelope(points)
 
 
@@ -1137,29 +1139,48 @@ def conjecture_test(p, cfg):
     if p > 0.5:
         raise DomainError(f"conjecture_test needs p in (0, 1/2], got {p}")
     pxz = dsbs(p).mass
-    cap_u = cfg.cap_u if cfg.cap_u is not None else 2
-    cap_v = cfg.cap_v if cfg.cap_v is not None else 2
+    shapes = [(2, cfg.cap_u or 2), (2, cfg.cap_v or 2)]
+    # draws per tail chunk: the chunk's tables hold at most _DRAW_FLOATS floats
+    chunk = max(1, _DRAW_FLOATS // sum(rows * cols for rows, cols in shapes))
     worst = None
-    draws = _scored_draws(cfg, pxz, [(2, cap_u), (2, cap_v)], _batch_inner_stats)
-    for lo, (rows_u, rows_v), (iuv, iux, ivz) in draws:
-        # both rate equalities solved in one call
-        h = np.minimum(np.maximum(LOG2 - np.stack([iux, ivz]), 0.0), LOG2)
-        alpha, beta = binary_entropy_inverses(h)
-        margin = LOG2 - _hb_closed_array(_bconv(_bconv(alpha, p), beta)) - iuv
-        # the first minimum wins: argmin within a block, a strict < across blocks
-        j = int(np.argmin(margin))
-        if worst is None or margin[j] < worst["min_margin"]:
-            worst = {
-                "min_margin": float(margin[j]),
-                "worst_index": lo + j,
-                "worst_ch_u": rows_u[j].copy(),
-                "worst_ch_v": rows_v[j].copy(),
-                "alpha": float(alpha[j]),
-                "beta": float(beta[j]),
-            }
+    blocks, stats = [], []
+    for lo, tables, st in _scored_draws(cfg, pxz, shapes, _batch_inner_stats):
+        if blocks and lo + len(st[0]) - blocks[0][0] > chunk:
+            worst = _conjecture_tail(p, worst, blocks, stats)
+            blocks, stats = [], []
+        blocks.append((lo, tables))
+        stats.append(st)
+    worst = _conjecture_tail(p, worst, blocks, stats)
     worst["samples"] = cfg.count
     worst["p"] = p
     return worst
+
+
+def _conjecture_tail(p, worst, blocks, stats):
+    """conjecture_test's report after one chunk of consecutive scoring
+    blocks (lo, tables), stats[k] the _batch_inner_stats of block k: the
+    tail runs once over the chunk, with one h_b^-1 call for both rate
+    equalities. The first minimum wins: argmin within a chunk, a strict <
+    against worst, the report of the chunks before."""
+    iuv, iux, ivz = (np.concatenate(col) for col in zip(*stats))
+    h = np.minimum(np.maximum(LOG2 - np.stack([iux, ivz]), 0.0), LOG2)
+    alpha, beta = binary_entropy_inverses(h)
+    margin = LOG2 - _hb_closed_array(_bconv(_bconv(alpha, p), beta)) - iuv
+    j = int(np.argmin(margin))
+    if worst is not None and not margin[j] < worst["min_margin"]:
+        return worst
+    start = blocks[0][0]
+    k = bisect.bisect_right([lo for lo, _ in blocks], start + j) - 1
+    lo, (rows_u, rows_v) = blocks[k]
+    b = start + j - lo
+    return {
+        "min_margin": float(margin[j]),
+        "worst_index": start + j,
+        "worst_ch_u": rows_u[b].copy(),
+        "worst_ch_v": rows_v[b].copy(),
+        "alpha": float(alpha[j]),
+        "beta": float(beta[j]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1194,11 +1215,14 @@ def cardinality_robustness(p_xz, lams, cfg, variant="inner"):
 
 
 def sample_region_points(p_xz, cfg, variant="inner"):
-    """Raw sampled (mu, r1, r2) triples for one region variant.
+    """Raw sampled (mu, r1, r2) triples for one region variant, as one
+    (cfg.count, 3) float64 array with columns mu, r1, r2.
 
-    One candidate per draw index, in index order, so exactly cfg.count of
-    them; outer draws are mapped onto the short chains
-    (_chain_map). This is the dump behind the CLI's region-sample command.
+    One row per draw index, in index order; outer draws are mapped onto
+    the short chains (_chain_map). Every row is checked as a RegionPoint,
+    all at once, and the first offending row raises RegionPoint's
+    ConstraintError. This is the dump behind the CLI's region-sample
+    command.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
@@ -1208,16 +1232,13 @@ def sample_region_points(p_xz, cfg, variant="inner"):
     nx, nz = pxz.shape
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
+    points = np.empty((cfg.count, 3))
     if variant == "inner":
-        draws = _scored_draws(cfg, pxz, [(nx, cap_u), (nz, cap_v)], _batch_inner_stats)
-        return [
-            RegionPoint(mu=iuv, r1=iux, r2=ivz)
-            for _, _, st in draws
-            for iuv, iux, ivz in zip(*(c.tolist() for c in st))
-        ]
-    draws = _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v)
-    return [
-        RegionPoint(mu=_region_mu(st, variant), r1=st["iux"], r2=st["ivz"])
-        for _, _, stats in draws
-        for st in stats
-    ]
+        for lo, _, st in _scored_draws(cfg, pxz, [(nx, cap_u), (nz, cap_v)], _batch_inner_stats):
+            points[lo : lo + len(st[0])].T[:] = st
+    else:
+        for lo, _, st in _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v):
+            rows = points[lo : lo + len(st)]
+            rows[:, 0], rows[:, 1:] = _region_mu(st, variant), st[:, :2]
+    _check_region_points(*points.T)
+    return points

@@ -64,6 +64,16 @@ def _check_point(mu, r1, r2):
         raise ConstraintError(f"mu={mu} exceeds min(r1, r2)={min(r1, r2)}")
 
 
+def _check_region_points(mu, r1, r2):
+    """The RegionPoint invariants of every point of float arrays mu, r1
+    and r2 that broadcast to one shape, checked at once. Raises
+    RegionPoint's error for the first offending point in C order."""
+    ok = np.isfinite(mu) & np.isfinite(r1) & np.isfinite(r2) & (mu <= np.minimum(r1, r2) + _POINT_TOL)
+    if not np.all(ok):
+        k = np.flatnonzero(~ok)[0]
+        _check_point(*(float(a.flat[k]) for a in np.broadcast_arrays(mu, r1, r2)))
+
+
 @dataclass(frozen=True)
 class SubsetPair:
     """An (A, B) pair of nonempty index sets."""
@@ -240,12 +250,7 @@ def sb_surface(p, grid):
         nap = 1.0 - ap
         mu.append([LOG2 - _hb_closed(ap * nb + nap * b) for b, nb in cols])
     r = np.array(rates, dtype=np.float64)
-    m = np.array(mu, dtype=np.float64).reshape(len(r), len(r))
-    finite = np.isfinite(m) & np.isfinite(r)[:, None] & np.isfinite(r)[None, :]
-    if not np.all(finite & (m <= np.minimum(r[:, None], r[None, :]) + _POINT_TOL)):
-        # raise RegionPoint's error for the first offending cell
-        for i, j in itertools.product(range(len(r)), repeat=2):
-            _check_point(mu[i][j], rates[i], rates[j])
+    _check_region_points(np.array(mu, dtype=np.float64).reshape(len(r), len(r)), r[:, None], r[None, :])
     return rates, mu
 
 

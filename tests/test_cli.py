@@ -4,6 +4,7 @@ In-process main() calls cover behavior; subprocess runs cover the
 entry points and byte-identical reruns under different thread counts.
 """
 
+import argparse
 import hashlib
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinfo import typicality
-from coinfo.cli import _parse_source, main
+from coinfo.cli import _fmt, _parse_source, _table_lines, _unit_scale, main
 from coinfo.errors import DomainError, SizeError
 from coinfo.probability import LOG2, Alphabet, JointPmf, binary_entropy
 
@@ -297,8 +298,10 @@ class TestPinnedRefineOutputs:
         assert len(read_table(out)[1]) == int(samples)
 
     @pytest.mark.parametrize("units, digest", [
-        ("nats", "3cd9b7648563afa031e8df030f0f556915bb5472d39b500e3fbaa09d898e8f56"),
-        ("bits", "40df3f3b13bc0b3f14047e52b7b03490730480756974c88023b6659535421646"),
+        pytest.param("nats", "3cd9b7648563afa031e8df030f0f556915bb5472d39b500e3fbaa09d898e8f56",
+                     id="nats"),
+        pytest.param("bits", "40df3f3b13bc0b3f14047e52b7b03490730480756974c88023b6659535421646",
+                     id="bits"),
     ])
     def test_dsbs_surface(self, tmp_path, capsys, units, digest):
         out = tmp_path / "surface.dat"
@@ -306,6 +309,68 @@ class TestPinnedRefineOutputs:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == digest
+
+
+class TestTableWriter:
+    """_table_lines writes a whole table with one %-format call, and every
+    value as _fmt(v / scale) writes it."""
+
+    VALUES = [0.0, -0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, math.log(2)]
+
+    @staticmethod
+    def per_value(rows, scale):
+        return [" ".join(_fmt(v / scale) for v in row) for row in rows]
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_matches_per_value_format(self, units):
+        scale = _unit_scale(units)
+        column = [(v,) for v in self.VALUES]
+        # three columns, each value in every column and with either sign
+        n = len(self.VALUES)
+        wide = [(self.VALUES[i], -self.VALUES[(i + 1) % n], self.VALUES[(i + 2) % n]) for i in range(n)]
+        for rows in (column, wide):
+            want = self.per_value(rows, scale)
+            assert _table_lines(rows, scale) == want
+            assert _table_lines(np.array(rows), scale) == want
+        assert self.per_value(column, 1.0)[:2] == ["0", "-0"]
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_empty_and_one_row_tables(self, units):
+        scale = _unit_scale(units)
+        assert _table_lines([], scale) == []
+        assert _table_lines(np.empty((0, 3)), scale) == []
+        row = [(math.log(2), 0.1 + 0.2, -0.0)]
+        assert _table_lines(row, scale) == self.per_value(row, scale)
+        assert len(_table_lines(row, scale)) == 1
+
+
+class TestParserReuse:
+    def test_main_reuses_one_parser(self, tmp_path, capsys, monkeypatch):
+        # one process: region-sample, conjecture, a malformed argv, then the
+        # same region-sample again, which writes the same bytes; after the
+        # first call no parser is built
+        rs = ["region-sample", "--source", "dsbs:0.1", "--variant", "ro", "--seed", "3",
+              "--samples", "40"]
+        first, second = tmp_path / "first.dat", tmp_path / "second.dat"
+        assert main([*rs, "--out", str(first)]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["conjecture", "--p", "0.1", "--seed", "1", "--samples", "20",
+                     "--out", str(tmp_path / "conj.dat")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["region-sample", "--source", "dsbs:0.1", "--samples", "x",
+                  "--out", str(tmp_path / "bad.dat")])
+        assert exc.value.code == 2
+        assert main([*rs, "--out", str(second)]) == 0
+        capsys.readouterr()
+        assert built == []
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestSamplingOptions:

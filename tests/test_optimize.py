@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from coinfo import optimize
-from coinfo.errors import DomainError, SizeError
+from coinfo.errors import ConstraintError, DomainError, SizeError
 from coinfo.optimize import (
     EnvelopeCurve,
     SampleConfig,
@@ -30,6 +30,7 @@ from coinfo.optimize import (
     _IB_GROUPS,
     _INNER_GROUPS,
     _OUTER_GROUPS,
+    _OUTER_KEYS,
     _batch_ib_stats,
     _batch_inner_stats,
     _batch_outer_stats,
@@ -40,7 +41,6 @@ from coinfo.optimize import (
     _lockstep,
     _make_value_fn,
     _source_conditionals,
-    _stats_dicts,
 )
 from coinfo.probability import (
     LOG2,
@@ -93,6 +93,11 @@ def ib_stats(pxz, rows):
     """(I(u;x), I(u;z)) of a test channel p(u|x) on the source."""
     h_x, h_z, h_u, h_xu, h_zu = entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS)
     return _clamp_measure(h_x + h_u - h_xu), _clamp_measure(h_z + h_u - h_zu)
+
+
+def stats_dicts(stats):
+    # one dict of floats per row of _batch_outer_stats, keyed by _OUTER_KEYS
+    return [dict(zip(_OUTER_KEYS, row)) for row in stats.tolist()]
 
 
 def outer_stats(pxz, q):
@@ -248,7 +253,7 @@ class TestInformationKernel:
                 "cmi_uz_x": conditional_mutual_information(j, "u", "z", "x"),
                 "cmi_vx_z": conditional_mutual_information(j, "v", "x", "z"),
             }
-            (got,) = _stats_dicts(_batch_outer_stats(pxz, q[None]))
+            (got,) = stats_dicts(_batch_outer_stats(pxz, q[None]))
             assert got.keys() == want.keys()
             for key in want:
                 assert abs(got[key] - want[key]) <= 1e-14, key
@@ -262,7 +267,7 @@ class TestInformationKernel:
                 inner = np.array(_batch_inner_stats(pxz, ru, rv)).T
                 ib = np.array(_batch_ib_stats(pxz, ru)).T
                 q = np.stack([c[3] for c in cases])
-                outer = _stats_dicts(_batch_outer_stats(pxz, q))
+                outer = stats_dicts(_batch_outer_stats(pxz, q))
                 for b in range(len(cases)):
                     assert inner[b].tolist() == list(inner_stats(pxz, ru[b], rv[b]))
                     assert ib[b].tolist() == list(ib_stats(pxz, ru[b]))
@@ -292,8 +297,8 @@ def map_batches(seed):
 class TestBatchedProjection:
     """The chain map is a projection onto the short chains (TestChainMap
     checks that a second pass changes nothing). Every table of a batch gets
-    the floats and stats of a map of its own, whatever else shares its
-    batch, and the batch is not modified. The seeds draw three sets of
+    the floats and the stats row of a map of its own, whatever else shares
+    its batch, and the batch is not modified. The seeds draw three sets of
     random tables for map_batches."""
 
     @pytest.mark.parametrize("seed", [0, 3, 200])
@@ -304,8 +309,8 @@ class TestBatchedProjection:
             alone = [_chain_map(pxz, t[None], cond) for t in q]
             for lo in range(0, len(q), size):
                 got_q, got_st = _chain_map(pxz, q[lo : lo + size], cond)
-                for b, (want_q, (want_st,)) in enumerate(alone[lo : lo + size]):
-                    assert bits((got_q[b], got_st[b])) == bits((want_q[0], want_st))
+                for b, (want_q, want_st) in enumerate(alone[lo : lo + size]):
+                    assert bits((got_q[b], got_st[b])) == bits((want_q[0], want_st[0]))
 
     def test_input_is_not_modified(self):
         for pxz, q in map_batches(37):
@@ -336,7 +341,7 @@ class TestChainMap:
         moved = 0
         for pxz, q in map_batches(35):
             out, stats = _chain_map(pxz, q, _source_conditionals(pxz))
-            for b, st in enumerate(stats):
+            for b, st in enumerate(stats_dicts(stats)):
                 assert st["cmi_uz_x"] <= 1e-14 and st["cmi_vx_z"] <= 1e-14
                 assert bits(st) == bits(outer_stats(pxz, out[b]))
             moved += not np.array_equal(out, q)
@@ -735,8 +740,8 @@ class TestDsbsOuterBoundary:
         curve = dsbs_outer_boundary_sampled(p, grid)
         for cap in (2, 3):
             cfg = SampleConfig(seed=5, count=2000, cap_u=cap, cap_v=cap)
-            for pt in sample_region_points(dsbs(p), cfg, "ro"):
-                assert pt.mu <= curve.value_at(max(pt.r1, pt.r2)) + 1e-12
+            for mu, r1, r2 in sample_region_points(dsbs(p), cfg, "ro").tolist():
+                assert mu <= curve.value_at(max(r1, r2)) + 1e-12
 
     def test_draws_nothing(self, monkeypatch):
         def substream(*args):
@@ -921,6 +926,31 @@ class TestConjecture:
                         "beta": beta,
                     }
         return worst
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_tail_chunk_does_not_change_results(self, monkeypatch, p):
+        # the tail runs once per chunk of draws whose tables hold at most
+        # _DRAW_FLOATS floats, 8 a draw at caps 2, 2: chunks of 1 and 7
+        # draws give the report of the default chunk bit for bit, and at
+        # p = 1/2, where every margin is about 0, first-minimum ties decide
+        cfg = SampleConfig(seed=2, count=301)
+        want = conjecture_test(p, cfg)
+        assert want["worst_index"] == self.scalar_conjecture(p, cfg)["worst_index"]
+        inverses = optimize.binary_entropy_inverses
+        chunks = []
+
+        def spy(h):
+            chunks.append(h.shape[1])
+            return inverses(h)
+
+        monkeypatch.setattr(optimize, "binary_entropy_inverses", spy)
+        for draws in (1, 7):
+            monkeypatch.setattr(optimize, "_DRAW_FLOATS", 8 * draws)
+            chunks.clear()
+            got = conjecture_test(p, cfg)
+            assert max(chunks) == draws and sum(chunks) == cfg.count
+            for key in ("min_margin", "worst_index", "alpha", "beta", "worst_ch_u", "worst_ch_v"):
+                assert bits(got[key]) == bits(want[key]), key
 
     @pytest.mark.parametrize("p, seed, count", [
         (0.1, 3, 600), (0.25, 7, 3000), (1e-9, 1, 300), (0.5, 2, 700),
@@ -1291,7 +1321,7 @@ class TestDrawBlocks:
         cfg = SampleConfig(seed=6, count=count, refine_top=4, refine_steps=40)
         out = [conjecture_test(0.1, cfg), ib_curve(SOURCE3)]
         for src in (dsbs(0.1), SOURCE3):
-            out.append([(pt.mu, pt.r1, pt.r2) for pt in sample_region_points(src, cfg, "inner")])
+            out.append(sample_region_points(src, cfg, "inner").tolist())
             out.append(support_function(src, SupportWeight(1.0, -0.05, -0.05), cfg, "inner"))
         return bits(out)
 
@@ -1303,8 +1333,9 @@ class TestDrawBlocks:
         for src in (dsbs(0.1), SOURCE3):
             for variant in ("ro", "ro_prime"):
                 points = sample_region_points(src, cfg, variant)
-                assert len(points) == count  # every draw is mapped onto the chains, none dropped
-                out.append([(pt.mu, pt.r1, pt.r2) for pt in points])
+                # every draw is mapped onto the chains, none dropped
+                assert points.shape == (count, 3)
+                out.append(points.tolist())
             for c in (cfg, replace(cfg, refine_top=0)):
                 out.append(support_function(src, lam, c, "ro"))
         return bits(out)
@@ -1393,6 +1424,46 @@ class TestDrawBlocks:
         assert seen == blocks
 
 
+class TestRegionSamplePoints:
+    """sample_region_points returns one (count, 3) float64 array, columns
+    (mu, r1, r2), and checks the RegionPoint invariants of all its rows at
+    once, raising the error of the first offending row."""
+
+    @pytest.mark.parametrize("variant", ["inner", "ro", "ro_prime"])
+    def test_one_array_of_rows(self, variant):
+        for src in (dsbs(0.1), SOURCE3):
+            points = sample_region_points(src, SampleConfig(seed=4, count=300), variant)
+            assert points.shape == (300, 3) and points.dtype == np.float64
+            assert np.all(points[:, 0] <= np.minimum(points[:, 1], points[:, 2]) + 1e-9)
+
+    @pytest.mark.parametrize("variant", ["inner", "ro"])
+    def test_first_offending_row_raises(self, monkeypatch, variant):
+        # row 5 gets mu = 2 > ln 2 and row 9 a nan rate: row 5's error is raised
+        cfg = SampleConfig(seed=4, count=20)
+        want = sample_region_points(dsbs(0.1), cfg, variant)
+        if variant == "inner":
+            real = optimize._batch_inner_stats
+
+            def stats(pxz, rows_u, rows_v):
+                iuv, iux, ivz = (c.copy() for c in real(pxz, rows_u, rows_v))
+                iuv[5], iux[9] = 2.0, math.nan
+                return iuv, iux, ivz
+
+            monkeypatch.setattr(optimize, "_batch_inner_stats", stats)
+        else:
+            real = optimize._checked_outer_stats
+
+            def stats(pxz, q):
+                st = real(pxz, q)
+                st[5, 4], st[9, 0] = 2.0, math.nan
+                return st
+
+            monkeypatch.setattr(optimize, "_checked_outer_stats", stats)
+        with pytest.raises(ConstraintError) as exc:
+            sample_region_points(dsbs(0.1), cfg, variant)
+        assert str(exc.value) == f"mu=2.0 exceeds min(r1, r2)={min(want[5, 1:].tolist())}"
+
+
 class TestDrawLayout:
     """Draw i of a seed depends on the seed, i and the shapes alone: not on
     the count, the draw blocks or the scoring blocks."""
@@ -1407,7 +1478,7 @@ class TestDrawLayout:
             sample_region_points(dsbs(0.1), SampleConfig(seed=4, count=n), variant)[i]
             for n in counts
         ]
-        assert len({(pt.mu.hex(), pt.r1.hex(), pt.r2.hex()) for pt in points}) == 1
+        assert len({tuple(v.hex() for v in pt.tolist()) for pt in points}) == 1
 
     def test_one_substream_per_draw_block(self, monkeypatch):
         opened = []
