@@ -46,7 +46,7 @@ from .probability import (
     dsbs,
     entropy_of_array,
     mutual_information,
-    _MAX_CELLS,
+    _check_cells,
 )
 from .regions import sb_surface
 from .typicality import (
@@ -84,8 +84,16 @@ class RunManifest:
 
 
 def _write_lines(path, manifest, lines):
+    _write_blocks(path, manifest, ["\n".join(lines) + "\n"] if lines else [])
+
+
+def _write_blocks(path, manifest, blocks):
+    # the manifest, then each block of whole newline-terminated lines as
+    # it is made, so a long table need not be held as text all at once
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(manifest.header_lines() + lines) + "\n")
+        fh.write("\n".join(manifest.header_lines()) + "\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def _table_lines(rows, scale):
@@ -138,10 +146,7 @@ def _parse_source(spec):
             raise DomainError(f"source cell {idx} is listed twice in {spec!r}")
         cells[idx] = value
     sizes = [max(idx[a] for idx in cells) + 1 for a in range(k)]
-    if math.prod(sizes) > _MAX_CELLS:
-        raise SizeError(
-            f"source file {spec!r} implies {math.prod(sizes)} cells, cap is {_MAX_CELLS}"
-        )
+    _check_cells(math.prod(sizes), f"source file {spec!r} implies")
     mass = np.zeros(sizes)
     for idx, value in cells.items():
         mass[idx] = value
@@ -195,24 +200,29 @@ def _sample_config(args, default_caps=None):
 
 def cmd_dsbs_surface(args):
     _check_points("--grid", args.grid)
-    rates, mu = sb_surface(args.p, np.linspace(0.0, 0.5, args.grid).tolist())
-    scale = _unit_scale(args.units)
-    # each distinct rate is formatted once; row (a, b) is "r1(a) r2(b) mu(a, b)",
-    # and mu, always a float, is formatted inline as _fmt formats a float
-    text = [_fmt(r / scale) for r in rates]
-    lines = [
-        f"{text[i]} {text[j]} {m / scale:.15g}"
-        for i, row in enumerate(mu)
-        for j, m in enumerate(row)
-    ]
+    rates, mu = sb_surface(args.p, np.linspace(0.0, 0.5, args.grid))
     manifest = RunManifest(
         "dsbs-surface",
         (("p", args.p), ("grid_points", args.grid), ("grid_lo", 0.0),
          ("grid_hi", 0.5), ("units", args.units)),
     )
-    _write_lines(args.out, manifest, lines)
-    print(f"wrote {args.out} rows {len(lines)}")
+    _write_blocks(args.out, manifest, _surface_blocks(rates, mu, _unit_scale(args.units)))
+    print(f"wrote {args.out} rows {mu.size}")
     return 0
+
+
+def _surface_blocks(rates, mu, scale):
+    """The rows of the surface, one block of text per alpha row.
+
+    Row (a, b) is "r1(a) r2(b) mu(a, b)", each value v written as
+    _fmt(v / scale) writes it. Each distinct rate is formatted once and
+    each alpha row takes one %-format call, so a block holds one row of
+    text at a time.
+    """
+    text = [_fmt(r) for r in (rates / scale).tolist()]
+    cols = [f" {t} %.15g" for t in text]
+    for t, row in zip(text, mu):
+        yield t + (("\n" + t).join(cols) % tuple((row / scale).tolist())) + "\n"
 
 
 # abscissae closer than this are one evaluation point

@@ -65,11 +65,10 @@ class JointPmf:
         if len(index) != len(axes):
             raise AxisError(f"duplicate axis labels: {[a.label for a in axes]}")
         mass = np.array(mass, dtype=np.float64)
-        shape = tuple(a.size for a in axes)
+        shape = tuple([a.size for a in axes])
         if mass.shape != shape:
             raise AxisError(f"mass shape {mass.shape} does not match axes {shape}")
-        if mass.size > _MAX_CELLS:
-            raise SizeError(f"joint has {mass.size} cells, cap is {_MAX_CELLS}")
+        _check_cells(mass.size, "joint has")
         mass = _normalized(mass)
         mass.setflags(write=False)
         object.__setattr__(self, "axes", axes)
@@ -99,6 +98,12 @@ class JointPmf:
         return f"JointPmf(labels={self.labels}, shape={self.mass.shape})"
 
 
+def _check_cells(cells, what):
+    # the dense-size cap of JointPmf, source files and the dsbs-surface grid
+    if cells > _MAX_CELLS:
+        raise SizeError(f"{what} {cells} cells, cap is {_MAX_CELLS}")
+
+
 def _normalized(mass, axis=None):
     """JointPmf's mass rule, applied to every sum of mass over `axis`.
 
@@ -109,7 +114,7 @@ def _normalized(mass, axis=None):
     sum the whole array (axis None); Channel and regions.Decoder sum each
     row and the code oracle each table of a block, so all share one rule.
     """
-    lo = float(mass.min())
+    lo = float(np.minimum.reduce(mass, axis=None))
     if lo < -_NEG_TOL:
         raise DomainError(f"negative probability mass {lo}")
     if lo < 0.0:
@@ -118,7 +123,7 @@ def _normalized(mass, axis=None):
         # the same rule on a Python float: keepdims does not change the
         # order of the reduction, so the total and the quotient are the
         # same bits as the array form's, at a fraction of its calls
-        total = float(mass.sum())
+        total = float(np.add.reduce(mass, axis=None))
         if not abs(total - 1.0) <= _NORM_TOL:  # also true for nan and inf
             raise NormalizationError(f"total mass {total} deviates from 1 beyond {_NORM_TOL}")
         return mass if total == 1.0 else mass / total
@@ -171,7 +176,7 @@ def _entropy_of_mass(mass):
     # bench/tracing.py does) counts one evaluation once
     m = np.asarray(mass, dtype=np.float64).ravel()
     m = m[m > 0.0]
-    return _clamp_measure(-float(np.sum(m * np.log(m))))
+    return _clamp_measure(-float(np.add.reduce(m * np.log(m))))
 
 
 def entropy(p):
@@ -336,6 +341,18 @@ def _hb_closed_array(p):
     return np.where(inside, _hb_open(np.where(inside, p, 0.5)), 0.0)
 
 
+def _hb_closed_libm(q):
+    # _hb_closed of every entry of a 1-d float array in [0, 1], bit for bit:
+    # _hb's expression in numpy, with libm's log and log1p mapped over the
+    # entries (numpy's own log can differ from libm in the last bit)
+    inside = (q > 0.0) & (q < 1.0)
+    q = np.where(inside, q, 0.5)
+    n = len(q)
+    log_q = np.fromiter(map(math.log, q.tolist()), np.float64, n)
+    log_nq = np.fromiter(map(math.log1p, (-q).tolist()), np.float64, n)
+    return np.where(inside, -(q * log_q + (1.0 - q) * log_nq), 0.0)
+
+
 def _hb_inverse(h):
     # the one h_b^-1 body, on a checked np.float64 or float array: bracket
     # [lo, lo + 2 * width] is halved to the side where h_b of its midpoint
@@ -393,12 +410,12 @@ def marginalize(p, keep):
         raise AxisError("marginalize needs at least one axis to keep")
     if len(set(keep)) != len(keep):
         raise AxisError(f"duplicate labels in keep: {keep}")
-    idx = {p.axis_index(lbl) for lbl in keep}
-    drop = tuple(i for i in range(len(p.axes)) if i not in idx)
-    if not drop:
+    kept = sorted([p.axis_index(lbl) for lbl in keep])
+    axes = p.axes
+    if len(kept) == len(axes):
         return p
-    new_axes = tuple(a for i, a in enumerate(p.axes) if i not in drop)
-    return JointPmf(new_axes, p.mass.sum(axis=drop))
+    drop = tuple([i for i in range(len(axes)) if i not in kept])
+    return JointPmf([axes[i] for i in kept], np.add.reduce(p.mass, axis=drop))
 
 
 def _marginal_entropy(p, labels):

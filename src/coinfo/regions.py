@@ -31,8 +31,10 @@ from .probability import (
     mutual_information,
     _bconv,
     _check_groups_disjoint,
+    _check_cells,
     _check_probability,
     _hb_closed,
+    _hb_closed_libm,
     _is_int,
     _normalized,
 )
@@ -233,24 +235,29 @@ def sb_point(p, alpha, beta):
 def sb_surface(p, grid):
     """sb_point(p, alpha, beta) for every (alpha, beta) in grid x grid.
 
-    Returns (rates, mu): rates[i] = log2 - h_b(grid[i]), the r1 of row i
-    and the r2 of column j, and mu[i][j] the co-information of cell
-    (i, j). p and the grid are validated once, and every value is bitwise
-    equal to sb_point's; every cell is checked as a RegionPoint.
+    Returns (rates, mu) as float64 arrays: rates[i] = log2 - h_b(grid[i]),
+    the r1 of row i and the r2 of column j, and mu[i, j] the
+    co-information of cell (i, j). Every value is bitwise equal to
+    sb_point's, sign of zero included: mu is built one alpha row at a
+    time from the same IEEE operations, with h_b from libm's log and
+    log1p. p and the grid are validated once, a grid of more than
+    _MAX_CELLS cells is refused before anything is built, and every cell
+    is checked as a RegionPoint.
     """
     p = _sb_arg("p", p)
-    grid = [_sb_arg("alpha", a) for a in grid]
-    rates = [LOG2 - _hb_closed(a) for a in grid]
+    n = len(grid)
+    _check_cells(n * n, f"sb_surface grid of {n} x {n} points has")
+    b = np.array([_sb_arg("alpha", a) for a in grid], dtype=np.float64)
+    rates = LOG2 - _hb_closed_libm(b)
     # sb_point's _bconv(_bconv(alpha, p), beta), written out with 1 - beta
     # taken once per column and alpha * p and 1 - (alpha * p) once per row
-    cols = [(b, 1.0 - b) for b in grid]
-    mu = []
-    for a in grid:
-        ap = _bconv(a, p)
-        nap = 1.0 - ap
-        mu.append([LOG2 - _hb_closed(ap * nb + nap * b) for b, nb in cols])
-    r = np.array(rates, dtype=np.float64)
-    _check_region_points(np.array(mu, dtype=np.float64).reshape(len(r), len(r)), r[:, None], r[None, :])
+    ap = _bconv(b, p)
+    nap = 1.0 - ap
+    nb = 1.0 - b
+    mu = np.empty((n, n))
+    for i in range(n):
+        mu[i] = LOG2 - _hb_closed_libm(ap[i] * nb + nap[i] * b)
+    _check_region_points(mu, rates[:, None], rates[None, :])
     return rates, mu
 
 
@@ -345,7 +352,7 @@ def attach_channels(p, channels, source_labels=None):
 
 
 def _labels_for(labels, idx_set):
-    return tuple(labels[i - 1] for i in sorted(idx_set))
+    return tuple([labels[i - 1] for i in sorted(idx_set)])
 
 
 def _check_multi_markov(p, u_labels, x_labels, markov_tol):

@@ -10,16 +10,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinfo import typicality
-from coinfo.cli import _fmt, _parse_source, _table_lines, _unit_scale, main
+from coinfo import probability, typicality
+from coinfo.cli import RunManifest, _fmt, _parse_source, _table_lines, _unit_scale, main
 from coinfo.errors import DomainError, SizeError
 from coinfo.probability import LOG2, Alphabet, JointPmf, binary_entropy
+from coinfo.regions import sb_point
 
 I_DSBS_025 = LOG2 - binary_entropy(0.25)
 I_DSBS_01 = LOG2 - binary_entropy(0.1)
@@ -96,6 +98,65 @@ class TestDsbsSurface:
         assert main(["dsbs-surface", "--p", "0.7",
                      "--out", str(tmp_path / "x.dat")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_grid_cap_exits_3_before_writing(self, tmp_path, capsys, monkeypatch):
+        # the JointPmf cell cap, lowered so that no test builds 10^7 cells
+        monkeypatch.setattr(probability, "_MAX_CELLS", 100)
+        fits, over = tmp_path / "fits.dat", tmp_path / "over.dat"
+        assert main(["dsbs-surface", "--p", "0.25", "--grid", "10", "--out", str(fits)]) == 0
+        assert len(read_table(fits)[1]) == 100
+        capsys.readouterr()
+        assert main(["dsbs-surface", "--p", "0.25", "--grid", "11", "--out", str(over)]) == 3
+        assert "121 cells, cap is 100" in capsys.readouterr().err
+        assert not over.exists()
+
+
+def per_row_surface_file(p, grid, units):
+    """The surface file as the writer before the streamed one made it: every
+    row its own f-string, from sb_point values, joined after the manifest."""
+    alphas = np.linspace(0.0, 0.5, grid).tolist()
+    scale = LOG2 if units == "bits" else 1.0
+    pts = [[sb_point(p, a, b) for b in alphas] for a in alphas]
+    text = [f"{pts[i][0].r1 / scale:.15g}" for i in range(grid)]
+    lines = [
+        f"{text[i]} {text[j]} {pts[i][j].mu / scale:.15g}"
+        for i in range(grid)
+        for j in range(grid)
+    ]
+    manifest = RunManifest(
+        "dsbs-surface",
+        (("p", p), ("grid_points", grid), ("grid_lo", 0.0), ("grid_hi", 0.5), ("units", units)),
+    )
+    return "\n".join(manifest.header_lines() + lines) + "\n"
+
+
+class TestDsbsSurfaceWriter:
+    """The row-wise writer writes the bytes of the per-row f-string writer."""
+
+    @pytest.mark.parametrize("grid", [1, 2, 33, 151])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5])
+    def test_bytes_equal_per_row_writer(self, tmp_path, capsys, p, grid):
+        for units in ("nats", "bits"):
+            out = tmp_path / f"surface-{units}.dat"
+            assert main(["dsbs-surface", "--p", str(p), "--grid", str(grid), "--units", units,
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() == per_row_surface_file(p, grid, units).encode()
+            assert capsys.readouterr().out.startswith(f"wrote {out} rows {grid * grid}\n")
+
+    def test_peak_memory_holds_cells_and_one_row(self, tmp_path, capsys):
+        # 301^2 cells take 0.7 MiB as float64; as Python floats and row
+        # strings, the per-row writer peaked at 22 MiB
+        out = tmp_path / "surface.dat"
+        argv = ["dsbs-surface", "--p", "0.25", "--grid", "301", "--out", str(out)]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 4 * 2**20
 
 
 class TestDsbsGap:

@@ -20,6 +20,7 @@ from coinfo.errors import (
     ConstraintError,
     DomainError,
     NormalizationError,
+    SizeError,
     SupportError,
 )
 from coinfo.probability import (
@@ -56,7 +57,7 @@ from coinfo.regions import (
     sb_point,
     sb_surface,
 )
-from coinfo import regions
+from coinfo import probability, regions
 
 HB_QUARTER = 0.56233514461880835
 
@@ -145,13 +146,20 @@ class TestInnerPoint:
 
     def test_sb_surface_equals_sb_point_bitwise(self):
         grid = np.linspace(0.0, 0.5, 13).tolist() + [1e-300, 0.5 - 1e-16]
+        n = len(grid)
         for p in (0.0, 0.1, 0.25, 0.5):
             rates, mu = sb_surface(p, grid)
-            for i, j in itertools.product(range(len(grid)), repeat=2):
+            assert rates.dtype == mu.dtype == np.float64
+            assert rates.shape == (n,) and mu.shape == (n, n)
+            for i, j in itertools.product(range(n), repeat=2):
                 pt = sb_point(p, grid[i], grid[j])
-                assert (rates[i], rates[j], mu[i][j]) == (pt.r1, pt.r2, pt.mu)
-                assert math.copysign(1.0, mu[i][j]) == math.copysign(1.0, pt.mu)
-        assert sb_surface(0.1, []) == ([], [])
+                got = (float(rates[i]), float(rates[j]), float(mu[i, j]))
+                assert got == (pt.r1, pt.r2, pt.mu)
+                for g, w in zip(got, (pt.r1, pt.r2, pt.mu)):
+                    assert math.copysign(1.0, g) == math.copysign(1.0, w)
+        rates, mu = sb_surface(0.1, [])
+        assert rates.shape == (0,) and mu.shape == (0, 0)
+        assert rates.dtype == mu.dtype == np.float64
 
     def test_sb_surface_domain(self):
         for p, grid in ((0.6, [0.1]), (-0.2, [0.1]), (0.1, [0.1, 0.6]), (0.1, [math.nan]), (0.6, [])):
@@ -159,12 +167,23 @@ class TestInnerPoint:
                 sb_surface(p, grid)
 
     def test_sb_surface_checks_every_cell(self, monkeypatch):
-        # a non-finite mu in the last cell breaks the RegionPoint invariants
-        hb_closed = regions._hb_closed
-        # at p = 1/4, cell (1/4, 1/4) alone has the effective crossover 7/16
-        monkeypatch.setattr(regions, "_hb_closed", lambda q: math.nan if q == 0.4375 else hb_closed(q))
+        # a non-finite mu in one cell breaks the RegionPoint invariants
+        hb_row = regions._hb_closed_libm
+
+        def nan_at_7_16(q):
+            # at p = 1/4, cell (1/4, 1/4) alone has the effective crossover 7/16
+            return np.where(q == 0.4375, math.nan, hb_row(q))
+
+        monkeypatch.setattr(regions, "_hb_closed_libm", nan_at_7_16)
         with pytest.raises(ConstraintError, match="RegionPoint.mu must be finite"):
             sb_surface(0.25, [0.0, 0.25])
+
+    def test_sb_surface_grid_cap(self, monkeypatch):
+        # the JointPmf cell cap: a 10 x 10 grid fits under 100 cells, 11 x 11 does not
+        monkeypatch.setattr(probability, "_MAX_CELLS", 100)
+        assert sb_surface(0.25, np.linspace(0.0, 0.5, 10))[1].shape == (10, 10)
+        with pytest.raises(SizeError, match="121 cells, cap is 100"):
+            sb_surface(0.25, np.linspace(0.0, 0.5, 11))
 
 
 class TestOuterPoints:
@@ -594,6 +613,67 @@ class TestMultiSourcePins:
             if not is_first_candidate(pair, bc)
         }
         assert later == self.LATER
+
+
+class TestLabelPathContract:
+    """What a marginal-entropy miss on the label path computes and calls.
+
+    A miss sums the full joint over the dropped axes, divides by the total
+    when it is not exactly 1.0 and takes -sum m log m over m > 0, through
+    one marginalize, one JointPmf and one entropy; a repeated measure on
+    the same joint calls none of them.
+    """
+
+    @staticmethod
+    def encoder_joint(k=5):
+        rng = np.random.default_rng([2026, k])
+        labels = tuple(f"x{i + 1}" for i in range(k))
+        src = JointPmf(tuple(Alphabet(2, l) for l in labels), rng.dirichlet(np.ones(2**k)).reshape((2,) * k))
+        chs = [random_channel(rng, 2, 2, l, "u" + l[1:]) for l in labels]
+        return attach_channels(src, chs)
+
+    @staticmethod
+    def recomputed_entropy(mass, keep):
+        # the formula in numpy, apart from coinfo
+        m = np.sum(mass, axis=tuple(i for i in range(mass.ndim) if i not in keep))
+        total = np.sum(m)
+        if total != 1.0:
+            m = m / total
+        m = m[m > 0.0]
+        return -float(np.sum(m * np.log(m)))
+
+    def test_every_marginal_entropy_equals_the_formula_bitwise(self):
+        j = self.encoder_joint()
+        n = len(j.labels)
+        assert n == 10
+        for r in range(1, n):
+            for keep in itertools.combinations(range(n), r):
+                got = probability._marginal_entropy(j, [j.labels[i] for i in keep])
+                assert got.hex() == self.recomputed_entropy(j.mass, keep).hex(), keep
+
+    def test_one_marginalize_joint_and_entropy_per_miss(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        src, ch_u, ch_v = dsbs(0.2), bsc_channel(0.1), bsc_channel(0.3, "z", "v")
+        monkeypatch.setattr(probability, "marginalize", spy("marginalize", probability.marginalize))
+        monkeypatch.setattr(probability, "entropy", spy("entropy", probability.entropy))
+        monkeypatch.setattr(JointPmf, "__init__", spy("JointPmf", JointPmf.__init__))
+        pt = inner_point(src, ch_u, ch_v)
+        # the chain joint, then {u}, {v}, {u,v}, {x}, {u,x}, {z}, {v,z}
+        assert calls.count("JointPmf") == 1 + 7
+        assert calls.count("marginalize") == calls.count("entropy") == 7
+        j = compose_markov(src, ch_u, ch_v)
+        first = [mutual_information(j, "u", "v"), mutual_information(j, "u", "x"), mutual_information(j, "v", "z")]
+        calls.clear()
+        again = [mutual_information(j, "v", "u"), mutual_information(j, "x", "u"), mutual_information(j, "z", "v")]
+        assert calls == []
+        assert first == again == [pt.mu, pt.r1, pt.r2]
 
 
 def binary_xor_source():
