@@ -35,8 +35,10 @@ The inner support function draws nothing and is not hill-climbed: it is
 a two-sided Blahut-Arimoto solve (_inner_solve). Each round makes one
 bottleneck update of p(u|x) against v and then one of p(v|z) against u
 (_bottleneck_update), from a fixed family of start pairs (_inner_starts),
-all in one batch, for a fixed number of rounds; the best scored iterate
-of each pair is kept. Outer refinement runs in lockstep (_lockstep): all
+all in one batch, for up to a fixed number of rounds, stopping at the
+first round that repeats the one before it bitwise; the start and the
+rounds are scored in one blocked pass, and the best scored iterate of
+each pair is kept. Outer refinement runs in lockstep (_lockstep): all
 the candidates one call refines climb together, and each step scores the
 "+" and "-" proposals of all of them with one batched chain map per
 scoring block of at most _DRAW_CELLS joint cells (_in_scoring_blocks). A
@@ -51,7 +53,9 @@ it is the envelope of the constant and identity channels and of the
 self-consistent bottleneck channels of a fixed schedule of Lagrange
 multipliers (_ib_solve), the same update as the inner solve's, all
 solved in one batch. Both solves use elementwise operations and
-einsum(optimize=False) only.
+einsum(optimize=False) only, so no BLAS kernel runs (the tests scan the
+source for one). The long-chain BSC points of both DSBS curves are one
+array pass (_sb_curve_points), bitwise the scalar h_b values.
 """
 import bisect
 import copy
@@ -67,8 +71,6 @@ from .probability import (
     LOG2,
     Alphabet,
     Channel,
-    binary_convolution,
-    binary_entropy,
     binary_entropy_inverses,
     batch_entropies,
     dsbs,
@@ -77,6 +79,7 @@ from .probability import (
     _clamp_measures,
     _NEG_TOL,
     _hb_closed_array,
+    _hb_closed_libm,
     _is_int,
     _is_real,
 )
@@ -585,12 +588,15 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     and column axis (u,v), both C-ordered. Caps default to the source
     alphabet sizes (cfg.cap_u, cfg.cap_v).
 
-    The inner variant is solved, not sampled (_inner_support): it reads
-    the caps of cfg alone, so its result does not depend on the seed, the
-    count or the refinement budget. The outer variants are sampled and
-    refined. Their value is nondecreasing in cfg.count for a fixed seed:
-    a sample is refined iff it ranks among the running refine_top best at
-    its own arrival, which depends only on earlier samples. Two
+    The inner variant is solved, not sampled (_inner_support): up to
+    _INNER_ROUNDS rounds of a two-sided bottleneck solve from fixed start
+    pairs, ending at the first round that repeats the one before it
+    bitwise. It reads the caps of cfg alone, so its result does not depend
+    on the seed, the count or the refinement budget. The outer variants
+    are sampled and refined. Their value is nondecreasing in cfg.count for
+    a fixed seed: a sample is refined iff it ranks among the running
+    refine_top best at its own arrival, which depends only on earlier
+    samples. Two
     count-independent candidates are always in the pool: the constant
     channel and, when the caps allow it, the refined identity corner.
     Ties break toward them, then toward the lowest sample index. The
@@ -682,10 +688,11 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.0
 
     Accepts and returns the candidate forms produced by support_function.
     steps must be an integer >= 0 and step_size finite and positive. An
-    inner candidate runs `steps` rounds of the two-sided bottleneck solve
-    (_inner_solve) and the best scored iterate is returned; step_size is
-    not read. An outer candidate is hill-climbed for `steps` steps
-    (_lockstep).
+    inner candidate runs up to `steps` rounds of the two-sided bottleneck
+    solve (_inner_solve), which end early only when a round repeats the
+    one before it bitwise, and the best scored iterate is returned;
+    step_size is not read. An outer candidate is hill-climbed for `steps`
+    steps (_lockstep).
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -714,10 +721,15 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.0
 # the inner support solve
 
 
-# rounds of the inner support solve, and the shares of a starting row
-# spread evenly over all outputs around its corner (_noisy_corner)
+# the most rounds of the inner support solve (fewer when a round repeats
+# the one before it), and the shares of a starting row spread evenly over
+# all outputs around its corner (_noisy_corner)
 _INNER_ROUNDS = 60
 _INNER_SPREADS = (0.01, 0.3)
+# joint cells per scoring call of the inner solve, whose start and rounds
+# are scored together: a quarter of _DRAW_CELLS, so the index plans that
+# batch_entropies caches for it stay small (32 tables of a 2x2x2x2 joint)
+_SOLVE_CELLS = _DRAW_CELLS >> 2
 _TINY = np.finfo(np.float64).tiny  # stands in for a zero under a log
 
 
@@ -733,25 +745,35 @@ def _bottleneck_update(pxy, y_given_x, enc, beta, relevance=None):
     co-clustering step of Dhillon, Mallela & Modha (2003): every x goes to
     the first u of least D(p(v|x) || q(v|u)). For a fixed relevance the
     update never lowers beta I(u;v) - I(u;x). Elementwise numpy and
-    einsum(optimize=False) only, so no BLAS kernel runs.
+    einsum(optimize=False) only, so no BLAS kernel runs. Every contraction
+    is an einsum: an elementwise product-and-sum would round differently
+    once the contracted axis has 3 or more letters. With relevance None the
+    2-D p(y|x) is contracted as it is, with no batch copy of it. The tests
+    keep an earlier form of this body as its bitwise reference.
     """
     px = pxy.sum(axis=1)
     q_u = np.einsum("x,bxu->bu", px, enc, optimize=False)[:, :, None]
     q_uv = np.einsum("xy,bxu->buy", pxy, enc, optimize=False)
-    if relevance is None:
-        v_given_x = np.broadcast_to(y_given_x, (len(enc), *y_given_x.shape))
-    else:
+    if relevance is not None:
         q_uv = np.einsum("buy,byv->buv", q_uv, relevance, optimize=False)
-        v_given_x = np.einsum("xy,byv->bxv", y_given_x, relevance, optimize=False)
-    v_given_u = np.divide(q_uv, q_u, out=np.zeros(q_uv.shape), where=q_u > 0.0)
+    # q(u) sums nonnegative terms that each bound a term of q(u, v), so
+    # q(u, v) = 0 wherever q(u) = 0 and dividing it by 1 there keeps the 0
+    log_decoder = np.log(np.maximum(q_uv / np.where(q_u > 0.0, q_u, 1.0), _TINY))
     # beta * cross = -beta D(p(v|x) || q(v|u)) - beta H(v|x), whose last
     # term is the same for every u of a row and drops out
-    log_decoder = np.log(np.maximum(v_given_u, _TINY))
-    cross = np.einsum("bxv,buv->bxu", v_given_x, log_decoder, optimize=False)
+    if relevance is None:
+        cross = np.einsum("xv,buv->bxu", y_given_x, log_decoder, optimize=False)
+    else:
+        v_given_x = np.einsum("xy,byv->bxv", y_given_x, relevance, optimize=False)
+        cross = np.einsum("bxv,buv->bxu", v_given_x, log_decoder, optimize=False)
     if np.isscalar(beta) and beta == math.inf:
         return (np.argmax(cross, axis=2)[:, :, None] == np.arange(enc.shape[2])).astype(np.float64)
     w = np.log(np.maximum(q_u[:, None, :, 0], _TINY)) + beta * cross
-    w = np.exp(w - w.max(axis=2, keepdims=True))
+    # the row maximum, exact in any order
+    top = w[:, :, 0]
+    for k in range(1, w.shape[2]):
+        top = np.maximum(top, w[:, :, k])
+    w = np.exp(w - top[:, :, None])
     return w / w.sum(axis=2, keepdims=True)
 
 
@@ -779,17 +801,28 @@ def _inner_iterates(pxz, lam, rows_u, rows_v):
 
 def _inner_solve(pxz, lam, rows_u, rows_v, rounds):
     """(values, rows_u, rows_v): the best scored iterate of each start pair
-    over its start and `rounds` rounds of _inner_iterates, the first on
-    ties. The start and each round are scored with _batch_inner_stats, in
-    blocks of at most _DRAW_CELLS joint cells, so no value depends on the
-    batch; a round at a time, so the index plans batch_entropies caches
-    stay those of one round's batch."""
-    pairs = [(rows_u, rows_v), *itertools.islice(_inner_iterates(pxz, lam, rows_u, rows_v), rounds)]
+    over its start and up to `rounds` rounds of _inner_iterates, the first
+    on ties.
+
+    The rounds end early at the first one whose rows_u and rows_v are
+    bitwise those of the round before, for the whole batch: the update is
+    a function of those rows alone, so every later round would repeat
+    them, and a repeat scores the same and loses the tie. The start and
+    the kept rounds are scored together, with _batch_inner_stats in
+    blocks of at most _SOLVE_CELLS joint cells; a batched row is bitwise
+    a lone table's, so no value depends on the batch or the blocking."""
+    us, vs = [rows_u], [rows_v]
+    for u, v in itertools.islice(_inner_iterates(pxz, lam, rows_u, rows_v), rounds):
+        # bitwise, so a 0.0 that was a -0.0 counts as a change
+        if u.tobytes() == us[-1].tobytes() and v.tobytes() == vs[-1].tobytes():
+            break
+        us.append(u)
+        vs.append(v)
+    us, vs = np.concatenate(us), np.concatenate(vs)
     cells = pxz.size * rows_u.shape[2] * rows_v.shape[2]
-    values = np.concatenate([_lam_dot(lam, *_blocked_stats(_batch_inner_stats, pxz, pair, cells)) for pair in pairs])
-    us, vs = (np.concatenate(side) for side in zip(*pairs))
+    values = _lam_dot(lam, *_blocked_stats(_batch_inner_stats, pxz, (us, vs), cells, _SOLVE_CELLS))
     starts = np.arange(len(rows_u))
-    best = np.argmax(values.reshape(rounds + 1, len(starts)), axis=0) * len(starts) + starts
+    best = np.argmax(values.reshape(-1, len(starts)), axis=0) * len(starts) + starts
     return values[best], us[best], vs[best]
 
 
@@ -866,9 +899,9 @@ def _inner_starts(pxz, cap_u, cap_v):
 
 def _inner_support(pxz, lam, cap_u, cap_v):
     """(value, [rows_u, rows_v]) of the inner support function: the best of
-    the constant channel pair and of _INNER_ROUNDS rounds of _inner_solve
-    from each start pair (_inner_starts), all start pairs in one batch.
-    Nothing is drawn.
+    the constant channel pair and of up to _INNER_ROUNDS rounds of
+    _inner_solve from each start pair (_inner_starts), all start pairs in
+    one batch. Nothing is drawn.
 
     The constant pair's (mu, r1, r2) is (0, 0, 0) by definition, not a
     score. A solved value within the clamp's float noise of it (1e-12 per
@@ -888,11 +921,11 @@ def _inner_support(pxz, lam, cap_u, cap_v):
     return best
 
 
-def _blocked_stats(stats, pxz, tables, cells):
+def _blocked_stats(stats, pxz, tables, cells, limit):
     """The columns of stats(pxz, *tables) (_batch_inner_stats,
-    _batch_ib_stats), scored a block of at most _DRAW_CELLS joint cells at a
+    _batch_ib_stats), scored a block of at most `limit` joint cells at a
     time; a table's joint has `cells`."""
-    size = max(1, _DRAW_CELLS // cells)
+    size = max(1, limit // cells)
     if len(tables[0]) <= size:
         return stats(pxz, *tables)
     blocks = (stats(pxz, *(t[lo : lo + size] for t in tables)) for lo in range(0, len(tables[0]), size))
@@ -903,9 +936,14 @@ def _blocked_stats(stats, pxz, tables, cells):
 # symmetric binary boundaries
 
 
-def _sb_curve_point(p, alpha):
-    r = LOG2 - binary_entropy(alpha)
-    mu = LOG2 - binary_entropy(binary_convolution(binary_convolution(alpha, p), alpha))
+def _sb_curve_points(p, alphas):
+    """The (r, mu) points (ln 2 - h_b(alpha), ln 2 - h_b(alpha * p * alpha))
+    of the long-chain BSC(alpha) pairs on the DSBS(p), as two float arrays,
+    for a float array of alphas in [0, 1/2]: one array pass, bit for bit the
+    scalar binary_entropy and binary_convolution values (the convolutions
+    are the same IEEE operations, and h_b is _hb_closed_libm)."""
+    r = LOG2 - _hb_closed_libm(alphas)
+    mu = LOG2 - _hb_closed_libm(_bconv(_bconv(alphas, p), alphas))
     return r, mu
 
 
@@ -931,13 +969,14 @@ def dsbs_inner_boundary(p, alpha_grid):
     p = _check_probability(p, "dsbs_inner_boundary")
     if p > 0.5:
         raise DomainError(f"dsbs_inner_boundary p={p} outside [0, 1/2]")
-    pts = []
-    for a in alpha_grid:
-        a = _check_probability(float(a), "dsbs_inner_boundary")
-        if a > 0.5:
-            raise DomainError(f"alpha={a} outside [0, 1/2]")
-        pts.append(_sb_curve_point(p, a))
-    return upper_concave_envelope(pts)
+    alphas = np.array([float(a) for a in alpha_grid], dtype=np.float64)
+    bad = np.flatnonzero(~((alphas >= -_NEG_TOL) & (alphas <= 0.5)))  # nan too
+    if bad.size:
+        # the first bad alpha raises the error the scalar checks give it
+        a = _check_probability(float(alphas[bad[0]]), "dsbs_inner_boundary")
+        raise DomainError(f"alpha={a} outside [0, 1/2]")
+    r, mu = _sb_curve_points(p, np.maximum(alphas, 0.0))
+    return upper_concave_envelope(zip(r.tolist(), mu.tolist()))
 
 
 # the coupling solve of dsbs_outer_boundary_sampled: a first grid of
@@ -1050,7 +1089,8 @@ def dsbs_outer_boundary_sampled(p, r_grid):
             raise DomainError(f"grid abscissa {r} must be finite and nonnegative")
     pxz = dsbs(p).mass
 
-    points = [_sb_curve_point(p, a) for a in dsbs_alpha_grid(r_grid)]
+    r, mu = _sb_curve_points(p, np.array(dsbs_alpha_grid(r_grid)))
+    points = list(zip(r.tolist(), mu.tolist()))
     alphas = binary_entropy_inverses(LOG2 - np.array([r for r in sorted(set(r_grid)) if r <= LOG2]))
     if alphas.size:
         st = _coupling_stats(pxz, alphas, *_coupling_solve(pxz, alphas))
@@ -1107,7 +1147,7 @@ def ib_curve(p_xz):
     pxz = p_xz.mass
     nx = pxz.shape[0]
     tables = np.concatenate([[np.eye(nx, nx + 1)], _ib_solve(pxz)])
-    r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1))
+    r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1), _DRAW_CELLS)
     keep = (r > _NEG_TOL) & (r < r[0])
     keep[0] = True
     return upper_concave_envelope([(0.0, 0.0), *zip(r[keep].tolist(), mu[keep].tolist())])

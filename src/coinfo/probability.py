@@ -453,6 +453,15 @@ def conditional_mutual_information(p, group_a, group_b, group_c):
 
 
 def _check_groups_disjoint(p, *groups):
+    # the valid case is one set check: every group nonempty and every label
+    # a distinct axis of p. The loop below runs only to raise, and names the
+    # first offending group or label
+    try:
+        labels = sum(groups, ())
+        if len(p._index.keys() & labels) == len(labels) and all(groups):
+            return
+    except TypeError:  # an unhashable label, or a group that is no tuple
+        pass
     seen = set()
     for g in groups:
         if not g:

@@ -653,6 +653,52 @@ class TestDsbsInnerBoundary:
         with pytest.raises(DomainError):
             dsbs_inner_boundary(0.1, [0.6])
 
+    @pytest.mark.parametrize("grid, message", [
+        ([0.1, math.nan], "dsbs_inner_boundary needs a finite real in [0,1], got nan"),
+        ([math.inf], "dsbs_inner_boundary needs a finite real in [0,1], got inf"),
+        ([0.1, 1.5], "dsbs_inner_boundary argument 1.5 outside [0,1]"),
+        ([-1e-9], "dsbs_inner_boundary argument -1e-09 outside [0,1]"),
+        ([0.2, 0.6, 1.5, math.nan], "alpha=0.6 outside [0, 1/2]"),
+        ([1.0 + 1e-13], "alpha=1.0 outside [0, 1/2]"),
+    ])
+    def test_first_bad_alpha_names_itself(self, grid, message):
+        # the messages of the scalar checks, for the first bad alpha in order
+        with pytest.raises(DomainError) as err:
+            dsbs_inner_boundary(0.1, grid)
+        assert str(err.value) == message
+
+    def test_float_noise_below_zero_is_alpha_zero(self):
+        assert bits(dsbs_inner_boundary(0.1, [-1e-13, 0.5])) == bits(dsbs_inner_boundary(0.1, [0.0, 0.5]))
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.5])
+    def test_array_points_equal_the_scalar_points_bitwise(self, p):
+        alphas = [0.0, 5e-324, 1e-300, 0.5 - 1e-16, 0.5, *dsbs_alpha_grid(), *dsbs_alpha_grid(DEFAULT_WINDOW)]
+        r, mu = optimize._sb_curve_points(p, np.array(alphas))
+        assert bits([r, mu]) == bits(scalar_sb_points(p, np.array(alphas)))
+
+    @pytest.mark.parametrize("p", [0.02, 0.25, 0.45])
+    def test_boundaries_equal_those_of_the_scalar_points(self, monkeypatch, p):
+        for grid in ([], DEFAULT_WINDOW[::6], np.linspace(0.0, 0.8, 9)):
+            got = [dsbs_inner_boundary(p, dsbs_alpha_grid(grid)), dsbs_outer_boundary_sampled(p, grid)]
+            with monkeypatch.context() as m:
+                m.setattr(optimize, "_sb_curve_points", scalar_sb_points)
+                want = [dsbs_inner_boundary(p, dsbs_alpha_grid(grid)), dsbs_outer_boundary_sampled(p, grid)]
+            assert bits(got) == bits(want)
+
+
+def sb_curve_point(p, alpha):
+    """The scalar BSC curve point that _sb_curve_points replaced, kept as
+    its bitwise reference."""
+    r = LOG2 - binary_entropy(alpha)
+    mu = LOG2 - binary_entropy(binary_convolution(binary_convolution(alpha, p), alpha))
+    return r, mu
+
+
+def scalar_sb_points(p, alphas):
+    # _sb_curve_points from sb_curve_point, one alpha at a time
+    points = [sb_curve_point(p, a) for a in alphas.tolist()]
+    return tuple(np.array([pt[k] for pt in points], dtype=np.float64) for k in (0, 1))
+
 
 # the (s_same, s_diff) couplings an earlier version tried at every cap in
 # place of a solve
@@ -1171,6 +1217,106 @@ class TestInnerSupport:
         assert bits([ru, rv]) == bits([want_u[0], want_v[0]])
         # step_size is validated but not read
         assert bits(local_refine(SOURCE3, start, lam, "inner", 40, 3.5)) == bits((ru, rv))
+
+    @pytest.mark.parametrize("src", [dsbs(0.1), SOURCE3, DIRICHLET4], ids=["dsbs", "SOURCE3", "DIRICHLET4"])
+    @pytest.mark.parametrize("caps", [0, 1, -1], ids=["caps", "caps+1", "caps-1"])
+    def test_solve_equals_every_round_scored_alone(self, src, caps):
+        # the fixed-point stop and the one scoring pass change no value or row
+        pxz = src.mass
+        nx, nz = pxz.shape
+        starts = optimize._inner_starts(pxz, nx + caps, nz + caps)
+        rng = np.random.default_rng(nx * 10 + nz + caps)
+        for lam in (*SOLVER_LAMS, SupportWeight(0.9, -0.2, -0.05), SupportWeight(1.0, -0.3, 0.0)):
+            for rounds in (0, 1, 7, 60):
+                got = optimize._inner_solve(pxz, lam, *starts, rounds)
+                assert bits(got) == bits(inner_solve_reference(pxz, lam, *starts, rounds))
+            start = (rng.dirichlet(np.ones(nx + caps), size=nx), rng.dirichlet(np.ones(nz + caps), size=nz))
+            got = local_refine(src, start, lam, "inner", steps=60)
+            _, want_u, want_v = inner_solve_reference(pxz, lam, start[0][None], start[1][None], 60)
+            assert bits(got) == bits([want_u[0], want_v[0]])
+
+    def test_rounds_stop_at_the_fixed_point(self, monkeypatch):
+        # bench seed 11's direction on dsbs(0.1): at caps 2 the rounds reach
+        # their bitwise fixed point early; at caps 3 the spare outputs decay
+        # without end and every round runs, two updates a round
+        lam = SupportWeight(*SAMPLED_INNER["bench-11-20"][1][0][0])
+        calls = []
+        update = optimize._bottleneck_update
+
+        def counted(*args):
+            calls.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(optimize, "_bottleneck_update", counted)
+        support_function(dsbs(0.1), lam, SampleConfig(seed=0, cap_u=2, cap_v=2), "inner")
+        assert len(calls) < 2 * optimize._INNER_ROUNDS
+        calls.clear()
+        support_function(dsbs(0.1), lam, SampleConfig(seed=0, cap_u=3, cap_v=3), "inner")
+        assert len(calls) == 2 * optimize._INNER_ROUNDS
+
+
+def inner_solve_reference(pxz, lam, rows_u, rows_v, rounds):
+    """_inner_solve before the fixed-point stop, kept as its reference:
+    every round runs and is scored by a _batch_inner_stats call of its own."""
+    pairs = [(rows_u, rows_v), *itertools.islice(optimize._inner_iterates(pxz, lam, rows_u, rows_v), rounds)]
+    values = np.stack([optimize._lam_dot(lam, *_batch_inner_stats(pxz, *pair)) for pair in pairs])
+    best = np.argmax(values, axis=0)  # the first round on ties
+    starts = np.arange(len(rows_u))
+    us, vs = (np.stack(side) for side in zip(*pairs))
+    return values[best, starts], us[best, starts], vs[best, starts]
+
+
+def bottleneck_update_reference(pxy, y_given_x, enc, beta, relevance=None):
+    """An earlier body of _bottleneck_update, kept as its bitwise reference:
+    the relevance copied to a batch, a zero-filled masked divide and the row
+    maximum as one reduction."""
+    px = pxy.sum(axis=1)
+    q_u = np.einsum("x,bxu->bu", px, enc, optimize=False)[:, :, None]
+    q_uv = np.einsum("xy,bxu->buy", pxy, enc, optimize=False)
+    if relevance is None:
+        v_given_x = np.broadcast_to(y_given_x, (len(enc), *y_given_x.shape))
+    else:
+        q_uv = np.einsum("buy,byv->buv", q_uv, relevance, optimize=False)
+        v_given_x = np.einsum("xy,byv->bxv", y_given_x, relevance, optimize=False)
+    v_given_u = np.divide(q_uv, q_u, out=np.zeros(q_uv.shape), where=q_u > 0.0)
+    log_decoder = np.log(np.maximum(v_given_u, optimize._TINY))
+    cross = np.einsum("bxv,buv->bxu", v_given_x, log_decoder, optimize=False)
+    if np.isscalar(beta) and beta == math.inf:
+        return (np.argmax(cross, axis=2)[:, :, None] == np.arange(enc.shape[2])).astype(np.float64)
+    w = np.log(np.maximum(q_u[:, None, :, 0], optimize._TINY)) + beta * cross
+    w = np.exp(w - w.max(axis=2, keepdims=True))
+    return w / w.sum(axis=2, keepdims=True)
+
+
+class TestBottleneckUpdate:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_reference_bitwise(self, seed):
+        # |X| 2-6, |Y| 2-5, 1-7 outputs, batches of 1-130; beta a scalar, a
+        # (batch, 1, 1) array and inf; relevance y itself and channels of
+        # 1-7 outputs; every other case has an all-zero output column, and
+        # every third source an all-zero row, so q(u) = 0 cells occur
+        rng = np.random.default_rng(seed)
+        zero_cells = 0
+        for case in range(60):
+            nx, ny, nu = (int(rng.integers(lo, hi)) for lo, hi in ((2, 7), (2, 6), (1, 8)))
+            batch = int(rng.integers(1, 131))
+            pxy = rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
+            if case % 3 == 0:
+                pxy[rng.integers(nx)] = 0.0
+                pxy /= pxy.sum()
+            y_given_x, _ = _source_conditionals(pxy)
+            enc = rng.dirichlet(np.ones(nu), size=(batch, nx))
+            if nu > 1 and case % 2 == 0:
+                enc[:, :, rng.integers(nu)] = 0.0
+                enc /= enc.sum(axis=2, keepdims=True)
+            zero_cells += int(np.sum(np.einsum("x,bxu->bu", pxy.sum(axis=1), enc) == 0.0))
+            relevance = rng.dirichlet(np.ones(int(rng.integers(1, 8))), size=(batch, ny))
+            betas = (float(rng.uniform(0.1, 50.0)), rng.uniform(0.1, 50.0, size=(batch, 1, 1)), math.inf)
+            for rel in (None, relevance):
+                for beta in betas:
+                    got = optimize._bottleneck_update(pxy, y_given_x, enc, beta, rel)
+                    assert bits(got) == bits(bottleneck_update_reference(pxy, y_given_x, enc, beta, rel))
+        assert zero_cells > 0
 
 
 # ---------------------------------------------------------------------------

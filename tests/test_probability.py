@@ -41,6 +41,7 @@ from coinfo.probability import (
     kl_divergence,
     marginalize,
     mutual_information,
+    _check_groups_disjoint,
     _normalized,
 )
 from entropy_reference import entropies
@@ -394,6 +395,40 @@ class TestConditionalMutualInformation:
                 p, "a", "b", "c"
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+GROUP_JOINT = JointPmf((Alphabet(2, "x"), Alphabet(2, "z"), Alphabet(2, "u")), np.full((2, 2, 2), 0.125))
+
+
+class TestGroupCheck:
+    """The axis-group check of the information measures: the valid case is
+    one set check, and a bad case raises what the per-label loop names, the
+    first offending group or label in order."""
+
+    @pytest.mark.parametrize("groups, message", [
+        ((("x",), ()), "axis group must be nonempty"),
+        (((), ("w",)), "axis group must be nonempty"),
+        ((("x",), ("w",)), "no axis labeled 'w'; have ('x', 'z', 'u')"),
+        ((("x",), (["z"],)), "no axis labeled ['z']; have ('x', 'z', 'u')"),
+        ((("x",), ("z", "x")), "axis 'x' appears in more than one group"),
+        ((("x", "x"), ("z",)), "axis 'x' appears in more than one group"),
+        ((("x",), ("x",), ()), "axis 'x' appears in more than one group"),
+        ((("z",), ("u",), ("w", "z")), "no axis labeled 'w'; have ('x', 'z', 'u')"),
+        ((("z",), ("u",), ("x", "u")), "axis 'u' appears in more than one group"),
+    ])
+    def test_messages(self, groups, message):
+        measure = mutual_information if len(groups) == 2 else conditional_mutual_information
+        for call in (lambda: _check_groups_disjoint(GROUP_JOINT, *groups), lambda: measure(GROUP_JOINT, *groups)):
+            with pytest.raises(AxisError) as err:
+                call()
+            assert type(err.value) is AxisError and str(err.value) == message
+
+    @pytest.mark.parametrize("groups", [
+        (("x",), ("z",)), (("x", "u"), ("z",)), (("u",), ("z",), ("x",)), (["x"], ("z", "u")),
+    ])
+    def test_valid_groups_pass(self, groups):
+        # a list group skips the set check and passes the loop
+        assert _check_groups_disjoint(GROUP_JOINT, *groups) is None
 
 
 class TestKlDivergence:

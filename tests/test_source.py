@@ -17,3 +17,39 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert files and not found, f"assert statements in src/coinfo: {found}"
+
+
+# numpy names that may run a BLAS kernel, whose sums depend on the thread
+# count and the library build
+BLAS_NAMES = {"dot", "matmul", "tensordot", "inner", "linalg"}
+
+
+def test_no_blas_kernels():
+    # the solvers are bit-reproducible for any thread count because no BLAS
+    # kernel runs: every einsum passes a literal optimize=False (einsum's
+    # optimizer may hand a contraction to tensordot), and nothing calls @,
+    # np.dot, np.matmul, np.tensordot, np.inner or np.linalg
+    files = sorted(Path(coinfo.__file__).parent.rglob("*.py"))
+    found = []
+    einsums = 0
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES and (
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            ):
+                found.append(f"{where} np.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                found += [f"{where} from numpy import {a.name}" for a in node.names if a.name in BLAS_NAMES]
+            elif isinstance(node, ast.Import):
+                found += [f"{where} import {a.name}" for a in node.names if a.name.startswith("numpy.linalg")]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum":
+                einsums += 1
+                if not any(
+                    kw.arg == "optimize" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                    for kw in node.keywords
+                ):
+                    found.append(f"{where} einsum without a literal optimize=False")
+    assert einsums and not found, f"possible BLAS kernels in src/coinfo: {found}"
