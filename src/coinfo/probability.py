@@ -229,6 +229,67 @@ def _clamp_measures(values):
     return values
 
 
+def _subset_entropies(mass):
+    """Entropy in nats of the marginal of a dense table on every subset of its axes.
+
+    mass is a nonnegative table that sums to 1, such as a JointPmf's.
+    Returns a float64 vector of 2^n entries for n axes: entry m is the
+    entropy of the marginal on the axes whose bits are set in m (bit i
+    for axis i), with 0*log(0) = 0 and the clamp of entropy_of_array;
+    entry 0 is 0.0. Pass 1 gives each axis in turn one more slot that
+    holds the sum over its letters, so the lattice of prod(s_i + 1) cells
+    holds the cells of every marginal; m*log(m) is taken once over its
+    positive cells; pass 2 collapses each axis's letter slots into one
+    and keeps its summed slot. The lattice's size is checked against the
+    dense-size cap before anything is allocated. Each marginal is summed
+    axis by axis and not renormalized, so an entry can differ in the last
+    bits from entropy(marginalize(...)), whose multi-axis sum runs in
+    another order.
+    """
+    shape = mass.shape
+    cells = math.prod([s + 1 for s in shape])
+    _check_cells(cells, "subset-entropy lattice has")
+    # every step reads the leading axis of one buffer's table and writes
+    # it, changed, as the last axis of the other's, so each numpy call runs
+    # over whole rows and n steps restore the axis order
+    buf, spare = np.empty(cells), np.empty(cells)
+    t = mass
+    for s in shape:
+        t = t.reshape(s, -1)
+        out = buf[: t.shape[1] * (s + 1)].reshape(-1, s + 1)
+        for letter in range(s):
+            out[:, letter] = t[letter]
+        _sum_rows(t, s, out[:, s])
+        t, buf, spare = out.ravel(), spare, buf
+    terms = buf
+    terms.fill(0.0)
+    np.log(t, out=terms, where=t > 0.0)
+    terms *= t
+    buf, spare = spare, buf
+    for s in shape:
+        terms = terms.reshape(s + 1, -1)
+        out = buf[: terms.shape[1] * 2].reshape(-1, 2)
+        _sum_rows(terms, s, out[:, 0])
+        out[:, 1] = terms[s]
+        terms, buf, spare = out.ravel(), spare, buf
+    # slot 0 of an axis keeps it and slot 1 sums it out: reversing the flat
+    # vector flips every axis, and reversing the axes puts axis i at bit i
+    n = len(shape)
+    h = -terms[::-1].reshape((2,) * n).transpose(tuple(range(n - 1, -1, -1))).ravel()
+    h[0] = 0.0
+    return _clamp_measures(h)
+
+
+def _sum_rows(t, s, out):
+    # out = t[0] + t[1] + ... + t[s - 1], added in that order
+    if s == 1:
+        out[:] = t[0]
+        return
+    np.add(t[0], t[1], out=out)
+    for letter in range(2, s):
+        out += t[letter]
+
+
 @functools.cache
 def _entropy_plan(shape, groups):
     # the marginals sit end to end in one vector of n_cells entries: copy k

@@ -5,6 +5,13 @@ generalizations (with binning subset search), the CEO specialization
 under a mutual-information constraint, and log-loss decoders.
 
 Index sets for the multi-source evaluators use 1-based encoder indices.
+Those evaluators (the two multi-source outer points, the membership test
+and the binning search) build one subset-entropy table of their joint
+per call, probability._subset_entropies, and read every H, I and CMI
+from it by bitmask, so a measure costs a few list reads and no marginal.
+A joint whose table of prod(s_i + 1) cells exceeds the dense-size cap
+is refused with SizeError. The two-source evaluators and ceo_point
+measure on the label path of probability.
 """
 
 import itertools
@@ -33,10 +40,12 @@ from .probability import (
     _check_groups_disjoint,
     _check_cells,
     _check_probability,
+    _clamp_measure,
     _hb_closed,
     _hb_closed_libm,
     _is_int,
     _normalized,
+    _subset_entropies,
 )
 
 # a Markov chain is accepted when the relevant CMI is at most this
@@ -355,84 +364,186 @@ def _labels_for(labels, idx_set):
     return tuple([labels[i - 1] for i in sorted(idx_set)])
 
 
-def _check_multi_markov(p, u_labels, x_labels, markov_tol):
-    k = len(u_labels)
+def _encoder_masks(k):
+    # {frozenset of 1-based encoder indices: its encoder mask} over every
+    # subset of 1..k, with bit i - 1 of a mask for encoder i; the keys run
+    # in mask order, so list(masks)[e] is the set of mask e
+    sets = [frozenset()]
+    for i in range(1, k + 1):
+        sets += [s | {i} for s in sets]
+    return {s: e for e, s in enumerate(sets)}
+
+
+def _encoder_mask(masks, indices):
+    # the mask of a caller's set of encoder indices, which must be a
+    # nonempty subset of 1..K; masks holds the 2^K subsets
+    mask = masks.get(indices, 0)
+    if not mask:
+        k = len(masks).bit_length() - 1
+        raise AxisError(f"encoder indices {set(indices)} are not a nonempty subset of 1..{k}")
+    return mask
+
+
+def _mask_bits(mask):
+    # the set bits of a mask, ascending
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class _AxisMasks(dict):
+    """The joint-axis mask of the labels of each encoder mask, made on first read.
+
+    Entry e ORs bit j for the axis j of labels[i], for every bit i of e.
+    It is -1 when one of those labels is no axis of the joint or two of
+    them are one axis, so the label path would refuse that group.
+    """
+
+    __slots__ = ("labels", "bits")
+
+    def __init__(self, joint, labels):
+        super().__init__()
+        self.labels = labels
+        self.bits = []
+        for lbl in labels:
+            try:
+                self.bits.append(1 << joint.axis_index(lbl))
+            except AxisError:
+                self.bits.append(-1)
+
+    def __missing__(self, e):
+        mask = 0
+        for i, bit in enumerate(self.bits):
+            if e >> i & 1:
+                if bit < 0 or mask & bit:
+                    mask = -1
+                    break
+                mask |= bit
+        self[e] = mask
+        return mask
+
+    def labels_of(self, e):
+        return tuple([lbl for i, lbl in enumerate(self.labels) if e >> i & 1])
+
+
+class _EncoderLattice:
+    """Every measure a multi-source evaluator reads, from one entropy table.
+
+    The table is _subset_entropies of the joint, read by axis mask; u[e]
+    and x[e] are the axis masks of the u and x labels of encoder mask e.
+    A measure is the label path's formula on the table's entropies, with
+    its clamp. A group with a label that is no axis of the joint, or two
+    groups that share an axis, raise the label path's AxisError:
+    _check_groups_disjoint runs on the same label groups.
+    """
+
+    __slots__ = ("joint", "h", "u", "x")
+
+    def __init__(self, joint, u_labels, x_labels):
+        self.joint = joint
+        self.h = _subset_entropies(joint.mass).tolist()
+        self.u = _AxisMasks(joint, u_labels)
+        self.x = _AxisMasks(joint, x_labels)
+
+    def ux(self, a, b):
+        """I(u_A; x_B)."""
+        return self._info(self.u, a, self.x, b)
+
+    def uu(self, a, b):
+        """I(u_A; u_B)."""
+        return self._info(self.u, a, self.u, b)
+
+    def chain(self, a, rest):
+        """I(u_A; x_rest | x_A), the CMI of the chain u_A - x_A - x_rest."""
+        return self._info(self.u, a, self.x, rest, self.x, a)
+
+    def need(self, sub, helpers):
+        """I(x_sub; u_sub | u_helpers); no helpers gives I(x_sub; u_sub)."""
+        return self._info(self.x, sub, self.u, sub, self.u, helpers)
+
+    def _info(self, ga, ea, gb, eb, gc=None, ec=0):
+        # I(A;B|C) on the groups ga[ea], gb[eb] and gc[ec]; ec = 0: I(A;B)
+        a, b = ga[ea], gb[eb]
+        c = gc[ec] if ec else 0
+        if a < 0 or b < 0 or c < 0 or a & b or a & c or b & c:
+            groups = [g.labels_of(e) for g, e in ((ga, ea), (gb, eb), (gc, ec)) if e]
+            _check_groups_disjoint(self.joint, *groups)
+            raise InternalCheckError(f"label groups {groups} passed the check that their axis masks failed")
+        h = self.h
+        if not c:
+            return _clamp_measure(h[a] + h[b] - h[a | b])
+        return _clamp_measure(h[a | c] + h[b | c] - h[a | b | c] - h[c])
+
+
+def _check_multi_markov(lattice, k, markov_tol):
+    full = (1 << k) - 1
     for a in _subsets_by_size_asc(range(1, k + 1)):
-        rest = tuple(i for i in range(1, k + 1) if i not in a)
-        if not rest:
+        ea = sum([1 << (i - 1) for i in a])
+        if ea == full:
             continue  # the chain is vacuous for the full set
-        c = conditional_mutual_information(
-            p,
-            _labels_for(u_labels, a),
-            _labels_for(x_labels, rest),
-            _labels_for(x_labels, a),
-        )
+        c = lattice.chain(ea, full ^ ea)
         if c > markov_tol:
             raise ConstraintError(
                 f"Markov chain u_A - x_A - x_rest violated for A={sorted(a)}: CMI = {c:.6e}"
             )
 
 
-def multi_outer_point_ro_prime(p, u_labels, x_labels, markov_tol=MARKOV_TOL):
-    """mu[A,B] = I(u_A; x_B) over all disjoint pairs; rates I(u_k; x_k)."""
+def _multi_outer_lattice(p, u_labels, x_labels, markov_tol):
+    # the lattice of p and the encoder count K, once the labels and the
+    # chains pass their checks
     u_labels, x_labels = tuple(u_labels), tuple(x_labels)
     k = len(u_labels)
     if len(x_labels) != k:
         raise AxisError("u_labels and x_labels must have equal length")
-    _check_multi_markov(p, u_labels, x_labels, markov_tol)
+    lattice = _EncoderLattice(p, u_labels, x_labels)
+    _check_multi_markov(lattice, k, markov_tol)
+    return lattice, k
+
+
+def multi_outer_point_ro_prime(p, u_labels, x_labels, markov_tol=MARKOV_TOL):
+    """mu[A,B] = I(u_A; x_B) over all disjoint pairs; rates I(u_k; x_k)."""
+    lattice, k = _multi_outer_lattice(p, u_labels, x_labels, markov_tol)
+    masks = _encoder_masks(k)
     mu = {}
     for pair in omega_pairs(k):
-        mu[pair] = mutual_information(
-            p, _labels_for(u_labels, pair.a), _labels_for(x_labels, pair.b)
-        )
-    rates = tuple(mutual_information(p, u_labels[i], x_labels[i]) for i in range(k))
+        mu[pair] = lattice.ux(masks[pair.a], masks[pair.b])
+    rates = tuple(lattice.ux(1 << i, 1 << i) for i in range(k))
     return MultiRegionPoint(mu=mu, rates=rates)
 
 
 def multi_outer_point_ro(p, u_labels, x_labels, markov_tol=MARKOV_TOL):
     """Three-term mu[A,B] = I(u_A;x_A) + I(u_B;x_B) - I(u_AB;x_AB)."""
-    u_labels, x_labels = tuple(u_labels), tuple(x_labels)
-    k = len(u_labels)
-    if len(x_labels) != k:
-        raise AxisError("u_labels and x_labels must have equal length")
-    _check_multi_markov(p, u_labels, x_labels, markov_tol)
+    lattice, k = _multi_outer_lattice(p, u_labels, x_labels, markov_tol)
+    masks = _encoder_masks(k)
     mu = {}
     for pair in omega_pairs(k):
-        ua, xa = _labels_for(u_labels, pair.a), _labels_for(x_labels, pair.a)
-        ub, xb = _labels_for(u_labels, pair.b), _labels_for(x_labels, pair.b)
-        both = pair.a | pair.b
-        uab, xab = _labels_for(u_labels, both), _labels_for(x_labels, both)
-        mu[pair] = (
-            mutual_information(p, ua, xa)
-            + mutual_information(p, ub, xb)
-            - mutual_information(p, uab, xab)
-        )
-    rates = tuple(mutual_information(p, u_labels[i], x_labels[i]) for i in range(k))
+        ea, eb = masks[pair.a], masks[pair.b]
+        mu[pair] = lattice.ux(ea, ea) + lattice.ux(eb, eb) - lattice.ux(ea | eb, ea | eb)
+    rates = tuple(lattice.ux(1 << i, 1 << i) for i in range(k))
     return MultiRegionPoint(mu=mu, rates=rates)
 
 
 def _rate_sum_constraints(active, binned):
     """(sub, helpers) of each of one side's rate-sum constraints, in order.
 
-    Every nonempty sub of the active set that meets the binned set asks
-    sum of R_k over sub >= I(x_sub; u_sub | u_helpers), helpers being the
-    rest of the active set.
+    All three are encoder masks. Every nonempty sub of the active set that
+    meets the binned set asks sum of R_k over sub >= I(x_sub; u_sub |
+    u_helpers), helpers being the rest of the active set. Subs run by
+    size, then lexicographically by index.
     """
-    active = sorted(active)
-    for r in range(1, len(active) + 1):
-        for sub in itertools.combinations(active, r):
-            if set(sub) & binned:
-                yield sub, tuple(i for i in active if i not in sub)
+    bits = _mask_bits(active)
+    for r in range(1, len(bits) + 1):
+        for sub in itertools.combinations(bits, r):
+            sub = sum(sub)
+            if sub & binned:
+                yield sub, active ^ sub
 
 
-def _rate_sum_need(joint, u_labels, x_labels, sub, helpers):
-    # the right-hand side I(x_sub; u_sub | u_helpers) of one constraint
-    return conditional_mutual_information(
-        joint,
-        _labels_for(x_labels, sub),
-        _labels_for(u_labels, sub),
-        _labels_for(u_labels, helpers),
-    )
+def _rate_sums(rates):
+    # entry e is sum(rates[i - 1] for i in sorted(set of e)), summed in that
+    # order, for every encoder mask e
+    sums = [0]
+    for r in rates:
+        sums += [s + r for s in sums]
+    return sums
 
 
 def multi_inner_membership(p_xk, channels, point, choice, tol=MARKOV_TOL):
@@ -443,7 +554,34 @@ def multi_inner_membership(p_xk, channels, point, choice, tol=MARKOV_TOL):
     (minimum-slack) constraint description and slack in nats.
     """
     joint, u_labels, x_labels = _encoder_joint(p_xk, channels)
-    return _membership(joint, u_labels, x_labels, point, choice, tol)
+    rates = point.rates
+    _check_rate_count(rates, u_labels)
+    lattice = _EncoderLattice(joint, u_labels, x_labels)
+    masks = _encoder_masks(len(u_labels))
+    sets = list(masks)
+    rate_sums = _rate_sums(rates)
+    ok = True
+    certificate = {}
+    for pair, target in point.mu.items():
+        bc = choice.get(pair)
+        if bc is None:
+            raise ConstraintError(f"no binning choice for pair {pair!r}")
+        bc.check_within(pair)
+        worst = ("", math.inf)
+        for side, active, binned in (("A", bc.a_active, bc.a_bin), ("B", bc.b_active, bc.b_bin)):
+            active = _encoder_mask(masks, active)
+            for sub, helpers in _rate_sum_constraints(active, _encoder_mask(masks, binned)):
+                need = lattice.need(sub, helpers)
+                slack = rate_sums[sub] - need
+                if slack < worst[1]:
+                    worst = (f"sum of R_k over {side}'={sorted(sets[sub])} >= {need:.6g}", slack)
+        cap = lattice.uu(_encoder_mask(masks, bc.a_bin), _encoder_mask(masks, bc.b_bin))
+        if cap - target < worst[1]:
+            worst = (f"mu <= I(u_Ab; u_Bb) = {cap:.6g}", cap - target)
+        certificate[pair] = worst
+        if worst[1] < -tol:
+            ok = False
+    return ok, certificate
 
 
 def _encoder_joint(p_xk, channels):
@@ -454,48 +592,21 @@ def _encoder_joint(p_xk, channels):
     return joint, tuple(ch.output.label for ch in channels), x_labels
 
 
-def _membership(joint, u_labels, x_labels, point, choice, tol):
-    # multi_inner_membership on a joint built once by the caller
-    rates = point.rates
-    _check_rate_count(rates, u_labels)
-    ok = True
-    certificate = {}
-    for pair, target in point.mu.items():
-        bc = choice.get(pair)
-        if bc is None:
-            raise ConstraintError(f"no binning choice for pair {pair!r}")
-        bc.check_within(pair)
-        worst = ("", math.inf)
-        for side, active, binned in (("A", bc.a_active, bc.a_bin), ("B", bc.b_active, bc.b_bin)):
-            for sub, helpers in _rate_sum_constraints(active, binned):
-                need = _rate_sum_need(joint, u_labels, x_labels, sub, helpers)
-                slack = sum(rates[i - 1] for i in sub) - need
-                if slack < worst[1]:
-                    worst = (f"sum of R_k over {side}'={list(sub)} >= {need:.6g}", slack)
-        cap = mutual_information(
-            joint, _labels_for(u_labels, bc.a_bin), _labels_for(u_labels, bc.b_bin)
-        )
-        if cap - target < worst[1]:
-            worst = (f"mu <= I(u_Ab; u_Bb) = {cap:.6g}", cap - target)
-        certificate[pair] = worst
-        if worst[1] < -tol:
-            ok = False
-    return ok, certificate
-
-
 def _check_rate_count(rates, u_labels):
     if len(rates) != len(u_labels):
         raise ConstraintError(f"{len(rates)} rates for {len(u_labels)} encoders")
 
 
 def _binning_candidates(universe):
-    """(active, binned) pairs ordered by |active| desc, |binned| desc, lex."""
-    items = sorted(universe)
-    for ra in range(len(items), 0, -1):
-        for active in itertools.combinations(items, ra):
+    """(active, binned) encoder masks within the encoder mask universe,
+    ordered by |active| desc, |binned| desc, then lexicographically by index."""
+    bits = _mask_bits(universe)
+    for ra in range(len(bits), 0, -1):
+        for active in itertools.combinations(bits, ra):
+            mask = sum(active)
             for rb in range(ra, 0, -1):
                 for binned in itertools.combinations(active, rb):
-                    yield frozenset(active), frozenset(binned)
+                    yield mask, sum(binned)
 
 
 def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
@@ -507,56 +618,55 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
     Guarded to K <= 6 encoders.
 
     A candidate is accepted exactly when multi_inner_membership accepts
-    it, and the search builds none of its certificates. A side's rate-sum constraints read only the rates, which
-    are the point's for every pair, and the side's (active, binned) sets,
-    so each side's verdict is computed once per (active, binned) and each
-    constraint's CMI once per (sub, active). A side stops at its first
-    violated constraint, and a failed A side skips every B candidate and
-    the cap I(u_Ab; u_Bb).
+    it: both read every CMI and cap from one subset-entropy table of the
+    encoder joint, and the search builds none of the certificates. A
+    side's rate-sum constraints read only the rates, which are the
+    point's for every pair, and the side's (active, binned) sets, so each
+    side's verdict is computed once per (active, binned). A side stops at
+    its first violated constraint, and a failed A side skips every B
+    candidate and the cap I(u_Ab; u_Bb).
     """
     channels = list(channels)
     if len(channels) > 6:
         raise SizeError(f"multi_inner_search supports K <= 6, got {len(channels)}")
-    # one joint for every candidate, so its marginal entropies are shared
     joint, u_labels, x_labels = _encoder_joint(p_xk, channels)
+    if not point.mu:
+        return {}
     rates = point.rates
-    if point.mu:
-        _check_rate_count(rates, u_labels)
-    needs, verdicts = {}, {}
+    _check_rate_count(rates, u_labels)
+    lattice = _EncoderLattice(joint, u_labels, x_labels)
+    masks = _encoder_masks(len(u_labels))
+    sets = list(masks)
+    rate_sums = _rate_sums(rates)
+    verdicts = {}
 
     def side_ok(active, binned):
         ok = verdicts.get((active, binned))
         if ok is None:
-            ok = True
-            for sub, helpers in _rate_sum_constraints(active, binned):
-                need = needs.get((sub, active))
-                if need is None:
-                    need = needs[sub, active] = _rate_sum_need(joint, u_labels, x_labels, sub, helpers)
-                if sum(rates[i - 1] for i in sub) - need < -tol:
-                    ok = False
-                    break
-            verdicts[active, binned] = ok
+            ok = verdicts[active, binned] = not any(
+                rate_sums[sub] - lattice.need(sub, helpers) < -tol
+                for sub, helpers in _rate_sum_constraints(active, binned)
+            )
         return ok
 
-    def first_choice(pair, target):
-        for a_act, a_bin in _binning_candidates(pair.a):
+    def first_choice(a, b, target):
+        for a_act, a_bin in _binning_candidates(a):
             if not side_ok(a_act, a_bin):
                 continue
-            u_ab = _labels_for(u_labels, a_bin)
-            for b_act, b_bin in _binning_candidates(pair.b):
-                # a slack is violated only when below -tol, as in _membership,
-                # so a nan slack violates nothing
-                if side_ok(b_act, b_bin) and not (
-                    mutual_information(joint, u_ab, _labels_for(u_labels, b_bin)) - target < -tol
-                ):
-                    return BinningChoice(a_act, a_bin, b_act, b_bin)
+            for b_act, b_bin in _binning_candidates(b):
+                # a slack is violated only when below -tol, as in
+                # multi_inner_membership, so a nan slack violates nothing
+                if side_ok(b_act, b_bin) and not (lattice.uu(a_bin, b_bin) - target < -tol):
+                    return BinningChoice(sets[a_act], sets[a_bin], sets[b_act], sets[b_bin])
         return None
 
     choices = {}
     for pair, target in point.mu.items():
-        # an overlapping pair has no cap: raise the AxisError its first cap would
-        _check_groups_disjoint(joint, _labels_for(u_labels, pair.a), _labels_for(u_labels, pair.b))
-        found = first_choice(pair, target)
+        a, b = _encoder_mask(masks, pair.a), _encoder_mask(masks, pair.b)
+        if a & b:
+            # an overlapping pair has no cap: raise the AxisError its first cap would
+            lattice.uu(a, b)
+        found = first_choice(a, b, target)
         if found is None:
             return None
         choices[pair] = found

@@ -43,6 +43,7 @@ from coinfo.probability import (
     mutual_information,
     _check_groups_disjoint,
     _normalized,
+    _subset_entropies,
 )
 from entropy_reference import entropies
 
@@ -199,6 +200,33 @@ class TestEntropies:
                 assert got.shape == (size, len(groups))
                 for b in range(size):
                     assert got[b].tolist() == entropies(w[b], groups)
+
+
+class TestSubsetEntropies:
+    """The subset-lattice kernel of the multi-source evaluators: entry m is
+    the entropy of the marginal on the axes of the bits of m."""
+
+    def test_every_subset_matches_label_path(self):
+        rng = np.random.default_rng(23)
+        for shape in ((3,), (2, 3), (3, 1, 2, 2), (2,) * 8):
+            n = len(shape)
+            labels = "abcdefgh"[:n]
+            for trial in range(4):
+                mass = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+                if trial % 2:
+                    mass[tuple(rng.integers(0, k) for k in shape)] = 0.0
+                    mass /= mass.sum()
+                p = JointPmf(tuple(Alphabet(k, l) for k, l in zip(shape, labels)), mass)
+                h = _subset_entropies(p.mass)
+                assert h.shape == (2**n,) and h[0] == 0.0
+                for m in range(1, 2**n):
+                    keep = [labels[i] for i in range(n) if m >> i & 1]
+                    assert abs(h[m] - entropy(marginalize(p, keep))) <= 4e-15, (shape, keep)
+
+    def test_point_mass(self):
+        w = np.zeros((2, 1, 3))
+        w[1, 0, 2] = 1.0
+        assert _subset_entropies(w).tolist() == [0.0] * 8
 
 
 class TestBinaryEntropy:

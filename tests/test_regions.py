@@ -9,6 +9,7 @@ Frozen constants (mpmath, 50 digits):
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 
@@ -539,15 +540,22 @@ class TestInnerSearchSemantics:
 
 class TestMultiSourcePins:
     """The exact floats and choices of the multi-source evaluators on one
-    seeded K = 4 source, so a faster label path cannot move a bit."""
+    seeded K = 4 source, so a faster evaluator cannot move a bit.
 
-    RATES = ["0x1.7971048080000p-19", "0x1.7d82e8eb2de80p-7", "0x1.dde982051aec0p-4", "0x1.f6a2998161000p-10"]
-    RO = {"1,2|3,4": "0x1.d28bfdaca0000p-16", "1,3|2,4": "0x1.561574b454000p-13",
-          "1,4|2,3": "0x1.1e4ede942c000p-13", "2,3|1,4": "0x1.1e4ede942c000p-13",
-          "2,4|1,3": "0x1.561574b454000p-13", "3,4|1,2": "0x1.d28bfdaca0000p-16"}
+    RATES, RO and RO_PRIME are read from the subset-entropy table of the
+    encoder joint, whose marginals are summed axis by axis; ceo_point
+    stays on the label path, whose marginals are summed over all dropped
+    axes at once, so its rates are pinned apart and differ from RATES[:2]
+    in the last bit."""
+
+    RATES = ["0x1.7971048100000p-19", "0x1.7d82e8eb2de00p-7", "0x1.dde982051aec0p-4", "0x1.f6a2998161000p-10"]
+    RO = {"1,2|3,4": "0x1.d28bfdace0000p-16", "1,3|2,4": "0x1.561574b458000p-13",
+          "1,4|2,3": "0x1.1e4ede9430000p-13", "2,3|1,4": "0x1.1e4ede9430000p-13",
+          "2,4|1,3": "0x1.561574b458000p-13", "3,4|1,2": "0x1.d28bfdace0000p-16"}
     RO_PRIME = {"1,2|3,4": "0x1.c08431892e000p-10", "1,3|2,4": "0x1.83aa463db88c0p-5",
                 "1,4|2,3": "0x1.cd77716ba0000p-11", "2,3|1,4": "0x1.5ab7369d9c440p-5",
-                "2,4|1,3": "0x1.85f6656f22000p-9", "3,4|1,2": "0x1.c59e0f1400080p-6"}
+                "2,4|1,3": "0x1.85f6656f21c00p-9", "3,4|1,2": "0x1.c59e0f1400080p-6"}
+    CEO_RATES = ["0x1.7971048080000p-19", "0x1.7d82e8eb2de80p-7", "0x1.dde982051aec0p-4"]
     CEO = {"1|1": "0x1.5f4a926a00000p-21", "2|1": "0x1.adb1977610000p-15",
            "3|1": "0x1.3c57f6ebb3420p-5", "1,2|1": "0x1.b336c7ece8000p-15",
            "1,3|1": "0x1.3c59352096880p-5", "2,3|1": "0x1.3e45059e85aa0p-5",
@@ -584,7 +592,7 @@ class TestMultiSourcePins:
         for got, want in ((ro.mu, self.RO), (ro_prime.mu, self.RO_PRIME)):
             assert {key: got[pair].hex() for pair in got if (key := self.key(pair)) in want} == want
         ceo = ceo_point(src, chs[:3], x[:3], x[3:])
-        assert [r.hex() for r in ceo.rates] == self.RATES[:3]
+        assert [r.hex() for r in ceo.rates] == self.CEO_RATES
         assert {self.key(pair): v.hex() for pair, v in ceo.mu.items()} == self.CEO
 
     def test_search_choices(self):
@@ -613,6 +621,196 @@ class TestMultiSourcePins:
             if not is_first_candidate(pair, bc)
         }
         assert later == self.LATER
+
+
+def label_path_min_slack(j, u, x, rates, mu, bc):
+    """The binding slack of one pair of multi_inner_membership, from the
+    label path's measures on the same joint."""
+    slacks = []
+    for active, binned in ((bc.a_active, bc.a_bin), (bc.b_active, bc.b_bin)):
+        act = sorted(active)
+        for r in range(1, len(act) + 1):
+            for sub in itertools.combinations(act, r):
+                if set(sub) & binned:
+                    helpers = [i for i in act if i not in sub]
+                    need = conditional_mutual_information(
+                        j, [x[i - 1] for i in sub], [u[i - 1] for i in sub], [u[i - 1] for i in helpers]
+                    )
+                    slacks.append(sum(rates[i - 1] for i in sub) - need)
+    cap = mutual_information(j, [u[i - 1] for i in sorted(bc.a_bin)], [u[i - 1] for i in sorted(bc.b_bin)])
+    return min(slacks + [cap - mu])
+
+
+def label_path_search(j, u, x, point, tol=1e-9):
+    """multi_inner_search by its definition, on the label path's measures."""
+    choices = {}
+    for pair, mu in point.mu.items():
+        found = next((
+            bc
+            for a_act, a_bin in documented_candidates(pair.a)
+            for b_act, b_bin in documented_candidates(pair.b)
+            if not label_path_min_slack(j, u, x, point.rates, mu, bc := BinningChoice(a_act, a_bin, b_act, b_bin)) < -tol
+        ), None)
+        if found is None:
+            return None
+        choices[pair] = found
+    return choices
+
+
+# K = 3 sources with a zero-mass cell, a size-1 axis, a 3-letter axis, and
+# an extra target axis y that no encoder observes
+LATTICE_SHAPES = {"zero-cell": (2, 2, 2), "size-1": (2, 1, 2), "3-letter": (3, 2, 2), "target": (2, 2, 2, 3)}
+
+
+def lattice_case(name):
+    """(source, channels) of a seeded multi-source case: binary-k<K> for
+    K = 2..5, or one of LATTICE_SHAPES."""
+    if name.startswith("binary-k"):
+        k = int(name[-1])
+        return seeded_multi_source(np.random.default_rng([13, k]), k)
+    shape = LATTICE_SHAPES[name]
+    rng = np.random.default_rng([14, len(name)])
+    mass = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+    if name == "zero-cell":
+        mass[1, 0, 1] = 0.0
+        mass /= mass.sum()
+    labels = ("x1", "x2", "x3", "y")[: len(shape)]
+    src = JointPmf(tuple(Alphabet(s, l) for s, l in zip(shape, labels)), mass)
+    return src, [random_channel(rng, shape[i], 2, f"x{i + 1}", f"u{i + 1}") for i in range(3)]
+
+
+class TestEncoderLattice:
+    """The multi-source evaluators read every measure from one
+    subset-entropy table of the encoder joint: the same numbers as the
+    label path up to the order of the marginal sums, the same errors, and
+    no label-path call."""
+
+    TOL = 4e-15
+
+    @pytest.mark.parametrize("name", ["binary-k2", "binary-k3", "binary-k4", "binary-k5", *LATTICE_SHAPES])
+    def test_measures_match_label_path(self, name):
+        src, chs = lattice_case(name)
+        j = attach_channels(src, chs)
+        k = len(chs)
+        u = tuple(ch.output.label for ch in chs)
+        x = src.labels[:k]
+        ro = multi_outer_point_ro(j, u, x)
+        ro_prime = multi_outer_point_ro_prime(j, u, x)
+
+        def mi(a, b):
+            return mutual_information(j, [u[i - 1] for i in sorted(a)], [x[i - 1] for i in sorted(b)])
+
+        rates = [mi({i}, {i}) for i in range(1, k + 1)]
+        assert np.max(np.abs(np.subtract(ro.rates, rates))) <= self.TOL
+        assert np.max(np.abs(np.subtract(ro_prime.rates, rates))) <= self.TOL
+        for pair in omega_pairs(k):
+            three_term = mi(pair.a, pair.a) + mi(pair.b, pair.b) - mi(pair.a | pair.b, pair.a | pair.b)
+            assert abs(ro.mu[pair] - three_term) <= self.TOL, pair
+            assert abs(ro_prime.mu[pair] - mi(pair.a, pair.b)) <= self.TOL, pair
+
+        # rates around I(u_k; x_k) and mu a fraction of the cap, so some
+        # pairs are accepted and some are not
+        rng = np.random.default_rng(len(name))
+        point_rates = tuple(r * rng.uniform(0.5, 1.5) for r in rates)
+        pairs = omega_pairs(k)
+        mu, choice = {}, {}
+        for i in rng.choice(len(pairs), size=min(len(pairs), 12), replace=False):
+            pair = pairs[i]
+            mu[pair] = rng.uniform(0.0, 0.6) * mutual_information(
+                j, [u[a - 1] for a in sorted(pair.a)], [u[b - 1] for b in sorted(pair.b)]
+            )
+            a_cands = list(documented_candidates(pair.a))
+            b_cands = list(documented_candidates(pair.b))
+            a_act, a_bin = a_cands[rng.integers(len(a_cands))]
+            b_act, b_bin = b_cands[rng.integers(len(b_cands))]
+            choice[pair] = BinningChoice(a_act, a_bin, b_act, b_bin)
+        point = MultiRegionPoint(mu, point_rates)
+        _, certificate = multi_inner_membership(src, chs, point, choice)
+        for pair, bc in choice.items():
+            want = label_path_min_slack(j, u, x, point_rates, mu[pair], bc)
+            assert abs(certificate[pair][1] - want) <= self.TOL, pair
+            single = MultiRegionPoint({pair: mu[pair]}, point_rates)
+            assert multi_inner_search(src, chs, single) == label_path_search(j, u, x, single), pair
+
+    def test_no_label_path_call(self, monkeypatch):
+        src, chs = seeded_multi_source(np.random.default_rng(42), 4)
+        j = attach_channels(src, chs)
+        u = tuple(ch.output.label for ch in chs)
+        pairs = omega_pairs(4)
+        point = MultiRegionPoint({pairs[0]: 0.0, pairs[-1]: 0.0}, (LOG2,) * 4)
+        choice = {p: BinningChoice(p.a, p.a, p.b, p.b) for p in point.mu}
+        calls = []
+
+        def spy(owner, name, label):
+            fn = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(probability, "marginalize", "marginalize")
+        spy(probability, "entropy", "entropy")
+        spy(JointPmf, "__init__", "JointPmf")
+        spy(regions, "mutual_information", "mutual_information")
+        spy(regions, "conditional_mutual_information", "conditional_mutual_information")
+        spy(regions, "attach_channels", "attach_channels")
+        multi_outer_point_ro(j, u, src.labels)
+        multi_outer_point_ro_prime(j, u, src.labels)
+        assert calls == []
+        assert multi_inner_membership(src, chs, point, choice)[0]
+        assert multi_inner_search(src, chs, point) == choice
+        # the encoder joint of each call, and nothing after it
+        assert calls == ["attach_channels", "JointPmf"] * 2
+
+    def test_lattice_size_capped(self, monkeypatch):
+        # K = 2 binary: a 16-cell encoder joint whose lattice has 3^4 = 81 cells
+        src, chs = seeded_multi_source(np.random.default_rng(43), 2)
+        j = attach_channels(src, chs)
+        pair = SubsetPair({1}, {2})
+        point = MultiRegionPoint({pair: 0.0}, (LOG2, LOG2))
+        choice = {pair: BinningChoice({1}, {1}, {2}, {2})}
+        calls = (
+            lambda: multi_outer_point_ro(j, ("u1", "u2"), ("x1", "x2")),
+            lambda: multi_outer_point_ro_prime(j, ("u1", "u2"), ("x1", "x2")),
+            lambda: multi_inner_membership(src, chs, point, choice),
+            lambda: multi_inner_search(src, chs, point),
+        )
+        monkeypatch.setattr(probability, "_MAX_CELLS", 80)
+        for call in calls:
+            with pytest.raises(SizeError, match="subset-entropy lattice has 81 cells, cap is 80"):
+                call()
+        monkeypatch.setattr(probability, "_MAX_CELLS", 81)
+        for call in calls:
+            call()
+
+    def test_errors_match_label_path(self):
+        rng = np.random.default_rng(44)
+        src, chs = seeded_multi_source(rng, 2)
+        j = attach_channels(src, chs)
+        have = "have ('u1', 'u2', 'x1', 'x2')"
+        for outer in (multi_outer_point_ro, multi_outer_point_ro_prime):
+            # the chain of A = [1] holds, so A = [2] is the first measure that
+            # reads the bad label
+            with pytest.raises(AxisError, match=re.escape(f"no axis labeled 'w'; {have}")):
+                outer(j, ("u1", "w"), ("x1", "x2"))
+            with pytest.raises(AxisError, match=re.escape(f"no axis labeled 'w'; {have}")):
+                outer(j, ("u1", "u2"), ("x1", "w"))
+            with pytest.raises(AxisError, match="axis 'x1' appears in more than one group"):
+                outer(j, ("u1", "x1"), ("x1", "x2"))
+        pair = SubsetPair({1}, {3})
+        point = MultiRegionPoint({pair: 0.0}, (LOG2, LOG2))
+        with pytest.raises(AxisError, match=re.escape("encoder indices {3} are not a nonempty subset of 1..2")):
+            multi_inner_membership(src, chs, point, {pair: BinningChoice({1}, {1}, {3}, {3})})
+        with pytest.raises(AxisError, match=re.escape("encoder indices {3} are not a nonempty subset of 1..2")):
+            multi_inner_search(src, chs, point)
+        stray = [chs[0], random_channel(rng, 2, 2, "w", "u2")]
+        pair = SubsetPair({1}, {2})
+        point = MultiRegionPoint({pair: 0.0}, (LOG2, LOG2))
+        with pytest.raises(AxisError, match="channel 2 input 'w'"):
+            multi_inner_membership(src, stray, point, {pair: BinningChoice({1}, {1}, {2}, {2})})
+        with pytest.raises(AxisError, match="channel 2 input 'w'"):
+            multi_inner_search(src, stray, point)
 
 
 class TestLabelPathContract:
