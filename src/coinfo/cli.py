@@ -328,6 +328,7 @@ def cmd_bruteforce(args):
     scale = _unit_scale(args.units)
     lines = [
         f"best_theta {_fmt(value / scale)}",
+        f"stein_exponent {_fmt(value / scale)}",
         f"rate_cap_u {_fmt(cap_u / scale)}",
         f"rate_cap_v {_fmt(cap_v / scale)}",
         f"source_mi {_fmt(i_xz / scale)}",

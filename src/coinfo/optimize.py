@@ -79,7 +79,6 @@ from .probability import (
     _clamp_measures,
     _NEG_TOL,
     _hb_closed_array,
-    _hb_closed_libm,
     _is_int,
     _is_real,
 )
@@ -941,9 +940,8 @@ def _sb_curve_points(p, alphas):
     of the long-chain BSC(alpha) pairs on the DSBS(p), as two float arrays,
     for a float array of alphas in [0, 1/2]: one array pass, bit for bit the
     scalar binary_entropy and binary_convolution values (the convolutions
-    are the same IEEE operations, and h_b is _hb_closed_libm)."""
-    r = LOG2 - _hb_closed_libm(alphas)
-    mu = LOG2 - _hb_closed_libm(_bconv(_bconv(alphas, p), alphas))
+    are the same IEEE operations, and h_b is the same body)."""
+    r, mu = LOG2 - _hb_closed_array(np.stack([alphas, _bconv(_bconv(alphas, p), alphas)]))
     return r, mu
 
 

@@ -14,6 +14,7 @@ is refused with SizeError. The two-source evaluators and ceo_point
 measure on the label path of probability.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .errors import (
 from .probability import (
     LOG2,
     JointPmf,
+    binary_entropy,
     compose_markov,
     conditional_mutual_information,
     entropy_of_array,
@@ -41,8 +43,7 @@ from .probability import (
     _check_cells,
     _check_probability,
     _clamp_measure,
-    _hb_closed,
-    _hb_closed_libm,
+    _hb_closed_array,
     _is_int,
     _normalized,
     _subset_entropies,
@@ -110,15 +111,21 @@ def omega_pairs(k):
     """All ordered pairs of disjoint nonempty subsets of {1..k}.
 
     Deterministic order: A by (size, sorted tuple), then B likewise over
-    the complement. The count is 3^k - 2^(k+1) + 1.
+    the complement. The count is 3^k - 2^(k+1) + 1. Returns a new list
+    per call of pairs built once per k.
     """
+    return list(_omega_pairs(k))
+
+
+@functools.lru_cache(maxsize=8)
+def _omega_pairs(k):
     universe = tuple(range(1, k + 1))
     out = []
     for a in _subsets_by_size_asc(universe):
         rest = tuple(i for i in universe if i not in a)
         for b in _subsets_by_size_asc(rest):
             out.append(SubsetPair(frozenset(a), frozenset(b)))
-    return out
+    return tuple(out)
 
 
 def _subsets_by_size_asc(items):
@@ -231,14 +238,19 @@ def sb_point(p, alpha, beta):
     * the binary convolution; matches inner_point with BSC test channels.
     """
     p, alpha, beta = (_sb_arg(*arg) for arg in (("p", p), ("alpha", alpha), ("beta", beta)))
-    # every argument below lies in [0, 1/2], so the unchecked forms give
-    # the same floats as binary_convolution and binary_entropy
-    eff = _bconv(_bconv(alpha, p), beta)
+    # every argument below lies in [0, 1/2], so the unchecked form gives
+    # the same floats as binary_convolution
     return RegionPoint(
-        mu=LOG2 - _hb_closed(eff),
-        r1=LOG2 - _hb_closed(alpha),
-        r2=LOG2 - _hb_closed(beta),
+        mu=LOG2 - binary_entropy(_bconv(_bconv(alpha, p), beta)),
+        r1=LOG2 - binary_entropy(alpha),
+        r2=LOG2 - binary_entropy(beta),
     )
+
+
+# sb_surface evaluates mu in blocks of whole alpha rows of at most this
+# many cells (one block up to a grid of 128), so each temporary holds at
+# most 128 KiB whatever the grid
+_SURFACE_BLOCK_CELLS = 2**14
 
 
 def sb_surface(p, grid):
@@ -247,26 +259,28 @@ def sb_surface(p, grid):
     Returns (rates, mu) as float64 arrays: rates[i] = log2 - h_b(grid[i]),
     the r1 of row i and the r2 of column j, and mu[i, j] the
     co-information of cell (i, j). Every value is bitwise equal to
-    sb_point's, sign of zero included: mu is built one alpha row at a
-    time from the same IEEE operations, with h_b from libm's log and
-    log1p. p and the grid are validated once, a grid of more than
-    _MAX_CELLS cells is refused before anything is built, and every cell
-    is checked as a RegionPoint.
+    sb_point's, sign of zero included: mu is built in blocks of alpha
+    rows from the same IEEE operations and the same h_b body. p and the
+    grid are validated once, a grid of more than _MAX_CELLS cells is
+    refused before anything is built, and every cell is checked as a
+    RegionPoint.
     """
     p = _sb_arg("p", p)
     n = len(grid)
     _check_cells(n * n, f"sb_surface grid of {n} x {n} points has")
     b = np.array([_sb_arg("alpha", a) for a in grid], dtype=np.float64)
-    rates = LOG2 - _hb_closed_libm(b)
+    rates = LOG2 - _hb_closed_array(b)
     # sb_point's _bconv(_bconv(alpha, p), beta), written out with 1 - beta
     # taken once per column and alpha * p and 1 - (alpha * p) once per row
-    ap = _bconv(b, p)
+    ap = _bconv(b, p)[:, None]
     nap = 1.0 - ap
     nb = 1.0 - b
     mu = np.empty((n, n))
-    for i in range(n):
-        mu[i] = LOG2 - _hb_closed_libm(ap[i] * nb + nap[i] * b)
-    _check_region_points(mu, rates[:, None], rates[None, :])
+    rows = max(1, _SURFACE_BLOCK_CELLS // max(n, 1))
+    for i in range(0, n, rows):
+        block = slice(i, i + rows)
+        mu[block] = LOG2 - _hb_closed_array(ap[block] * nb + nap[block] * b)
+        _check_region_points(mu[block], rates[block, None], rates[None, :])
     return rates, mu
 
 

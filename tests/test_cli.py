@@ -267,7 +267,9 @@ class TestPinnedRefineOutputs:
     draws. The outer region-sample digests are of the closed-form chain
     map, which puts every draw on the short chains, so the row count is
     exactly --samples. The ib-curve digest is of the deterministic
-    bottleneck solve, which ignores --seed and --samples."""
+    bottleneck solve, which ignores --seed and --samples. The dsbs-gap,
+    conjecture and dsbs-surface digests are of version 0.5.0's h_b (numpy's
+    log and log1p) and h_b^-1 (four Newton passes)."""
 
     def test_ib_curve(self, tmp_path, capsys):
         out = tmp_path / "ib.dat"
@@ -289,7 +291,7 @@ class TestPinnedRefineOutputs:
             "576872ba4b75ebac47101a0527c73b9c97803400d7b2cfdc5203d9021963f24d"
         )
         assert body_sha256(out / "outer.dat") == (
-            "3edfc9179001ca17bcb3f63d901f491944c19c76d24b91bfcbdf95a2acc87ca5"
+            "0c8fa4f7bece1126e43eba4be9ac61fd62395a4e9c84016477d133f6535232aa"
         )
 
     def test_default_dsbs_gap(self, tmp_path, capsys):
@@ -299,10 +301,10 @@ class TestPinnedRefineOutputs:
         # the outer curve holds the solved coupling of every cap
         out = tmp_path / "gap"
         assert main(["dsbs-gap", "--p", "0.1", "--seed", "20240", "--out-dir", str(out)]) == 0
-        assert "max_gap 0.000198845490561206 at_r 0.676\n" in capsys.readouterr().out
+        assert "max_gap 0.000198845490560928 at_r 0.676\n" in capsys.readouterr().out
         for name, digest in (
-            ("inner", "51db69fc058d7a346412f759477fd72bdd6ed2edb1c0f5a8c166f5296b159876"),
-            ("outer", "cad5626e24742ae03dc11d8bb2296154867327f8c80104ff3f154273891c84bf"),
+            ("inner", "883d95eba9d15a7846948f7af2ea07cbee07c0a641d3434905fd5c1666e6ac7c"),
+            ("outer", "92fdcddb2c4923052e820fe4096aea5fa0cf3fb577e3d3091a846e1419f3002d"),
         ):
             assert len(read_table(out / f"{name}.dat")[1]) == 44
             assert body_sha256(out / f"{name}.dat") == digest
@@ -313,7 +315,7 @@ class TestPinnedRefineOutputs:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == (
-            "c8d40e9e33aecdbf7f5a5ab04d371963c7061bdc75220672c1fa741fa921ff40"
+            "f6690fdf7ce2d24a2d470724a8b051fdc57fe020d7aa0767fbec522dbcf6cabe"
         )
 
     def test_conjecture_at_p_zero_exits_2(self, tmp_path, capsys):
@@ -359,9 +361,9 @@ class TestPinnedRefineOutputs:
         assert len(read_table(out)[1]) == int(samples)
 
     @pytest.mark.parametrize("units, digest", [
-        pytest.param("nats", "3cd9b7648563afa031e8df030f0f556915bb5472d39b500e3fbaa09d898e8f56",
+        pytest.param("nats", "d310faec0b6f742817ff2f335b8756749e29f54faddc2e73efe322ec6eaa808f",
                      id="nats"),
-        pytest.param("bits", "40df3f3b13bc0b3f14047e52b7b03490730480756974c88023b6659535421646",
+        pytest.param("bits", "e6679be60aec70ae2680ff18b83ec48a8e2f8c5736eef631b368de5dfe4a0969",
                      id="bits"),
     ])
     def test_dsbs_surface(self, tmp_path, capsys, units, digest):
@@ -523,6 +525,16 @@ class TestBruteforce:
         assert abs(float(rep["best_theta"][0][0]) - I_DSBS_025) <= 1e-12
         assert rep["sandwich_ok"][0][0] == "1"
         assert rep["f"][0] == ["0", "1"] and rep["g"][0] == ["0", "1"]
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_stein_exponent_line_is_best_theta(self, tmp_path, units):
+        out = tmp_path / "bf.dat"
+        assert main(["bruteforce", "--source", "dsbs:0.1", "--n", "2", "--m1", "3",
+                     "--m2", "2", "--units", units, "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert rep["stein_exponent"] == rep["best_theta"]
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert body[1].startswith("stein_exponent ")
 
     def test_two_letter_halves(self, tmp_path):
         out = tmp_path / "bf2.dat"

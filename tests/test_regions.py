@@ -107,6 +107,13 @@ class TestSubsetPairs:
     def test_omega_pairs_disjoint(self):
         assert all(pair.disjoint for pair in omega_pairs(4))
 
+    def test_omega_pairs_is_a_fresh_list_per_call(self):
+        # the pairs are built once per k, and a caller may change its list
+        first = omega_pairs(3)
+        first.clear()
+        second = omega_pairs(3)
+        assert len(second) == 12 and second == omega_pairs(3)
+
     def test_multi_point_pair_cap(self):
         pairs = omega_pairs(2)
         with pytest.raises(ConstraintError):
@@ -169,15 +176,23 @@ class TestInnerPoint:
 
     def test_sb_surface_checks_every_cell(self, monkeypatch):
         # a non-finite mu in one cell breaks the RegionPoint invariants
-        hb_row = regions._hb_closed_libm
+        hb = regions._hb_closed_array
 
         def nan_at_7_16(q):
             # at p = 1/4, cell (1/4, 1/4) alone has the effective crossover 7/16
-            return np.where(q == 0.4375, math.nan, hb_row(q))
+            return np.where(q == 0.4375, math.nan, hb(q))
 
-        monkeypatch.setattr(regions, "_hb_closed_libm", nan_at_7_16)
+        monkeypatch.setattr(regions, "_hb_closed_array", nan_at_7_16)
         with pytest.raises(ConstraintError, match="RegionPoint.mu must be finite"):
             sb_surface(0.25, [0.0, 0.25])
+
+    @pytest.mark.parametrize("cells", [1, 7, 40])
+    def test_sb_surface_row_blocks_do_not_change_bits(self, monkeypatch, cells):
+        # blocks of one row (cells 1 and 7 are below a row of 13) and of three
+        grid = np.linspace(0.0, 0.5, 13)
+        want = [a.tobytes() for a in sb_surface(0.1, grid)]
+        monkeypatch.setattr(regions, "_SURFACE_BLOCK_CELLS", cells)
+        assert [a.tobytes() for a in sb_surface(0.1, grid)] == want
 
     def test_sb_surface_grid_cap(self, monkeypatch):
         # the JointPmf cell cap: a 10 x 10 grid fits under 100 cells, 11 x 11 does not

@@ -53,3 +53,16 @@ def test_no_blas_kernels():
                 ):
                     found.append(f"{where} einsum without a literal optimize=False")
     assert einsums and not found, f"possible BLAS kernels in src/coinfo: {found}"
+
+
+def test_no_per_entry_libm_maps():
+    # h_b has one numpy body; a Python map of a math function over array
+    # entries would be a second, per-entry libm rounding, and slow
+    files = sorted(Path(coinfo.__file__).parent.rglob("*.py"))
+    found = [
+        f"{path.name}:{i}"
+        for path in files
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "map(math." in line
+    ]
+    assert files and not found, f"per-entry math maps in src/coinfo: {found}"

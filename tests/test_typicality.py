@@ -27,6 +27,7 @@ from coinfo.probability import (
     entropy_of_array,
     mutual_information,
 )
+from coinfo.optimize import dsbs_outer_boundary_sampled
 from coinfo.regions import inner_point
 from coinfo.typicality import (
     CodeSpec,
@@ -427,3 +428,20 @@ class TestBestTheta:
             best_theta(dsbs(0.25), 0, 2, 2)
         with pytest.raises(DomainError):
             best_theta(dsbs(0.25), 1, 2, -2)
+
+
+class TestConverseAgainstExactCodes:
+    """The paper's converse checked against exact codes: a code pair of
+    length n with m bins per side has rates ln m / n, so its best per-letter
+    co-information lies on or below the DSBS outer curve at that rate. The
+    outer curve is built on an alpha grid that holds r, as dsbs-gap builds
+    both of its curves; a curve on a grid without r reads low at r, a
+    grid artefact and no failure of the bound."""
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("p", [0.1, 0.25])
+    def test_best_theta_below_outer_curve(self, p, n, m):
+        r = math.log(m) / n
+        value, _ = best_theta(dsbs(p), n, m, m)
+        outer = dsbs_outer_boundary_sampled(p, [r])
+        assert value <= outer.value_at(r) + 1e-12
