@@ -119,8 +119,11 @@ def _parse_source(spec):
         except ValueError:
             raise DomainError(f"dsbs crossover {text!r} is not a number") from None
         return dsbs(p)
-    with open(spec) as fh:
-        raw = [line.split("#", 1)[0].strip() for line in fh]
+    with open(spec, encoding="utf-8") as fh:
+        try:
+            raw = [line.split("#", 1)[0].strip() for line in fh]
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"source file {spec!r} is not UTF-8 text: {exc.reason}") from None
     rows = [line.split() for line in raw if line]
     if len(rows) < 2:
         raise DomainError(f"source file {spec!r} needs a label row and data rows")

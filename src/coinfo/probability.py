@@ -229,6 +229,18 @@ def _clamp_measures(values):
     return values
 
 
+def _source_conditionals(pxz):
+    """(p(z|x), p(x|z)) of a two-axis table of masses, rows x and columns
+    z: each row (column) divided by its sum. The row (column) of a
+    zero-mass symbol is uniform, so a table built from it is still a
+    conditional table."""
+    px = np.sum(pxz, axis=1)[:, None]
+    pz = np.sum(pxz, axis=0)[None, :]
+    z_given_x = np.divide(pxz, px, out=np.full(pxz.shape, 1.0 / pxz.shape[1]), where=px > 0.0)
+    x_given_z = np.divide(pxz, pz, out=np.full(pxz.shape, 1.0 / pxz.shape[0]), where=pz > 0.0)
+    return z_given_x, x_given_z
+
+
 def _subset_entropies(mass):
     """Entropy in nats of the marginal of a dense table on every subset of its axes.
 

@@ -46,6 +46,7 @@ from .probability import (
     _hb_closed_array,
     _is_int,
     _normalized,
+    _source_conditionals,
     _subset_entropies,
 )
 
@@ -783,14 +784,7 @@ def log_loss_fidelity(p, decoder, n=1, u_labels=("u",), y_labels=("y",)):
 
 
 def optimal_posterior_decoder(p, u_labels=("u",), y_labels=("y",)):
-    """The decoder g(y|u) = p(y|u); achieves fidelity = (1/n) I(y;u)."""
-    w = _grouped_matrix(p, u_labels, y_labels)
-    sums = np.sum(w, axis=1)
-    table = np.empty_like(w)
-    for i, s in enumerate(sums):
-        if s > 0.0:
-            table[i] = w[i] / s
-        else:
-            # never observed; any pmf works, uniform keeps it explicit
-            table[i] = 1.0 / w.shape[1]
-    return Decoder(table)
+    """The decoder g(y|u) = p(y|u); achieves fidelity = (1/n) I(y;u).
+    A u never observed gets the uniform row: any pmf works, and uniform
+    keeps it explicit."""
+    return Decoder(_source_conditionals(_grouped_matrix(p, u_labels, y_labels))[0])

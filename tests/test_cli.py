@@ -671,6 +671,15 @@ class TestParseSource:
                      "--out", str(tmp_path / "o.dat")]) == 3
         assert "cap is" in capsys.readouterr().err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        # bytes that are not UTF-8 make a malformed source (exit 2), not a traceback
+        path = tmp_path / "bad.src"
+        path.write_bytes(b"x z\n0 0 \xff\xfe\n")
+        with pytest.raises(DomainError, match="not UTF-8"):
+            _parse_source(str(path))
+        assert main(["ib-curve", "--source", str(path), "--out", str(tmp_path / "o.dat")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_duplicate_cell(self, tmp_path):
         path = tmp_path / "src.txt"
         path.write_text("x z\n0 0 0.5\n1 1 0.25\n0 0 0.25\n")

@@ -38,8 +38,6 @@ from coinfo.optimize import (
     _coupled_pair_table,
     _coupling_solve,
     _coupling_stats,
-    _lockstep,
-    _make_value_fn,
     _source_conditionals,
 )
 from coinfo.probability import (
@@ -363,8 +361,9 @@ class TestChainMap:
             assert np.abs(out - q).max() <= 1e-15
 
     def test_every_outer_candidate_holds_the_chains(self, monkeypatch):
-        # draws, baselines, solved couplings and refinement proposals: every
-        # outer table these calls score is on both chains to 1e-14
+        # draws, the DSBS curve's couplings and the outer support's pairs and
+        # solved couplings: every outer table these calls score is on both
+        # chains to 1e-14, and every call scores some
         worst = []
         batch_outer_stats = optimize._batch_outer_stats
 
@@ -377,12 +376,16 @@ class TestChainMap:
         cfg = SampleConfig(seed=6, count=150, refine_top=4, refine_steps=60)
         lam = SupportWeight(0.9, -0.2, -0.3)
         dsbs_outer_boundary_sampled(0.1, [0.675, 0.69])
+        scored = [len(worst)]
         for src, cap in ((dsbs(0.1), None), (SOURCE3, 3)):
             c = replace(cfg, cap_u=cap, cap_v=cap)
             for variant in ("ro", "ro_prime"):
                 support_function(src, lam, c, variant)
+                scored.append(len(worst))
                 sample_region_points(src, c, variant)
-        assert len(worst) > 100 and max(worst) <= 1e-14
+                scored.append(len(worst))
+        assert all(b > a for a, b in zip([0, *scored], scored))
+        assert max(worst) <= 1e-14
 
 
 class TestSupportFunction:
@@ -412,18 +415,16 @@ class TestSupportFunction:
         assert abs(value - I_XZ_01) <= 1e-3
 
     def test_count_monotone_without_refinement(self):
-        # unrefined draws of the min-form outer region: seed 12 has a draw
-        # above the constant channel's 0 within 20 draws, and more draws find
-        # better ones
+        # the min-form outer region is solved and reads no draw: its value
+        # is nondecreasing in the count as an equality, and lies above the
+        # constant channel's 0
         src = dsbs(0.1)
         lam = SupportWeight(1.0, -0.6, 0.0)
         vals = [
             support_function(src, lam, SampleConfig(seed=12, count=n, refine_top=0, refine_steps=0), "ro_prime")[0]
             for n in (20, 100, 400, 1500, 6000)
         ]
-        # the contract: nondecreasing in the count, at every count
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > vals[0] > 0.0
+        assert len(set(vals)) == 1 and vals[0] > 0.0
 
     def test_count_monotone_with_refinement(self):
         src = dsbs(0.1)
@@ -432,7 +433,7 @@ class TestSupportFunction:
             support_function(src, lam, small_cfg(42, n, top=6, steps=40), "ro_prime")[0]
             for n in (30, 80, 200)
         ]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert len(set(vals)) == 1
 
     def test_outer_candidate_feasible_and_consistent(self):
         src = dsbs(0.1)
@@ -489,12 +490,11 @@ class TestSupportFunction:
         assert np.array_equal(c3[0].rows, c4[0].rows)
         assert np.array_equal(c3[1].rows, c4[1].rows)
 
-    # float.hex digests of (value, candidate tables). For "ro" they were
-    # taken when the best sample was drawn a second time whenever it was not
-    # kept; keeping the first maximum during the scan must give the same
-    # bytes. The inner variant scans no draws: its cases pin the bytes of the
-    # solve, which refine_top must not change, and its value may not fall
-    # below the value 0.3.0 sampled and climbed to with the same config
+    # float.hex digests of (value, candidate tables). Neither variant
+    # scans draws: the cases pin the bytes of the solves, which refine_top
+    # must not change. The inner value may not fall below the value 0.3.0
+    # sampled and climbed to with the same config, nor the "ro" value below
+    # 0.5.0's, the best draw kept from its scan and climbed
     @pytest.mark.parametrize("source, variant, top, digest", [
         pytest.param("dsbs", "inner", 0,
                      "21ff6f37bbcdde80717d8e3ee1fa968827213cbf85d8a56b077a292743d1c83b",
@@ -503,10 +503,10 @@ class TestSupportFunction:
                      "21ff6f37bbcdde80717d8e3ee1fa968827213cbf85d8a56b077a292743d1c83b",
                      id="dsbs-inner-4"),
         pytest.param("dsbs", "ro", 0,
-                     "e66ce5cbfca8f8c6b87c745b1261eaf3e53e5a3508b8ba91a4ecc491eee38618",
+                     "55886378d18b0548d1aadf24b870f0807a1cbba1914f5971bbe9e1b496c1f30b",
                      id="dsbs-ro-0"),
         pytest.param("dsbs", "ro", 4,
-                     "e66ce5cbfca8f8c6b87c745b1261eaf3e53e5a3508b8ba91a4ecc491eee38618",
+                     "55886378d18b0548d1aadf24b870f0807a1cbba1914f5971bbe9e1b496c1f30b",
                      id="dsbs-ro-4"),
         pytest.param("SOURCE3", "inner", 0,
                      "673f48ae15f098e3eb7d73cc485e983025c6630b64d28a7c3518edb76513ce54",
@@ -515,10 +515,10 @@ class TestSupportFunction:
                      "673f48ae15f098e3eb7d73cc485e983025c6630b64d28a7c3518edb76513ce54",
                      id="SOURCE3-inner-4"),
         pytest.param("SOURCE3", "ro", 0,
-                     "ed27ea49e28cbdad3aa07d022944cee85ce1efde6e6e1632200199373361162b",
+                     "95b8cdcde04d7efe1dad058ec99ad0f0e893d6cf905776e80b174671925ad089",
                      id="SOURCE3-ro-0"),
         pytest.param("SOURCE3", "ro", 4,
-                     "ed27ea49e28cbdad3aa07d022944cee85ce1efde6e6e1632200199373361162b",
+                     "95b8cdcde04d7efe1dad058ec99ad0f0e893d6cf905776e80b174671925ad089",
                      id="SOURCE3-ro-4"),
     ])
     def test_best_draw_kept_from_the_scan(self, source, variant, top, digest):
@@ -528,10 +528,11 @@ class TestSupportFunction:
         tables = [ch.rows for ch in candidate] if variant == "inner" else [candidate]
         words = [value.hex()] + [float(v).hex() for t in tables for v in np.ravel(t)]
         assert hashlib.sha256(" ".join(words).encode()).hexdigest() == digest
-        if variant == "inner":
-            sampled = {("dsbs", 0): 0.22943477105650792, ("dsbs", 4): 0.22943477105650792,
-                       ("SOURCE3", 0): 0.000799663673339699, ("SOURCE3", 4): 0.019256029725375476}
-            assert value >= sampled[source, top] - 1e-12
+        sampled = {("dsbs", "inner"): (0.22943477105650792, 0.22943477105650792),
+                   ("SOURCE3", "inner"): (0.000799663673339699, 0.019256029725375476),
+                   ("dsbs", "ro"): (0.22943477105650792, 0.22943477105650792),
+                   ("SOURCE3", "ro"): (1.7763568394002506e-16, 1.7763568394002506e-16)}
+        assert value >= sampled[source, variant][top > 0] - 1e-12
 
     def test_variant_validation(self):
         with pytest.raises(DomainError):
@@ -846,7 +847,6 @@ class TestIbCurve:
             raise AssertionError("ib_curve drew or climbed")
 
         monkeypatch.setattr(optimize, "_substream", forbidden)
-        monkeypatch.setattr(optimize, "_lockstep", forbidden)
         assert list(inspect.signature(ib_curve).parameters) == ["p_xz"]
         assert len(ib_curve(dsbs(0.25)).knots) > 2
 
@@ -1036,6 +1036,18 @@ class TestCardinalityRobustness:
         assert row["difference"] == row["value_plus"] - row["value_base"]
         assert abs(row["difference"]) <= 5e-3
 
+    @pytest.mark.parametrize("variant", ["ro", "ro_prime"])
+    def test_outer_difference_within_the_measured_bound(self, variant):
+        # the outer solves at caps |X|, |Z| and at caps plus one differ by
+        # at most 2.4e-5 here (SOURCE3, ro_prime, the first direction), the
+        # other cases by at most 1.1e-15
+        lams = [SupportWeight(1.0, -0.06, -0.02), SupportWeight(1.0, -0.1, -0.08)]
+        for src in (dsbs(0.1), SOURCE3):
+            for row in cardinality_robustness(src, lams, SampleConfig(seed=0), variant):
+                assert row["difference"] == row["value_plus"] - row["value_base"]
+                assert abs(row["difference"]) <= 3e-5
+                assert row["value_base"] > 0.0
+
 
 # The inner support values of the sampled-and-refined solver that the
 # two-sided bottleneck solve replaced, as cardinality_robustness gave them:
@@ -1124,7 +1136,6 @@ class TestInnerSupport:
             raise AssertionError("the inner support drew or climbed")
 
         monkeypatch.setattr(optimize, "_substream", forbidden)
-        monkeypatch.setattr(optimize, "_lockstep", forbidden)
         lam = SupportWeight(1.0, -0.05, -0.1)
         results = set()
         for seed in (0, 1, 2):
@@ -1319,64 +1330,119 @@ class TestBottleneckUpdate:
         assert zero_cells > 0
 
 
-# ---------------------------------------------------------------------------
-# The scalar hill climb that the lockstep engine replaced, kept here as its
-# reference: one candidate and one proposal per objective call.
+# The outer support values of the sampler and hill climb that the solve
+# replaced, at SampleConfig(seed=1)'s defaults (100000 draws, the best 100
+# climbed for 500 steps): (direction, ro value, ro_prime value)
+SAMPLED_OUTER = {
+    "dsbs0.1": (dsbs(0.1), (
+        ((1.0, -0.02, -0.03), 0.3334068481405006, 0.3334068481404997),
+        ((1.0, -0.06, -0.02), 0.3126124327237136, 0.3126124327237014),
+        ((1.0, -0.04, 0.0), 0.34033831994610014, 0.34033831994609953),
+        ((1.0, -0.1, -0.08), 0.2432977170137081, 0.2432977146677068),
+        ((1.0, -0.1, -0.15), 0.1947786358250016, 0.19494344705820155),
+    )),
+    "dsbs0.25": (dsbs(0.25), (
+        ((1.0, -0.02, -0.03), 0.09615467724820692, 0.09615467691313984),
+        ((1.0, -0.06, -0.02), 0.07536660937474432, 0.07536026149634148),
+        ((1.0, -0.04, 0.0), 0.10308619217495728, 0.10308619217495568),
+        ((1.0, -0.1, -0.08), 0.006468051912152814, 0.016432219769624584),
+        ((1.0, -0.1, -0.15), 0.0, 0.0),
+    )),
+    "SOURCE3": (SOURCE3, (
+        ((1.0, -0.02, -0.03), 0.1013201671918145, 0.10214677836158433),
+        ((1.0, -0.06, -0.02), 0.08376762416403125, 0.08416162316231816),
+        ((1.0, -0.04, 0.0), 0.10974716350969445, 0.10973271744708225),
+        ((1.0, -0.1, -0.08), 0.017893934396709492, 0.024511399274439176),
+        ((1.0, -0.1, -0.15), 1.6653345369377348e-16, 0.0009595183950571809),
+    )),
+    "SOURCE43": (SOURCE43, (
+        ((1.0, -0.02, -0.03), 0.13265500987426856, 0.13279959165321384),
+        ((1.0, -0.06, -0.02), 0.09903660887099743, 0.09965963882378963),
+        ((1.0, -0.04, 0.0), 0.14225526529024243, 0.14244940640859918),
+        ((1.0, -0.1, -0.08), 4.0412118096355695e-16, 0.009990442561298371),
+        ((1.0, -0.1, -0.15), 3.885780586188048e-16, 1.6653345369377348e-16),
+    )),
+    "DIRICHLET4": (DIRICHLET4, (
+        ((1.0, -0.02, -0.03), 0.09488696335139413, 0.10089960068549118),
+        ((1.0, -0.06, -0.02), 0.06180086069888933, 0.0756317760521264),
+        ((1.0, -0.04, 0.0), 0.11019861234179215, 0.11296780772277062),
+        ((1.0, -0.1, -0.08), 0.0, 0.01394606148406128),
+        ((1.0, -0.1, -0.15), 0.0, 0.002694779140073834),
+    )),
+}
 
 
-def perturb_row(rows, flat_index, delta):
-    r, c = divmod(flat_index, rows.shape[1])
-    row = rows[r] + 0.0
-    row[c] += delta
-    row = np.maximum(row, 0.0)
-    s = float(np.sum(row))
-    if s <= 0.0:
-        return None
-    out = rows.copy()
-    out[r] = row / s
-    return out
+def outer_joint(src, q):
+    """The (x, z, u, v) JointPmf of an outer candidate q(u,v|x,z)."""
+    w = src.mass[:, :, None, None] * np.asarray(q)
+    return JointPmf(tuple(Alphabet(n, k) for n, k in zip(w.shape, "xzuv")), w)
 
 
-def coordinate_descent(tables, value_fn, steps, step_size):
-    start = value_fn(tables)
-    if start is None:
-        raise DomainError("refinement started from an infeasible candidate")
-    best, tables = start
-    sizes = [t.size for t in tables]
-    total = sum(sizes)
-    for s in range(steps):
-        delta = step_size * 0.9 ** (s // 50)
-        k = s % total
-        t = 0
-        while k >= sizes[t]:
-            k -= sizes[t]
-            t += 1
-        for sign in (1.0, -1.0):
-            nudged = perturb_row(tables[t], k, sign * delta)
-            if nudged is None:
-                continue
-            trial = list(tables)
-            trial[t] = nudged
-            res = value_fn(trial)
-            if res is not None and res[0] > best:
-                best, tables = res
-                break
-    return best, tables
+class TestOuterSupport:
+    @pytest.mark.parametrize("case", SAMPLED_OUTER)
+    def test_never_below_the_sampled_values(self, case):
+        # the returned table holds both chains on the label path, which
+        # scores it at the value; ro_prime >= ro >= inner but for rounding
+        src, rows = SAMPLED_OUTER[case]
+        cfg = SampleConfig(seed=1)
+        for weights, *sampled in rows:
+            lam = SupportWeight(*weights)
+            values = {"inner": support_function(src, lam, cfg, "inner")[0]}
+            for variant, floor, point in zip(("ro", "ro_prime"), sampled, (outer_point_ro, outer_point_ro_prime)):
+                value, q = support_function(src, lam, cfg, variant)
+                assert value >= floor - 1e-9
+                joint = outer_joint(src, q)
+                assert conditional_mutual_information(joint, "u", "z", "x") <= 1e-9
+                assert conditional_mutual_information(joint, "v", "x", "z") <= 1e-9
+                pt = point(joint)
+                assert abs(value - (lam.l1 * pt.mu + lam.l2 * pt.r1 + lam.l3 * pt.r2)) <= 1e-12
+                values[variant] = value
+            assert values["ro_prime"] >= values["ro"] - 1e-12
+            assert values["ro"] >= values["inner"] - 1e-12
 
+    def test_draws_nothing_and_reads_no_budget(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the outer support drew")
 
-def scalar_lockstep(tables, value_fn, steps, step_size):
-    """_lockstep's reference: every candidate climbed alone by the scalar loop."""
-    values, climbed = [], []
-    for b in range(len(tables[0])):
+        monkeypatch.setattr(optimize, "_substream", forbidden)
+        lam = SupportWeight(1.0, -0.1, -0.08)
+        results = set()
+        for cfg in (SampleConfig(seed=1),
+                    SampleConfig(seed=7, count=3, refine_top=0, refine_steps=0, step_size=2.5)):
+            out = []
+            for variant in ("ro", "ro_prime"):
+                value, q = support_function(dsbs(0.25), lam, cfg, variant)
+                # step_size goes unread too
+                out += [value, q, local_refine(dsbs(0.25), q, lam, variant, 20, cfg.step_size)]
+                out.append(cardinality_robustness(SOURCE3, [lam], cfg, variant))
+            results.add(repr(bits(out)))
+        assert len(results) == 1
 
-        def one(trial, b=b):
-            v, canon = value_fn([t[None].copy() for t in trial], np.array([b]))
-            return None if v[0] == -np.inf else (v[0], [t[0] for t in canon])
+    def test_coupling_solve_lifts_a_long_chain_pair(self):
+        # a BSC pair of the DSBS ridge: re-solving its coupling raises mu_ro
+        # above the long chain's I(u;v), and once solved it keeps both cell
+        # marginals, so both rates
+        src, lam = dsbs(0.1), SupportWeight(1.0, -0.1, -0.1)
+        alpha = binary_entropy_inverse(LOG2 - 0.68)
+        rows = np.array([[1.0 - alpha, alpha], [alpha, 1.0 - alpha]])
+        q = rows[:, None, :, None] * rows[None, :, None, :]
+        before = outer_point_ro(outer_joint(src, q))
+        for steps in (1, 10, 300):
+            pt = outer_point_ro(outer_joint(src, local_refine(src, q, lam, "ro", steps=steps)))
+            assert lam.l1 * pt.mu + lam.l2 * pt.r1 + lam.l3 * pt.r2 >= (
+                lam.l1 * before.mu + lam.l2 * before.r1 + lam.l3 * before.r2)
+        assert abs(pt.r1 - before.r1) <= 1e-12 and abs(pt.r2 - before.r2) <= 1e-12
+        assert pt.mu > before.mu + 1e-4
 
-        v, tabs = coordinate_descent([t[b] for t in tables], one, steps, step_size)
-        values.append(v)
-        climbed.append(tabs)
-    return np.array(values), [np.stack(kind) for kind in zip(*climbed)]
+    @pytest.mark.parametrize("variant", ["ro", "ro_prime"])
+    def test_local_refine_never_decreases_from_a_random_start(self, variant):
+        lam = SupportWeight(1.0, -0.05, -0.1)
+        for seed in range(3):
+            q = np.random.default_rng(seed).dirichlet(np.ones(9), size=(3, 2)).reshape(3, 2, 3, 3)
+            out = local_refine(SOURCE3, q, lam, variant, steps=50)
+            values = optimize._scored_outer(SOURCE3.mass, lam, variant, np.stack([q, out]))[1]
+            assert values[1] >= values[0]
+            assert np.array_equal(local_refine(SOURCE3, q, lam, variant, steps=0), q)
 
 
 def bits(obj):
@@ -1396,66 +1462,6 @@ def bits(obj):
     return type(obj).__name__, float(obj).hex()
 
 
-def lockstep_and_reference(monkeypatch, fn, *args):
-    got = fn(*args)
-    with monkeypatch.context() as m:
-        m.setattr(optimize, "_lockstep", scalar_lockstep)
-        want = fn(*args)
-    return bits(got), bits(want)
-
-
-class TestLockstep:
-    @pytest.mark.parametrize("variant", ["ro", "ro_prime"])
-    def test_support_function_matches_scalar_reference(self, monkeypatch, variant):
-        lam = SupportWeight(0.9, -0.2, -0.3)
-        for src, cap in ((dsbs(0.1), None), (SOURCE3, 3)):
-            cfg = SampleConfig(seed=4, count=60, refine_top=6, refine_steps=80, cap_u=cap, cap_v=cap)
-            got, want = lockstep_and_reference(monkeypatch, support_function, src, lam, cfg, variant)
-            assert got == want
-
-    def test_local_refine_matches_scalar_reference(self, monkeypatch):
-        lam = SupportWeight(1.0, -0.3, -0.2)
-        _, q = support_function(dsbs(0.1), lam, small_cfg(2, 30, top=3, steps=10), "ro")
-        got, want = lockstep_and_reference(monkeypatch, local_refine, dsbs(0.1), q, lam, "ro", 90, 0.2)
-        assert got == want
-
-    def test_candidate_result_does_not_depend_on_its_batch(self):
-        # SOURCE3's outer tables at caps 3, the identity corner first; at step
-        # size 1 the "-" nudges of a one-hot row empty it
-        pxz = SOURCE3.mass
-        lam = SupportWeight(1.0, -0.3, -0.2)
-        assert perturb_row(np.eye(3), 0, -1.0) is None
-        flat = np.random.default_rng(8).dirichlet(np.ones(9), size=(12, 6))
-        flat[0] = optimize._seed_tables(pxz, 3, 3)[0][0]
-        fn = _make_value_fn("ro", pxz, lam, 3, 3, _source_conditionals(pxz))
-        self.check_batches([flat], fn, 120, 1.0)
-
-    def test_accepted_plus_move_ends_the_step(self):
-        # a convex objective: the "+" and "-" nudges of a row both improve it,
-        # and only the "+" move may be taken
-        def spread(trial, idx):
-            return np.sum((trial[0] - 0.5) ** 2, axis=(1, 2)), trial
-
-        rows = np.random.default_rng(10).dirichlet(np.ones(2), size=(9, 3))
-        rows[0] = 0.5
-        self.check_batches([rows], spread, 30, 0.01)
-
-    @staticmethod
-    def check_batches(tables, fn, steps, step_size):
-        # alone, in a batch of 7 and in the full batch, each candidate gets
-        # the scalar loop's result bit for bit
-        n = len(tables[0])
-        want = scalar_lockstep([t.copy() for t in tables], fn, steps, step_size)
-        full = _lockstep([t.copy() for t in tables], fn, steps, step_size)
-        for b in range(n):
-            seven = [b] + [i for i in range(n - 1, -1, -1) if i != b][:6]
-            alone = _lockstep([t[[b]].copy() for t in tables], fn, steps, step_size)
-            some = _lockstep([t[seven].copy() for t in tables], fn, steps, step_size)
-            expected = bits((want[0][b], [t[b] for t in want[1]]))
-            for values, batch, j in ((full[0], full[1], b), (alone[0], alone[1], 0), (some[0], some[1], 0)):
-                assert bits((values[j], [t[j] for t in batch])) == expected
-
-
 class TestDrawBlocks:
     """Inner draws, the solved bottleneck channels and the iterates of the
     inner support solve are scored a block at a time; no result depends
@@ -1473,8 +1479,7 @@ class TestDrawBlocks:
 
     @staticmethod
     def outer_results(count):
-        lam = SupportWeight(0.9, -0.2, -0.3)
-        cfg = SampleConfig(seed=6, count=count, refine_top=4, refine_steps=40)
+        cfg = SampleConfig(seed=6, count=count)
         out = [dsbs_outer_boundary_sampled(0.1, [0.675, 0.69])]
         for src in (dsbs(0.1), SOURCE3):
             for variant in ("ro", "ro_prime"):
@@ -1482,8 +1487,6 @@ class TestDrawBlocks:
                 # every draw is mapped onto the chains, none dropped
                 assert points.shape == (count, 3)
                 out.append(points.tolist())
-            for c in (cfg, replace(cfg, refine_top=0)):
-                out.append(support_function(src, lam, c, "ro"))
         return bits(out)
 
     # the default block of a 2x2x2x2 joint (conjecture_test, DSBS inner and
@@ -1506,51 +1509,22 @@ class TestDrawBlocks:
             monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
             assert self.outer_results(count) == want
 
-    @staticmethod
-    def refined_results():
-        lam = SupportWeight(0.9, -0.2, -0.3)
-        cfg = SampleConfig(seed=6, count=300, refine_top=6, refine_steps=40)
-        out = []
-        for src in (dsbs(0.1), SOURCE3):
-            for variant in ("ro", "ro_prime"):
-                value, candidate = support_function(src, lam, cfg, variant)
-                out += [value, candidate, local_refine(src, candidate, lam, variant, 40, 0.05)]
-        return bits(out)
-
     def test_refinement_block_size_does_not_change_results(self, monkeypatch):
-        # each lockstep step scores its proposals in scoring blocks of the
-        # draws' cell budget: blocks of 1 table, then 7 (DSBS) and 3 (SOURCE3)
-        want = self.refined_results()
-        inside, scored, batches = [False], [], []
+        # the outer solve and local_refine score their pools and tables in
+        # blocks of the draws' cell budget: blocks of 1 table, then 7 (DSBS) and 3 (SOURCE3)
+        def solved():
+            lam = SupportWeight(0.9, -0.05, -0.08)
+            out = []
+            for src in (dsbs(0.1), SOURCE3):
+                for variant in ("ro", "ro_prime"):
+                    value, q = support_function(src, lam, SampleConfig(seed=0), variant)
+                    out += [value, q, local_refine(src, q, lam, variant, 40)]
+            return bits(out)
 
-        def spy(fn, cells):
-            def wrapped(pxz, *tables):
-                if inside[0]:
-                    scored.append((len(tables[0]), cells(pxz, *tables)))
-                return fn(pxz, *tables)
-
-            return wrapped
-
-        real_lockstep = optimize._lockstep
-
-        def lockstep(tables, *args):
-            batches.append(len(tables[0]))
-            inside[0] = True
-            try:
-                return real_lockstep(tables, *args)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(optimize, "_lockstep", lockstep)
-        monkeypatch.setattr(optimize, "_chain_map", spy(
-            optimize._chain_map, lambda pxz, q, cond: q[0].size))
-        for tables in (1, 7):
-            monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * tables)
-            scored.clear()
-            assert self.refined_results() == want
-            assert scored and all(n <= max(1, 16 * tables // cells) for n, cells in scored)
-        # a step's 2 x (candidates) proposals spanned several blocks
-        assert max(batches) * 2 > 7
+        want = solved()
+        for block in (1, 7):
+            monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
+            assert solved() == want
 
     @pytest.mark.parametrize("n, blocks", [(2, [20]), (4, [8, 8, 4]), (16, [1] * 20)])
     def test_blocks_are_sized_by_joint_cells(self, monkeypatch, n, blocks):
