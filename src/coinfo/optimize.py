@@ -47,11 +47,14 @@ fixed point (_fixed_point), and zoom rounds in the multiplier around
 each side's best (_side_best). "ro_prime" depends on the pair alone and
 takes the pool's best pair; "ro" solves the coupling of least
 I(x,z;u,v) of its best pairs by alternating I-projection (_coupled), a
-convex problem for fixed cell marginals.
+convex problem for fixed cell marginals. Each table of a _coupled batch
+stops at the first round that moves it by at most _COUPLING_STEP, or at
+_COUPLING_ROUNDS, and leaves the batch, so its floats do not depend on
+the batch either.
 The DSBS outer curve draws nothing and is not refined: it is the
 envelope of the long-chain BSC points and, at each rate cap of at most
-ln 2, the best point of a deterministic grid-and-zoom search over the
-Frechet couplings of a BSC pair (_coupling_solve); its auxiliaries are
+ln 2, the BSC pair of that rate with its coupling solved by the same
+I-projection (_coupled), from the long chain; its auxiliaries are
 binary. The bottleneck curve draws nothing and is not refined either:
 it is the envelope of the constant and identity channels and of the
 self-consistent bottleneck channels of a fixed schedule of Lagrange
@@ -151,15 +154,10 @@ class SampleConfig:
                 raise DomainError(f"{name} must be a positive integer or None, got {v!r}")
         if not _is_int(self.refine_top) or self.refine_top < 0:
             raise DomainError(f"refine_top must be >= 0, got {self.refine_top!r}")
-        _check_budget("refine_steps", self.refine_steps, self.step_size)
-
-
-def _check_budget(steps_name, steps, step_size):
-    # a refinement budget: a step count >= 0 and a finite positive step size
-    if not _is_int(steps) or steps < 0:
-        raise DomainError(f"{steps_name} must be an integer >= 0, got {steps!r}")
-    if not _is_real(step_size) or step_size <= 0:
-        raise DomainError(f"step_size must be finite and positive, got {step_size!r}")
+        if not _is_int(self.refine_steps) or self.refine_steps < 0:
+            raise DomainError(f"refine_steps must be an integer >= 0, got {self.refine_steps!r}")
+        if not _is_real(self.step_size) or self.step_size <= 0:
+            raise DomainError(f"step_size must be finite and positive, got {self.step_size!r}")
 
 
 @dataclass(frozen=True)
@@ -474,7 +472,9 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     fixed schedule of multipliers, zoomed around each side's best.
     "ro_prime" returns the long-chain table of the pool's best pair,
     since mu' = min(I(u;z), I(v;x)) depends on p(u|x) and p(v|z) alone;
-    "ro" solves the coupling of least I(x,z;u,v) (_coupled) of the
+    "ro" solves the coupling of least I(x,z;u,v) (_coupled, each table
+    for up to _COUPLING_ROUNDS rounds of alternating I-projection,
+    stopping once a round moves it by at most 1e-15) of the
     _COUPLED_PAIRS pairs of largest ro_prime value, the inner pair always
     among them, so the outer values are at least the inner one, and
     ro_prime's at least ro's, but for rounding. Every returned table is
@@ -482,7 +482,7 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     mapped table. On a degenerate direction, and when no solved value
     lifts the constant pair above rounding, the constant pair is returned
     with the value 0.0 exactly. On the tests' pinned cases an outer call
-    takes 0.02 to 0.14 s on a 2-core machine, against 3 to 50 s for the
+    takes 0.01 to 0.2 s on a 2-core machine, against 3 to 50 s for the
     sampler and hill climb it replaced.
     """
     if variant not in _VARIANTS:
@@ -514,24 +514,25 @@ def _public_candidate(variant, tables, p_xz, cap_u, cap_v):
     return q
 
 
-def local_refine(p_xz, candidate, lam, variant="inner", steps=500, step_size=0.05):
+def local_refine(p_xz, candidate, lam, variant="inner", steps=500):
     """Improve a candidate; the objective never decreases.
 
     Accepts and returns the candidate forms produced by support_function.
-    steps must be an integer >= 0 and step_size finite and positive;
-    step_size is not read. An inner candidate runs up to `steps` rounds of
-    the two-sided bottleneck solve (_inner_solve), which end early only
-    when a round repeats the one before it bitwise, and the best scored
-    iterate is returned. An outer candidate's coupling is re-solved for
-    its own cell marginals q(u|x,z) and q(v|x,z), from its own table, for
-    `steps` rounds (_coupled); the result, mapped onto the short chains
+    steps must be an integer >= 0. An inner candidate runs up to `steps`
+    rounds of the two-sided bottleneck solve (_inner_solve), which end
+    early only when a round repeats the one before it bitwise, and the
+    best scored iterate is returned. An outer candidate's coupling is
+    re-solved for its own cell marginals q(u|x,z) and q(v|x,z), from its
+    own table, for up to `steps` rounds, the table stopping once it moves
+    by at most 1e-15 (_coupled); the result, mapped onto the short chains
     (_chain_map), is returned when it scores higher than the mapped
     candidate, and the candidate itself otherwise, so at steps = 0 the
     candidate comes back unchanged.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    _check_budget("steps", steps, step_size)
+    if not _is_int(steps) or steps < 0:
+        raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
     pxz = p_xz.mass
     if variant == "inner":
         ch_u, ch_v = candidate
@@ -780,13 +781,18 @@ def _blocked_stats(stats, pxz, tables, cells, limit):
 # updates; each of _POOL_ZOOMS zoom rounds adds _POOL_ZOOM_POINTS
 # multipliers over one grid step on each side of a side's best, the step
 # halved each round. "ro" solves the couplings of the _COUPLED_PAIRS best
-# pairs for _COUPLING_ROUNDS rounds of alternating I-projection.
+# pairs by alternating I-projection (_coupled), as the DSBS outer curve
+# solves its caps': a table stops at the first round that moves it by at
+# most _COUPLING_STEP (max-abs), or after _COUPLING_ROUNDS. A fixed 100
+# rounds leaves the DSBS caps up to 1.9e-4 short at p = 0.001, and an exact
+# fixed point is often never reached, the last ulps cycling.
 _POOL_BETAS = 41
 _POOL_ROUNDS = 40
 _POOL_ZOOMS = 8
 _POOL_ZOOM_POINTS = 9
 _COUPLED_PAIRS = 16
-_COUPLING_ROUNDS = 100
+_COUPLING_ROUNDS = 2000
+_COUPLING_STEP = 1e-15
 
 
 def _outer_support(pxz, lam, variant, cap_u, cap_v):
@@ -825,11 +831,17 @@ def _outer_support(pxz, lam, variant, cap_u, cap_v):
 
 def _scored_outer(pxz, lam, variant, q):
     """(tables, values): a batch of tables q(u,v|x,z) mapped onto the
-    short chains (_chain_map), a block of at most _DRAW_CELLS joint cells
-    at a time, and each mapped table's objective for the variant."""
-    cond = _source_conditionals(pxz)
-    q, st = _blocked_stats(lambda pxz, t: _chain_map(pxz, t, cond), pxz, (q,), q[0].size, _DRAW_CELLS)
+    short chains (_mapped), and each mapped table's objective for the
+    variant."""
+    q, st = _mapped(pxz, q)
     return q, _lam_dot(lam, _region_mu(st, variant), st[:, 0], st[:, 1])
+
+
+def _mapped(pxz, q):
+    """_chain_map of a batch of tables q(u,v|x,z), a block of at most
+    _DRAW_CELLS joint cells at a time: (mapped tables, their stats)."""
+    cond = _source_conditionals(pxz)
+    return _blocked_stats(lambda pxz, t: _chain_map(pxz, t, cond), pxz, (q,), q[0].size, _DRAW_CELLS)
 
 
 def _outer_pool(pxz, lam, cap_u, cap_v):
@@ -922,17 +934,27 @@ def _coupled(pxz, q, rounds):
     warm-started from the last, and sets r to the (u,v) marginal of the
     result. The first coupling is the (u,v) marginal of q itself. A cell
     of zero source mass keeps its own table, and rounds = 0 returns q.
-    Elementwise numpy and einsum(optimize=False) only; every table is
-    solved on its own."""
+    A table stops at the first round whose output moves by at most
+    _COUPLING_STEP (max-abs) from the one before, round 0's being q.
+    Elementwise numpy and einsum(optimize=False) only, and a stopped
+    table leaves the batch, so every table is solved on its own, with
+    the floats it gets alone."""
+    live_cells = pxz[:, :, None, None] > 0.0
     u_rows, v_rows = q.sum(axis=4, keepdims=True), q.sum(axis=3, keepdims=True)
     r_old = np.einsum("xz,bxzuv->buv", pxz, q, optimize=False)[:, None, None]
-    coupling, out = np.broadcast_to(r_old, q.shape), q
+    coupling, solved, live = np.broadcast_to(r_old, q.shape), q.copy(), np.arange(len(q))
     for _ in range(rounds):
         coupling = coupling * _ratio(u_rows, coupling.sum(axis=4, keepdims=True))
         out = coupling * _ratio(v_rows, coupling.sum(axis=3, keepdims=True))
         r = np.einsum("xz,bxzuv->buv", pxz, out, optimize=False)[:, None, None]
         coupling, r_old = out * _ratio(r, r_old), r
-    return np.where(pxz[:, :, None, None] > 0.0, out, q)
+        out = np.where(live_cells, out, solved[live])
+        moving = ~(np.abs(out - solved[live]).max(axis=(1, 2, 3, 4)) <= _COUPLING_STEP)
+        solved[live] = out
+        if not moving.any():
+            break
+        live, coupling, r_old, u_rows, v_rows = (a[moving] for a in (live, coupling, r_old, u_rows, v_rows))
+    return solved
 
 
 def _ratio(a, b):
@@ -986,90 +1008,6 @@ def dsbs_inner_boundary(p, alpha_grid):
     return upper_concave_envelope(zip(r.tolist(), mu.tolist()))
 
 
-# the coupling solve of dsbs_outer_boundary_sampled: a first grid of
-# _COUPLING_GRID points per axis over [-1, 1]^2 (step 0.05, so it holds
-# every coupling whose coordinates are multiples of 0.05), then
-# _ZOOM_ROUNDS stencils of _ZOOM_POINTS per axis around the best point so
-# far, the first one a grid step wide on each side and each next one
-# _ZOOM_SHRINK times narrower, so that it spans two cells of the one before
-_COUPLING_GRID = 41
-_ZOOM_POINTS = 9
-_ZOOM_ROUNDS = 12
-_ZOOM_SHRINK = 4
-
-
-def _coupled_pair_table(alpha, s_same, s_diff):
-    """BSC(alpha) pairs with Frechet-coupled conditional noise, a batch.
-
-    alpha, s_same and s_diff broadcast to one shape (n,); table b is
-    q(u,v|x,z) of shape (2, 2, 2, 2). Adding t(x,z) * [[1,-1],[-1,1]] to the
-    product coupling leaves both single-letter conditionals untouched, so
-    the two short chains hold exactly while u and v stay correlated given
-    (x, z); s in [-1, 1] scales t to the Frechet bound of the cell, s_same
-    on the cells x = z and s_diff on the others, and s = 0 is the
-    long-chain BSC pair. These tables hold the ridge near the rate corner
-    that Dirichlet sampling has no density on: mu_ro = I(u;v) - I(u;v|x,z)
-    gains more from the aligned coupling on disagreeing (x, z) than the
-    conditional term costs. Every table is built on its own, elementwise.
-    """
-    alpha, s_same, s_diff = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (alpha, s_same, s_diff))
-    )
-    rows = np.stack([np.stack([1.0 - alpha, alpha], -1), np.stack([alpha, 1.0 - alpha], -1)], 1)
-    pu0, pv0 = rows[:, :, None, 0], rows[:, None, :, 0]
-    s = np.where(np.eye(2, dtype=bool), s_same[:, None, None], s_diff[:, None, None])
-    t = np.where(
-        s >= 0.0,
-        s * (np.minimum(pu0, pv0) - pu0 * pv0),
-        s * (pu0 * pv0 - np.maximum(0.0, pu0 + pv0 - 1.0)),
-    )
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    q = rows[:, :, None, :, None] * rows[:, None, :, None, :] + t[..., None, None] * sign
-    return np.maximum(q, 0.0)
-
-
-def _coupling_stats(pxz, alpha, s_same, s_diff):
-    """_checked_outer_stats of the _coupled_pair_table tables of flat
-    arrays, built and scored a block of at most _DRAW_CELLS joint cells at
-    a time."""
-    size = max(1, _DRAW_CELLS // (pxz.size * 4))
-    blocks = (slice(lo, lo + size) for lo in range(0, len(alpha), size))
-    return np.concatenate([
-        _checked_outer_stats(pxz, _coupled_pair_table(alpha[b], s_same[b], s_diff[b]))
-        for b in blocks
-    ])
-
-
-def _coupling_solve(pxz, alphas):
-    """The Frechet coupling of a BSC(alpha) pair with the largest mu_ro on
-    the source pxz, for every alpha of alphas in one batch.
-
-    A deterministic grid-and-zoom search over (s_same, s_diff) in
-    [-1, 1]^2 (see _COUPLING_GRID). Each round scores a square stencil
-    around the best point so far, every alpha in one batch, and moves to
-    its largest mu_ro, the first one on ties; the stencil holds its own
-    centre, so the best mu_ro never decreases. Every coupling of a
-    BSC(alpha) pair has I(u;x) = I(v;z) = ln 2 - h_b(alpha), so the search
-    moves mu_ro alone. Returns the arrays (s_same, s_diff) of the solved
-    couplings, one entry per alpha.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    best = (np.zeros(len(alphas)), np.zeros(len(alphas)))
-    step = 2.0 / (_COUPLING_GRID - 1)
-    rounds = [(_COUPLING_GRID, 1.0)]
-    rounds += [(_ZOOM_POINTS, step / _ZOOM_SHRINK**k) for k in range(_ZOOM_ROUNDS)]
-    for points, width in rounds:
-        half = (points - 1) // 2
-        axis = np.arange(-half, half + 1) / half  # exact multiples of 1 / half
-        offsets = [width * g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")]
-        s_same, s_diff = (np.clip(b[:, None] + o, -1.0, 1.0) for b, o in zip(best, offsets))
-        alpha = np.broadcast_to(alphas[:, None], s_same.shape)
-        mu = _coupling_stats(pxz, alpha.ravel(), s_same.ravel(), s_diff.ravel())[:, 4]
-        pick = np.argmax(mu.reshape(s_same.shape), axis=1)[:, None]
-        best = tuple(np.take_along_axis(s, pick, 1)[:, 0] for s in (s_same, s_diff))
-    return best
-
-
 # The name keeps "sampled", though nothing is drawn, because the benchmark's
 # tracer reports this function's time as optimize.dsbs_outer_s under it.
 def dsbs_outer_boundary_sampled(p, r_grid):
@@ -1079,10 +1017,12 @@ def dsbs_outer_boundary_sampled(p, r_grid):
     - The long-chain BSC points on dsbs_alpha_grid(r_grid); they are
       feasible here too, so the result dominates an inner curve built on
       the same grid.
-    - At each cap r of r_grid in [0, ln 2], the coupled BSC(alpha) pair of
-      largest mu_ro (_coupling_solve), alpha = h_b^-1(ln 2 - r), whose
-      point lies at abscissa r. A cap above ln 2 has no such pair and is
-      skipped.
+    - At each cap r of r_grid in [0, ln 2], the BSC(alpha) pair,
+      alpha = h_b^-1(ln 2 - r), with the coupling of largest mu_ro
+      (least I(x,z;u,v)), solved from the long chain by alternating
+      I-projection (_coupled) and mapped onto the short chains
+      (_chain_map); its point lies at abscissa r up to the solve's
+      convergence. A cap above ln 2 has no such pair and is skipped.
 
     The auxiliaries of both kinds are binary, and the curve depends on p
     and r_grid alone.
@@ -1100,7 +1040,9 @@ def dsbs_outer_boundary_sampled(p, r_grid):
     points = list(zip(r.tolist(), mu.tolist()))
     alphas = binary_entropy_inverses(LOG2 - np.array([r for r in sorted(set(r_grid)) if r <= LOG2]))
     if alphas.size:
-        st = _coupling_stats(pxz, alphas, *_coupling_solve(pxz, alphas))
+        rows = np.stack([np.stack([1.0 - alphas, alphas], -1), np.stack([alphas, 1.0 - alphas], -1)], 1)
+        q = rows[:, :, None, :, None] * rows[:, None, :, None, :]
+        _, st = _mapped(pxz, _coupled(pxz, q, _COUPLING_ROUNDS))
         # max(iux, ivz) keeps iux on ties, as Python's max
         rate = np.where(st[:, 1] > st[:, 0], st[:, 1], st[:, 0])
         points += zip(rate.tolist(), st[:, 4].tolist())

@@ -269,7 +269,9 @@ class TestPinnedRefineOutputs:
     exactly --samples. The ib-curve digest is of the deterministic
     bottleneck solve, which ignores --seed and --samples. The dsbs-gap,
     conjecture and dsbs-surface digests are of version 0.5.0's h_b (numpy's
-    log and log1p) and h_b^-1 (four Newton passes)."""
+    log and log1p) and h_b^-1 (four Newton passes); the dsbs-gap outer
+    digests and max_gap are of version 0.7.0's coupling solve, alternating
+    I-projection stopped per table."""
 
     def test_ib_curve(self, tmp_path, capsys):
         out = tmp_path / "ib.dat"
@@ -291,7 +293,7 @@ class TestPinnedRefineOutputs:
             "576872ba4b75ebac47101a0527c73b9c97803400d7b2cfdc5203d9021963f24d"
         )
         assert body_sha256(out / "outer.dat") == (
-            "0c8fa4f7bece1126e43eba4be9ac61fd62395a4e9c84016477d133f6535232aa"
+            "34083ea76424f5113af722cdb0d0f3c609923b0eb8189f4322adb145372e4275"
         )
 
     def test_default_dsbs_gap(self, tmp_path, capsys):
@@ -301,10 +303,10 @@ class TestPinnedRefineOutputs:
         # the outer curve holds the solved coupling of every cap
         out = tmp_path / "gap"
         assert main(["dsbs-gap", "--p", "0.1", "--seed", "20240", "--out-dir", str(out)]) == 0
-        assert "max_gap 0.000198845490560928 at_r 0.676\n" in capsys.readouterr().out
+        assert "max_gap 0.000198845490560429 at_r 0.676\n" in capsys.readouterr().out
         for name, digest in (
             ("inner", "883d95eba9d15a7846948f7af2ea07cbee07c0a641d3434905fd5c1666e6ac7c"),
-            ("outer", "92fdcddb2c4923052e820fe4096aea5fa0cf3fb577e3d3091a846e1419f3002d"),
+            ("outer", "8f67170b7696c0c2725ef2af1a8d1b927a932207c32b6b35bb2bc213d7b7c695"),
         ):
             assert len(read_table(out / f"{name}.dat")[1]) == 44
             assert body_sha256(out / f"{name}.dat") == digest

@@ -35,9 +35,6 @@ from coinfo.optimize import (
     _batch_inner_stats,
     _batch_outer_stats,
     _chain_map,
-    _coupled_pair_table,
-    _coupling_solve,
-    _coupling_stats,
     _source_conditionals,
 )
 from coinfo.probability import (
@@ -349,14 +346,19 @@ class TestChainMap:
 
     @pytest.mark.parametrize("cap", [2, 3])
     def test_feasible_tables_map_to_themselves(self, cap):
-        # long-chain BSC pairs (coupling 0, 0), the former corner seeds and a
+        # long-chain BSC pairs, their solved couplings and a hand-written
         # negative coupling, padded with never-used symbols at cap 3
-        alpha = [0.0, 0.02, 0.2, 0.5] + [a for a in (0.0, 0.003, 0.1, 0.4) for _ in range(9)]
-        same, diff = np.array([(0.0, 0.0)] * 4 + [*FORMER_SEEDS, (-0.5, -1.0)] * 4).T
+        alpha = [0.0, 0.003, 0.02, 0.1, 0.2, 0.4, 0.5]
+        long_chain = bsc_long_chain(alpha)
+        # BSC(0.1) on both sides, each cell's product moved by t(x,z) times
+        # [[1, -1], [-1, 1]], which keeps both cell marginals: t < 0
+        # anticouples u and v, near the Frechet bound (-0.01 and -0.09)
+        t = np.array([[-0.005, -0.08], [-0.08, -0.005]])
+        negative = long_chain[3] + t[:, :, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
         for p in (0.05, 0.1, 0.3):
             pxz = dsbs(p).mass
-            q = np.zeros((len(alpha), 2, 2, cap, cap))
-            q[:, :, :, :2, :2] = _coupled_pair_table(alpha, same, diff)
+            q = np.zeros((2 * len(alpha) + 1, 2, 2, cap, cap))
+            q[:, :, :, :2, :2] = [*long_chain, *optimize._coupled(pxz, long_chain, 2000), negative]
             out, _ = _chain_map(pxz, q, _source_conditionals(pxz))
             assert np.abs(out - q).max() <= 1e-15
 
@@ -577,10 +579,13 @@ class TestLocalRefine:
         src = dsbs(0.1)
         lam = SupportWeight(1.0, -0.25, -0.25)
         cand = (np.eye(2), np.eye(2))
-        for steps, step_size in ((-5, 0.05), (2.5, 0.05), (True, 0.05), (10, -0.1),
-                                 (10, math.nan), (10, 0.0), (10, math.inf), (10, True)):
-            with pytest.raises(DomainError):
-                local_refine(src, cand, lam, "inner", steps=steps, step_size=step_size)
+        for variant, candidate in (("inner", cand), ("ro", np.full((2, 2, 2, 2), 0.25))):
+            for steps in (-5, 2.5, True, math.nan, "10", None):
+                with pytest.raises(DomainError):
+                    local_refine(src, candidate, lam, variant, steps=steps)
+        # step_size is no longer a parameter
+        with pytest.raises(TypeError):
+            local_refine(src, cand, lam, "inner", steps=10, step_size=0.05)
 
 
 class TestEnvelope:
@@ -701,56 +706,167 @@ def scalar_sb_points(p, alphas):
     return tuple(np.array([pt[k] for pt in points], dtype=np.float64) for k in (0, 1))
 
 
-# the (s_same, s_diff) couplings an earlier version tried at every cap in
-# place of a solve
-FORMER_SEEDS = (
-    (0.0, 0.0), (0.0, 0.9), (0.0, 1.0), (0.05, 0.95),
-    (0.1, 0.95), (0.1, 1.0), (0.15, 0.95), (0.2, 1.0),
-)
-# the default dsbs-gap window, and its rate caps that are solved: 41 of its
-# 43 points, the last two being above ln 2
+# the default dsbs-gap window, whose rate caps are solved at 41 of its 43
+# points, the last two being above ln 2; and 25 caps over all of [0, ln 2]
 DEFAULT_WINDOW = np.linspace(0.673, 0.694, 43)
-DEFAULT_CAPS = [r for r in DEFAULT_WINDOW if r <= LOG2]
+FULL_CAPS = np.linspace(0.0, LOG2, 25)
+
+# mu_ro at each cap of DEFAULT_WINDOW ("window") and FULL_CAPS ("full") of the
+# best Frechet-coupled BSC pair of a 41 x 41 grid and 12 zoom stencils over
+# its two coupling scalars (version 0.6.0), which the I-projection solve
+# replaced; on the window at p = 0.1 every value is at or above that of each
+# fixed coupling an earlier version tried in place of a solve
+GRID_SOLVED_MU = {
+    (0.001, "window"): (
+        0.6652672611875861, 0.6657638369650658, 0.6662604036875807, 0.666756960856216,
+        0.6672535079371451, 0.6677500443581934, 0.6682465695049578, 0.6687430827164091,
+        0.6692395832798959, 0.6697360704254376, 0.670232543319194, 0.6707290010559446,
+        0.6712254426504058, 0.6717218670271419, 0.6722182730087994, 0.6727146593022957,
+        0.673211024482526, 0.6737073669730034, 0.6742036850227219, 0.6746999766782763,
+        0.6751962397500191, 0.6756924717706008, 0.6761886699437077, 0.6766848310799962,
+        0.6771809515161042, 0.6776770270109269, 0.67817305261085, 0.6786690224717795,
+        0.6791649296197413, 0.6796607656219771, 0.6801565201239155, 0.680652180178435,
+        0.6811477292407571, 0.6816431455994043, 0.682138399800175, 0.6826334501381703,
+        0.6831282340802833, 0.683622649949589, 0.6841165105069892, 0.6846093855216029,
+        0.6850995063751331,
+    ),
+    (0.001, "full"): (
+        4.440892098500626e-16, 0.027899669748782996, 0.056148396282778235, 0.08450647950836254,
+        0.1129280439244873, 0.14139335633718586, 0.1698916254775591, 0.19841613869066888,
+        0.2269623647758916, 0.255527066558942, 0.2841078329145861, 0.31270280976594034,
+        0.34131053493638275, 0.36992983121165257, 0.3985597337769302, 0.4271994385863501,
+        0.4558482633567291, 0.4845056151928333, 0.5131709590651222, 0.5418437787075516,
+        0.5705235119905956, 0.5992094103176706, 0.6279001359194669, 0.65659205184517,
+        0.6852399254477132,
+    ),
+    (0.01, "window"): (
+        0.6185538695134836, 0.6190237682643664, 0.6194935584561774, 0.6199632349155731,
+        0.6204327921154765, 0.6209022241407349, 0.6213715246493988, 0.6218406868289015,
+        0.6223097033463123, 0.6227785662916382, 0.623247267112965, 0.6237157965419471,
+        0.6241841445078379, 0.6246523000378268, 0.6251202511409363, 0.6255879846720175,
+        0.6260554861715437, 0.6265227396756914, 0.6269897274897229, 0.6274564299155858,
+        0.6279228249219319, 0.6283888877409132, 0.6288545903709029, 0.6293199009568267,
+        0.6297847830091585, 0.6302491944070812, 0.6307130861080882, 0.6311764004509173,
+        0.6316390688832185, 0.6321010088559325, 0.6325621194772083, 0.6330222752601519,
+        0.6334813168297777, 0.6339390365570816, 0.6343951552548037, 0.6348492820102671,
+        0.6353008392683874, 0.6357489072325749, 0.6361918456670633, 0.6366261021700559,
+        0.6370394615336499,
+    ),
+    (0.01, "full"): (
+        4.440892098500626e-16, 0.024004072471201177, 0.04894380563112488, 0.07436845574315676,
+        0.10011302012733814, 0.12609317233858208, 0.15225835504624152, 0.1785751913501028,
+        0.20502016481260976, 0.23157590556478036, 0.25822911227458034, 0.2849693004250098,
+        0.31178800208556123, 0.3386782266984665, 0.36563407780067303, 0.3926504621784317,
+        0.41972284737136767, 0.44684702851520863, 0.47401885546335376, 0.5012338331192642,
+        0.5284863955142495, 0.555768290008977, 0.5830640310954331, 0.6103322741076171,
+        0.637145646205098,
+    ),
+    (0.1, "window"): (
+        0.3582845714130838, 0.3585543572447907, 0.35882346925458175, 0.3590918851398277,
+        0.3593595814463795, 0.35962653348053175, 0.35989271521177724, 0.3601580991650921,
+        0.36042265630129067, 0.36068635588372344, 0.3609491653292889, 0.36121105004133125,
+        0.3614719732215621, 0.3617318956575113, 0.3619907754813627, 0.362248567895056,
+        0.36250522485545145, 0.36276069471184713, 0.3630149217863141, 0.36326784588481154,
+        0.3635194017238903, 0.3637695182534717, 0.36401811785045624, 0.3642651153500074,
+        0.3645104168704354, 0.36475391837209736, 0.3649955038684829, 0.3652350431748097,
+        0.36547238903005175, 0.3657073733516878, 0.3659398022600313, 0.366169449306051,
+        0.3663960459856226, 0.3666192679848064, 0.36683871436633453, 0.3670538743319569,
+        0.36726407027226604, 0.3674683502996072, 0.3676652544958521, 0.3678521706155278,
+        0.3680222767028487,
+    ),
+    (0.1, "full"): (
+        4.440892098500626e-16, 0.011839330168788909, 0.02421599546899511, 0.037080594393266164,
+        0.050390210270470526, 0.06410760942255145, 0.078200395166649, 0.09264022151076334,
+        0.10740209827180625, 0.12246378670094327, 0.13780527073358528, 0.15340828292146558,
+        0.16925586032466855, 0.1853319007260148, 0.20162068041213344, 0.2181062770193809,
+        0.23477180609899428, 0.25159830962411656, 0.2685629844259734, 0.2856360920340717,
+        0.3027750024103659, 0.31991118369259297, 0.33691623652738767, 0.3534819416321324,
+        0.36806420716849697,
+    ),
+    (0.25, "window"): (
+        0.12763896679188647, 0.12772911247521646, 0.1278189082743426, 0.12790834608127732,
+        0.12799741743565707, 0.12808611349893573, 0.12817442502586163, 0.1282623423328828,
+        0.128349855263038, 0.1284369531468148, 0.12852362475837698, 0.12860985826642524,
+        0.12869564117884003, 0.12878096028005603, 0.128865801559916, 0.1289501501324648,
+        0.12903399014281236, 0.12911730465972648, 0.12920007555107227, 0.1292822833384364,
+        0.1293639070263275, 0.12944492389999418, 0.12952530928416928, 0.12960503625260045,
+        0.12968407527488313, 0.12976239378232157, 0.12983995562770345, 0.12991672040372704,
+        0.12999264256956766, 0.13006767031138566, 0.13014174402467438, 0.130214794243529,
+        0.13028673873306706, 0.1303574782632564, 0.13042689019905396, 0.13049481824145936,
+        0.13056105481200642, 0.13062530774403536, 0.13068712769266977, 0.13074570768146287,
+        0.13079893004599485,
+    ),
+    (0.25, "full"): (
+        4.440892098500626e-16, 0.0039498900344927534, 0.008061874256077406, 0.012337060583365478,
+        0.016776041739962277, 0.021378879180333765, 0.02614508320638853, 0.03107358595511478,
+        0.036162703147618824, 0.04141007936961705, 0.04681260999258008, 0.0523663303134041,
+        0.058066258550517835, 0.06390617307128732, 0.06987829402199819, 0.07597282239936853,
+        0.08217725975065937, 0.08847537724681809, 0.09484559779748158, 0.10125833697813702,
+        0.10767135198863054, 0.11402085841674015, 0.12020209922748837, 0.12601490651496716,
+        0.1308120359411371,
+    ),
+    (0.45, "window"): (
+        0.004891617229046519, 0.004894955911320276, 0.004898280423446089, 0.0049015904743676675,
+        0.004904885760476541, 0.004908165964682576, 0.004911430755385915, 0.004914679785336995,
+        0.004917912690363124, 0.0049211290879611624, 0.004924328575711678, 0.004927510729499263,
+        0.004930675101513904, 0.004933821217978807, 0.004936948576578892, 0.004940056643513158,
+        0.004943144850124037, 0.0049462125889960795, 0.004949259209444001, 0.0049522840122318,
+        0.004955286243375934, 0.004958265086798086, 0.004961219655566396, 0.004964148981333016,
+        0.004967052001498828, 0.0049699275434234025, 0.004972774304774719, 0.004975590828722787,
+        0.0049783754721521856, 0.0049811263641634795, 0.004983841350804985, 0.0049865179196231235,
+        0.0049891530937093975, 0.004991743277641181, 0.004994284023761786, 0.004996769658026645,
+        0.004999192637363148, 0.0050015423342402165, 0.005003802387197442, 0.005005943382675682,
+        0.005007888051233866,
+    ),
+    (0.45, "full"): (
+        4.440892098500626e-16, 0.0001475970759248213, 0.0003009871977934786, 0.000460371107393609,
+        0.0006259429158608221, 0.0007978863193527364, 0.000976369922409015, 0.0011615414734309493,
+        0.0013535207692714213, 0.001552390923607927, 0.0017581876107124472, 0.001970885782363929,
+        0.0021903831952534425, 0.0024164798524490827, 0.0026488521082133065, 0.0028870196236328027,
+        0.003130302422361453, 0.003377763631195796, 0.0036281303203511417, 0.0038796782821404197,
+        0.004130051396736167, 0.004375945757061572, 0.0046124560529261505, 0.004831264823077275,
+        0.005008366846356749,
+    ),
+}
 
 
-class TestCouplingSolve:
-    @staticmethod
-    def solve(p, caps):
-        pxz = dsbs(p).mass
-        alphas = np.array([binary_entropy_inverse(LOG2 - r) for r in caps])
-        return pxz, alphas, _coupling_solve(pxz, alphas)
+def bsc_long_chain(alphas):
+    """q(u,v|x,z) = p(u|x) p(v|z) of BSC(alpha) pairs, one table per alpha."""
+    a = np.array(alphas, dtype=np.float64)
+    rows = np.stack([np.stack([1.0 - a, a], -1), np.stack([a, 1.0 - a], -1)], 1)
+    return rows[:, :, None, :, None] * rows[:, None, :, None, :]
 
-    def test_solved_tables_hold_both_chains_at_their_cap(self):
-        for p, caps in ((0.1, DEFAULT_CAPS), (0.25, np.linspace(0.3, 0.6, 7)), (0.1, [0.0, LOG2])):
-            pxz, alphas, best = self.solve(p, caps)
-            mu = _coupling_stats(pxz, alphas, *best)[:, 4]
-            for rcap, q, want in zip(caps, _coupled_pair_table(alphas, *best), mu):
-                joint = JointPmf(tuple(Alphabet(2, k) for k in "xzuv"), pxz[:, :, None, None] * q)
-                # the label path checks both short chains within MARKOV_TOL
-                pt = outer_point_ro(joint)
-                assert conditional_mutual_information(joint, "u", "z", "x") <= 1e-14
-                assert conditional_mutual_information(joint, "v", "x", "z") <= 1e-14
-                assert abs(pt.r1 - rcap) <= 1e-12 and abs(pt.r2 - rcap) <= 1e-12
-                assert abs(pt.mu - want) <= 1e-12
 
-    def test_solved_mu_is_at_least_every_former_seed(self):
-        pxz, alphas, best = self.solve(0.1, DEFAULT_CAPS)
-        solved = _coupling_stats(pxz, alphas, *best)[:, 4]
-        ones = np.ones(len(alphas))
-        seeds = np.array([
-            _coupling_stats(pxz, alphas, s_same * ones, s_diff * ones)[:, 4]
-            for s_same, s_diff in FORMER_SEEDS
-        ])
-        assert np.all(solved >= seeds)
-        # the seeds miss an interior ridge of the coupling box
-        assert np.max(solved - seeds.max(axis=0)) >= 1e-6
+class TestDsbsOuterFloors:
+    @pytest.mark.parametrize("p, caps", [
+        (p, caps) for p in (0.001, 0.01, 0.1, 0.25, 0.45) for caps in ("window", "full")
+    ])
+    def test_never_below_the_grid_solve(self, p, caps):
+        grid = DEFAULT_WINDOW if caps == "window" else FULL_CAPS
+        curve = dsbs_outer_boundary_sampled(p, grid)
+        solved = GRID_SOLVED_MU[p, caps]
+        rcaps = [r for r in grid if r <= LOG2]
+        assert len(rcaps) == len(solved)
+        for r, mu in zip(rcaps, solved):
+            assert curve.value_at(r) >= mu - 1e-12
 
-    def test_outer_curve_holds_the_solved_points(self):
-        grid = [0.675, 0.68, 0.69]
-        pxz, alphas, best = self.solve(0.1, grid)
-        curve = dsbs_outer_boundary_sampled(0.1, grid)
-        for rcap, mu in zip(grid, _coupling_stats(pxz, alphas, *best)[:, 4]):
-            assert curve.value_at(rcap) >= mu - 1e-12
+
+class TestCouplingStop:
+    def test_each_table_stops_alone(self):
+        # the 25 caps at p = 0.001 stop from 1 to about 1500 rounds in: each
+        # table of the batch is bitwise the table solved alone
+        pxz = dsbs(0.001).mass
+        q = bsc_long_chain([binary_entropy_inverse(LOG2 - r) for r in FULL_CAPS.tolist()])
+        batch = optimize._coupled(pxz, q, optimize._COUPLING_ROUNDS)
+        for b in range(len(q)):
+            assert bits(optimize._coupled(pxz, q[b : b + 1], optimize._COUPLING_ROUNDS)) == bits(batch[b : b + 1])
+        # some tables stop before round 1000 and some after it
+        early = [np.array_equal(a, b) for a, b in zip(optimize._coupled(pxz, q, 1000), batch)]
+        assert any(early) and not all(early)
+        # mapped onto the short chains, each table holds them and keeps its cap
+        _, st = optimize._mapped(pxz, batch)
+        assert np.abs(st[:, :2] - FULL_CAPS[:, None]).max() <= 1e-12
+        assert st[:, 5:].max() <= 1e-14
 
 
 class TestDsbsOuterBoundary:
@@ -1226,8 +1342,6 @@ class TestInnerSupport:
         ru, rv = local_refine(SOURCE3, start, lam, "inner", steps=40)
         _, want_u, want_v = optimize._inner_solve(SOURCE3.mass, lam, start[0][None], start[1][None], 40)
         assert bits([ru, rv]) == bits([want_u[0], want_v[0]])
-        # step_size is validated but not read
-        assert bits(local_refine(SOURCE3, start, lam, "inner", 40, 3.5)) == bits((ru, rv))
 
     @pytest.mark.parametrize("src", [dsbs(0.1), SOURCE3, DIRICHLET4], ids=["dsbs", "SOURCE3", "DIRICHLET4"])
     @pytest.mark.parametrize("caps", [0, 1, -1], ids=["caps", "caps+1", "caps-1"])
@@ -1412,8 +1526,7 @@ class TestOuterSupport:
             out = []
             for variant in ("ro", "ro_prime"):
                 value, q = support_function(dsbs(0.25), lam, cfg, variant)
-                # step_size goes unread too
-                out += [value, q, local_refine(dsbs(0.25), q, lam, variant, 20, cfg.step_size)]
+                out += [value, q, local_refine(dsbs(0.25), q, lam, variant, 20)]
                 out.append(cardinality_robustness(SOURCE3, [lam], cfg, variant))
             results.add(repr(bits(out)))
         assert len(results) == 1
