@@ -34,35 +34,38 @@ The inner support function draws nothing: it is a two-sided
 Blahut-Arimoto solve (_inner_solve). Each round makes one bottleneck
 update of p(u|x) against v and then one of p(v|z) against u
 (_bottleneck_update), from a fixed family of start pairs (_inner_starts),
-all in one batch, for up to a fixed number of rounds, stopping at the
-first round that repeats the one before it bitwise; the start and the
+all in one batch, for up to a fixed number of rounds; the start and the
 rounds are scored in one blocked pass, and the best scored iterate of
-each pair is kept. The outer support functions draw nothing either
+each pair is kept. Every batch of bottleneck updates, this solve's, the
+outer pool's and the bottleneck curve's, runs through one driver
+(_repeats), which stops at the first update that repeats the one before
+it bitwise, a fixed point of the whole batch, so the stop changes no
+float. The outer support functions draw nothing either
 (_outer_support). Their channel pairs come from one deterministic pool
 (_outer_pool): the inner solve's best pair, then on each side a
 bottleneck family with the relevance that mu' = min(I(u;z), I(v;x))
 reads (z for p(u|x), x for p(v|z)) over a fixed schedule of
-multipliers, each run to its
-fixed point (_fixed_point), and zoom rounds in the multiplier around
-each side's best (_side_best). "ro_prime" depends on the pair alone and
-takes the pool's best pair; "ro" solves the coupling of least
-I(x,z;u,v) of its best pairs by alternating I-projection (_coupled), a
-convex problem for fixed cell marginals. Each table of a _coupled batch
-stops at the first round that moves it by at most _COUPLING_STEP, or at
-_COUPLING_ROUNDS, and leaves the batch, so its floats do not depend on
-the batch either.
+multipliers, each run to its fixed point (_fixed_point), and zoom
+rounds in the multiplier around each side's best (_side_best).
+"ro_prime" depends on the pair alone and takes the pool's best pair;
+"ro" solves the coupling of least I(x,z;u,v) of its best pairs by
+alternating I-projection (_coupled), a convex problem for fixed cell
+marginals. Each table of a _coupled batch stops at the first round that
+moves it by at most _COUPLING_STEP, or at _COUPLING_ROUNDS, and leaves
+the batch, so its floats do not depend on the batch either.
 The DSBS outer curve draws nothing and is not refined: it is the
 envelope of the long-chain BSC points and, at each rate cap of at most
 ln 2, the BSC pair of that rate with its coupling solved by the same
 I-projection (_coupled), from the long chain; its auxiliaries are
 binary. The bottleneck curve draws nothing and is not refined either:
-it is the envelope of the constant and identity channels and of the
-self-consistent bottleneck channels of a fixed schedule of Lagrange
-multipliers (_ib_solve), the same update as the inner solve's, all
-solved in one batch. Both solves use elementwise operations and
-einsum(optimize=False) only, so no BLAS kernel runs (the tests scan the
-source for one). The long-chain BSC points of both DSBS curves are one
-array pass (_sb_curve_points), bitwise the scalar h_b values.
+it is the envelope of the constant and identity channels and of one
+bottleneck family, like a side of the outer pool: a noisy identity run
+at each multiplier of a fixed schedule to its fixed point
+(_fixed_point), all in one batch. Every solve uses elementwise
+operations and einsum(optimize=False) only, so no BLAS kernel runs (the
+tests scan the source for one). The long-chain BSC points of both DSBS
+curves are one array pass (_sb_curve_points), bitwise the scalar h_b
+values.
 """
 import bisect
 import copy
@@ -129,10 +132,10 @@ class SampleConfig:
     drive the samplers (conjecture_test, sample_region_points). The
     support functions of every variant (support_function,
     cardinality_robustness) are solved, not sampled, and read cap_u and
-    cap_v alone. refine_top, refine_steps and step_size, the budget of the
-    hill climb the outer solve replaced, are read by nothing; they are
-    still accepted and validated because the benchmark's cardinality
-    workload passes them.
+    cap_v alone. refine_top and refine_steps, the budget of the hill climb
+    the outer solve replaced, are read by nothing; they are still
+    accepted and validated because the benchmark's cardinality workload
+    and the acceptance tests pass them.
     """
 
     seed: int
@@ -141,7 +144,6 @@ class SampleConfig:
     cap_v: int = None
     refine_top: int = 100
     refine_steps: int = 500
-    step_size: float = 0.05
 
     def __post_init__(self):
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
@@ -156,8 +158,6 @@ class SampleConfig:
             raise DomainError(f"refine_top must be >= 0, got {self.refine_top!r}")
         if not _is_int(self.refine_steps) or self.refine_steps < 0:
             raise DomainError(f"refine_steps must be an integer >= 0, got {self.refine_steps!r}")
-        if not _is_real(self.step_size) or self.step_size <= 0:
-            raise DomainError(f"step_size must be finite and positive, got {self.step_size!r}")
 
 
 @dataclass(frozen=True)
@@ -610,48 +610,49 @@ def _bottleneck_update(pxy, y_given_x, enc, beta, relevance=None):
     return w / w.sum(axis=2, keepdims=True)
 
 
-def _inner_iterates(pxz, lam, rows_u, rows_v):
-    """The rounds of the two-sided solve of l1 I(u;v) + l2 I(u;x) +
-    l3 I(v;z) from a batch of start pairs, without end.
+def _repeats(update, state, rounds):
+    """state, a tuple of arrays, then each of up to `rounds` updates
+    state = update(*state), ending before the first update that repeats
+    the one before it bitwise, every array of the tuple (so a 0.0 that was
+    a -0.0 counts as a change). The update is a function of the state
+    alone, so every later update would repeat it too: the stop changes no
+    iterate, it only skips the repeats."""
+    yield state
+    for _ in range(rounds):
+        new = update(*state)
+        if all(a.tobytes() == b.tobytes() for a, b in zip(new, state)):
+            return
+        state = new
+        yield state
+
+
+def _inner_solve(pxz, lam, rows_u, rows_v, rounds):
+    """(values, rows_u, rows_v): the best scored iterate of each start pair
+    over its start and up to `rounds` rounds of the two-sided solve of
+    l1 I(u;v) + l2 I(u;x) + l3 I(v;z), the first on ties.
 
     With p(v|z) fixed, u - x - v is a Markov chain and the u terms are a
     bottleneck problem of relevance v and beta_u = l1 / -l2; with p(u|x)
     fixed, the v terms are one of relevance u and beta_v = l1 / -l3 (a
     zero weight gives the hard limit, beta = inf). Each round makes one
     _bottleneck_update of p(u|x) and then one of p(v|z), so the objective
-    never decreases but by rounding, and yields the pair (rows_u, rows_v).
-    Every operation acts on each pair alone, so a pair gets the same
-    floats in any batch.
-    """
+    never decreases but by rounding. The rounds end early at the first
+    one that repeats the round before for the whole batch (_repeats); a
+    repeat scores the same and loses the tie. Every operation acts on
+    each pair alone, so a pair gets the same floats in any batch. The
+    start and the kept rounds are scored together, with
+    _batch_inner_stats in blocks of at most _SOLVE_CELLS joint cells; a
+    batched row is bitwise a lone table's, so no value depends on the
+    batch or the blocking."""
     z_given_x, x_given_z = _source_conditionals(pxz)
     beta_u = lam.l1 / -lam.l2 if lam.l2 < 0.0 else math.inf
     beta_v = lam.l1 / -lam.l3 if lam.l3 < 0.0 else math.inf
-    while True:
-        rows_u = _bottleneck_update(pxz, z_given_x, rows_u, beta_u, rows_v)
-        rows_v = _bottleneck_update(pxz.T, x_given_z.T, rows_v, beta_v, rows_u)
-        yield rows_u, rows_v
 
+    def update(u, v):
+        u = _bottleneck_update(pxz, z_given_x, u, beta_u, v)
+        return u, _bottleneck_update(pxz.T, x_given_z.T, v, beta_v, u)
 
-def _inner_solve(pxz, lam, rows_u, rows_v, rounds):
-    """(values, rows_u, rows_v): the best scored iterate of each start pair
-    over its start and up to `rounds` rounds of _inner_iterates, the first
-    on ties.
-
-    The rounds end early at the first one whose rows_u and rows_v are
-    bitwise those of the round before, for the whole batch: the update is
-    a function of those rows alone, so every later round would repeat
-    them, and a repeat scores the same and loses the tie. The start and
-    the kept rounds are scored together, with _batch_inner_stats in
-    blocks of at most _SOLVE_CELLS joint cells; a batched row is bitwise
-    a lone table's, so no value depends on the batch or the blocking."""
-    us, vs = [rows_u], [rows_v]
-    for u, v in itertools.islice(_inner_iterates(pxz, lam, rows_u, rows_v), rounds):
-        # bitwise, so a 0.0 that was a -0.0 counts as a change
-        if u.tobytes() == us[-1].tobytes() and v.tobytes() == vs[-1].tobytes():
-            break
-        us.append(u)
-        vs.append(v)
-    us, vs = np.concatenate(us), np.concatenate(vs)
+    us, vs = (np.concatenate(side) for side in zip(*_repeats(update, (rows_u, rows_v), rounds)))
     cells = pxz.size * rows_u.shape[2] * rows_v.shape[2]
     values = _lam_dot(lam, *_blocked_stats(_batch_inner_stats, pxz, (us, vs), cells, _SOLVE_CELLS))
     starts = np.arange(len(rows_u))
@@ -866,7 +867,7 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
     for pxy, y_given_x, cap, inner in ((pxz, z_given_x, cap_u, inner_u), (pxz.T, x_given_z.T, cap_v, inner_v)):
         starts = _side_starts(pxy, cap)
         betas = np.tile(2.0 ** (np.arange(_POOL_BETAS) / 4.0), len(starts))
-        family = _fixed_point(pxy, y_given_x, np.repeat(starts, _POOL_BETAS, axis=0), betas)
+        family = _fixed_point(pxy, y_given_x, np.repeat(starts, _POOL_BETAS, axis=0), betas, _POOL_ROUNDS)
         # each member's multiplier, nan for member 0 and the start rows
         betas = [np.full(1 + len(starts), np.nan), betas]
         sides.append((pxy, y_given_x, [inner[None], starts, family], betas))
@@ -884,7 +885,7 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
             if math.isfinite(beta):
                 near = beta * 2.0 ** (np.linspace(-0.25, 0.25, _POOL_ZOOM_POINTS) / 2**zoom)
                 start = np.broadcast_to(rows[k][j], (len(near), *rows[k][j].shape))
-                parts.append(_fixed_point(pxy, y_given_x, start, near))
+                parts.append(_fixed_point(pxy, y_given_x, start, near, _POOL_ROUNDS))
                 betas.append(near)
     (r_u, iuz), (r_v, ivx) = stats
     # min(iuz, ivx) keeps iuz on ties, as _region_mu
@@ -892,16 +893,13 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
     return rows[0], rows[1], _lam_dot(lam, mu, r_u[:, None], r_v[None, :])
 
 
-def _fixed_point(pxy, y_given_x, enc, betas):
-    """A batch of encoders enc[b] after up to _POOL_ROUNDS bottleneck
-    updates at the multiplier betas[b] with relevance y
-    (_bottleneck_update), ending at the first update that repeats the
-    batch bitwise: every member is then at its fixed point."""
-    for _ in range(_POOL_ROUNDS):
-        new = _bottleneck_update(pxy, y_given_x, enc, betas[:, None, None])
-        if new.tobytes() == enc.tobytes():
-            break
-        enc = new
+def _fixed_point(pxy, y_given_x, enc, betas, rounds):
+    """A batch of encoders enc[b] after up to `rounds` bottleneck updates
+    at the multiplier betas[b] with relevance y (_bottleneck_update),
+    ending at the first update that repeats the batch bitwise (_repeats):
+    every member is then at its fixed point."""
+    beta = betas[:, None, None]
+    *_, (enc,) = _repeats(lambda e: (_bottleneck_update(pxy, y_given_x, e, beta),), (enc,), rounds)
     return enc
 
 
@@ -1053,49 +1051,37 @@ def dsbs_outer_boundary_sampled(p, r_grid):
 # bottleneck curve
 
 
-# the bottleneck solve: the k-th multiplier of I(u;x) - beta I(u;z) is
-# (_IB_POINTS / k) ** 1.5, so the slopes 1 / beta are dense both near 1, where
-# a nearly noiseless source's curve bends slowly, and near 0, by H(x)
+# the bottleneck family of ib_curve: the k-th multiplier of I(u;x) - beta
+# I(u;z) is (_IB_POINTS / k) ** 1.5, so the slopes 1 / beta are dense both
+# near 1, where a nearly noiseless source's curve bends slowly, and near 0,
+# by H(x); each runs for up to _IB_ITERATIONS updates
 _IB_POINTS = 128
 _IB_ITERATIONS = 100
-# the share of each starting row spread over all |X| + 1 outputs, the rest
-# on u = x: at 0 the spare output is never used, and a large share dies slowly
-_IB_START_SPREAD = 0.01
-
-
-def _ib_solve(pxz):
-    """The (_IB_POINTS, |X|, |X| + 1) batch of bottleneck channels
-    q(u|x): per beta, _IB_ITERATIONS self-consistent updates
-    (_bottleneck_update, relevance z), q(u|x) ~ q(u) exp(-beta
-    D(p(z|x) || q(z|u))), a Blahut-Arimoto iteration. All betas start from one fixed table and
-    run in one batch, elementwise and with einsum(optimize=False), so no
-    BLAS kernel runs and no result depends on the thread count."""
-    nx = pxz.shape[0]
-    z_given_x, _ = _source_conditionals(pxz)
-    start = np.full((nx, nx + 1), _IB_START_SPREAD / (nx + 1))
-    start[:, :nx] += (1.0 - _IB_START_SPREAD) * np.eye(nx)
-    q = np.broadcast_to(start, (_IB_POINTS, nx, nx + 1))
-    # computed here, not at import, where numpy's power loop costs 0.3 MiB
-    beta = ((_IB_POINTS / np.arange(1, _IB_POINTS + 1)) ** 1.5)[:, None, None]
-    for _ in range(_IB_ITERATIONS):
-        q = _bottleneck_update(pxz, z_given_x, q, beta)
-    return q
 
 
 def ib_curve(p_xz):
     """Upper concave envelope of (I(u;x), I(u;z)) over the constant and
-    identity channels and the solved bottleneck channels (_ib_solve), with
-    |X| + 1 outputs, the cardinality bound. The constant channel's point
-    is (0, 0) by definition, not a score. A solved channel counts only
-    when its rate lies strictly between the identity's and the clamp's
-    float noise above 0 (1e-12), so no rounding lifts (0, 0) or
-    (H(x), I(x;z)). Nothing is drawn: the curve depends on the source
-    alone."""
+    identity channels and a bottleneck family, with |X| + 1 outputs, the
+    cardinality bound. The family is the identity at spread
+    _INNER_SPREADS[0] (_noisy_corner; at 0 the spare output is never
+    used, and a large share dies slowly) run at each multiplier of the
+    schedule (_IB_POINTS) to its fixed point (_fixed_point), with
+    relevance z, all in one batch, as a side family of the outer pool.
+    The constant channel's point is (0, 0) by definition, not a score. A
+    solved channel counts only when its rate lies strictly between the
+    identity's and the clamp's float noise above 0 (1e-12), so no
+    rounding lifts (0, 0) or (H(x), I(x;z)). Nothing is drawn: the curve
+    depends on the source alone."""
     if len(p_xz.axes) != 2:
         raise DomainError(f"ib_curve needs a two-axis source, got {p_xz.labels}")
     pxz = p_xz.mass
     nx = pxz.shape[0]
-    tables = np.concatenate([[np.eye(nx, nx + 1)], _ib_solve(pxz)])
+    z_given_x, _ = _source_conditionals(pxz)
+    start = _noisy_corner(np.arange(nx), nx + 1, _INNER_SPREADS[0])
+    # computed here, not at import, where numpy's power loop costs 0.3 MiB
+    betas = (_IB_POINTS / np.arange(1, _IB_POINTS + 1)) ** 1.5
+    family = _fixed_point(pxz, z_given_x, np.broadcast_to(start, (_IB_POINTS, *start.shape)), betas, _IB_ITERATIONS)
+    tables = np.concatenate([[_noisy_corner(np.arange(nx), nx + 1, 0.0)], family])
     r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1), _DRAW_CELLS)
     keep = (r > _NEG_TOL) & (r < r[0])
     keep[0] = True

@@ -644,6 +644,12 @@ def _check_output_labels(p_xz, ch_u, ch_v, extra=None):
 
 
 def _chain_mass(pxz, rows_u, rows_v):
-    # out[u,x,z,v] = p(x,z) * p(u|x) * p(v|z); plain broadcasting, no BLAS
+    # out[u,x,z,v] = p(x,z) * p(u|x) * p(v|z); plain broadcasting, no BLAS.
+    # The product keeps the transposed rows' memory layout (x is its
+    # slowest memory axis, so it is not C-contiguous) and JointPmf keeps
+    # it too. That layout is part of the label path's bits: the sums over
+    # the joint run in memory order, and a C-contiguous copy moves the
+    # total of some joints in the last bit (1 of the 64 of the typicality
+    # tests' single-letter enumeration), so it is left as it is.
     t = rows_u.T[:, :, None, None] * pxz[None, :, :, None]
     return t * rows_v[None, None, :, :]

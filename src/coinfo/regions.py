@@ -10,8 +10,10 @@ and the binning search) build one subset-entropy table of their joint
 per call, probability._subset_entropies, and read every H, I and CMI
 from it by bitmask, so a measure costs a few list reads and no marginal.
 A joint whose table of prod(s_i + 1) cells exceeds the dense-size cap
-is refused with SizeError. The two-source evaluators and ceo_point
-measure on the label path of probability.
+is refused with SizeError. The two-source outer points read the K = 2
+table of the same kind, so they are bitwise the multi-source points'
+reads; inner_point and ceo_point measure on the label path of
+probability.
 """
 
 import functools
@@ -34,7 +36,6 @@ from .probability import (
     JointPmf,
     binary_entropy,
     compose_markov,
-    conditional_mutual_information,
     entropy_of_array,
     marginalize,
     mutual_information,
@@ -293,17 +294,16 @@ def _sb_arg(name, val):
     return v
 
 
-def _check_short_chains(p, u, x, z, v, markov_tol):
-    c1 = conditional_mutual_information(p, u, z, x)
-    if c1 > markov_tol:
-        raise ConstraintError(
-            f"Markov chain {u}-{x}-{z} violated: I({u};{z}|{x}) = {c1:.6e}"
-        )
-    c2 = conditional_mutual_information(p, v, x, z)
-    if c2 > markov_tol:
-        raise ConstraintError(
-            f"Markov chain {x}-{z}-{v} violated: I({v};{x}|{z}) = {c2:.6e}"
-        )
+def _short_chains(p, u, x, z, v, markov_tol):
+    # the K = 2 encoder lattice of p, encoders (u, x) and (v, z), once the
+    # chains u-x-z and x-z-v pass their checks, so the two-source outer
+    # points are the multi-source ones' reads
+    lattice = _EncoderLattice(p, (u, v), (x, z))
+    for e, chain, cmi in ((1, f"{u}-{x}-{z}", f"I({u};{z}|{x})"), (2, f"{x}-{z}-{v}", f"I({v};{x}|{z})")):
+        c = lattice.chain(e, 3 - e)
+        if c > markov_tol:
+            raise ConstraintError(f"Markov chain {chain} violated: {cmi} = {c:.6e}")
+    return lattice
 
 
 def outer_point_ro(p, u="u", x="x", z="z", v="v", markov_tol=MARKOV_TOL):
@@ -312,21 +312,15 @@ def outer_point_ro(p, u="u", x="x", z="z", v="v", markov_tol=MARKOV_TOL):
     Requires the two short chains u-x-z and x-z-v within markov_tol.
     The raw mu is reported unclamped (it may dip below zero).
     """
-    _check_short_chains(p, u, x, z, v, markov_tol)
-    r1 = mutual_information(p, u, x)
-    r2 = mutual_information(p, v, z)
-    iuv_xz = mutual_information(p, (u, v), (x, z))
-    return RegionPoint(mu=r2 + r1 - iuv_xz, r1=r1, r2=r2)
+    lattice = _short_chains(p, u, x, z, v, markov_tol)
+    r1, r2 = lattice.ux(1, 1), lattice.ux(2, 2)
+    return RegionPoint(mu=r1 + r2 - lattice.ux(3, 3), r1=r1, r2=r2)
 
 
 def outer_point_ro_prime(p, u="u", x="x", z="z", v="v", markov_tol=MARKOV_TOL):
     """Outer bound with mu = min(I(u;z), I(v;x)); never below the ro mu."""
-    _check_short_chains(p, u, x, z, v, markov_tol)
-    return RegionPoint(
-        mu=min(mutual_information(p, u, z), mutual_information(p, v, x)),
-        r1=mutual_information(p, u, x),
-        r2=mutual_information(p, v, z),
-    )
+    lattice = _short_chains(p, u, x, z, v, markov_tol)
+    return RegionPoint(mu=min(lattice.ux(1, 2), lattice.ux(2, 1)), r1=lattice.ux(1, 1), r2=lattice.ux(2, 2))
 
 
 # ---------------------------------------------------------------------------

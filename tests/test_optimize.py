@@ -161,8 +161,6 @@ class TestSupportWeightAndConfig:
             SampleConfig(seed=0, count=1, cap_u=0)
         with pytest.raises(DomainError):
             SampleConfig(seed=0, count=1, refine_top=-1)
-        with pytest.raises(DomainError):
-            SampleConfig(seed=0, count=1, step_size=0.0)
 
     def test_bools_are_not_numbers(self):
         for kwargs in (
@@ -171,7 +169,6 @@ class TestSupportWeightAndConfig:
             {"seed": 1, "refine_steps": False},
             {"seed": 1, "refine_top": True},
             {"seed": 1, "cap_u": True},
-            {"seed": 1, "step_size": True},
         ):
             with pytest.raises(DomainError):
                 SampleConfig(**kwargs)
@@ -1256,9 +1253,8 @@ class TestInnerSupport:
         results = set()
         for seed in (0, 1, 2):
             for count in (1, 10**4):
-                # the budgets and the step size go unread too
-                cfg = SampleConfig(seed=seed, count=count, refine_top=seed, refine_steps=7 * seed,
-                                   step_size=0.01 + seed)
+                # the budgets go unread too
+                cfg = SampleConfig(seed=seed, count=count, refine_top=seed, refine_steps=7 * seed)
                 out = [support_function(src, lam, cfg, "inner") for src in (dsbs(0.1), SOURCE3)]
                 out.append(cardinality_robustness(DIRICHLET4, [lam], cfg))
                 results.add(repr(bits(out)))
@@ -1285,7 +1281,7 @@ class TestInnerSupport:
             for caps in (0, 1):
                 pair = optimize._inner_starts(pxz, nx + caps, nz + caps)
                 values = [extended_objective(pxz, lam, *pair)]
-                for pair in itertools.islice(optimize._inner_iterates(pxz, lam, *pair), 100):
+                for pair in itertools.islice(inner_rounds(pxz, lam, *pair), 100):
                     values.append(extended_objective(pxz, lam, *pair))
                 assert np.min(np.diff(values, axis=0)) >= -1e-15
 
@@ -1380,10 +1376,23 @@ class TestInnerSupport:
         assert len(calls) == 2 * optimize._INNER_ROUNDS
 
 
+def inner_rounds(pxz, lam, rows_u, rows_v):
+    """The rounds of the two-sided inner solve, without end: one
+    _bottleneck_update of p(u|x) against v, then one of p(v|z) against u,
+    at beta = l1 / -l2 and l1 / -l3 (inf for a zero weight)."""
+    z_given_x, x_given_z = _source_conditionals(pxz)
+    beta_u = lam.l1 / -lam.l2 if lam.l2 < 0.0 else math.inf
+    beta_v = lam.l1 / -lam.l3 if lam.l3 < 0.0 else math.inf
+    while True:
+        rows_u = optimize._bottleneck_update(pxz, z_given_x, rows_u, beta_u, rows_v)
+        rows_v = optimize._bottleneck_update(pxz.T, x_given_z.T, rows_v, beta_v, rows_u)
+        yield rows_u, rows_v
+
+
 def inner_solve_reference(pxz, lam, rows_u, rows_v, rounds):
     """_inner_solve before the fixed-point stop, kept as its reference:
     every round runs and is scored by a _batch_inner_stats call of its own."""
-    pairs = [(rows_u, rows_v), *itertools.islice(optimize._inner_iterates(pxz, lam, rows_u, rows_v), rounds)]
+    pairs = [(rows_u, rows_v), *itertools.islice(inner_rounds(pxz, lam, rows_u, rows_v), rounds)]
     values = np.stack([optimize._lam_dot(lam, *_batch_inner_stats(pxz, *pair)) for pair in pairs])
     best = np.argmax(values, axis=0)  # the first round on ties
     starts = np.arange(len(rows_u))
@@ -1522,7 +1531,7 @@ class TestOuterSupport:
         lam = SupportWeight(1.0, -0.1, -0.08)
         results = set()
         for cfg in (SampleConfig(seed=1),
-                    SampleConfig(seed=7, count=3, refine_top=0, refine_steps=0, step_size=2.5)):
+                    SampleConfig(seed=7, count=3, refine_top=0, refine_steps=0)):
             out = []
             for variant in ("ro", "ro_prime"):
                 value, q = support_function(dsbs(0.25), lam, cfg, variant)

@@ -330,6 +330,32 @@ class TestMultiSource:
             assert multi_p.rates[0] == pytest.approx(two_p.r1, abs=1e-12)
             assert multi_p.rates[1] == pytest.approx(two_p.r2, abs=1e-12)
 
+    def test_two_source_points_are_the_k2_reads_bitwise(self):
+        # both read one subset-entropy table of the joint: ro_prime's mu is
+        # Python's min of the two cross terms, ro's is either pair's mu
+        rng = np.random.default_rng(17)
+        pair12 = SubsetPair(frozenset({1}), frozenset({2}))
+        pair21 = SubsetPair(frozenset({2}), frozenset({1}))
+        for _ in range(30):
+            _, _, _, j = self.two_source_setup(rng)
+            multi_p = multi_outer_point_ro_prime(j, ("u1", "u2"), ("x1", "x2"))
+            multi_o = multi_outer_point_ro(j, ("u1", "u2"), ("x1", "x2"))
+            two_p = outer_point_ro_prime(j, u="u1", x="x1", z="x2", v="u2")
+            two_o = outer_point_ro(j, u="u1", x="x1", z="x2", v="u2")
+            want_p = (min(multi_p.mu[pair12], multi_p.mu[pair21]), *multi_p.rates)
+            assert [x.hex() for x in (two_p.mu, two_p.r1, two_p.r2)] == [x.hex() for x in want_p]
+            for pair in (pair12, pair21):
+                want_o = (multi_o.mu[pair], *multi_o.rates)
+                assert [x.hex() for x in (two_o.mu, two_o.r1, two_o.r2)] == [x.hex() for x in want_o]
+
+    def test_two_source_lattice_cap(self, monkeypatch):
+        # a 2 x 2 x 2 x 2 joint has a subset-entropy table of 3^4 = 81 cells
+        monkeypatch.setattr(probability, "_MAX_CELLS", 80)
+        j = compose_markov(dsbs(0.1), bsc_channel(0.2, "x", "u"), bsc_channel(0.3, "z", "v"))
+        for point in (outer_point_ro, outer_point_ro_prime):
+            with pytest.raises(SizeError, match="81 cells, cap is 80"):
+                point(j)
+
     def test_multi_chain_violation_named(self):
         # u1 built from x2 violates u1 - x1 - x2
         rng = np.random.default_rng(16)
@@ -768,7 +794,6 @@ class TestEncoderLattice:
         spy(probability, "entropy", "entropy")
         spy(JointPmf, "__init__", "JointPmf")
         spy(regions, "mutual_information", "mutual_information")
-        spy(regions, "conditional_mutual_information", "conditional_mutual_information")
         spy(regions, "attach_channels", "attach_channels")
         multi_outer_point_ro(j, u, src.labels)
         multi_outer_point_ro_prime(j, u, src.labels)
