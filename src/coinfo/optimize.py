@@ -34,25 +34,25 @@ The inner support function draws nothing: it is a two-sided
 Blahut-Arimoto solve (_inner_solve). Each round makes one bottleneck
 update of p(u|x) against v and then one of p(v|z) against u
 (_bottleneck_update), from a fixed family of start pairs (_inner_starts),
-all in one batch, for up to a fixed number of rounds; the start and the
-rounds are scored in one blocked pass, and the best scored iterate of
-each pair is kept. Every batch of bottleneck updates, this solve's, the
-outer pool's and the bottleneck curve's, runs through one driver
-(_repeats), which stops at the first update that repeats the one before
-it bitwise, a fixed point of the whole batch, so the stop changes no
-float. The outer support functions draw nothing either
-(_outer_support). Their channel pairs come from one deterministic pool
-(_outer_pool): the inner solve's best pair, then on each side a
-bottleneck family with the relevance that mu' = min(I(u;z), I(v;x))
-reads (z for p(u|x), x for p(v|z)) over a fixed schedule of
-multipliers, each run to its fixed point (_fixed_point), and zoom
-rounds in the multiplier around each side's best (_side_best).
-"ro_prime" depends on the pair alone and takes the pool's best pair;
-"ro" solves the coupling of least I(x,z;u,v) of its best pairs by
-alternating I-projection (_coupled), a convex problem for fixed cell
-marginals. Each table of a _coupled batch stops at the first round that
-moves it by at most _COUPLING_STEP, or at _COUPLING_ROUNDS, and leaves
-the batch, so its floats do not depend on the batch either.
+all in one batch, for up to a fixed number of rounds; the starts and the
+last iterates are scored in one blocked pass, and each pair keeps its
+last iterate when it scores above its start, else its start. The outer
+support functions draw nothing either (_outer_solve). Their channel
+pairs come from one deterministic pool (_outer_pool): the inner solve's
+best pair, then on each side a bottleneck family with the relevance
+that mu' = min(I(u;z), I(v;x)) reads (z for p(u|x), x for p(v|z)) over a
+fixed schedule of multipliers, each run to its fixed point
+(_fixed_point), and zoom rounds in the multiplier around each side's
+best (_side_best). "ro_prime" depends on the pair alone and takes the
+pool's best pair; "ro" solves the coupling of least I(x,z;u,v) of its
+best pairs by alternating I-projection (_coupled), a convex problem for
+fixed cell marginals. Every solve, the inner one, the bottleneck
+families of the outer pool and of the bottleneck curve, and the
+coupling, is an alternating minimization whose objective never
+decreases, and runs through one driver (_iterate) with one stop rule:
+a member leaves its batch at the first update that moves it by at most
+_STEP (max-abs), or after its solve's round cap, so its floats do not
+depend on the batch.
 The DSBS outer curve draws nothing and is not refined: it is the
 envelope of the long-chain BSC points and, at each rate cap of at most
 ln 2, the BSC pair of that rate with its coupling solved by the same
@@ -84,6 +84,7 @@ from .probability import (
     batch_entropies,
     dsbs,
     _bconv,
+    _check_cells,
     _check_probability,
     _clamp_measures,
     _NEG_TOL,
@@ -304,7 +305,8 @@ def _drawn(cfg, shapes, cells):
 def _scored_draws(cfg, pxz, shapes, stats):
     """(lo, tables, scores) of every scoring block of cfg's draws, in index
     order: tables as _drawn gives them and scores = stats(pxz, *tables)
-    (_batch_inner_stats), arrays with one entry per draw."""
+    (_batch_inner_stats, or the mapped outer tables' stats of
+    sample_region_points), arrays with one entry per draw."""
     for lo, tables in _drawn(cfg, shapes, pxz.size * math.prod(cols for _, cols in shapes)):
         yield lo, tables, stats(pxz, *tables)
 
@@ -441,18 +443,6 @@ def _region_mu(st, variant):
     return np.where(st[:, 3] < st[:, 2], st[:, 3], st[:, 2])
 
 
-def _outer_draws(cfg, pxz, cond, cap_u, cap_v):
-    """(lo, q, stats) of every scoring block of cfg's draws, in index
-    order, mapped onto the short chains in one batch: q[b] is the flat
-    table of draw lo + b, one row per (x, z), and stats[b] its
-    _batch_outer_stats row; see _chain_map."""
-    nx, nz = pxz.shape
-    shapes = [(nx * nz, cap_u * cap_v)]
-    for lo, (flat,) in _drawn(cfg, shapes, pxz.size * cap_u * cap_v):
-        q, stats = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)
-        yield lo, q.reshape(flat.shape), stats
-
-
 def support_function(p_xz, lam, cfg, variant="inner"):
     """Best value of lam . (mu, r1, r2) for a variant, and its candidate.
 
@@ -463,18 +453,19 @@ def support_function(p_xz, lam, cfg, variant="inner"):
 
     Every variant is solved, not sampled, and reads the caps of cfg
     alone: nothing is drawn, and the result does not depend on the seed,
-    the count or the refinement fields. The inner variant
-    (_inner_support) runs up to _INNER_ROUNDS rounds of a two-sided
-    bottleneck solve from fixed start pairs, ending at the first round
-    that repeats the one before it bitwise. The outer variants
-    (_outer_support) build one pool of channel pairs (_outer_pool): the
-    inner solve's best pair and a bottleneck family on each side over a
-    fixed schedule of multipliers, zoomed around each side's best.
-    "ro_prime" returns the long-chain table of the pool's best pair,
-    since mu' = min(I(u;z), I(v;x)) depends on p(u|x) and p(v|z) alone;
-    "ro" solves the coupling of least I(x,z;u,v) (_coupled, each table
-    for up to _COUPLING_ROUNDS rounds of alternating I-projection,
-    stopping once a round moves it by at most 1e-15) of the
+    the count or the refinement fields. Every solve stops a member (a
+    start pair, a channel, a coupling) at the first update that moves it
+    by at most 1e-15 (max-abs), or at its round cap (_iterate). The inner
+    variant runs up to _INNER_ROUNDS rounds of a two-sided bottleneck
+    solve from fixed start pairs, and each pair keeps its last iterate
+    when it scores above its start, else its start (_inner_solve). The
+    outer variants (_outer_solve) build one pool of channel pairs
+    (_outer_pool): the inner solve's best pair and a bottleneck family on
+    each side over a fixed schedule of multipliers, zoomed around each
+    side's best. "ro_prime" returns the long-chain table of the pool's
+    best pair, since mu' = min(I(u;z), I(v;x)) depends on p(u|x) and
+    p(v|z) alone; "ro" solves the coupling of least I(x,z;u,v) (_coupled,
+    up to _COUPLING_ROUNDS rounds of alternating I-projection) of the
     _COUPLED_PAIRS pairs of largest ro_prime value, the inner pair always
     among them, so the outer values are at least the inner one, and
     ro_prime's at least ro's, but for rounding. Every returned table is
@@ -493,11 +484,7 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     nx, nz = pxz.shape
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
-    if variant == "inner":
-        value, tables = _inner_support(pxz, lam, cap_u, cap_v)
-    else:
-        value, q = _outer_support(pxz, lam, variant, cap_u, cap_v)
-        tables = [q]
+    value, tables = _support(pxz, lam, variant, cap_u, cap_v)
     return value, _public_candidate(variant, tables, p_xz, cap_u, cap_v)
 
 
@@ -518,15 +505,16 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500):
     """Improve a candidate; the objective never decreases.
 
     Accepts and returns the candidate forms produced by support_function.
-    steps must be an integer >= 0. An inner candidate runs up to `steps`
-    rounds of the two-sided bottleneck solve (_inner_solve), which end
-    early only when a round repeats the one before it bitwise, and the
-    best scored iterate is returned. An outer candidate's coupling is
+    steps must be an integer >= 0. Both solves stop at the first round
+    that moves the candidate by at most 1e-15 (max-abs), or after `steps`
+    rounds (_iterate), and both keep the result only when it scores
+    higher than the start. An inner candidate runs the two-sided
+    bottleneck solve (_inner_solve); when its start is kept, the
+    caller's own objects come back. An outer candidate's coupling is
     re-solved for its own cell marginals q(u|x,z) and q(v|x,z), from its
-    own table, for up to `steps` rounds, the table stopping once it moves
-    by at most 1e-15 (_coupled); the result, mapped onto the short chains
+    own table (_coupled); the result, mapped onto the short chains
     (_chain_map), is returned when it scores higher than the mapped
-    candidate, and the candidate itself otherwise, so at steps = 0 the
+    candidate, and the candidate itself otherwise. So at steps = 0 the
     candidate comes back unchanged.
     """
     if variant not in _VARIANTS:
@@ -536,9 +524,13 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500):
     pxz = p_xz.mass
     if variant == "inner":
         ch_u, ch_v = candidate
-        rows_u = np.array(ch_u.rows if isinstance(ch_u, Channel) else ch_u, dtype=np.float64)
-        rows_v = np.array(ch_v.rows if isinstance(ch_v, Channel) else ch_v, dtype=np.float64)
-        _, rows_u, rows_v = _inner_solve(pxz, lam, rows_u[None], rows_v[None], steps)
+        start_u = np.array(ch_u.rows if isinstance(ch_u, Channel) else ch_u, dtype=np.float64)
+        start_v = np.array(ch_v.rows if isinstance(ch_v, Channel) else ch_v, dtype=np.float64)
+        _, rows_u, rows_v = _inner_solve(pxz, lam, start_u[None], start_v[None], steps)
+        if np.array_equal(rows_u[0], start_u) and np.array_equal(rows_v[0], start_v):
+            # the start is kept: a Channel rebuilt from its own rows may
+            # renormalize them in the last bit
+            return ch_u, ch_v
         if isinstance(ch_u, Channel):
             return (
                 Channel(ch_u.input, ch_u.output, rows_u[0]),
@@ -554,15 +546,15 @@ def local_refine(p_xz, candidate, lam, variant="inner", steps=500):
 # the inner support solve
 
 
-# the most rounds of the inner support solve (fewer when a round repeats
-# the one before it), and the shares of a starting row spread evenly over
-# all outputs around its corner (_noisy_corner)
+# a member of a solve stops at the first update that moves its solution
+# by at most _STEP (_iterate). Its exact fixed point is often never
+# reached, the last ulps cycling, and spare outputs decay without end
+_STEP = 1e-15
+# the most rounds of the inner support solve, and the shares of a
+# starting row spread evenly over all outputs around its corner
+# (_noisy_corner)
 _INNER_ROUNDS = 60
 _INNER_SPREADS = (0.01, 0.3)
-# joint cells per scoring call of the inner solve, whose start and rounds
-# are scored together: a quarter of _DRAW_CELLS, so the index plans that
-# batch_entropies caches for it stay small (32 tables of a 2x2x2x2 joint)
-_SOLVE_CELLS = _DRAW_CELLS >> 2
 _TINY = np.finfo(np.float64).tiny  # stands in for a zero under a log
 
 
@@ -610,53 +602,63 @@ def _bottleneck_update(pxy, y_given_x, enc, beta, relevance=None):
     return w / w.sum(axis=2, keepdims=True)
 
 
-def _repeats(update, state, rounds):
-    """state, a tuple of arrays, then each of up to `rounds` updates
-    state = update(*state), ending before the first update that repeats
-    the one before it bitwise, every array of the tuple (so a 0.0 that was
-    a -0.0 counts as a change). The update is a function of the state
-    alone, so every later update would repeat it too: the stop changes no
-    iterate, it only skips the repeats."""
-    yield state
-    for _ in range(rounds):
-        new = update(*state)
-        if all(a.tobytes() == b.tobytes() for a, b in zip(new, state)):
-            return
-        state = new
-        yield state
+def _iterate(update, solution, carry, rounds):
+    """The last solution of each member of a batch after up to `rounds`
+    updates (solution, carry) = update(solution, carry), as a list of
+    arrays.
+
+    solution and carry are tuples of arrays whose axis 0 is the member;
+    carry holds what an update needs besides the solution (a member's
+    multiplier, a running coupling and its marginals). A member leaves
+    the batch, with its carry, at the first update that moves every array
+    of its solution by at most _STEP (max-abs; a nan counts as a move),
+    and keeps that update's solution. This is the one stop rule of every
+    solve; each is an alternating minimization whose objective never
+    decreases. An update acts on each member alone, so a member gets the
+    floats it gets alone, in any batch."""
+    out = [a.copy() for a in solution]
+    live = np.arange(len(out[0]))
+    while live.size and rounds:
+        new, carry = update(solution, carry)
+        moves = [np.abs(a - b).reshape(len(live), -1).max(axis=1) for a, b in zip(new, solution)]
+        moved = ~(np.max(moves, axis=0) <= _STEP)
+        for o, a in zip(out, new):
+            o[live] = a
+        live, rounds = live[moved], rounds - 1
+        solution, carry = (tuple(a[moved] for a in part) for part in (new, carry))
+    return out
 
 
 def _inner_solve(pxz, lam, rows_u, rows_v, rounds):
-    """(values, rows_u, rows_v): the best scored iterate of each start pair
-    over its start and up to `rounds` rounds of the two-sided solve of
-    l1 I(u;v) + l2 I(u;x) + l3 I(v;z), the first on ties.
+    """(values, rows_u, rows_v): for each start pair, the better scored of
+    its start and its last iterate after up to `rounds` rounds of the
+    two-sided solve of l1 I(u;v) + l2 I(u;x) + l3 I(v;z), the start on
+    ties.
 
     With p(v|z) fixed, u - x - v is a Markov chain and the u terms are a
     bottleneck problem of relevance v and beta_u = l1 / -l2; with p(u|x)
     fixed, the v terms are one of relevance u and beta_v = l1 / -l3 (a
     zero weight gives the hard limit, beta = inf). Each round makes one
     _bottleneck_update of p(u|x) and then one of p(v|z), so the objective
-    never decreases but by rounding. The rounds end early at the first
-    one that repeats the round before for the whole batch (_repeats); a
-    repeat scores the same and loses the tie. Every operation acts on
-    each pair alone, so a pair gets the same floats in any batch. The
-    start and the kept rounds are scored together, with
-    _batch_inner_stats in blocks of at most _SOLVE_CELLS joint cells; a
-    batched row is bitwise a lone table's, so no value depends on the
-    batch or the blocking."""
+    never decreases but by rounding. A pair stops at the first round that
+    moves both its channels by at most _STEP (_iterate). The starts and
+    the last iterates are scored in one pass, with _batch_inner_stats in
+    blocks of at most _DRAW_CELLS joint cells; a batched row is bitwise a
+    lone table's, and every update acts on each pair alone, so no value
+    depends on the batch or the blocking."""
     z_given_x, x_given_z = _source_conditionals(pxz)
     beta_u = lam.l1 / -lam.l2 if lam.l2 < 0.0 else math.inf
     beta_v = lam.l1 / -lam.l3 if lam.l3 < 0.0 else math.inf
 
-    def update(u, v):
-        u = _bottleneck_update(pxz, z_given_x, u, beta_u, v)
-        return u, _bottleneck_update(pxz.T, x_given_z.T, v, beta_v, u)
+    def update(pair, carry):
+        u = _bottleneck_update(pxz, z_given_x, pair[0], beta_u, pair[1])
+        return (u, _bottleneck_update(pxz.T, x_given_z.T, pair[1], beta_v, u)), carry
 
-    us, vs = (np.concatenate(side) for side in zip(*_repeats(update, (rows_u, rows_v), rounds)))
+    us, vs = (np.concatenate(side) for side in zip((rows_u, rows_v), _iterate(update, (rows_u, rows_v), (), rounds)))
     cells = pxz.size * rows_u.shape[2] * rows_v.shape[2]
-    values = _lam_dot(lam, *_blocked_stats(_batch_inner_stats, pxz, (us, vs), cells, _SOLVE_CELLS))
-    starts = np.arange(len(rows_u))
-    best = np.argmax(values.reshape(-1, len(starts)), axis=0) * len(starts) + starts
+    values = _lam_dot(lam, *_blocked_stats(_batch_inner_stats, pxz, (us, vs), cells))
+    n = len(rows_u)
+    best = np.arange(n) + n * (values[n:] > values[:n])
     return values[best], us[best], vs[best]
 
 
@@ -738,35 +740,41 @@ def _inner_starts(pxz, cap_u, cap_v):
     return starts_u[iu], starts_v[iv]
 
 
-def _inner_support(pxz, lam, cap_u, cap_v):
-    """(value, [rows_u, rows_v]) of the inner support function: the best of
-    the constant channel pair and of up to _INNER_ROUNDS rounds of
-    _inner_solve from each start pair (_inner_starts), all start pairs in
-    one batch. Nothing is drawn.
+def _support(pxz, lam, variant, cap_u, cap_v):
+    """(value, tables) of a support function: [rows_u, rows_v] for the
+    inner variant (_inner_solve from each _inner_starts pair, all in one
+    batch, for up to _INNER_ROUNDS rounds), else [q] of shape (|X|, |Z|,
+    cap_u, cap_v) (_outer_solve); the best solved member, the first on
+    ties. Nothing is drawn.
 
     The constant pair's (mu, r1, r2) is (0, 0, 0) by definition, not a
     score. A solved value within the clamp's float noise of it (1e-12 per
     measure, weighted by |l1| + |l2| + |l3|) is rounding and does not
     lift it, so a direction whose optimum is the constant pair returns
-    exactly 0. On a degenerate direction the constant pair is returned
-    directly.
+    exactly 0. On a degenerate direction, where constant channels are
+    provably optimal, the constant pair is returned without a solve.
     """
     nx, nz = pxz.shape
-    best = 0.0, [_constant_rows(nx, cap_u), _constant_rows(nz, cap_v)]
-    if lam.degenerate:
-        return best
-    values, rows_u, rows_v = _inner_solve(pxz, lam, *_inner_starts(pxz, cap_u, cap_v), _INNER_ROUNDS)
-    j = int(np.argmax(values))
-    if values[j] > _NEG_TOL * (lam.l1 - lam.l2 - lam.l3):
-        best = float(values[j]), [rows_u[j], rows_v[j]]
-    return best
+    if variant == "inner":
+        constant = [_constant_rows(nx, cap_u), _constant_rows(nz, cap_v)]
+    else:
+        constant = [_constant_rows(nx * nz, cap_u * cap_v).reshape(nx, nz, cap_u, cap_v)]
+    if not lam.degenerate:
+        if variant == "inner":
+            values, *tables = _inner_solve(pxz, lam, *_inner_starts(pxz, cap_u, cap_v), _INNER_ROUNDS)
+        else:
+            values, *tables = _outer_solve(pxz, lam, variant, cap_u, cap_v)
+        k = int(np.argmax(values))
+        if values[k] > _NEG_TOL * (lam.l1 - lam.l2 - lam.l3):
+            return float(values[k]), [t[k] for t in tables]
+    return 0.0, constant
 
 
-def _blocked_stats(stats, pxz, tables, cells, limit):
+def _blocked_stats(stats, pxz, tables, cells):
     """The columns of stats(pxz, *tables) (_batch_inner_stats,
-    _batch_ib_stats), scored a block of at most `limit` joint cells at a
-    time; a table's joint has `cells`."""
-    size = max(1, limit // cells)
+    _batch_ib_stats, _chain_map), scored a block of at most _DRAW_CELLS
+    joint cells at a time; a table's joint has `cells`."""
+    size = max(1, _DRAW_CELLS // cells)
     if len(tables[0]) <= size:
         return stats(pxz, *tables)
     blocks = (stats(pxz, *(t[lo : lo + size] for t in tables)) for lo in range(0, len(tables[0]), size))
@@ -783,35 +791,25 @@ def _blocked_stats(stats, pxz, tables, cells, limit):
 # multipliers over one grid step on each side of a side's best, the step
 # halved each round. "ro" solves the couplings of the _COUPLED_PAIRS best
 # pairs by alternating I-projection (_coupled), as the DSBS outer curve
-# solves its caps': a table stops at the first round that moves it by at
-# most _COUPLING_STEP (max-abs), or after _COUPLING_ROUNDS. A fixed 100
-# rounds leaves the DSBS caps up to 1.9e-4 short at p = 0.001, and an exact
-# fixed point is often never reached, the last ulps cycling.
+# solves its caps', for up to _COUPLING_ROUNDS rounds: a fixed 100 rounds
+# leaves the DSBS caps up to 1.9e-4 short at p = 0.001.
 _POOL_BETAS = 41
 _POOL_ROUNDS = 40
 _POOL_ZOOMS = 8
 _POOL_ZOOM_POINTS = 9
 _COUPLED_PAIRS = 16
 _COUPLING_ROUNDS = 2000
-_COUPLING_STEP = 1e-15
 
 
-def _outer_support(pxz, lam, variant, cap_u, cap_v):
-    """(value, q) of an outer support function, q(u,v|x,z) of shape
-    (|X|, |Z|, cap_u, cap_v); see support_function. Nothing is drawn.
+def _outer_solve(pxz, lam, variant, cap_u, cap_v):
+    """(values, q): the scored tables q(u,v|x,z) of an outer support
+    function, mapped onto the short chains; see support_function.
 
     "ro_prime" maps the long-chain table of the _outer_pool pair of best
     ro_prime value, the first on ties; "ro" solves the couplings of the
     _COUPLED_PAIRS pairs of largest ro_prime value (an upper bound on
     their ro value), the first on ties and the inner pair always among
-    them, and keeps the best scored of their long-chain and solved
-    tables. Like the inner solve's, a value within the clamp's float noise
-    of 0 does not lift the constant pair."""
-    nx, nz = pxz.shape
-    constant = _constant_rows(nx * nz, cap_u * cap_v).reshape(nx, nz, cap_u, cap_v)
-    if lam.degenerate:
-        # constant channels are provably optimal on this face
-        return 0.0, constant
+    them, and scores their long-chain and solved tables."""
     rows_u, rows_v, scores = _outer_pool(pxz, lam, cap_u, cap_v)
     if variant == "ro_prime":
         pairs = np.argmax(scores)[None]
@@ -824,10 +822,7 @@ def _outer_support(pxz, lam, variant, cap_u, cap_v):
     if variant == "ro":
         q = np.concatenate([q, _coupled(pxz, q, _COUPLING_ROUNDS)])
     q, values = _scored_outer(pxz, lam, variant, q)
-    k = int(np.argmax(values))
-    if values[k] > _NEG_TOL * (lam.l1 - lam.l2 - lam.l3):
-        return float(values[k]), q[k]
-    return 0.0, constant
+    return values, q
 
 
 def _scored_outer(pxz, lam, variant, q):
@@ -842,7 +837,7 @@ def _mapped(pxz, q):
     """_chain_map of a batch of tables q(u,v|x,z), a block of at most
     _DRAW_CELLS joint cells at a time: (mapped tables, their stats)."""
     cond = _source_conditionals(pxz)
-    return _blocked_stats(lambda pxz, t: _chain_map(pxz, t, cond), pxz, (q,), q[0].size, _DRAW_CELLS)
+    return _blocked_stats(lambda pxz, t: _chain_map(pxz, t, cond), pxz, (q,), q[0].size)
 
 
 def _outer_pool(pxz, lam, cap_u, cap_v):
@@ -852,7 +847,7 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
     l3 I(v;z) of every pair, scores[i, j] for (rows_u[i], rows_v[j]).
 
     Member 0 of each side is its channel of the inner solve's best pair
-    (_inner_support), so pair 0 is that pair. Then come the side's start
+    (_support), so pair 0 is that pair. Then come the side's start
     rows (_side_starts) and the side's bottleneck family: every start row
     run at every multiplier of the schedule (_POOL_BETAS) to its fixed
     point (_fixed_point), with the relevance z for p(u|x) and x for
@@ -862,7 +857,7 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
     (_side_best), warm-started from it; a best member that is not of a
     family (member 0 or a start row) is not zoomed."""
     z_given_x, x_given_z = _source_conditionals(pxz)
-    _, (inner_u, inner_v) = _inner_support(pxz, lam, cap_u, cap_v)
+    _, (inner_u, inner_v) = _support(pxz, lam, "inner", cap_u, cap_v)
     sides = []
     for pxy, y_given_x, cap, inner in ((pxz, z_given_x, cap_u, inner_u), (pxz.T, x_given_z.T, cap_v, inner_v)):
         starts = _side_starts(pxy, cap)
@@ -874,7 +869,7 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
     for zoom in range(_POOL_ZOOMS + 1):
         rows = [np.concatenate(side[2]) for side in sides]
         stats = [
-            _blocked_stats(_batch_ib_stats, pxy, (r,), r[0].size * pxy.shape[1], _DRAW_CELLS)
+            _blocked_stats(_batch_ib_stats, pxy, (r,), r[0].size * pxy.shape[1])
             for (pxy, *_), r in zip(sides, rows)
         ]
         if zoom == _POOL_ZOOMS:
@@ -895,11 +890,14 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
 
 def _fixed_point(pxy, y_given_x, enc, betas, rounds):
     """A batch of encoders enc[b] after up to `rounds` bottleneck updates
-    at the multiplier betas[b] with relevance y (_bottleneck_update),
-    ending at the first update that repeats the batch bitwise (_repeats):
-    every member is then at its fixed point."""
-    beta = betas[:, None, None]
-    *_, (enc,) = _repeats(lambda e: (_bottleneck_update(pxy, y_given_x, e, beta),), (enc,), rounds)
+    at the multiplier betas[b] with relevance y (_bottleneck_update), each
+    member stopping at the first update that moves it by at most _STEP
+    (_iterate), so a member gets the same floats in any batch."""
+
+    def update(solution, carry):
+        return (_bottleneck_update(pxy, y_given_x, solution[0], carry[0]),), carry
+
+    (enc,) = _iterate(update, (enc,), (betas[:, None, None],), rounds)
     return enc
 
 
@@ -932,26 +930,25 @@ def _coupled(pxz, q, rounds):
     warm-started from the last, and sets r to the (u,v) marginal of the
     result. The first coupling is the (u,v) marginal of q itself. A cell
     of zero source mass keeps its own table, and rounds = 0 returns q.
-    A table stops at the first round whose output moves by at most
-    _COUPLING_STEP (max-abs) from the one before, round 0's being q.
-    Elementwise numpy and einsum(optimize=False) only, and a stopped
-    table leaves the batch, so every table is solved on its own, with
-    the floats it gets alone."""
+    A table stops at the first round that moves it by at most _STEP
+    (_iterate), round 0's table being q, and the running coupling, its
+    (u,v) marginal and the cell marginals ride along as its carry. Each
+    table's last iterate is returned; its callers score it against the
+    table it started from and keep the better, the start on ties.
+    Elementwise numpy and einsum(optimize=False) only, so every table is
+    solved on its own, with the floats it gets alone."""
     live_cells = pxz[:, :, None, None] > 0.0
-    u_rows, v_rows = q.sum(axis=4, keepdims=True), q.sum(axis=3, keepdims=True)
-    r_old = np.einsum("xz,bxzuv->buv", pxz, q, optimize=False)[:, None, None]
-    coupling, solved, live = np.broadcast_to(r_old, q.shape), q.copy(), np.arange(len(q))
-    for _ in range(rounds):
+    r = np.einsum("xz,bxzuv->buv", pxz, q, optimize=False)[:, None, None]
+    carry = np.broadcast_to(r, q.shape), r, q.sum(axis=4, keepdims=True), q.sum(axis=3, keepdims=True)
+
+    def update(solution, carry):
+        coupling, r_old, u_rows, v_rows = carry
         coupling = coupling * _ratio(u_rows, coupling.sum(axis=4, keepdims=True))
         out = coupling * _ratio(v_rows, coupling.sum(axis=3, keepdims=True))
         r = np.einsum("xz,bxzuv->buv", pxz, out, optimize=False)[:, None, None]
-        coupling, r_old = out * _ratio(r, r_old), r
-        out = np.where(live_cells, out, solved[live])
-        moving = ~(np.abs(out - solved[live]).max(axis=(1, 2, 3, 4)) <= _COUPLING_STEP)
-        solved[live] = out
-        if not moving.any():
-            break
-        live, coupling, r_old, u_rows, v_rows = (a[moving] for a in (live, coupling, r_old, u_rows, v_rows))
+        return (np.where(live_cells, out, solution[0]),), (out * _ratio(r, r_old), r, u_rows, v_rows)
+
+    (solved,) = _iterate(update, (q,), carry, rounds)
     return solved
 
 
@@ -1065,10 +1062,12 @@ def ib_curve(p_xz):
     cardinality bound. The family is the identity at spread
     _INNER_SPREADS[0] (_noisy_corner; at 0 the spare output is never
     used, and a large share dies slowly) run at each multiplier of the
-    schedule (_IB_POINTS) to its fixed point (_fixed_point), with
-    relevance z, all in one batch, as a side family of the outer pool.
-    The constant channel's point is (0, 0) by definition, not a score. A
-    solved channel counts only when its rate lies strictly between the
+    schedule (_IB_POINTS) with relevance z, all in one batch, as a side
+    family of the outer pool (_fixed_point): each member stops at the
+    first update that moves it by at most 1e-15 (max-abs), or after
+    _IB_ITERATIONS updates, and keeps its last iterate. The constant
+    channel's point is (0, 0) by definition, not a score. A solved
+    channel counts only when its rate lies strictly between the
     identity's and the clamp's float noise above 0 (1e-12), so no
     rounding lifts (0, 0) or (H(x), I(x;z)). Nothing is drawn: the curve
     depends on the source alone."""
@@ -1082,7 +1081,7 @@ def ib_curve(p_xz):
     betas = (_IB_POINTS / np.arange(1, _IB_POINTS + 1)) ** 1.5
     family = _fixed_point(pxz, z_given_x, np.broadcast_to(start, (_IB_POINTS, *start.shape)), betas, _IB_ITERATIONS)
     tables = np.concatenate([[_noisy_corner(np.arange(nx), nx + 1, 0.0)], family])
-    r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1), _DRAW_CELLS)
+    r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1))
     keep = (r > _NEG_TOL) & (r < r[0])
     keep[0] = True
     return upper_concave_envelope([(0.0, 0.0), *zip(r[keep].tolist(), mu[keep].tolist())])
@@ -1198,24 +1197,30 @@ def sample_region_points(p_xz, cfg, variant="inner"):
     One row per draw index, in index order; outer draws are mapped onto
     the short chains (_chain_map). Every row is checked as a RegionPoint,
     all at once, and the first offending row raises RegionPoint's
-    ConstraintError. This is the dump behind the CLI's region-sample
-    command.
+    ConstraintError. A table of more than 10^7 cells (the cap JointPmf
+    and source files share) raises SizeError before anything is drawn.
+    This is the dump behind the CLI's region-sample command.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
     if len(p_xz.axes) != 2:
         raise DomainError(f"the source must have two axes, got {p_xz.labels}")
+    _check_cells(3 * cfg.count, "the region point table has")
     pxz = p_xz.mass
     nx, nz = pxz.shape
     cap_u = cfg.cap_u if cfg.cap_u is not None else nx
     cap_v = cfg.cap_v if cfg.cap_v is not None else nz
-    points = np.empty((cfg.count, 3))
     if variant == "inner":
-        for lo, _, st in _scored_draws(cfg, pxz, [(nx, cap_u), (nz, cap_v)], _batch_inner_stats):
-            points[lo : lo + len(st[0])].T[:] = st
+        shapes, stats = [(nx, cap_u), (nz, cap_v)], _batch_inner_stats
     else:
-        for lo, _, st in _outer_draws(cfg, pxz, _source_conditionals(pxz), cap_u, cap_v):
-            rows = points[lo : lo + len(st)]
-            rows[:, 0], rows[:, 1:] = _region_mu(st, variant), st[:, :2]
+        shapes, cond = [(nx * nz, cap_u * cap_v)], _source_conditionals(pxz)
+
+        def stats(pxz, flat):
+            st = _chain_map(pxz, flat.reshape(len(flat), nx, nz, cap_u, cap_v), cond)[1]
+            return _region_mu(st, variant), st[:, 0], st[:, 1]
+
+    points = np.empty((cfg.count, 3))
+    for lo, _, st in _scored_draws(cfg, pxz, shapes, stats):
+        points[lo : lo + len(st[0])].T[:] = st
     _check_region_points(*points.T)
     return points

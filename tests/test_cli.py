@@ -604,6 +604,14 @@ class TestRegionSample:
                      "--seed", "1", "--out", str(tmp_path / "o.dat")]) == 4
         capsys.readouterr()
 
+    def test_count_past_the_cell_cap_exits_3(self, tmp_path, capsys):
+        # 10^9 rows would be a 24 GB table: refused before a draw or a write
+        out = tmp_path / "o.dat"
+        assert main(["region-sample", "--source", "dsbs:0.1", "--seed", "1",
+                     "--samples", "1000000000", "--out", str(out)]) == 3
+        assert "cap is 10000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["region-sample", "--source", "dsbs:0.1", "--variant", "bogus",

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coinfo import optimize
+from coinfo import optimize, probability
 from coinfo.errors import ConstraintError, DomainError, SizeError
 from coinfo.optimize import (
     EnvelopeCurve,
@@ -496,28 +496,28 @@ class TestSupportFunction:
     # 0.5.0's, the best draw kept from its scan and climbed
     @pytest.mark.parametrize("source, variant, top, digest", [
         pytest.param("dsbs", "inner", 0,
-                     "21ff6f37bbcdde80717d8e3ee1fa968827213cbf85d8a56b077a292743d1c83b",
+                     "b827f813632d0d1134aad76fac9b59a3d56c46721bfc7338ae43635e7e3b6c1f",
                      id="dsbs-inner-0"),
         pytest.param("dsbs", "inner", 4,
-                     "21ff6f37bbcdde80717d8e3ee1fa968827213cbf85d8a56b077a292743d1c83b",
+                     "b827f813632d0d1134aad76fac9b59a3d56c46721bfc7338ae43635e7e3b6c1f",
                      id="dsbs-inner-4"),
         pytest.param("dsbs", "ro", 0,
-                     "55886378d18b0548d1aadf24b870f0807a1cbba1914f5971bbe9e1b496c1f30b",
+                     "5f396115a3f6f73183fecda9366fb6a4c4b41d19c4a494b883e95c982c6b3509",
                      id="dsbs-ro-0"),
         pytest.param("dsbs", "ro", 4,
-                     "55886378d18b0548d1aadf24b870f0807a1cbba1914f5971bbe9e1b496c1f30b",
+                     "5f396115a3f6f73183fecda9366fb6a4c4b41d19c4a494b883e95c982c6b3509",
                      id="dsbs-ro-4"),
         pytest.param("SOURCE3", "inner", 0,
-                     "673f48ae15f098e3eb7d73cc485e983025c6630b64d28a7c3518edb76513ce54",
+                     "eeef22ba205ebd868c8cd929ecacfd5e0c76cb7bc7f030f65a8138932bab86fe",
                      id="SOURCE3-inner-0"),
         pytest.param("SOURCE3", "inner", 4,
-                     "673f48ae15f098e3eb7d73cc485e983025c6630b64d28a7c3518edb76513ce54",
+                     "eeef22ba205ebd868c8cd929ecacfd5e0c76cb7bc7f030f65a8138932bab86fe",
                      id="SOURCE3-inner-4"),
         pytest.param("SOURCE3", "ro", 0,
-                     "95b8cdcde04d7efe1dad058ec99ad0f0e893d6cf905776e80b174671925ad089",
+                     "d6be5bf33263d0db55587b4c734363494f5bc4c3fbe8f020fe65c932e415e6e8",
                      id="SOURCE3-ro-0"),
         pytest.param("SOURCE3", "ro", 4,
-                     "95b8cdcde04d7efe1dad058ec99ad0f0e893d6cf905776e80b174671925ad089",
+                     "d6be5bf33263d0db55587b4c734363494f5bc4c3fbe8f020fe65c932e415e6e8",
                      id="SOURCE3-ro-4"),
     ])
     def test_best_draw_kept_from_the_scan(self, source, variant, top, digest):
@@ -538,15 +538,25 @@ class TestSupportFunction:
             support_function(dsbs(0.1), SupportWeight(1, 0, 0), small_cfg(0, 5), "outer")
 
 
+ZERO_STEP_SOURCES = {"dsbs0.1": dsbs(0.1), "dsbs0.25": dsbs(0.25), "SOURCE3": SOURCE3,
+                     "DIRICHLET4": DIRICHLET4, "SOURCE43": SOURCE43}
+
+
 class TestLocalRefine:
-    def test_zero_steps_identity(self):
-        src = dsbs(0.1)
-        lam = SupportWeight(1.0, -0.25, -0.25)
-        _, cand = support_function(src, lam, small_cfg(1, 40, top=4, steps=30), "inner")
+    # a Channel rebuilt from another Channel's rows renormalizes a row whose
+    # sum reads 0.9999999999999999, so a kept start must come back as the
+    # caller's own objects: SOURCE3 and DIRICHLET4 at (1, -0.05, -0.1) and
+    # SOURCE43 at it and at (0.9, -0.02, -0.08) would move in the last bits
+    @pytest.mark.parametrize("weights", [(1.0, -0.25, -0.25), (1.0, -0.05, -0.1), (0.9, -0.02, -0.08),
+                                         (0.9, -0.2, -0.05)], ids=lambda w: ",".join(map(str, w)))
+    @pytest.mark.parametrize("source", ZERO_STEP_SOURCES)
+    def test_zero_steps_identity(self, source, weights):
+        src, lam = ZERO_STEP_SOURCES[source], SupportWeight(*weights)
+        _, cand = support_function(src, lam, SampleConfig(seed=0), "inner")
         out = local_refine(src, cand, lam, "inner", steps=0)
         assert np.array_equal(out[0].rows, cand[0].rows)
         assert np.array_equal(out[1].rows, cand[1].rows)
-        _, q = support_function(src, lam, small_cfg(1, 40, top=4, steps=30), "ro")
+        _, q = support_function(src, lam, SampleConfig(seed=0), "ro")
         assert np.array_equal(local_refine(src, q, lam, "ro", steps=0), np.asarray(q))
 
     def test_never_decreases_from_random_start(self):
@@ -864,6 +874,33 @@ class TestCouplingStop:
         _, st = optimize._mapped(pxz, batch)
         assert np.abs(st[:, :2] - FULL_CAPS[:, None]).max() <= 1e-12
         assert st[:, 5:].max() <= 1e-14
+
+
+class TestFixedPointStop:
+    @pytest.mark.parametrize("family", ["ib-dsbs0.1", "ib-dsbs0.25", "pool-SOURCE3"])
+    def test_each_member_stops_alone(self, family):
+        # ib_curve's family, and the u side of the outer pool: each member
+        # leaves the batch at its own round, and is bitwise the member
+        # solved alone
+        if family.startswith("ib"):
+            pxz = dsbs(float(family[7:])).mass
+            start = optimize._noisy_corner(np.arange(2), 3, optimize._INNER_SPREADS[0])
+            betas = (optimize._IB_POINTS / np.arange(1, optimize._IB_POINTS + 1)) ** 1.5
+            enc, rounds = np.broadcast_to(start, (len(betas), *start.shape)), optimize._IB_ITERATIONS
+        else:
+            pxz = SOURCE3.mass
+            starts = optimize._side_starts(pxz, 3)
+            betas = np.tile(2.0 ** (np.arange(optimize._POOL_BETAS) / 4.0), len(starts))
+            enc, rounds = np.repeat(starts, optimize._POOL_BETAS, axis=0), optimize._POOL_ROUNDS
+        z_given_x, _ = _source_conditionals(pxz)
+        batch = optimize._fixed_point(pxz, z_given_x, enc, betas, rounds)
+        for b in range(len(enc)):
+            alone = optimize._fixed_point(pxz, z_given_x, enc[b : b + 1], betas[b : b + 1], rounds)
+            assert bits(alone) == bits(batch[b : b + 1])
+        # some members stop within half the rounds and some do not
+        half = optimize._fixed_point(pxz, z_given_x, enc, betas, rounds // 2)
+        early = [np.array_equal(a, b) for a, b in zip(half, batch)]
+        assert any(early) and not all(early)
 
 
 class TestDsbsOuterBoundary:
@@ -1267,7 +1304,7 @@ class TestInnerSupport:
         rows_u, rows_v = optimize._inner_starts(src.mass, nx + caps, nz + caps)
         for lam in SOLVER_LAMS:
             full = optimize._inner_solve(src.mass, lam, rows_u, rows_v, 60)
-            # the best iterate is kept, so no pair ends below its start
+            # the start is kept unless the last iterate scores above it
             assert np.all(full[0] >= optimize._lam_dot(lam, *_batch_inner_stats(src.mass, rows_u, rows_v)))
             for b in range(len(rows_u)):
                 alone = optimize._inner_solve(src.mass, lam, rows_u[[b]], rows_v[[b]], 60)
@@ -1342,7 +1379,7 @@ class TestInnerSupport:
     @pytest.mark.parametrize("src", [dsbs(0.1), SOURCE3, DIRICHLET4], ids=["dsbs", "SOURCE3", "DIRICHLET4"])
     @pytest.mark.parametrize("caps", [0, 1, -1], ids=["caps", "caps+1", "caps-1"])
     def test_solve_equals_every_round_scored_alone(self, src, caps):
-        # the fixed-point stop and the one scoring pass change no value or row
+        # the batched stop and the one scoring pass change no value or row
         pxz = src.mass
         nx, nz = pxz.shape
         starts = optimize._inner_starts(pxz, nx + caps, nz + caps)
@@ -1357,10 +1394,12 @@ class TestInnerSupport:
             assert bits(got) == bits([want_u[0], want_v[0]])
 
     def test_rounds_stop_at_the_fixed_point(self, monkeypatch):
-        # bench seed 11's direction on dsbs(0.1): at caps 2 the rounds reach
-        # their bitwise fixed point early; at caps 3 the spare outputs decay
-        # without end and every round runs, two updates a round
-        lam = SupportWeight(*SAMPLED_INNER["bench-11-20"][1][0][0])
+        # the bench's directions of seeds 1-40 on dsbs(0.1): at caps 2 the
+        # rounds reach their fixed point early, and at caps 3, where the
+        # spare outputs decay without end and no round repeats the one
+        # before it bitwise, a pair still stops once a round moves it by at
+        # most _STEP, so not every solve runs all its rounds (two updates a
+        # round)
         calls = []
         update = optimize._bottleneck_update
 
@@ -1369,11 +1408,16 @@ class TestInnerSupport:
             return update(*args)
 
         monkeypatch.setattr(optimize, "_bottleneck_update", counted)
-        support_function(dsbs(0.1), lam, SampleConfig(seed=0, cap_u=2, cap_v=2), "inner")
-        assert len(calls) < 2 * optimize._INNER_ROUNDS
-        calls.clear()
-        support_function(dsbs(0.1), lam, SampleConfig(seed=0, cap_u=3, cap_v=3), "inner")
-        assert len(calls) == 2 * optimize._INNER_ROUNDS
+        counts = {2: [], 3: []}
+        for seed in range(1, 41):
+            rng = np.random.default_rng([seed, 9])
+            lam = SupportWeight(rng.uniform(0.8, 1.0), -rng.uniform(0.05, 0.3), -rng.uniform(0.05, 0.3))
+            for caps in counts:
+                calls.clear()
+                support_function(dsbs(0.1), lam, SampleConfig(seed=0, cap_u=caps, cap_v=caps), "inner")
+                counts[caps].append(len(calls))
+        assert max(counts[2]) < 2 * optimize._INNER_ROUNDS
+        assert min(counts[3]) < 2 * optimize._INNER_ROUNDS
 
 
 def inner_rounds(pxz, lam, rows_u, rows_v):
@@ -1390,14 +1434,25 @@ def inner_rounds(pxz, lam, rows_u, rows_v):
 
 
 def inner_solve_reference(pxz, lam, rows_u, rows_v, rounds):
-    """_inner_solve before the fixed-point stop, kept as its reference:
-    every round runs and is scored by a _batch_inner_stats call of its own."""
-    pairs = [(rows_u, rows_v), *itertools.islice(inner_rounds(pxz, lam, rows_u, rows_v), rounds)]
-    values = np.stack([optimize._lam_dot(lam, *_batch_inner_stats(pxz, *pair)) for pair in pairs])
-    best = np.argmax(values, axis=0)  # the first round on ties
-    starts = np.arange(len(rows_u))
-    us, vs = (np.stack(side) for side in zip(*pairs))
-    return values[best, starts], us[best, starts], vs[best, starts]
+    """_inner_solve without its batch, kept as its reference: each start
+    pair runs alone, round after round, until a round moves both its
+    channels by at most 1e-15 (a nan counting as a move) or `rounds` have
+    run; its start and its last iterate are scored by _batch_inner_stats
+    calls of their own, and the last is kept only when it scores higher."""
+    values, us, vs = [], [], []
+    for b in range(len(rows_u)):
+        start = last = rows_u[b : b + 1], rows_v[b : b + 1]
+        for pair in itertools.islice(inner_rounds(pxz, lam, *start), rounds):
+            still = all(np.abs(new - old).max() <= 1e-15 for new, old in zip(pair, last))
+            last = pair
+            if still:
+                break
+        scores = [optimize._lam_dot(lam, *_batch_inner_stats(pxz, *pair))[0] for pair in (start, last)]
+        keep = int(scores[1] > scores[0])  # the start on ties
+        values.append(scores[keep])
+        us.append((start, last)[keep][0][0])
+        vs.append((start, last)[keep][1][0])
+    return np.array(values), np.stack(us), np.stack(vs)
 
 
 def bottleneck_update_reference(pxy, y_given_x, enc, beta, relevance=None):
@@ -1704,6 +1759,28 @@ class TestRegionSamplePoints:
         with pytest.raises(ConstraintError) as exc:
             sample_region_points(dsbs(0.1), cfg, variant)
         assert str(exc.value) == f"mu=2.0 exceeds min(r1, r2)={min(want[5, 1:].tolist())}"
+
+
+class TestRegionSampleCap:
+    def test_count_past_the_cell_cap_draws_nothing(self, monkeypatch):
+        # the (count, 3) table is held to the 10^7-cell cap that JointPmf and
+        # source files share, and a count past it is refused before a draw
+        def substream(*args):
+            raise AssertionError("sample_region_points made a draw")
+
+        monkeypatch.setattr(optimize, "_substream", substream)
+        for variant in ("inner", "ro", "ro_prime"):
+            with pytest.raises(SizeError):
+                sample_region_points(dsbs(0.1), SampleConfig(seed=1, count=10**9), variant)
+            with pytest.raises(SizeError):
+                sample_region_points(dsbs(0.1), SampleConfig(seed=1, count=10**7 // 3 + 1), variant)
+
+    def test_count_at_the_cap_is_drawn(self, monkeypatch):
+        # the cap lowered to 30 cells, so that no test builds 10^7 of them
+        monkeypatch.setattr(probability, "_MAX_CELLS", 30)
+        assert sample_region_points(dsbs(0.1), SampleConfig(seed=1, count=10), "ro").shape == (10, 3)
+        with pytest.raises(SizeError):
+            sample_region_points(dsbs(0.1), SampleConfig(seed=1, count=11), "ro")
 
 
 class TestDrawLayout:

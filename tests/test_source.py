@@ -68,26 +68,30 @@ def test_no_per_entry_libm_maps():
     assert files and not found, f"per-entry math maps in src/coinfo: {found}"
 
 
-def test_bitwise_stop_only_in_repeats():
-    # every batch of bottleneck updates stops at the first update that
-    # repeats the one before it bitwise, and that rule lives in one driver,
-    # optimize._repeats: no other code compares arrays by their bytes
+def test_one_stop_rule_in_iterate():
+    # every solve stops a member at the first update that moves it by at
+    # most optimize._STEP, and that rule lives in one driver,
+    # optimize._iterate: nothing else reads _STEP, and no code compares
+    # arrays by their bytes
     files = sorted(Path(coinfo.__file__).parent.rglob("*.py"))
-    found = []
+    reads, bitwise = [], []
 
     def scan(node, where, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scan(child, where, child.name)
                 continue
+            if isinstance(child, ast.Name) and child.id == "_STEP" and isinstance(child.ctx, ast.Load):
+                reads.append(f"{where}:{child.lineno} in {func}")
             if isinstance(child, ast.Compare) and any(
                 isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "tobytes" for n in ast.walk(child)
             ):
-                found.append(f"{where}:{child.lineno} in {func}")
+                bitwise.append(f"{where}:{child.lineno} in {func}")
             scan(child, where, func)
 
     for path in files:
         scan(ast.parse(path.read_text(), filename=str(path)), path.name, None)
-    assert len(found) == 1 and found[0].startswith("optimize.py:") and found[0].endswith(" in _repeats"), (
-        f"bitwise comparisons in src/coinfo outside optimize._repeats: {found}"
+    assert reads and all(r.startswith("optimize.py:") and r.endswith(" in _iterate") for r in reads), (
+        f"_STEP read outside optimize._iterate: {reads}"
     )
+    assert not bitwise, f"bitwise comparisons in src/coinfo: {bitwise}"
