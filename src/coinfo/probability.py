@@ -53,6 +53,8 @@ class JointPmf:
     Each marginal entropy the information measures need is computed once
     per joint and remembered, keyed by the frozenset of its labels (labels
     are unique per joint), so repeated measures on one joint reuse it.
+    The regions evaluators keep the joint's subset-entropy table in the
+    same cache, under a key that is no frozenset.
     """
 
     __slots__ = ("axes", "mass", "_index", "_entropies")
@@ -74,8 +76,9 @@ class JointPmf:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_index", index)
-        # entropy of each marginal, keyed by the frozenset of its labels;
-        # filled on first use by the information measures below
+        # entropy of each marginal, keyed by the frozenset of its labels,
+        # filled on first use by the information measures below, and the
+        # subset-entropy table of regions' encoder lattice
         object.__setattr__(self, "_entropies", {})
 
     def __setattr__(self, name, value):

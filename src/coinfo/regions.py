@@ -6,9 +6,10 @@ under a mutual-information constraint, and log-loss decoders.
 
 Index sets for the multi-source evaluators use 1-based encoder indices.
 Those evaluators (the two multi-source outer points, the membership test
-and the binning search) build one subset-entropy table of their joint
-per call, probability._subset_entropies, and read every H, I and CMI
-from it by bitmask, so a measure costs a few list reads and no marginal.
+and the binning search) read every H, I and CMI by bitmask from one
+subset-entropy table of their joint, probability._subset_entropies, so
+a measure costs a few list reads and no marginal. The table is built
+once per joint and kept in the joint's cache.
 A joint whose table of prod(s_i + 1) cells exceeds the dense-size cap
 is refused with SizeError. The two-source outer points read the K = 2
 table of the same kind, so they are bitwise the multi-source points'
@@ -55,6 +56,9 @@ from .probability import (
 MARKOV_TOL = 1e-9
 # slack allowed on the mu <= min(r1, r2) consequence
 _POINT_TOL = 1e-9
+# the key of a joint's subset-entropy table in JointPmf._entropies, whose
+# other keys are frozensets of labels: a string is never equal to one
+_TABLE_KEY = "subset-entropy table"
 
 
 @dataclass(frozen=True)
@@ -436,7 +440,9 @@ class _AxisMasks(dict):
 class _EncoderLattice:
     """Every measure a multi-source evaluator reads, from one entropy table.
 
-    The table is _subset_entropies of the joint, read by axis mask; u[e]
+    The table is _subset_entropies of the joint, read by axis mask and
+    kept in the joint's per-joint cache, so every lattice of one joint
+    reads the table that the first one built; u[e]
     and x[e] are the axis masks of the u and x labels of encoder mask e.
     A measure is the label path's formula on the table's entropies, with
     its clamp. A group with a label that is no axis of the joint, or two
@@ -448,7 +454,10 @@ class _EncoderLattice:
 
     def __init__(self, joint, u_labels, x_labels):
         self.joint = joint
-        self.h = _subset_entropies(joint.mass).tolist()
+        h = joint._entropies.get(_TABLE_KEY)
+        if h is None:
+            h = joint._entropies[_TABLE_KEY] = _subset_entropies(joint.mass).tolist()
+        self.h = h
         self.u = _AxisMasks(joint, u_labels)
         self.x = _AxisMasks(joint, x_labels)
 
@@ -631,8 +640,9 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
     encoder joint, and the search builds none of the certificates. A
     side's rate-sum constraints read only the rates, which are the
     point's for every pair, and the side's (active, binned) sets, so each
-    side's verdict is computed once per (active, binned). A side stops at
-    its first violated constraint, and a failed A side skips every B
+    side's verdict is computed once per (active, binned), and each
+    universe's candidates are listed once per call. A side stops at its
+    first violated constraint, and a failed A side skips every B
     candidate and the cap I(u_Ab; u_Bb).
     """
     channels = list(channels)
@@ -647,7 +657,13 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
     masks = _encoder_masks(len(u_labels))
     sets = list(masks)
     rate_sums = _rate_sums(rates)
-    verdicts = {}
+    verdicts, candidates = {}, {}
+
+    def candidates_of(universe):
+        listed = candidates.get(universe)
+        if listed is None:
+            listed = candidates[universe] = list(_binning_candidates(universe))
+        return listed
 
     def side_ok(active, binned):
         ok = verdicts.get((active, binned))
@@ -659,10 +675,10 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
         return ok
 
     def first_choice(a, b, target):
-        for a_act, a_bin in _binning_candidates(a):
+        for a_act, a_bin in candidates_of(a):
             if not side_ok(a_act, a_bin):
                 continue
-            for b_act, b_bin in _binning_candidates(b):
+            for b_act, b_bin in candidates_of(b):
                 # a slack is violated only when below -tol, as in
                 # multi_inner_membership, so a nan slack violates nothing
                 if side_ok(b_act, b_bin) and not (lattice.uu(a_bin, b_bin) - target < -tol):

@@ -15,21 +15,30 @@ testing P_xz against P_x x P_z from the statistics (f(x^n), g(z^n))
 exponent over deterministic codes of length n, the distributed test
 against independence that the biclustering problem is tied to.
 
-Batching. best_theta takes the g strings in blocks of at most
-_BLOCK_CELLS pushed-forward cells, so each block is enumerated once, and
-runs every f string against each block: one bincount pushes the product
-source forward through every pair (f, g) of the block, and one batched
-kernel call (probability.batch_entropies) gives H(u), H(v) and H(u, v)
-for all of them. A pair's value depends only on the pair, never on the
-block it sits in or the block size, and theta runs the same routine on
-a block of one, so theta of the returned code equals the reported
-maximum bit for bit. Ties go to the first pair in the (f, g)
-enumeration order, f outer, whatever the block size.
+Batching and pruning. best_theta bounds every pair first: by data
+processing, theta(f, g) is at most b_f = I(f(x^n); z^n) / n and at most
+b_g = I(x^n; g(z^n)) / n. It streams the canonical f strings, then the
+g strings, in blocks of at most _BLOCK_CELLS pushed-forward cells, and
+one bincount and one batched kernel call (probability.batch_entropies)
+give the bounds of a whole block. The pair of the largest b_f and the
+largest b_g is scored for a lower bound L, a second pass over the
+strings keeps those whose bound is at least L - _MARGIN, and only the
+pairs of kept strings are scored: g in blocks, each block run against
+every kept f, one bincount pushing the product source forward through
+every pair (f, g) of the block and one kernel call giving H(u), H(v)
+and H(u, v) for all of them. Memory holds a block and the kept strings,
+never a list of all canonical strings. A pair's value depends only on
+the pair, never on the block it sits in, the block size or which pairs
+were pruned, and theta runs the same routine on a block of one, so
+theta of the returned code equals the reported maximum bit for bit.
+Ties go to the first pair in the (f, g) enumeration order, f outer,
+whatever the block size.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,6 +59,18 @@ _CODE_GUARD = 10**8
 _BLOCK_CELLS = 1 << 16
 # H(u), H(v), H(u, v) of a pushed-forward (u, v) table
 _UV_GROUPS = ((0,), (1,), (0, 1))
+# nats per letter by which best_theta's pruning rule undercuts its lower
+# bound. A theta and a bound are both _thetas' I(u; v) / n of a pushforward
+# of the product table, whose N <= _STATE_GUARD = 1e7 cells are nonnegative
+# and sum to 1. Each bincount adds at most N terms in order, so a table
+# cell or a marginal cell is off by at most about 3 N 2^-53 = 3.3e-9 of
+# itself (two sums and the renormalization); relative errors e of the
+# cells move -sum p log p by at most max|e| (H + 1) <= 3.3e-9 (ln N + 1)
+# = 5.7e-8, and the sum of at most N terms m log m adds at most
+# N 2^-53 H <= 1.8e-8. So an entropy is within 7.5e-8 nats, I = H(u) +
+# H(v) - H(u, v) within 2.3e-7, and a theta and a bound together within
+# 4.5e-7, less per letter for n > 1: the margin is twice that
+_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -320,15 +341,37 @@ def _rgs_strings(length, max_labels):
     yield from rec(0, 0)
 
 
+def _bounds(table, n, strings, m, block):
+    """(position, string, bound) of each code string, a block at a time.
+
+    A string s maps the column index c of table to m labels, and its
+    bound is I(r; s(c)) / n for the row index r: _thetas with the
+    identity code on the rows, one bincount and one kernel call a block.
+    """
+    rows = table.shape[0]
+    ident = np.arange(rows, dtype=np.intp)
+    pos = 0
+    while chunk := list(itertools.islice(strings, block)):
+        bounds = _thetas(table, n, ident, np.array(chunk, dtype=np.intp), rows, m)
+        yield from zip(range(pos, pos + len(chunk)), chunk, bounds.tolist())
+        pos += len(chunk)
+
+
 def best_theta(p_xz, n, m1, m2):
     """Exhaustive maximum of theta over all deterministic code pairs.
 
     Theta is invariant under relabeling of either index set, so only
-    label-canonical tables (restricted growth strings) are enumerated,
-    g in blocks (see the module docstring); ties go to the earliest pair
-    in the (f, g) enumeration order, f outer. The search space shards
-    cleanly over f-strings and the reduction is an associative max, so
-    the loop parallelizes without changing the result.
+    label-canonical tables (restricted growth strings) are enumerated;
+    ties go to the earliest pair in the (f, g) enumeration order, f
+    outer. By data processing, theta(f, g) <= b_f = I(f(x^n); z^n) / n
+    and theta(f, g) <= b_g = I(x^n; g(z^n)) / n. The pair of the largest
+    b_f and the largest b_g gives a lower bound L on the maximum, and
+    only pairs with both bounds at least L - _MARGIN are scored, g in
+    blocks (see the module docstring). _MARGIN exceeds the rounding of a
+    computed theta and a computed bound together, so every pair whose
+    computed theta reaches L is scored, each tied maximizer included,
+    and a scored pair gets the float that the full scan gives it: the
+    value and the code are the full scan's bit for bit.
     """
     if len(p_xz.axes) != 2:
         raise DomainError(f"best_theta needs a two-axis source, got {p_xz.labels}")
@@ -350,19 +393,32 @@ def best_theta(p_xz, n, m1, m2):
             f"exceed the search budget {_CODE_GUARD}"
         )
     table = _product_table(p_xz.mass, n)
+    table_zx = np.ascontiguousarray(table.T)
     i_xz = mutual_information(p_xz, p_xz.labels[0], p_xz.labels[1])
     block = max(1, _BLOCK_CELLS // table.size)
+
+    def f_bounds():
+        return _bounds(table_zx, n, _rgs_strings(len_f, m1), m1, block)
+
+    def g_bounds():
+        return _bounds(table, n, _rgs_strings(len_g, m2), m2, block)
+
+    # max keeps the first of equal bounds; the lower bound is a scored pair
+    f_top, g_top = max(f_bounds(), key=itemgetter(2))[1], max(g_bounds(), key=itemgetter(2))[1]
+    top = _thetas(table, n, np.array(f_top, dtype=np.intp), np.array([g_top], dtype=np.intp), m1, m2)
+    floor = float(top[0]) - _MARGIN
+    f_kept = [(pos, f, np.array(f, dtype=np.intp)) for pos, f, b in f_bounds() if b >= floor]
+    g_kept = [(pos, g) for pos, g, b in g_bounds() if b >= floor]
     best_val, best_at, best_pair = -math.inf, None, None
-    g_strings, g_start = _rgs_strings(len_g, m2), 0
-    while g_block := list(itertools.islice(g_strings, block)):
-        gs = np.array(g_block, dtype=np.intp)
-        for f_pos, f in enumerate(_rgs_strings(len_f, m1)):
-            vals = _thetas(table, n, np.array(f, dtype=np.intp), gs, m1, m2)
+    for start in range(0, len(g_kept), block):
+        g_block = g_kept[start : start + block]
+        gs = np.array([g for _, g in g_block], dtype=np.intp)
+        for f_pos, f, f_arr in f_kept:
+            vals = _thetas(table, n, f_arr, gs, m1, m2)
             i = int(np.argmax(vals))  # the first maximum of the block
-            at = (f_pos, g_start + i)
+            at = (f_pos, g_block[i][0])
             if vals[i] > best_val or (vals[i] == best_val and at < best_at):
-                best_val, best_at, best_pair = float(vals[i]), at, (f, g_block[i])
-        g_start += len(g_block)
+                best_val, best_at, best_pair = float(vals[i]), at, (f, g_block[i][1])
     cap = min(math.log(m1) / n, math.log(m2) / n, i_xz)
     if not best_val <= cap + 1e-12:
         raise InternalCheckError(

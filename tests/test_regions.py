@@ -803,6 +803,32 @@ class TestEncoderLattice:
         # the encoder joint of each call, and nothing after it
         assert calls == ["attach_channels", "JointPmf"] * 2
 
+    def test_one_table_per_joint(self, monkeypatch):
+        # two measures on one joint build its subset-entropy table once, and
+        # read the same bits as on a joint of their own
+        src, chs = seeded_multi_source(np.random.default_rng(45), 3)
+        u, x = tuple(ch.output.label for ch in chs), src.labels[:3]
+        two = compose_markov(dsbs(0.1), bsc_channel(0.2, "x", "u"), bsc_channel(0.3, "z", "v"))
+        cases = (
+            (lambda: attach_channels(src, chs),
+             lambda j: multi_outer_point_ro(j, u, x), lambda j: multi_outer_point_ro_prime(j, u, x)),
+            (lambda: JointPmf(two.axes, two.mass), outer_point_ro, outer_point_ro_prime),
+        )
+        alone = [(first(make()), second(make())) for make, first, second in cases]
+        calls = []
+        table = regions._subset_entropies
+
+        def counted(mass):
+            calls.append(mass.shape)
+            return table(mass)
+        monkeypatch.setattr(regions, "_subset_entropies", counted)
+        for (make, first, second), want in zip(cases, alone):
+            j = make()
+            got = (first(j), second(j))
+            assert len(calls) == 1
+            assert got == want
+            calls.clear()
+
     def test_lattice_size_capped(self, monkeypatch):
         # K = 2 binary: a 16-cell encoder joint whose lattice has 3^4 = 81 cells
         src, chs = seeded_multi_source(np.random.default_rng(43), 2)

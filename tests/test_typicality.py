@@ -337,6 +337,13 @@ class TestTheta:
                     assert abs(theta(src, code) - reference_theta(src, code)) <= 1e-15
 
 
+def canonical_strings(length, m):
+    """Restricted growth strings over at most m labels, in lexicographic order."""
+    for s in itertools.product(range(m), repeat=length):
+        if all(v <= max(s[:i], default=-1) + 1 for i, v in enumerate(s)):
+            yield s
+
+
 class TestBestTheta:
     def test_single_bin_is_zero(self):
         val, code = best_theta(dsbs(0.25), 1, 1, 1)
@@ -402,6 +409,38 @@ class TestBestTheta:
             )
             assert abs(val - ref) <= 1e-15
             assert abs(reference_theta(src, code) - val) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "case",
+        ["dsbs0.25-n3-m2", "dsbs0-n2-m3", "dsbs0.5-n2-m3", "random3x3-n1-m3", "random2x3-n2-m2"],
+    )
+    def test_equals_the_full_scan(self, case):
+        # every canonical pair through the public theta: best_theta's value
+        # is the maximum, its code the first maximizer, f outer
+        src, n, m1, m2 = {
+            "dsbs0.25-n3-m2": lambda: (dsbs(0.25), 3, 2, 2),
+            "dsbs0-n2-m3": lambda: (dsbs(0.0), 2, 3, 3),
+            "dsbs0.5-n2-m3": lambda: (dsbs(0.5), 2, 3, 3),
+            "random3x3-n1-m3": lambda: (random_source(np.random.default_rng(46), 3, 3), 1, 3, 3),
+            "random2x3-n2-m2": lambda: (random_source(np.random.default_rng(47), 2, 3), 2, 2, 2),
+        }[case]()
+        nx, nz = src.mass.shape
+        best, first = -math.inf, None
+        for f in canonical_strings(nx**n, m1):
+            for g in canonical_strings(nz**n, m2):
+                code = CodeSpec(n, f, g, m1, m2)
+                val = theta(src, code)
+                if val > best:
+                    best, first = val, code
+        val, code = best_theta(src, n, m1, m2)
+        assert val == best
+        assert code == first
+
+    def test_n3_m3_pinned(self):
+        # the value and code of the exhaustive scan that the pruning replaced
+        val, code = best_theta(dsbs(0.25), 3, 3, 3)
+        assert val == 0.059955516473021074
+        assert code.f == code.g == (0, 0, 0, 0, 1, 1, 2, 2)
 
     def test_block_size_does_not_change_result(self, monkeypatch):
         # blocks of 1, 7 and all g strings; theta of the returned code is
