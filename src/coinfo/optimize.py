@@ -1,9 +1,12 @@
-"""Sampling-based and deterministic optimizers for the bound regions.
+"""Deterministic solvers for the bound regions, and two samplers.
 
 Support-function maximization over Markov-constrained auxiliary channels
 (the inner and both outer ones solved, not sampled), upper concave
 envelopes, the symmetric-binary boundary curves, the bottleneck curve,
 the conjecture margin search, and the cardinality robustness report.
+Only the conjecture search (conjecture_test), the region sampler
+(sample_region_points) and sample_channel draw at random; everything
+else is solved.
 
 Determinism contract: draws come in blocks of _DRAW_BLOCK. Block k of a
 seed comes from one substream (seed, k), one flat-Dirichlet array of
@@ -150,15 +153,15 @@ class SampleConfig:
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not _is_int(self.count) or self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count!r}")
+            raise DomainError(f"count must be a positive integer, got {self.count!r}")
         for name in ("cap_u", "cap_v"):
             v = getattr(self, name)
             if v is not None and (not _is_int(v) or v < 1):
                 raise DomainError(f"{name} must be a positive integer or None, got {v!r}")
         if not _is_int(self.refine_top) or self.refine_top < 0:
-            raise DomainError(f"refine_top must be >= 0, got {self.refine_top!r}")
+            raise DomainError(f"refine_top must be a nonnegative integer, got {self.refine_top!r}")
         if not _is_int(self.refine_steps) or self.refine_steps < 0:
-            raise DomainError(f"refine_steps must be an integer >= 0, got {self.refine_steps!r}")
+            raise DomainError(f"refine_steps must be a nonnegative integer, got {self.refine_steps!r}")
 
 
 @dataclass(frozen=True)

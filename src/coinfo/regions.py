@@ -633,7 +633,11 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
     Candidates run through (a_active, a_bin) by size-descending then
     lexicographic order, with the B side iterated innermost. Returns
     {pair: BinningChoice}, or None if any pair has no satisfying choice.
-    Guarded to K <= 6 encoders.
+    Guarded to K <= 6 encoders. Pairs are searched in order and the
+    search stops at the first pair without a choice; each pair's choice
+    is kept as encoder masks, and the BinningChoice objects are built
+    only once every pair has one, so a search that returns None builds
+    none.
 
     A candidate is accepted exactly when multi_inner_membership accepts
     it: both read every CMI and cap from one subset-entropy table of the
@@ -682,10 +686,10 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
                 # a slack is violated only when below -tol, as in
                 # multi_inner_membership, so a nan slack violates nothing
                 if side_ok(b_act, b_bin) and not (lattice.uu(a_bin, b_bin) - target < -tol):
-                    return BinningChoice(sets[a_act], sets[a_bin], sets[b_act], sets[b_bin])
+                    return a_act, a_bin, b_act, b_bin
         return None
 
-    choices = {}
+    chosen = []
     for pair, target in point.mu.items():
         a, b = _encoder_mask(masks, pair.a), _encoder_mask(masks, pair.b)
         if a & b:
@@ -694,8 +698,8 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
         found = first_choice(a, b, target)
         if found is None:
             return None
-        choices[pair] = found
-    return choices
+        chosen.append((pair, found))
+    return {pair: BinningChoice(*(sets[e] for e in found)) for pair, found in chosen}
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,19 @@ b_g = I(x^n; g(z^n)) / n. It streams the canonical f strings, then the
 g strings, in blocks of at most _BLOCK_CELLS pushed-forward cells, and
 one bincount and one batched kernel call (probability.batch_entropies)
 give the bounds of a whole block. The pair of the largest b_f and the
-largest b_g is scored for a lower bound L, a second pass over the
-strings keeps those whose bound is at least L - _MARGIN, and only the
-pairs of kept strings are scored: g in blocks, each block run against
-every kept f, one bincount pushing the product source forward through
-every pair (f, g) of the block and one kernel call giving H(u), H(v)
-and H(u, v) for all of them. Memory holds a block and the kept strings,
-never a list of all canonical strings. A pair's value depends only on
-the pair, never on the block it sits in, the block size or which pairs
-were pruned, and theta runs the same routine on a block of one, so
-theta of the returned code equals the reported maximum bit for bit.
+largest b_g is scored for a lower bound L, the strings whose bound is
+at least L - _MARGIN are kept, and only the pairs of kept strings are
+scored: g in blocks, each block run against every kept f, one bincount
+pushing the product source forward through every pair (f, g) of the
+block and one kernel call giving H(u), H(v) and H(u, v) for all of
+them. The first pass keeps each side's first block of bounds, so a side
+whose strings fit one block is enumerated and bounded once; a longer
+side streams its later blocks a second time to pick the kept strings.
+Memory holds two blocks a side and the kept strings, never a list of
+all canonical strings. A pair's value depends only on the pair, never
+on the block it sits in, the block size or which pairs were pruned, and
+theta runs the same routine on a block of one, so theta of the returned
+code equals the reported maximum bit for bit.
 Ties go to the first pair in the (f, g) enumeration order, f outer,
 whatever the block size.
 """
@@ -73,6 +76,17 @@ _UV_GROUPS = ((0,), (1,), (0, 1))
 _MARGIN = 1e-6
 
 
+def _check_positive(name, v):
+    if not _is_int(v) or v < 1:
+        raise DomainError(f"{name} must be a positive integer, got {v!r}")
+
+
+def _check_delta(delta):
+    # an infinite delta is accepted: it keeps every block of the support
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not delta >= 0.0:
+        raise DomainError(f"delta must be a nonnegative real number, got {delta!r}")
+
+
 @dataclass(frozen=True)
 class TypeClass:
     """Empirical symbol counts of a length-n block."""
@@ -86,11 +100,20 @@ class TypeClass:
             raise SizeError("a TypeClass needs at least one symbol slot")
         if any(c < 0 for c in counts):
             raise DomainError(f"counts must be nonnegative, got {counts}")
-        if not _is_int(self.n) or self.n < 1:
-            raise DomainError(f"blocklength must be a positive integer, got {self.n!r}")
+        _check_positive("blocklength", self.n)
         if sum(counts) != self.n:
             raise DomainError(f"counts {counts} do not sum to the blocklength {self.n}")
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _unchecked(cls, counts, n):
+        # a TypeClass without __post_init__'s checks, for enumerate_types
+        # alone: its counts are a tuple of ints >= 0 that sum to n >= 1 by
+        # construction, so the checks could only repeat themselves
+        t = object.__new__(cls)
+        object.__setattr__(t, "counts", counts)
+        object.__setattr__(t, "n", n)
+        return t
 
     @property
     def pmf(self):
@@ -115,12 +138,9 @@ class CodeSpec:
     m2: int
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise DomainError(f"blocklength must be a positive integer, got {self.n!r}")
+        _check_positive("blocklength", self.n)
         for name in ("m1", "m2"):
-            m = getattr(self, name)
-            if not _is_int(m) or m < 1:
-                raise DomainError(f"{name} must be a positive integer, got {m!r}")
+            _check_positive(name, getattr(self, name))
         f = tuple(int(v) for v in self.f)
         g = tuple(int(v) for v in self.g)
         if not f or not g:
@@ -138,8 +158,7 @@ def type_of(seq, alphabet_size):
     seq = tuple(int(s) for s in seq)
     if not seq:
         raise SizeError("type_of needs a nonempty sequence")
-    if not _is_int(alphabet_size) or alphabet_size < 1:
-        raise DomainError(f"alphabet_size must be >= 1, got {alphabet_size!r}")
+    _check_positive("alphabet_size", alphabet_size)
     counts = [0] * alphabet_size
     for s in seq:
         if not 0 <= s < alphabet_size:
@@ -150,10 +169,8 @@ def type_of(seq, alphabet_size):
 
 def enumerate_types(alphabet_size, n):
     """All types of length-n blocks, first count descending."""
-    if not _is_int(alphabet_size) or alphabet_size < 1:
-        raise DomainError(f"alphabet_size must be >= 1, got {alphabet_size!r}")
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
+    _check_positive("alphabet_size", alphabet_size)
+    _check_positive("blocklength", n)
     total = math.comb(n + alphabet_size - 1, alphabet_size - 1)
     if total > _CODE_GUARD:
         raise SizeError(
@@ -164,7 +181,7 @@ def enumerate_types(alphabet_size, n):
 
     def rec(prefix, remaining, slots):
         if slots == 1:
-            out.append(TypeClass(prefix + (remaining,), n))
+            out.append(TypeClass._unchecked(prefix + (remaining,), n))
             return
         for c in range(remaining, -1, -1):
             rec(prefix + (c,), remaining - c, slots - 1)
@@ -205,10 +222,8 @@ def typical_set(pmf, n, delta):
     in lexicographic order.
     """
     p = _check_pmf_vector(pmf)
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not delta >= 0.0:
-        raise DomainError(f"delta must be nonnegative, got {delta!r}")
+    _check_positive("blocklength", n)
+    _check_delta(delta)
     a = p.size
     if a**n > _STATE_GUARD:
         raise SizeError(f"{a}^{n} blocks exceed the enumeration budget {_STATE_GUARD}")
@@ -223,10 +238,8 @@ def typical_set(pmf, n, delta):
 def typical_set_size(pmf, n, delta):
     """|T_delta| by summing multinomial sizes over qualifying types."""
     p = _check_pmf_vector(pmf)
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not delta >= 0.0:
-        raise DomainError(f"delta must be nonnegative, got {delta!r}")
+    _check_positive("blocklength", n)
+    _check_delta(delta)
     total = 0
     for t in enumerate_types(p.size, n):
         if _type_is_typical(t.counts, n, p, delta):
@@ -341,20 +354,45 @@ def _rgs_strings(length, max_labels):
     yield from rec(0, 0)
 
 
-def _bounds(table, n, strings, m, block):
+def _bounds(table, n, strings, m, block, pos=0):
     """(position, string, bound) of each code string, a block at a time.
 
     A string s maps the column index c of table to m labels, and its
     bound is I(r; s(c)) / n for the row index r: _thetas with the
     identity code on the rows, one bincount and one kernel call a block.
+    Positions count from pos.
     """
     rows = table.shape[0]
     ident = np.arange(rows, dtype=np.intp)
-    pos = 0
     while chunk := list(itertools.islice(strings, block)):
         bounds = _thetas(table, n, ident, np.array(chunk, dtype=np.intp), rows, m)
         yield from zip(range(pos, pos + len(chunk)), chunk, bounds.tolist())
         pos += len(chunk)
+
+
+def _side_bounds(table, n, length, m, count, block):
+    """best_theta's two passes over one side's bounds.
+
+    The side is the count canonical strings of the given length over m
+    labels, bounded against table. Returns the string of the largest
+    bound (the first of equal ones) and a function that lists the
+    (position, string, bound) triples whose bound is at least a floor.
+    The first pass keeps its first block of triples, so a side of one
+    block is enumerated and bounded once; a longer side streams its
+    later blocks a second time, and holds one block beyond the stream.
+    """
+    stream = _bounds(table, n, _rgs_strings(length, m), m, block)
+    first = list(itertools.islice(stream, block))
+    top = max(itertools.chain(first, stream), key=itemgetter(2))[1]
+
+    def kept(floor):
+        rest = ()
+        if count > block:
+            later = itertools.islice(_rgs_strings(length, m), block, None)
+            rest = _bounds(table, n, later, m, block, block)
+        return [t for t in itertools.chain(first, rest) if t[2] >= floor]
+
+    return top, kept
 
 
 def best_theta(p_xz, n, m1, m2):
@@ -367,7 +405,9 @@ def best_theta(p_xz, n, m1, m2):
     and theta(f, g) <= b_g = I(x^n; g(z^n)) / n. The pair of the largest
     b_f and the largest b_g gives a lower bound L on the maximum, and
     only pairs with both bounds at least L - _MARGIN are scored, g in
-    blocks (see the module docstring). _MARGIN exceeds the rounding of a
+    blocks (see the module docstring). Each side's first block of
+    bounds is computed once and kept for the keep rule (_side_bounds),
+    so a side of one block is never enumerated or bounded again. _MARGIN exceeds the rounding of a
     computed theta and a computed bound together, so every pair whose
     computed theta reaches L is scored, each tied maximizer included,
     and a scored pair gets the float that the full scan gives it: the
@@ -375,18 +415,17 @@ def best_theta(p_xz, n, m1, m2):
     """
     if len(p_xz.axes) != 2:
         raise DomainError(f"best_theta needs a two-axis source, got {p_xz.labels}")
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    for name, m in (("m1", m1), ("m2", m2)):
-        if not _is_int(m) or m < 1:
-            raise DomainError(f"{name} must be a positive integer, got {m!r}")
+    _check_positive("blocklength", n)
+    _check_positive("m1", m1)
+    _check_positive("m2", m2)
     nx, nz = p_xz.mass.shape
     if nx**n * nz**n > _STATE_GUARD:
         raise SizeError(
             f"{nx}^{n} * {nz}^{n} joint blocks exceed the enumeration budget {_STATE_GUARD}"
         )
     len_f, len_g = nx**n, nz**n
-    pruned = _rgs_count(len_f, m1) * _rgs_count(len_g, m2)
+    count_f, count_g = _rgs_count(len_f, m1), _rgs_count(len_g, m2)
+    pruned = count_f * count_g
     if pruned > _CODE_GUARD:
         raise SizeError(
             f"{pruned} canonical code pairs (raw count {m1**len_f * m2**len_g}) "
@@ -396,19 +435,13 @@ def best_theta(p_xz, n, m1, m2):
     table_zx = np.ascontiguousarray(table.T)
     i_xz = mutual_information(p_xz, p_xz.labels[0], p_xz.labels[1])
     block = max(1, _BLOCK_CELLS // table.size)
-
-    def f_bounds():
-        return _bounds(table_zx, n, _rgs_strings(len_f, m1), m1, block)
-
-    def g_bounds():
-        return _bounds(table, n, _rgs_strings(len_g, m2), m2, block)
-
-    # max keeps the first of equal bounds; the lower bound is a scored pair
-    f_top, g_top = max(f_bounds(), key=itemgetter(2))[1], max(g_bounds(), key=itemgetter(2))[1]
+    f_top, f_keep = _side_bounds(table_zx, n, len_f, m1, count_f, block)
+    g_top, g_keep = _side_bounds(table, n, len_g, m2, count_g, block)
+    # the lower bound is a scored pair
     top = _thetas(table, n, np.array(f_top, dtype=np.intp), np.array([g_top], dtype=np.intp), m1, m2)
     floor = float(top[0]) - _MARGIN
-    f_kept = [(pos, f, np.array(f, dtype=np.intp)) for pos, f, b in f_bounds() if b >= floor]
-    g_kept = [(pos, g) for pos, g, b in g_bounds() if b >= floor]
+    f_kept = [(pos, f, np.array(f, dtype=np.intp)) for pos, f, _ in f_keep(floor)]
+    g_kept = [(pos, g) for pos, g, _ in g_keep(floor)]
     best_val, best_at, best_pair = -math.inf, None, None
     for start in range(0, len(g_kept), block):
         g_block = g_kept[start : start + block]

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -161,6 +162,11 @@ class TestSupportWeightAndConfig:
             SampleConfig(seed=0, count=1, cap_u=0)
         with pytest.raises(DomainError):
             SampleConfig(seed=0, count=1, refine_top=-1)
+
+    @pytest.mark.parametrize("count", [5.0, np.int64(5), True, 0], ids=["float", "int64", "bool", "zero"])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(DomainError, match=re.escape(f"count must be a positive integer, got {count!r}")):
+            SampleConfig(seed=0, count=count)
 
     def test_bools_are_not_numbers(self):
         for kwargs in (

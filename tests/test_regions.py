@@ -579,6 +579,30 @@ class TestInnerSearchSemantics:
             multi_inner_search(src, chs, point)
 
 
+    def test_results_are_built_only_on_success(self, monkeypatch):
+        # every pair of a seeded K = 5 point is satisfiable at mu = 0 under
+        # large rates; a mu of 5 nats on the last pair is not. A failed
+        # search builds no BinningChoice, a successful one one per pair
+        rng = np.random.default_rng(53)
+        src, chs = seeded_multi_source(rng, 5)
+        pairs = omega_pairs(5)
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return BinningChoice(*args)
+
+        monkeypatch.setattr(regions, "BinningChoice", spy)
+        failing = MultiRegionPoint({**{pair: 0.0 for pair in pairs[:-1]}, pairs[-1]: 5.0}, (10.0,) * 5)
+        assert multi_inner_search(src, chs, failing) is None
+        assert built == []
+        passing = MultiRegionPoint({pair: 0.0 for pair in pairs}, (10.0,) * 5)
+        got = multi_inner_search(src, chs, passing)
+        assert len(pairs) == 180 and len(built) == 180
+        assert list(got) == pairs
+        assert all(is_first_candidate(pair, bc) for pair, bc in got.items())
+
+
 class TestMultiSourcePins:
     """The exact floats and choices of the multi-source evaluators on one
     seeded K = 4 source, so a faster evaluator cannot move a bit.

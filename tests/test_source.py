@@ -95,3 +95,31 @@ def test_one_stop_rule_in_iterate():
         f"_STEP read outside optimize._iterate: {reads}"
     )
     assert not bitwise, f"bitwise comparisons in src/coinfo: {bitwise}"
+
+
+def test_unchecked_type_class_has_one_caller():
+    # TypeClass._unchecked skips the constructor's checks, so it may only
+    # build the types that enumerate_types makes itself, never a value
+    # that comes from outside: it is referred to once, inside
+    # typicality.enumerate_types
+    files = sorted(Path(coinfo.__file__).parent.rglob("*.py"))
+    uses = []
+
+    def scan(node, where, funcs):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, where, funcs + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "_unchecked") or (
+                isinstance(child, ast.Name) and child.id == "_unchecked"
+            ):
+                uses.append((f"{where}:{child.lineno}", funcs))
+            scan(child, where, funcs)
+
+    for path in files:
+        scan(ast.parse(path.read_text(), filename=str(path)), path.name, ())
+    assert len(uses) == 1, f"TypeClass._unchecked referred to {len(uses)} times: {uses}"
+    (where, funcs), = uses
+    assert where.startswith("typicality.py:") and funcs[:1] == ("enumerate_types",), (
+        f"TypeClass._unchecked used outside typicality.enumerate_types: {uses}"
+    )

@@ -7,8 +7,10 @@ Frozen oracle values:
     balanced binary n=8       = C(8,4) = 70
 """
 
+import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +128,20 @@ class TestEnumerateTypes:
                 assert len(types) < (n + 1) ** a or a == 1
                 assert sum(t.sequence_count() for t in types) == a**n
 
+    def test_equals_the_checked_construction(self):
+        # enumerate_types skips TypeClass's checks; its types equal, hashes
+        # included, the ones the public constructor builds from the same
+        # counts, listed first count descending
+        for a in range(1, 5):
+            for n in range(1, 11):
+                counts = sorted((c for c in itertools.product(range(n + 1), repeat=a) if sum(c) == n), reverse=True)
+                want = [TypeClass(c, n) for c in counts]
+                got = enumerate_types(a, n)
+                assert got == want
+                assert [hash(t) for t in got] == [hash(t) for t in want]
+                assert all(type(t) is TypeClass and type(t.n) is int for t in got)
+                assert all(type(c) is int for t in got for c in t.counts)
+
     def test_budget_guard(self):
         with pytest.raises(SizeError):
             enumerate_types(10, 100)
@@ -229,6 +245,45 @@ class TestTypicalSet:
         # within 1e-9 of 1 is divided out
         want = JointPmf((Alphabet(len(pmf), "x"),), pmf).mass
         assert np.array_equal(typicality._check_pmf_vector(pmf), want)
+
+
+class TestArgumentErrors:
+    """An integer or real argument of the wrong type is refused with a
+    message that says what is wanted; what is accepted is unchanged."""
+
+    @pytest.mark.parametrize("n", [np.int64(4), True, 4.0, 0], ids=["int64", "bool", "float", "zero"])
+    def test_blocklength_must_be_a_positive_integer(self, n):
+        msg = re.escape(f"blocklength must be a positive integer, got {n!r}")
+        with pytest.raises(DomainError, match=msg):
+            enumerate_types(2, n)
+        with pytest.raises(DomainError, match=msg):
+            next(typical_set([0.5, 0.5], n, 0.1))
+        with pytest.raises(DomainError, match=msg):
+            typical_set_size([0.5, 0.5], n, 0.1)
+        with pytest.raises(DomainError, match=msg):
+            best_theta(dsbs(0.25), n, 2, 2)
+
+    @pytest.mark.parametrize("a", [np.int64(2), True, 2.0], ids=["int64", "bool", "float"])
+    def test_alphabet_size_must_be_a_positive_integer(self, a):
+        msg = re.escape(f"alphabet_size must be a positive integer, got {a!r}")
+        with pytest.raises(DomainError, match=msg):
+            enumerate_types(a, 4)
+        with pytest.raises(DomainError, match=msg):
+            type_of((0, 1), a)
+
+    @pytest.mark.parametrize("delta", [np.float32(0.5), True, -0.1, math.nan], ids=["float32", "bool", "negative", "nan"])
+    def test_delta_must_be_a_nonnegative_real_number(self, delta):
+        msg = re.escape(f"delta must be a nonnegative real number, got {delta!r}")
+        with pytest.raises(DomainError, match=msg):
+            next(typical_set([0.5, 0.5], 4, delta))
+        with pytest.raises(DomainError, match=msg):
+            typical_set_size([0.5, 0.5], 4, delta)
+
+    def test_accepted_arguments_are_unchanged(self):
+        for delta in (0, 0.5, np.float64(0.5), math.inf):
+            assert typical_set_size([0.5, 0.5], 4, delta) == len(list(typical_set([0.5, 0.5], 4, delta)))
+        assert typical_set_size([0.5, 0.5], 4, math.inf) == 16
+        assert len(enumerate_types(2, 4)) == 5
 
 
 class TestSequenceProbabilityIdentity:
@@ -344,6 +399,54 @@ def canonical_strings(length, m):
             yield s
 
 
+_FULL_SCANS = {}
+
+
+def full_scan(src, n, m1, m2):
+    """(value, code) of the scan of every canonical pair through the public
+    theta: the maximum, and the first maximizer, f outer."""
+    key = (src.mass.tobytes(), src.mass.shape, n, m1, m2)
+    if key not in _FULL_SCANS:
+        nx, nz = src.mass.shape
+        best, first = -math.inf, None
+        for f in canonical_strings(nx**n, m1):
+            for g in canonical_strings(nz**n, m2):
+                code = CodeSpec(n, f, g, m1, m2)
+                val = theta(src, code)
+                if val > best:
+                    best, first = val, code
+        _FULL_SCANS[key] = (best, first)
+    return _FULL_SCANS[key]
+
+
+_RGS_STRINGS, _BOUNDS = typicality._rgs_strings, typicality._bounds
+
+
+def spy_oracle(monkeypatch):
+    """Count best_theta's enumerations of canonical strings, by (length,
+    m), and the bounds it computes, by string: a bound is computed for
+    each string that _bounds draws from its input. A second call replaces
+    the first call's spies."""
+    runs, bounded = collections.Counter(), collections.Counter()
+    rgs_strings, bounds = _RGS_STRINGS, _BOUNDS
+
+    def rgs_spy(length, m):
+        runs[length, m] += 1
+        return rgs_strings(length, m)
+
+    def bounds_spy(table, n, strings, m, block, pos=0):
+        def drawn():
+            for s in strings:
+                bounded[s] += 1
+                yield s
+
+        return bounds(table, n, drawn(), m, block, pos)
+
+    monkeypatch.setattr(typicality, "_rgs_strings", rgs_spy)
+    monkeypatch.setattr(typicality, "_bounds", bounds_spy)
+    return runs, bounded
+
+
 class TestBestTheta:
     def test_single_bin_is_zero(self):
         val, code = best_theta(dsbs(0.25), 1, 1, 1)
@@ -424,14 +527,7 @@ class TestBestTheta:
             "random3x3-n1-m3": lambda: (random_source(np.random.default_rng(46), 3, 3), 1, 3, 3),
             "random2x3-n2-m2": lambda: (random_source(np.random.default_rng(47), 2, 3), 2, 2, 2),
         }[case]()
-        nx, nz = src.mass.shape
-        best, first = -math.inf, None
-        for f in canonical_strings(nx**n, m1):
-            for g in canonical_strings(nz**n, m2):
-                code = CodeSpec(n, f, g, m1, m2)
-                val = theta(src, code)
-                if val > best:
-                    best, first = val, code
+        best, first = full_scan(src, n, m1, m2)
         val, code = best_theta(src, n, m1, m2)
         assert val == best
         assert code == first
@@ -442,20 +538,41 @@ class TestBestTheta:
         assert val == 0.059955516473021074
         assert code.f == code.g == (0, 0, 0, 0, 1, 1, 2, 2)
 
+    def test_one_block_sides_are_bounded_once(self, monkeypatch):
+        # at n = 3, m = 2 each side's 128 strings fit one block: each side
+        # enumerates them once and computes each bound once
+        runs, bounded = spy_oracle(monkeypatch)
+        val, code = best_theta(dsbs(0.25), 3, 2, 2)
+        strings = list(canonical_strings(8, 2))
+        assert len(strings) == 128
+        assert runs == {(8, 2): 2}
+        assert bounded == {s: 2 for s in strings}
+        assert theta(dsbs(0.25), code) == val
+
     def test_block_size_does_not_change_result(self, monkeypatch):
         # blocks of 1, 7 and all g strings; theta of the returned code is
-        # the same float, and ties still go to the first pair
+        # the same float, the result is the full scan's, and ties still go
+        # to the first pair. A side of one block is enumerated and bounded
+        # once; a longer side enumerates twice and bounds every string
+        # after its first block twice. Every case has nx == nz and m1 ==
+        # m2, so both sides count the same strings
         rng = np.random.default_rng(43)
         cases = [(dsbs(0.25), 3, 2, 2), (dsbs(0.1), 2, 3, 3), (random_source(rng, 3, 3), 1, 3, 3)]
         for src, n, m1, m2 in cases:
             cells = src.mass.size**n
+            length = src.mass.shape[0] ** n
+            strings = list(canonical_strings(length, m1))
             results = []
             for rows in (1, 7, 10**6):
                 monkeypatch.setattr(typicality, "_BLOCK_CELLS", rows * cells)
+                runs, bounded = spy_oracle(monkeypatch)
                 val, code = best_theta(src, n, m1, m2)
                 assert theta(src, code) == val
                 results.append((val, code))
-            assert results[0] == results[1] == results[2]
+                one_block = len(strings) <= rows
+                assert runs == {(length, m1): 2 if one_block else 4}
+                assert bounded == {s: 2 if i < rows else 4 for i, s in enumerate(strings)}
+            assert results[0] == results[1] == results[2] == full_scan(src, n, m1, m2)
 
     def test_budget_guard_reports_raw_count(self):
         with pytest.raises(SizeError) as exc:
