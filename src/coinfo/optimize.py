@@ -20,9 +20,10 @@ max or min with lowest-index tie-break, and no BLAS-backed kernels are
 used, so a run is bit-reproducible for any thread count. A piece of a
 draw block is scored in blocks of at most _DRAW_CELLS joint cells, with
 one call of probability.batch_entropies each, which builds all the marginals of
-every table with np.bincount over a cached index plan and sums them in
-a fixed order, with elementwise operations only; its rows are bitwise
-equal to one table's, so no result depends on the scoring block size.
+every table with ordered reductions whose inner loop runs across the
+tables, and sums them in a fixed order, with elementwise operations
+only; its rows are bitwise equal to one table's, so no result depends on
+the scoring block size.
 The conjecture tail runs once per chunk of draws whose tables hold at
 most _DRAW_FLOATS floats, with one h_b^-1 call
 (probability.binary_entropy_inverses) for both rate equalities; it is
@@ -253,10 +254,11 @@ _DRAW_FLOATS = 1 << 17
 # joint cells scored per batched stats call, summed over the scoring
 # block's draws: a piece of a draw block is scored in scoring blocks of
 # max(1, _DRAW_CELLS // cells) draws, the rule of typicality._BLOCK_CELLS,
-# so the joints of a call stay bounded on a large alphabet (128 draws of a
-# 2x2x2x2 joint, one draw of any joint past 2048 cells). No result depends
-# on it, since a batched row is bitwise equal to one table's.
-_DRAW_CELLS = 1 << 11
+# so the joints of a call stay bounded on a large alphabet (a whole
+# 256-draw block of a 2x2x2x2 joint, one draw of any joint past 4096
+# cells). No result depends on it, since a batched row is bitwise equal
+# to one table's.
+_DRAW_CELLS = 1 << 12
 
 
 def _substream(seed, index):
@@ -336,8 +338,11 @@ _IB_GROUPS = ((0,), (1,), (2,), (0, 2), (1, 2))
 def _batch_inner_stats(pxz, rows_u, rows_v):
     """(I(u;v), I(u;x), I(v;z)) on the long chain u - x - z - v, as arrays
     over a batch of channel pairs."""
-    w = pxz[:, :, None, None] * rows_u[:, :, None, :, None] * rows_v[:, None, :, None, :]
-    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = batch_entropies(w, _INNER_GROUPS).T
+    # the (x, z, u, v, draw) products written in C order, draws innermost:
+    # the layout batch_entropies reduces in, so it takes them without a copy
+    w = np.multiply(pxz[:, :, None, None, None], rows_u.transpose(1, 2, 0)[:, None, :, None], order="C")
+    w = np.multiply(w, rows_v.transpose(1, 2, 0)[None, :, None], order="C")
+    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = batch_entropies(w.transpose(4, 0, 1, 2, 3), _INNER_GROUPS).T
     return (
         _clamp_measures(h_u + h_v - h_uv),
         _clamp_measures(h_x + h_u - h_xu),
@@ -347,7 +352,8 @@ def _batch_inner_stats(pxz, rows_u, rows_v):
 
 def _batch_ib_stats(pxz, rows):
     """(I(u;x), I(u;z)) of a batch of test channels p(u|x) on the source."""
-    h = batch_entropies(pxz[:, :, None] * rows[:, :, None, :], _IB_GROUPS)
+    w = np.multiply(pxz[:, :, None, None], rows.transpose(1, 2, 0)[:, None], order="C")
+    h = batch_entropies(w.transpose(3, 0, 1, 2), _IB_GROUPS)
     h_x, h_z, h_u, h_xu, h_zu = h.T
     return _clamp_measures(h_x + h_u - h_xu), _clamp_measures(h_z + h_u - h_zu)
 
@@ -374,7 +380,8 @@ _OUTER_A, _OUTER_B, _OUTER_C = (
 def _batch_outer_stats(pxz, q):
     """All information terms of the (x,z,u,v) joints of a batch of tables
     q[b] = q(u,v|x,z): row b holds the _OUTER_KEYS terms of table b."""
-    h = batch_entropies(pxz[:, :, None, None] * q, _OUTER_GROUPS)
+    w = np.multiply(pxz[:, :, None, None, None], q.transpose(1, 2, 3, 4, 0), order="C")
+    h = batch_entropies(w.transpose(4, 0, 1, 2, 3), _OUTER_GROUPS)
     st = h[:, _OUTER_A] + h[:, _OUTER_B] - h[:, _OUTER_C]
     st[:, 5:] -= h[:, :2]  # H(x) and H(z), the first two groups
     _clamp_measures(st)

@@ -8,6 +8,7 @@ Conventions: 0*log(0) = 0 and p*log(p/0) = +inf.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ LOG2 = math.log(2.0)
 _NORM_TOL = 1e-9
 # entries this far below zero are treated as float noise and clipped
 _NEG_TOL = 1e-12
+# the least positive float64, a subnormal
+_TINIEST = math.ulp(0.0)
 # dense tensors only; joints larger than this are out of scope
 _MAX_CELLS = 10**7
 
@@ -199,31 +202,88 @@ def batch_entropies(w, groups):
     nonempty tuple of tuples of distinct axis indices of a table. Returns
     a (len(w), len(groups)) array: entry (b, i) is the entropy of the
     marginal of w[b] on the kept axes groups[i], with 0*log(0) = 0 and
-    the clamp of entropy_of_array. One bincount over the cells builds
-    every marginal of every table and a second sums their m*log(m) terms.
-    The tables share one index plan and sit end to end in the two
-    bincounts, so each table's cells and each marginal's terms are summed
-    in the same order as for that table alone, and row b does not depend
-    on the other tables of the block; the plan of a power-of-two number
-    of tables is cached and a smaller batch uses its prefix, so a call
-    costs a few numpy operations however small its batch.
+    the clamp of entropy_of_array. The block is copied once with the
+    tables on the last axis (not at all when w is a view of such a
+    C-ordered array, as optimize's stats build it), so every reduction
+    runs its inner loop across tables: one np.add.reduce per group writes
+    its marginal into one buffer, each marginal cell adding its table
+    cells one at a time in C order; m*log(m) is taken once over the
+    buffer; and one reduce per run of consecutive groups of one marginal
+    size adds each group's terms one at a time in the order of its kept
+    axes. Those are the orders of a one-table sum, so row b is bitwise
+    that table's alone and does not depend on the other tables of the
+    block. A block of one table gets a second column, because numpy sums
+    a reduction whose inner loop is the summed axis pairwise. Nothing is
+    kept between calls but the axes of each reduction (_entropy_axes).
     Every sampler and objective of optimize and the code oracle of
     typicality score their tables with it; the tests keep an unbatched
     one-table form as its bitwise reference.
     """
     w = np.asarray(w, dtype=np.float64)
     batch = w.shape[0]
-    size = 1 << (batch - 1).bit_length()
-    cells, target, n_cells, owner = _batch_plan(w.shape[1:], groups, size)
-    copies = batch * (len(target) // size)
-    marg = np.bincount(
-        target[:copies], weights=w.ravel()[cells[:copies]], minlength=batch * n_cells
-    )
-    pos = marg > 0.0
-    m = marg[pos]
-    owner = owner[: batch * n_cells][pos]
-    h = -np.bincount(owner, weights=m * np.log(m), minlength=batch * len(groups))
-    return _clamp_measures(h).reshape(batch, len(groups))
+    n_cells, last, margins, folds = _entropy_axes(w.shape[1:], groups)
+    x = w.transpose(last)
+    x = np.repeat(x, 2, -1) if batch == 1 else np.ascontiguousarray(x)
+    marg = np.empty((n_cells, x.shape[-1]))
+    for lo, hi, summed, kept, order in margins:
+        out = marg[lo:hi] if kept is None else marg[lo:hi].reshape(kept)
+        if order is not None:
+            out = out.transpose(order)
+        if summed is None:
+            np.copyto(out, x)
+        else:
+            np.add.reduce(x, summed, None, out)
+    # an empty cell's term is 0 * log(5e-324) = -0.0, which leaves a sum
+    # that starts at +0.0 as it was: the sum of the positive cells alone
+    terms = np.maximum(marg, _TINIEST)
+    np.log(terms, terms)
+    terms *= marg
+    h = np.empty((len(groups), marg.shape[1]))
+    for lo, hi, run, first, stop in folds:
+        np.add.reduce(terms[lo:hi].reshape(run), 1, None, h[first:stop])
+    np.negative(h, h)
+    # an entropy falls below 0 only by rounding, and seldom: clamp only when
+    # the least entry (nan ignored, 0.0 for an empty block) is below 0
+    if np.fmin.reduce(h, None, None, None, False, 0.0) < 0.0:
+        _clamp_measures(h)
+    return h[:, :batch].T
+
+
+@functools.cache
+def _entropy_axes(shape, groups):
+    # the reductions of batch_entropies on tables of this shape, as axes and
+    # shapes only: the axis order that puts the tables last; per group, its
+    # rows [lo, hi) of the marginal buffer, the table axes it sums, the view
+    # shape of its rows (kept axes in group order, tables last) and the axis
+    # order that lines that view up with the table's (None if it already
+    # does); per run of consecutive groups of one marginal size, its rows of
+    # the buffer, their (groups, cells, tables) shape and its result rows
+    if not groups:
+        raise AxisError("batch_entropies needs at least one group")
+    n = len(shape)
+    margins, sizes = [], []
+    lo = 0
+    for g in groups:
+        if not g or len(set(g)) != len(g) or not all(0 <= a < n for a in g):
+            raise AxisError(f"group {g} is not a nonempty set of axes of shape {shape}")
+        size = math.prod(shape[a] for a in g)
+        # None keeps every axis (a copy); numpy parses one int axis faster
+        # than a tuple
+        summed = tuple(a for a in range(n) if a not in g)
+        summed = summed[0] if len(summed) == 1 else summed or None
+        # a one-axis marginal's rows already have its shape
+        kept = tuple(shape[a] for a in g) + (-1,) if len(g) > 1 else None
+        order = tuple(sorted(range(len(g)), key=g.__getitem__)) + (len(g),)
+        margins.append((lo, lo + size, summed, kept, None if order == tuple(range(len(order))) else order))
+        sizes.append(size)
+        lo += size
+    folds = []
+    lo = first = 0
+    for size, run in itertools.groupby(sizes):
+        count = len(list(run))
+        folds.append((lo, lo + count * size, (count, size, -1), first, first + count))
+        lo, first = lo + count * size, first + count
+    return lo, tuple(range(1, n + 1)) + (0,), tuple(margins), tuple(folds)
 
 
 def _clamp_measures(values):
@@ -303,45 +363,6 @@ def _sum_rows(t, s, out):
     np.add(t[0], t[1], out=out)
     for letter in range(2, s):
         out += t[letter]
-
-
-@functools.cache
-def _entropy_plan(shape, groups):
-    # the marginals sit end to end in one vector of n_cells entries: copy k
-    # of w's cells adds to the cells of marginal k, and owner[j] is the
-    # group of entry j
-    if not groups:
-        raise AxisError("batch_entropies needs at least one group")
-    coords = np.indices(shape).reshape(len(shape), -1)
-    target, owner = [], []
-    n_cells = 0
-    for i, g in enumerate(groups):
-        if not g or len(set(g)) != len(g) or not all(0 <= a < len(shape) for a in g):
-            raise AxisError(f"group {g} is not a nonempty set of axes of shape {shape}")
-        sizes = tuple(shape[a] for a in g)
-        target.append(n_cells + np.ravel_multi_index(tuple(coords[a] for a in g), sizes))
-        owner.append(np.full(math.prod(sizes), i))
-        n_cells += math.prod(sizes)
-    cells = np.tile(np.arange(coords.shape[1]), len(groups))
-    target, owner = np.concatenate(target), np.concatenate(owner)
-    for a in (cells, target, owner):
-        a.setflags(write=False)  # one plan serves every call with its key
-    return cells, target, n_cells, owner
-
-
-@functools.lru_cache(maxsize=32)
-def _batch_plan(shape, groups, size):
-    # the _entropy_plan of `size` tables end to end: table b's cells, marginal
-    # cells and groups are offset by b tables' worth. A batch of fewer tables
-    # uses the prefixes, so batch_entropies asks for the next power of two
-    cells, target, n_cells, owner = _entropy_plan(shape, groups)
-    offset = np.arange(size)[:, None]
-    cells = (offset * math.prod(shape) + cells).ravel()
-    target = (offset * n_cells + target).ravel()
-    owner = (offset * len(groups) + owner).ravel()
-    for a in (cells, target, owner):
-        a.setflags(write=False)
-    return cells, target, n_cells, owner
 
 
 def binary_entropy(p):

@@ -343,9 +343,9 @@ class TestPinnedRefineOutputs:
         assert len(read_table(out)[1]) == int(samples)
 
     # outer draws come in draw blocks of 256 and are mapped onto the chains
-    # in scoring blocks of 128 draws of a 2x2x2x2 joint (ro_prime: two
-    # blocks in the first draw block, and 44 draws of the second) and of 56
-    # at caps 3,3
+    # in scoring blocks of 256 draws of a 2x2x2x2 joint (ro_prime: the whole
+    # first draw block, and 44 draws of the second) and of 113 at caps 3,3;
+    # the digests were taken with scoring blocks of 128 and 56 draws
     @pytest.mark.parametrize("variant, samples, caps, digest", [
         pytest.param("ro_prime", "300", (),
                      "094b38581ad0f1e8eaaed3c9905a18d8b7ab38779ee5e418bf085e93c466a46a",

@@ -1672,8 +1672,10 @@ class TestDrawBlocks:
                 out.append(points.tolist())
         return bits(out)
 
-    # the default block of a 2x2x2x2 joint (conjecture_test, DSBS inner and
-    # outer) and of SOURCE3's 3x2x3x2 inner and outer joints
+    # counts at the block edges of a 2x2x2x2 joint (conjecture_test, DSBS
+    # inner and outer) and of SOURCE3's 3x2x3x2 inner and outer joints: 256
+    # and 113 draws at the default budget, the first past _DRAW_BLOCK, and
+    # 128 and 56 at half of it
     @pytest.mark.parametrize("count", [6, 7, 8, 56, 57, 128, 129, optimize._DRAW_BLOCK + 1])
     def test_block_size_does_not_change_results(self, monkeypatch, count):
         want = self.results(count)
@@ -1709,10 +1711,14 @@ class TestDrawBlocks:
             monkeypatch.setattr(optimize, "_DRAW_CELLS", 16 * block)
             assert solved() == want
 
-    @pytest.mark.parametrize("n, blocks", [(2, [20]), (4, [8, 8, 4]), (16, [1] * 20)])
-    def test_blocks_are_sized_by_joint_cells(self, monkeypatch, n, blocks):
-        # default caps: an n x n source has n^4 inner joint cells, and a large
-        # alphabet is scored one draw at a time
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_blocks_are_sized_by_joint_cells(self, monkeypatch, n):
+        # default caps: an n x n source has n^4 inner joint cells. The 20
+        # draws lie in one piece of one draw block, which is scored in blocks
+        # of max(1, _DRAW_CELLS // cells) draws, so a large alphabet is
+        # scored one draw at a time
+        size = max(1, optimize._DRAW_CELLS // n**4)
+        blocks = [min(size, 20 - lo) for lo in range(0, 20, size)]
         seen = []
 
         batch_inner_stats = optimize._batch_inner_stats

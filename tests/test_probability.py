@@ -9,9 +9,11 @@ Frozen constants were computed independently with mpmath at 50 digits:
     D(B(0.5)||B(0.25))        = 0.14384103622589046
 """
 
+import gc
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,21 +187,50 @@ class TestEntropies:
                 batch_entropies(w[None], groups)
 
     def test_batch_rows_equal_unbatched_bitwise(self):
+        # numpy sums a reduction pairwise when its inner loop runs over the
+        # summed axis, from a few cells on; marginals of 8 or more cells, long
+        # axes and unsorted groups catch a kernel whose loop order slips
         rng = np.random.default_rng(22)
-        for shape in ((2, 2), (2, 3), (3, 1, 2, 2)):
+        shapes = ((2, 2), (2, 3), (3, 1, 2, 2), (9, 9), (16, 3), (2,) * 5, (8, 1, 9), (27, 2))
+        for shape in shapes:
             cells = int(np.prod(shape))
             axes = tuple(range(len(shape)))
             groups = tuple(g for k in range(1, len(shape) + 1) for g in itertools.combinations(axes, k))
-            # 5 and 3 tables reuse the cached plans of 8 and 4
-            for size in (1, 7, 257, 5, 4, 3):
+            groups += tuple(g[::-1] for g in groups if len(g) > 1)
+            for size in (0, 1, 2, 3, 255, 256, 257):
                 w = rng.dirichlet(np.ones(cells), size=size)
                 w[::3, 0] = 0.0  # zero cells in some tables
                 w[1::5] = np.eye(1, cells, cells - 1)  # and point masses in others
-                w = (w / w.sum(axis=1, keepdims=True)).reshape((size,) + shape)
+                w = w / w.sum(axis=1, keepdims=True)
+                # a point mass a rounding step past 1, whose entropies clamp
+                # to 0, and tables of mass 2, whose negative entropies stay
+                w[2::7] = np.eye(1, cells, 0) * np.nextafter(1.0, 2.0)
+                w[3::11] *= 2.0
+                w = w.reshape((size,) + shape)
                 got = batch_entropies(w, groups)
                 assert got.shape == (size, len(groups))
                 for b in range(size):
-                    assert got[b].tolist() == entropies(w[b], groups)
+                    assert got[b].tolist() == entropies(w[b], groups), (shape, size, b)
+
+    def test_no_memory_kept_between_calls(self):
+        # blocks of 1, 300 and 4096 tables: nothing whose size grows with the
+        # block outlives a call. The axes cached for the (shape, groups) of
+        # the first call take about 5 KiB; a 4096-table index plan of these
+        # 15 groups would take megabytes
+        rng = np.random.default_rng(24)
+        groups = tuple(g for k in range(1, 5) for g in itertools.combinations(range(4), k))
+        blocks = [rng.dirichlet(np.ones(16), size=n).reshape((n, 2, 2, 2, 2)) for n in (1, 300, 4096)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for w in blocks:
+                batch_entropies(w, groups)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept - start <= 8 * 1024
 
 
 class TestSubsetEntropies:
