@@ -59,9 +59,15 @@ from .typicality import (
 )
 
 
+# every real is written as this %-format writes it; its longest text for a
+# double, such as "-1.23456789012345e-308", has _FLOAT_WIDTH characters
+_FLOAT_FORMAT = "%.15g"
+_FLOAT_WIDTH = 22
+
+
 def _fmt(value):
     if isinstance(value, float):
-        return f"{value:.15g}"
+        return _FLOAT_FORMAT % value
     return str(value)
 
 
@@ -103,7 +109,7 @@ def _table_lines(rows, scale):
     table = np.asarray(rows, dtype=np.float64) / scale
     if not len(table):
         return []
-    line = " ".join(["%.15g"] * table.shape[1])
+    line = " ".join([_FLOAT_FORMAT] * table.shape[1])
     return ("\n".join([line] * len(table)) % tuple(table.ravel().tolist())).split("\n")
 
 
@@ -214,18 +220,58 @@ def cmd_dsbs_surface(args):
     return 0
 
 
+# _surface_blocks reads mu in blocks of whole rows of at most this many
+# cells, and formats at most _FORMAT_CHUNK distinct values per %-format call
+_SURFACE_WRITE_CELLS = 2**16
+_FORMAT_CHUNK = 2**8
+
+
 def _surface_blocks(rates, mu, scale):
-    """The rows of the surface, one block of text per alpha row.
+    """The rows of the surface, one block of text per row of mu.
 
     Row (a, b) is "r1(a) r2(b) mu(a, b)", each value v written as
-    _fmt(v / scale) writes it. Each distinct rate is formatted once and
-    each alpha row takes one %-format call, so a block holds one row of
-    text at a time.
+    _fmt(v / scale) writes it. Each distinct rate is formatted once, and so
+    is each distinct mu value of a block: mu is read in blocks of whole
+    rows of at most _SURFACE_WRITE_CELLS cells (the default grid and the
+    benchmark's are one block each), whose scaled values are keyed by
+    their int64 bit patterns, sorted, and formatted once per distinct key
+    into a fixed-width bytes table. The surface is symmetric in
+    (alpha, beta), so about a third of its cells are distinct. The text of
+    a double depends on its bits alone, so the bytes are those of
+    formatting every cell; -0.0 and 0.0 stay apart. Each row then takes
+    one searchsorted into the distinct keys and one %-format call.
+
+    Beyond rates and mu, the writer holds one block's working arrays and
+    the text of one row. The arrays take at most about 32 bytes a cell:
+    the keys, sorted in place, then the distinct keys and their texts
+    (8 + 22 a distinct value). Its peak is about 2.1 MiB at 2**16 cells a
+    block, whatever the grid, and about 0.3 MiB for the whole 151 x 151
+    surface.
     """
-    text = [_fmt(r) for r in (rates / scale).tolist()]
-    cols = [f" {t} %.15g" for t in text]
-    for t, row in zip(text, mu):
-        yield t + (("\n" + t).join(cols) % tuple((row / scale).tolist())) + "\n"
+    text = [_fmt(r).encode() for r in (rates / scale).tolist()]
+    cols = [b""] + [b" " + t + b" %s\n" for t in text]
+    rows = max(1, _SURFACE_WRITE_CELLS // max(mu.shape[1], 1))
+    for i in range(0, len(mu), rows):
+        yield from _surface_rows(text[i : i + rows], cols, mu[i : i + rows], scale)
+
+
+def _surface_rows(text, cols, block, scale):
+    # one block of _surface_blocks: the line of row k is text[k].join(cols)
+    # with the texts of the row's scaled values, each distinct double
+    # formatted once. Its arrays are freed when it returns, before the next
+    # block builds its own
+    distinct = (block / scale).view(np.int64).ravel()
+    distinct.sort()
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    floats = distinct.view(np.float64)
+    table = np.empty(floats.size, dtype=f"S{_FLOAT_WIDTH}")
+    for j in range(0, floats.size, _FORMAT_CHUNK):
+        chunk = tuple(floats[j : j + _FORMAT_CHUNK].tolist())
+        texts = "\n".join([_FLOAT_FORMAT] * len(chunk)) % chunk
+        table[j : j + len(chunk)] = texts.encode().split(b"\n")
+    for t, row in zip(text, block):
+        keys = (row / scale).view(np.int64)
+        yield (t.join(cols) % tuple(table[np.searchsorted(distinct, keys)].tolist())).decode()
 
 
 # abscissae closer than this are one evaluation point

@@ -414,9 +414,16 @@ def binary_entropy_inverses(h):
 
 
 def _hb_open(p):
-    # the one h_b body: h_b of every entry of a float array inside (0, 1),
-    # unchecked, with numpy's log and log1p
-    return -(p * np.log(p) + (1.0 - p) * np.log1p(-p))
+    # h_b of every entry of a float array inside (0, 1), unchecked
+    return _hb_logs(p)[0]
+
+
+def _hb_logs(p):
+    # the one h_b body, with numpy's log and log1p: h_b of every entry of a
+    # float array inside (0, 1), unchecked, and the log(p) and log1p(-p) it
+    # is made from
+    log_p, log_q = np.log(p), np.log1p(-p)
+    return -(p * log_p + (1.0 - p) * log_q), log_p, log_q
 
 
 def _hb_closed_array(p):
@@ -460,7 +467,8 @@ def _hb_inverse(h):
     hi = np.minimum(_quarter_root(y), _HB_P_MAX)
     p = lo
     for _ in range(_HB_NEWTON_STEPS):
-        step = (hc - _hb_open(p)) / (np.log1p(-p) - np.log(p))
+        h_p, log_p, log_q = _hb_logs(p)
+        step = (hc - h_p) / (log_q - log_p)
         p = np.maximum(np.minimum(p + step, hi), lo)
     return np.where(flat <= 0.0, 0.0, np.where(flat >= LOG2, 0.5, p)).reshape(h.shape)
 

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinfo import probability, typicality
-from coinfo.cli import RunManifest, _fmt, _parse_source, _table_lines, _unit_scale, main
+from coinfo import cli, probability, typicality
+from coinfo.cli import RunManifest, _fmt, _parse_source, _surface_blocks, _table_lines, _unit_scale, main
 from coinfo.errors import DomainError, SizeError
 from coinfo.probability import LOG2, Alphabet, JointPmf, binary_entropy
-from coinfo.regions import sb_point
+from coinfo.regions import sb_point, sb_surface
 
 I_DSBS_025 = LOG2 - binary_entropy(0.25)
 I_DSBS_01 = LOG2 - binary_entropy(0.1)
@@ -157,6 +157,103 @@ class TestDsbsSurfaceWriter:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak <= 4 * 2**20
+
+
+def row_by_row_surface_blocks(rates, mu, scale):
+    """The surface rows as the writer before the distinct-value one made
+    them: each rate formatted once, each row of mu one %-format call that
+    formats every cell."""
+    text = [f"{r:.15g}" for r in (rates / scale).tolist()]
+    cols = [f" {t} %.15g" for t in text]
+    for t, row in zip(text, mu):
+        yield t + (("\n" + t).join(cols) % tuple((row / scale).tolist())) + "\n"
+
+
+def _nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(np.float64)[0]
+
+
+# values whose texts or bit patterns are easy to get wrong: both zeros and
+# both infinities, subnormals, NaNs with other payloads and signs, values
+# whose texts are the longest, and ones that equal another's text but not
+# its bits
+SPECIAL_VALUES = [
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    -1.2345678901234567e-308, math.nan, -math.nan, _nan_with_payload(1),
+    _nan_with_payload(0xBEEF), 0.1 + 0.2, 0.3, 1e16, -1e-300, LOG2,
+    math.nextafter(LOG2, 0.0), 1.0, 1.0000000000000002,
+]
+
+
+def special_table(rows, cols, seed):
+    # an asymmetric table of special values, repeated and mixed with
+    # uniforms
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(SPECIAL_VALUES) + 3, size=(rows, cols))
+    table = rng.uniform(-1.0, 1.0, size=(rows, cols))
+    special = pick < len(SPECIAL_VALUES)
+    table[special] = np.array(SPECIAL_VALUES)[pick[special]]
+    return table
+
+
+class TestDistinctValueSurfaceWriter:
+    """_surface_blocks writes the bytes of the row-by-row writer, which
+    formats every cell, for every table, block size and unit."""
+
+    @staticmethod
+    def both(rates, mu, scale):
+        return "".join(_surface_blocks(rates, mu, scale)), "".join(row_by_row_surface_blocks(rates, mu, scale))
+
+    @pytest.mark.parametrize("grid", [1, 2, 33, 151, 152, 301])
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_cli_grids(self, grid, units):
+        for p in (0.0, 0.01, 0.25, 0.4, 0.5):
+            rates, mu = sb_surface(p, np.linspace(0.0, 0.5, grid))
+            got, want = self.both(rates, mu, _unit_scale(units))
+            assert got == want, (p, grid, units)
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (5, 5), (23, 23), (6, 40)])
+    def test_special_values_and_blocks(self, monkeypatch, units, block_rows, shape):
+        rows, cols = shape
+        # None: the whole table in one block
+        monkeypatch.setattr(cli, "_SURFACE_WRITE_CELLS", cols * (block_rows or rows))
+        # and chunks of 3 distinct values, so that every table spans chunks
+        monkeypatch.setattr(cli, "_FORMAT_CHUNK", 3)
+        scale = _unit_scale(units)
+        rates = special_table(1, cols, rows * cols)[0]
+        mu = special_table(rows, cols, rows * cols + 1)
+        got, want = self.both(rates, mu, scale)
+        assert got == want
+        assert got.count("\n") == rows * cols
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_signed_zeros_and_infinities_kept_apart(self, units):
+        got, want = self.both(np.zeros(2), np.array([[0.0, -0.0], [-math.inf, math.inf]]), _unit_scale(units))
+        assert got == want
+        assert got.split() == ["0", "0", "0", "0", "0", "-0", "0", "0", "-inf", "0", "0", "inf"]
+
+    @staticmethod
+    def writer_peak(rates, mu):
+        tracemalloc.start()
+        try:
+            for _ in _surface_blocks(rates, mu, 1.0):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_is_one_block(self):
+        # the benchmark's grid: one block of 22801 cells, 0.28 MiB when pinned
+        rates, mu = sb_surface(0.25, np.linspace(0.0, 0.5, 151))
+        assert self.writer_peak(rates, mu) <= 2**20
+        # the first 131 rows of the 1001 grid: blocks of 65, 65 and 1 rows,
+        # so a block kept alive into the next would show. The bound is set
+        # by the block constant, not the grid: 2.1 MiB when pinned, the
+        # same as for the first block alone and for the whole grid
+        rates, mu = sb_surface(0.25, np.linspace(0.0, 0.5, 1001))
+        assert self.writer_peak(rates, mu[:131]) <= 40 * cli._SURFACE_WRITE_CELLS
 
 
 class TestDsbsGap:
@@ -398,6 +495,14 @@ class TestTableWriter:
             assert _table_lines(rows, scale) == want
             assert _table_lines(np.array(rows), scale) == want
         assert self.per_value(column, 1.0)[:2] == ["0", "-0"]
+
+    def test_fmt_is_the_float_format(self):
+        # every writer formats a real as "%.15g" % v does, for Python and
+        # numpy floats alike
+        for v in self.VALUES + SPECIAL_VALUES:
+            want = "%.15g" % v
+            assert _fmt(v) == want and _fmt(np.float64(v)) == want
+        assert cli._FLOAT_FORMAT == "%.15g"
 
     @pytest.mark.parametrize("units", ["nats", "bits"])
     def test_empty_and_one_row_tables(self, units):

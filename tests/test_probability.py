@@ -332,6 +332,52 @@ class TestBinaryEntropyInverse:
         want = np.array([binary_entropy_inverse(float(v)) for v in h])
         assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def separate_logs_inverse(h):
+        # binary_entropy_inverses' solve with h_b and its derivative each
+        # taking their own log(p) and log1p(-p), as it was written before
+        # the Newton passes shared them: a copy kept apart from
+        # probability._hb_inverse, constants included
+        ln4, p_max = math.log(4.0), 0.5 - 2.0**-28
+
+        def quarter_root(t):
+            return t / (2.0 + 2.0 * np.sqrt(1.0 - t))
+
+        def hb(p):
+            return -(p * np.log(p) + (1.0 - p) * np.log1p(-p))
+
+        flat = h.reshape(-1)
+        ends = (flat <= 0.0) | (flat >= LOG2)
+        hc = np.where(ends, 0.5, flat)
+        y = hc / LOG2
+        lo = np.maximum(np.maximum(quarter_root(y**ln4), hc / 746.0), math.ulp(0.0))
+        hi = np.minimum(quarter_root(y), p_max)
+        p = lo
+        for _ in range(4):
+            step = (hc - hb(p)) / (np.log1p(-p) - np.log(p))
+            p = np.maximum(np.minimum(p + step, hi), lo)
+        return np.where(flat <= 0.0, 0.0, np.where(flat >= LOG2, 0.5, p)).reshape(h.shape)
+
+    def test_shared_logs_equal_separate_logs_bitwise(self):
+        # 10^5 entries: 0 and ln 2, float noise past them, subnormals,
+        # the ulps just below ln 2, log-uniform small values and seeded
+        # uniforms on [0, ln 2]
+        rng = np.random.default_rng(20290)
+        below_ln2 = [LOG2]
+        for _ in range(200):
+            below_ln2.append(math.nextafter(below_ln2[-1], 0.0))
+        h = np.concatenate([
+            [0.0, LOG2, -1e-13, LOG2 + 1e-13, 5e-324, 1e-320, 2.2250738585072009e-308],
+            below_ln2,
+            LOG2 - 10.0 ** -rng.uniform(1.0, 16.0, 4000),
+            np.ldexp(rng.uniform(0.0, 1.0, 4000), -1022),
+            10.0 ** rng.uniform(-300.0, -1.0, 20000),
+        ])
+        h = np.concatenate([h, rng.uniform(0.0, LOG2, 10**5 - h.size)])
+        assert h.size == 10**5 and np.isin([0.0, LOG2, 5e-324], h).all()
+        got = binary_entropy_inverses(h)
+        assert got.tobytes() == self.separate_logs_inverse(h).tobytes()
+
     def test_residual_within_float_noise(self):
         # the 10^4 seeded uniforms of test_array_equals_scalar_bitwise: the
         # largest |h_b(p) - h| read 2.2e-16 when pinned, where a bisection

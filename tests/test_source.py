@@ -123,3 +123,16 @@ def test_unchecked_type_class_has_one_caller():
     assert where.startswith("typicality.py:") and funcs[:1] == ("enumerate_types",), (
         f"TypeClass._unchecked used outside typicality.enumerate_types: {uses}"
     )
+
+
+def test_one_float_format():
+    # every real that a command writes goes through one "%.15g" constant,
+    # cli._FLOAT_FORMAT, so no writer can round its values another way
+    files = sorted(Path(coinfo.__file__).parent.rglob("*.py"))
+    found = [
+        f"{path.name}:{i}"
+        for path in files
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "15g" in line
+    ]
+    assert len(found) == 1 and found[0].startswith("cli.py:"), f"float formats in src/coinfo: {found}"
