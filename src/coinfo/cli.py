@@ -298,6 +298,7 @@ def cmd_dsbs_gap(args):
     if not lo < hi:
         raise DomainError(f"window must be increasing, got {args.window!r}")
     _check_points("--window-points", args.window_points)
+    _check_cells(2 * args.window_points, f"the dsbs-gap table of {args.window_points} window points has")
     r_grid = np.linspace(lo, hi, args.window_points)
     inner = dsbs_inner_boundary(args.p, dsbs_alpha_grid(r_grid))
     outer = dsbs_outer_boundary_sampled(args.p, r_grid)
@@ -330,6 +331,7 @@ def cmd_ib_curve(args):
     src = _parse_source(args.source)
     nx = src.mass.shape[0]
     _check_points("--grid", args.grid)
+    _check_cells(2 * args.grid, f"the ib-curve table of {args.grid} rows has")
     r_grid = np.linspace(0.0, math.log(nx), args.grid)
     curve = ib_curve(src)
     rows = [(float(r), curve.value_at(float(r))) for r in r_grid]

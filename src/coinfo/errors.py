@@ -27,7 +27,7 @@ class ConstraintError(ValidationError):
 
 
 class SupportError(ValidationError):
-    """Zero mass where positive mass is required (log-loss, KL, types)."""
+    """Zero mass where positive mass is required (log-loss, types)."""
 
 
 class SizeError(ValueError):

@@ -4,9 +4,8 @@ Support-function maximization over Markov-constrained auxiliary channels
 (the inner and both outer ones solved, not sampled), upper concave
 envelopes, the symmetric-binary boundary curves, the bottleneck curve,
 the conjecture margin search, and the cardinality robustness report.
-Only the conjecture search (conjecture_test), the region sampler
-(sample_region_points) and sample_channel draw at random; everything
-else is solved.
+Only the conjecture search (conjecture_test) and the region sampler
+(sample_region_points) draw at random; everything else is solved.
 
 Determinism contract: draws come in blocks of _DRAW_BLOCK. Block k of a
 seed comes from one substream (seed, k), one flat-Dirichlet array of
@@ -316,16 +315,6 @@ def _scored_draws(cfg, pxz, shapes, stats):
         yield lo, tables, stats(pxz, *tables)
 
 
-def sample_channel(input_size, output_size, rng, input_label="x", output_label="u"):
-    """Random channel with rows drawn from the flat Dirichlet."""
-    if not _is_int(input_size) or input_size < 1:
-        raise DomainError(f"input_size must be >= 1, got {input_size!r}")
-    if not _is_int(output_size) or output_size < 1:
-        raise DomainError(f"output_size must be >= 1, got {output_size!r}")
-    rows = rng.dirichlet(np.ones(output_size), size=input_size)
-    return Channel(Alphabet(input_size, input_label), Alphabet(output_size, output_label), rows)
-
-
 # kept-axis groups of the (x, z, u, v) and (x, z, u) joints, axes in that order
 _INNER_GROUPS = ((0,), (1,), (2,), (3,), (2, 3), (0, 2), (1, 3))
 _OUTER_GROUPS = (
@@ -483,8 +472,7 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     mapped table. On a degenerate direction, and when no solved value
     lifts the constant pair above rounding, the constant pair is returned
     with the value 0.0 exactly. On the tests' pinned cases an outer call
-    takes 0.01 to 0.2 s on a 2-core machine, against 3 to 50 s for the
-    sampler and hill climb it replaced.
+    takes 0.01 to 0.2 s on a 2-core machine.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -509,47 +497,6 @@ def _public_candidate(variant, tables, p_xz, cap_u, cap_v):
     q = tables[0].reshape(nx, nz, cap_u, cap_v).copy()
     q.setflags(write=False)
     return q
-
-
-def local_refine(p_xz, candidate, lam, variant="inner", steps=500):
-    """Improve a candidate; the objective never decreases.
-
-    Accepts and returns the candidate forms produced by support_function.
-    steps must be an integer >= 0. Both solves stop at the first round
-    that moves the candidate by at most 1e-15 (max-abs), or after `steps`
-    rounds (_iterate), and both keep the result only when it scores
-    higher than the start. An inner candidate runs the two-sided
-    bottleneck solve (_inner_solve); when its start is kept, the
-    caller's own objects come back. An outer candidate's coupling is
-    re-solved for its own cell marginals q(u|x,z) and q(v|x,z), from its
-    own table (_coupled); the result, mapped onto the short chains
-    (_chain_map), is returned when it scores higher than the mapped
-    candidate, and the candidate itself otherwise. So at steps = 0 the
-    candidate comes back unchanged.
-    """
-    if variant not in _VARIANTS:
-        raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if not _is_int(steps) or steps < 0:
-        raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
-    pxz = p_xz.mass
-    if variant == "inner":
-        ch_u, ch_v = candidate
-        start_u = np.array(ch_u.rows if isinstance(ch_u, Channel) else ch_u, dtype=np.float64)
-        start_v = np.array(ch_v.rows if isinstance(ch_v, Channel) else ch_v, dtype=np.float64)
-        _, rows_u, rows_v = _inner_solve(pxz, lam, start_u[None], start_v[None], steps)
-        if np.array_equal(rows_u[0], start_u) and np.array_equal(rows_v[0], start_v):
-            # the start is kept: a Channel rebuilt from its own rows may
-            # renormalize them in the last bit
-            return ch_u, ch_v
-        if isinstance(ch_u, Channel):
-            return (
-                Channel(ch_u.input, ch_u.output, rows_u[0]),
-                Channel(ch_v.input, ch_v.output, rows_v[0]),
-            )
-        return rows_u[0], rows_v[0]
-    q = np.array(candidate, dtype=np.float64)
-    tables, values = _scored_outer(pxz, lam, variant, np.stack([q, _coupled(pxz, q[None], steps)[0]]))
-    return tables[1] if values[1] > values[0] else q
 
 
 # ---------------------------------------------------------------------------
@@ -981,17 +928,16 @@ def _sb_curve_points(p, alphas):
     return r, mu
 
 
-def dsbs_alpha_grid(r_grid=(), points=201):
-    """Uniform alpha grid joined with points aligned to given abscissae.
+def dsbs_alpha_grid(r_grid=()):
+    """Uniform 201-point alpha grid on [0, 1/2] joined with points
+    aligned to given abscissae.
 
     Comparing two sampled boundary curves is only meaningful when both
     are built over the same parameter set; putting the outer curve's
     long-chain BSC points on the inner curve's grid makes the dominance
     check structural instead of resolution-dependent.
     """
-    if not isinstance(points, int) or points < 2:
-        raise DomainError(f"points must be an integer >= 2, got {points!r}")
-    alphas = [float(a) for a in np.linspace(0.0, 0.5, points)]
+    alphas = [float(a) for a in np.linspace(0.0, 0.5, 201)]
     rs = np.array([float(r) for r in r_grid])
     rs = rs[(0.0 <= rs) & (rs <= LOG2)]
     alphas += binary_entropy_inverses(np.minimum(np.maximum(LOG2 - rs, 0.0), LOG2)).tolist()

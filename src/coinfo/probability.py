@@ -116,9 +116,9 @@ def _normalized(mass, axis=None):
     Mass below -1e-12 raises DomainError and smaller negative noise is
     clipped to 0; a total more than 1e-9 away from 1 raises
     NormalizationError; each part whose total is not exactly 1.0 is
-    divided by that total. JointPmf and compose_markov's mixing weights
-    sum the whole array (axis None); Channel and regions.Decoder sum each
-    row and the code oracle each table of a block, so all share one rule.
+    divided by that total. JointPmf sums the whole array (axis None);
+    Channel and regions.Decoder sum each row and the code oracle each
+    table of a block, so all share one rule.
     """
     lo = float(np.minimum.reduce(mass, axis=None))
     if lo < -_NEG_TOL:
@@ -579,23 +579,6 @@ def _check_groups_disjoint(p, *groups):
             seen.add(lbl)
 
 
-def kl_divergence(p, q):
-    """D(p || q) in nats; +inf when q lacks support where p has mass."""
-    if set(p.labels) != set(q.labels):
-        raise AxisError(f"axis label sets differ: {p.labels} vs {q.labels}")
-    order = [q.axis_index(lbl) for lbl in p.labels]
-    qm = np.transpose(q.mass, order)
-    if qm.shape != p.mass.shape:
-        raise AxisError(f"axis sizes differ: {p.mass.shape} vs {qm.shape}")
-    pm = p.mass.ravel()
-    qm = qm.ravel()
-    pos = pm > 0.0
-    if np.any(qm[pos] == 0.0):
-        return math.inf
-    pm, qm = pm[pos], qm[pos]
-    return _clamp_measure(float(np.sum(pm * np.log(pm / qm))))
-
-
 def dsbs(p):
     """Doubly symmetric binary source: fair x, z = x xor Bernoulli(p)."""
     p = _check_probability(p, "dsbs")
@@ -625,54 +608,19 @@ def _check_channel_on(ch, alphabet, who):
         )
 
 
-def compose_markov(p_xz, ch_u=None, ch_v=None, mixing=None):
-    """Build the long-Markov-chain joint u - x - z - v from a source and test channels.
-
-    Either pass ch_u and ch_v, or pass mixing = [(weight, ch_u, ch_v), ...]
-    (at most 3 branches) to add a time-sharing axis labeled "q". The output
-    axes are (u, x, z, v) or (u, x, z, v, q).
-    """
+def compose_markov(p_xz, ch_u, ch_v):
+    """Build the long-Markov-chain joint u - x - z - v from a source and
+    test channels p(u|x) and p(v|z); the output axes are (u, x, z, v)."""
     if len(p_xz.axes) != 2:
         raise AxisError(f"compose_markov needs a two-axis source, got {p_xz.labels}")
     ax_x, ax_z = p_xz.axes
-    if mixing is None:
-        if ch_u is None or ch_v is None:
-            raise AxisError("compose_markov needs ch_u and ch_v (or mixing)")
-        _check_channel_on(ch_u, ax_x, "compose_markov")
-        _check_channel_on(ch_v, ax_z, "compose_markov")
-        _check_output_labels(p_xz, ch_u, ch_v)
-        mass = _chain_mass(p_xz.mass, ch_u.rows, ch_v.rows)
-        axes = (ch_u.output, ax_x, ax_z, ch_v.output)
-        return JointPmf(axes, mass)
-
-    if ch_u is not None or ch_v is not None:
-        raise AxisError("pass either (ch_u, ch_v) or mixing, not both")
-    branches = list(mixing)
-    if not 1 <= len(branches) <= 3:
-        raise DomainError(f"time-sharing supports 1..3 branches, got {len(branches)}")
-    weights = _normalized(np.array([w for w, _, _ in branches], dtype=np.float64))
-    u0, v0 = branches[0][1].output, branches[0][2].output
-    slices = []
-    for w, cu, cv in branches:
-        _check_channel_on(cu, ax_x, "compose_markov")
-        _check_channel_on(cv, ax_z, "compose_markov")
-        if (cu.output.label, cu.output.size) != (u0.label, u0.size):
-            raise AxisError("all mixing branches must share the u alphabet")
-        if (cv.output.label, cv.output.size) != (v0.label, v0.size):
-            raise AxisError("all mixing branches must share the v alphabet")
-        slices.append(_chain_mass(p_xz.mass, cu.rows, cv.rows))
-    _check_output_labels(p_xz, branches[0][1], branches[0][2], extra="q")
-    mass = np.stack(slices, axis=-1) * weights
-    axes = (u0, ax_x, ax_z, v0, Alphabet(len(branches), "q"))
-    return JointPmf(axes, mass)
-
-
-def _check_output_labels(p_xz, ch_u, ch_v, extra=None):
+    _check_channel_on(ch_u, ax_x, "compose_markov")
+    _check_channel_on(ch_v, ax_z, "compose_markov")
     labels = list(p_xz.labels) + [ch_u.output.label, ch_v.output.label]
-    if extra is not None:
-        labels.append(extra)
     if len(set(labels)) != len(labels):
         raise AxisError(f"axis labels must be unique, got {labels}")
+    mass = _chain_mass(p_xz.mass, ch_u.rows, ch_v.rows)
+    return JointPmf((ch_u.output, ax_x, ax_z, ch_v.output), mass)
 
 
 def _chain_mass(pxz, rows_u, rows_v):

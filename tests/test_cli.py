@@ -355,6 +355,41 @@ class TestIbCurve:
         assert all(r > 1e-12 for r, _ in rows[1:])
 
 
+# the grid option of each two-column command, and its output flag
+GRID_COMMANDS = {
+    "ib-curve": (["ib-curve", "--source", "dsbs:0.25"], "--grid", "--out"),
+    "dsbs-gap": (["dsbs-gap", "--p", "0.1"], "--window-points", "--out-dir"),
+}
+
+
+class TestGridCellCap:
+    """ib-curve and dsbs-gap hold their two-column tables to the cell cap
+    of JointPmf, source files, dsbs-surface and region-sample."""
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_first_count_past_the_cap_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # 5000001 rows of 2 columns are 2 cells past the 10^7-cell cap: refused
+        # before the grid is built or anything is written
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli.np, "linspace", forbidden)
+        argv, grid, out_flag = GRID_COMMANDS[command]
+        out = tmp_path / "o"
+        assert main([*argv, grid, "5000001", out_flag, str(out)]) == 3
+        assert "10000002 cells, cap is 10000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_lowered_cap_takes_50_rows_and_refuses_51(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(probability, "_MAX_CELLS", 100)
+        argv, grid, out_flag = GRID_COMMANDS[command]
+        assert main([*argv, grid, "50", out_flag, str(tmp_path / "fits")]) == 0
+        assert main([*argv, grid, "51", out_flag, str(tmp_path / "over")]) == 3
+        assert "102 cells, cap is 100" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+
+
 class TestPinnedRefineOutputs:
     """The bytes of refined, sampled and closed-form outputs, pinned to
     versions that refined each candidate by itself, scored each draw by

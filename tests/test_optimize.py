@@ -23,8 +23,6 @@ from coinfo.optimize import (
     dsbs_inner_boundary,
     dsbs_outer_boundary_sampled,
     ib_curve,
-    local_refine,
-    sample_channel,
     sample_region_points,
     support_function,
     upper_concave_envelope,
@@ -111,31 +109,6 @@ def outer_stats(pxz, q):
         "cmi_uz_x": _clamp_measure(h_xu + h_xz - h_xzu - h_x),
         "cmi_vx_z": _clamp_measure(h_zv + h_xz - h_xzv - h_z),
     }
-
-
-class TestSampleChannel:
-    def test_dirichlet_entry_mean(self):
-        rng = np.random.default_rng(2024)
-        acc = np.zeros((2, 2))
-        n = 10**4
-        for _ in range(n):
-            acc += sample_channel(2, 2, rng).rows
-        assert np.all(np.abs(acc / n - 0.5) <= 0.02)
-
-    def test_deterministic_given_stream(self):
-        a = sample_channel(3, 4, np.random.default_rng(7))
-        b = sample_channel(3, 4, np.random.default_rng(7))
-        assert np.array_equal(a.rows, b.rows)
-
-    def test_single_output_is_constant(self):
-        ch = sample_channel(3, 1, np.random.default_rng(0))
-        assert np.array_equal(ch.rows, np.ones((3, 1)))
-
-    def test_size_validation(self):
-        with pytest.raises(DomainError):
-            sample_channel(0, 2, np.random.default_rng(0))
-        with pytest.raises(DomainError):
-            sample_channel(2, 0, np.random.default_rng(0))
 
 
 class TestSupportWeightAndConfig:
@@ -549,32 +522,33 @@ ZERO_STEP_SOURCES = {"dsbs0.1": dsbs(0.1), "dsbs0.25": dsbs(0.25), "SOURCE3": SO
 
 
 class TestLocalRefine:
-    # a Channel rebuilt from another Channel's rows renormalizes a row whose
-    # sum reads 0.9999999999999999, so a kept start must come back as the
-    # caller's own objects: SOURCE3 and DIRICHLET4 at (1, -0.05, -0.1) and
-    # SOURCE43 at it and at (0.9, -0.02, -0.08) would move in the last bits
+    """The local solves from a given start: the two-sided inner solve
+    (_inner_solve) and the outer coupling solve (_coupled), scored by
+    _scored_outer."""
+
     @pytest.mark.parametrize("weights", [(1.0, -0.25, -0.25), (1.0, -0.05, -0.1), (0.9, -0.02, -0.08),
                                          (0.9, -0.2, -0.05)], ids=lambda w: ",".join(map(str, w)))
     @pytest.mark.parametrize("source", ZERO_STEP_SOURCES)
     def test_zero_steps_identity(self, source, weights):
+        # rounds = 0 returns the start bitwise
         src, lam = ZERO_STEP_SOURCES[source], SupportWeight(*weights)
         _, cand = support_function(src, lam, SampleConfig(seed=0), "inner")
-        out = local_refine(src, cand, lam, "inner", steps=0)
-        assert np.array_equal(out[0].rows, cand[0].rows)
-        assert np.array_equal(out[1].rows, cand[1].rows)
+        start = (cand[0].rows[None], cand[1].rows[None])
+        _, ru, rv = optimize._inner_solve(src.mass, lam, *start, 0)
+        assert bits([ru, rv]) == bits(start)
         _, q = support_function(src, lam, SampleConfig(seed=0), "ro")
-        assert np.array_equal(local_refine(src, q, lam, "ro", steps=0), np.asarray(q))
+        assert bits(optimize._coupled(src.mass, q[None], 0)[0]) == bits(q)
 
     def test_never_decreases_from_random_start(self):
         src = dsbs(0.1)
         lam = SupportWeight(1.0, -0.5, -0.5)
         rng = np.random.default_rng(77)
-        ch_u = sample_channel(2, 2, rng)
-        ch_v = sample_channel(2, 2, rng, input_label="z", output_label="v")
+        ch_u = Channel(Alphabet(2, "x"), Alphabet(2, "u"), rng.dirichlet(np.ones(2), size=2))
+        ch_v = Channel(Alphabet(2, "z"), Alphabet(2, "v"), rng.dirichlet(np.ones(2), size=2))
         pt = inner_point(src, ch_u, ch_v)
         before = lam.l1 * pt.mu + lam.l2 * pt.r1 + lam.l3 * pt.r2
-        ru, rv = local_refine(src, (ch_u, ch_v), lam, "inner", steps=150)
-        pt2 = inner_point(src, ru, rv)
+        _, ru, rv = optimize._inner_solve(src.mass, lam, ch_u.rows[None], ch_v.rows[None], 150)
+        pt2 = inner_point(src, Channel(ch_u.input, ch_u.output, ru[0]), Channel(ch_v.input, ch_v.output, rv[0]))
         after = lam.l1 * pt2.mu + lam.l2 * pt2.r1 + lam.l3 * pt2.r2
         assert after >= before - 1e-12
 
@@ -582,23 +556,10 @@ class TestLocalRefine:
         src = dsbs(0.1)
         lam = SupportWeight(1.0, 0.0, 0.0)
         eye = np.eye(2)
-        ru, rv = local_refine(src, (eye, eye.copy()), lam, "inner", steps=120)
-        iuv, _, _ = inner_stats(src.mass, ru, rv)
+        _, ru, rv = optimize._inner_solve(src.mass, lam, eye[None], eye[None], 120)
+        iuv, _, _ = inner_stats(src.mass, ru[0], rv[0])
         assert abs(iuv - I_XZ_01) <= 1e-12
-        assert np.array_equal(ru, eye)
-
-
-    def test_budget_validation(self):
-        src = dsbs(0.1)
-        lam = SupportWeight(1.0, -0.25, -0.25)
-        cand = (np.eye(2), np.eye(2))
-        for variant, candidate in (("inner", cand), ("ro", np.full((2, 2, 2, 2), 0.25))):
-            for steps in (-5, 2.5, True, math.nan, "10", None):
-                with pytest.raises(DomainError):
-                    local_refine(src, candidate, lam, variant, steps=steps)
-        # step_size is no longer a parameter
-        with pytest.raises(TypeError):
-            local_refine(src, cand, lam, "inner", steps=10, step_size=0.05)
+        assert np.array_equal(ru[0], eye)
 
 
 class TestEnvelope:
@@ -1374,14 +1335,6 @@ class TestInnerSupport:
         (entry,) = cardinality_robustness(SOURCE3, [SupportWeight(0.0, -1.0, -1.0)], SampleConfig(seed=0))
         assert entry["value_base"] == entry["value_plus"] == entry["difference"] == 0.0
 
-    def test_local_refine_runs_the_solve_from_the_candidate(self):
-        lam = SupportWeight(1.0, -0.05, -0.1)
-        rng = np.random.default_rng(77)
-        start = (rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(2), size=2))
-        ru, rv = local_refine(SOURCE3, start, lam, "inner", steps=40)
-        _, want_u, want_v = optimize._inner_solve(SOURCE3.mass, lam, start[0][None], start[1][None], 40)
-        assert bits([ru, rv]) == bits([want_u[0], want_v[0]])
-
     @pytest.mark.parametrize("src", [dsbs(0.1), SOURCE3, DIRICHLET4], ids=["dsbs", "SOURCE3", "DIRICHLET4"])
     @pytest.mark.parametrize("caps", [0, 1, -1], ids=["caps", "caps+1", "caps-1"])
     def test_solve_equals_every_round_scored_alone(self, src, caps):
@@ -1395,9 +1348,8 @@ class TestInnerSupport:
                 got = optimize._inner_solve(pxz, lam, *starts, rounds)
                 assert bits(got) == bits(inner_solve_reference(pxz, lam, *starts, rounds))
             start = (rng.dirichlet(np.ones(nx + caps), size=nx), rng.dirichlet(np.ones(nz + caps), size=nz))
-            got = local_refine(src, start, lam, "inner", steps=60)
-            _, want_u, want_v = inner_solve_reference(pxz, lam, start[0][None], start[1][None], 60)
-            assert bits(got) == bits([want_u[0], want_v[0]])
+            got = optimize._inner_solve(pxz, lam, start[0][None], start[1][None], 60)
+            assert bits(got) == bits(inner_solve_reference(pxz, lam, start[0][None], start[1][None], 60))
 
     def test_rounds_stop_at_the_fixed_point(self, monkeypatch):
         # the bench's directions of seeds 1-40 on dsbs(0.1): at caps 2 the
@@ -1596,7 +1548,7 @@ class TestOuterSupport:
             out = []
             for variant in ("ro", "ro_prime"):
                 value, q = support_function(dsbs(0.25), lam, cfg, variant)
-                out += [value, q, local_refine(dsbs(0.25), q, lam, variant, 20)]
+                out += [value, q]
                 out.append(cardinality_robustness(SOURCE3, [lam], cfg, variant))
             results.add(repr(bits(out)))
         assert len(results) == 1
@@ -1611,21 +1563,25 @@ class TestOuterSupport:
         q = rows[:, None, :, None] * rows[None, :, None, :]
         before = outer_point_ro(outer_joint(src, q))
         for steps in (1, 10, 300):
-            pt = outer_point_ro(outer_joint(src, local_refine(src, q, lam, "ro", steps=steps)))
+            solved = optimize._coupled(src.mass, q[None], steps)[0]
+            tables, values = optimize._scored_outer(src.mass, lam, "ro", np.stack([q, solved]))
+            assert values[1] > values[0]
+            pt = outer_point_ro(outer_joint(src, tables[1]))
             assert lam.l1 * pt.mu + lam.l2 * pt.r1 + lam.l3 * pt.r2 >= (
                 lam.l1 * before.mu + lam.l2 * before.r1 + lam.l3 * before.r2)
         assert abs(pt.r1 - before.r1) <= 1e-12 and abs(pt.r2 - before.r2) <= 1e-12
         assert pt.mu > before.mu + 1e-4
 
-    @pytest.mark.parametrize("variant", ["ro", "ro_prime"])
-    def test_local_refine_never_decreases_from_a_random_start(self, variant):
+    def test_coupling_solve_never_decreases_from_a_random_start(self):
+        # the ro objective; ro_prime's value depends on the pair alone, which
+        # the mapped coupling may move either way (by 3.4e-7 down at seed 1)
         lam = SupportWeight(1.0, -0.05, -0.1)
         for seed in range(3):
             q = np.random.default_rng(seed).dirichlet(np.ones(9), size=(3, 2)).reshape(3, 2, 3, 3)
-            out = local_refine(SOURCE3, q, lam, variant, steps=50)
-            values = optimize._scored_outer(SOURCE3.mass, lam, variant, np.stack([q, out]))[1]
+            out = optimize._coupled(SOURCE3.mass, q[None], 50)[0]
+            values = optimize._scored_outer(SOURCE3.mass, lam, "ro", np.stack([q, out]))[1]
             assert values[1] >= values[0]
-            assert np.array_equal(local_refine(SOURCE3, q, lam, variant, steps=0), q)
+            assert bits(optimize._coupled(SOURCE3.mass, q[None], 0)[0]) == bits(q)
 
 
 def bits(obj):
@@ -1695,15 +1651,15 @@ class TestDrawBlocks:
             assert self.outer_results(count) == want
 
     def test_refinement_block_size_does_not_change_results(self, monkeypatch):
-        # the outer solve and local_refine score their pools and tables in
-        # blocks of the draws' cell budget: blocks of 1 table, then 7 (DSBS) and 3 (SOURCE3)
+        # the outer solve scores its pool and tables in blocks of the
+        # draws' cell budget: blocks of 1 table, then 7 (DSBS) and 3 (SOURCE3)
         def solved():
             lam = SupportWeight(0.9, -0.05, -0.08)
             out = []
             for src in (dsbs(0.1), SOURCE3):
                 for variant in ("ro", "ro_prime"):
                     value, q = support_function(src, lam, SampleConfig(seed=0), variant)
-                    out += [value, q, local_refine(src, q, lam, variant, 40)]
+                    out += [value, q]
             return bits(out)
 
         want = solved()

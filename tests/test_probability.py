@@ -40,7 +40,6 @@ from coinfo.probability import (
     conditional_mutual_information,
     dsbs,
     entropy,
-    kl_divergence,
     marginalize,
     mutual_information,
     _check_groups_disjoint,
@@ -554,35 +553,6 @@ class TestGroupCheck:
         assert _check_groups_disjoint(GROUP_JOINT, *groups) is None
 
 
-class TestKlDivergence:
-    def test_equal_is_zero(self):
-        p = dsbs(0.3)
-        assert kl_divergence(p, p) == 0.0
-
-    def test_bernoulli_value(self):
-        p = JointPmf((Alphabet(2, "x"),), [0.5, 0.5])
-        q = JointPmf((Alphabet(2, "x"),), [0.75, 0.25])
-        assert kl_divergence(p, q) == pytest.approx(0.1438410362258904, abs=1e-12)
-
-    def test_support_violation_is_inf(self):
-        p = JointPmf((Alphabet(2, "x"),), [0.5, 0.5])
-        q = JointPmf((Alphabet(2, "x"),), [1.0, 0.0])
-        assert kl_divergence(p, q) == math.inf
-
-    def test_axis_mismatch(self):
-        p = JointPmf((Alphabet(2, "x"),), [0.5, 0.5])
-        q = JointPmf((Alphabet(2, "z"),), [0.5, 0.5])
-        with pytest.raises(AxisError):
-            kl_divergence(p, q)
-
-    def test_axis_order_is_aligned_by_label(self):
-        rng = np.random.default_rng(5)
-        m = rng.dirichlet(np.ones(6)).reshape(2, 3)
-        p = JointPmf((Alphabet(2, "x"), Alphabet(3, "z")), m)
-        q = JointPmf((Alphabet(3, "z"), Alphabet(2, "x")), m.T)
-        assert kl_divergence(p, q) == pytest.approx(0.0, abs=1e-15)
-
-
 class TestMarginalize:
     def test_dsbs_marginal_is_fair(self):
         m = marginalize(dsbs(0.37), "x")
@@ -644,22 +614,6 @@ class TestComposeMarkov:
             assert iuv <= min(iuz, ixv) + 1e-10
             assert min(iuz, ixv) <= ixz + 1e-10
 
-    def test_mixing_adds_q_axis(self):
-        branches = [
-            (0.5, bsc_channel(0.1), bsc_channel(0.2, "z", "v")),
-            (0.5, bsc_channel(0.3), bsc_channel(0.05, "z", "v")),
-        ]
-        j = compose_markov(dsbs(0.2), mixing=branches)
-        assert j.labels == ("u", "x", "z", "v", "q")
-        np.testing.assert_allclose(marginalize(j, "q").mass, [0.5, 0.5], atol=1e-15)
-        # chains hold given q
-        assert conditional_mutual_information(j, "u", ("z", "v"), ("x", "q")) <= 1e-10
-
-    def test_mixing_cap_three(self):
-        br = [(0.25, bsc_channel(0.1), bsc_channel(0.2, "z", "v"))] * 4
-        with pytest.raises(DomainError):
-            compose_markov(dsbs(0.2), mixing=br)
-
     def test_alphabet_mismatch(self):
         with pytest.raises(AxisError):
             compose_markov(dsbs(0.2), bsc_channel(0.1, "w", "u"), bsc_channel(0.2, "z", "v"))
@@ -711,7 +665,6 @@ class TestMrsGerber:
 def _bool_cases():
     # one call per count or real that a bool must not pass as; imported here
     # because the checks span every layer
-    from coinfo.optimize import sample_channel
     from coinfo.regions import log_loss_fidelity, optimal_posterior_decoder
     from coinfo.typicality import (
         CodeSpec,
@@ -724,7 +677,6 @@ def _bool_cases():
     )
 
     src = dsbs(0.1)
-    rng = np.random.default_rng(0)
     decoder = optimal_posterior_decoder(src, ("x",), ("z",))
     return {
         "Alphabet.size": lambda: Alphabet(True, "x"),
@@ -732,8 +684,6 @@ def _bool_cases():
         "bsc_channel": lambda: bsc_channel(True),
         "binary_entropy": lambda: binary_entropy(False),
         "binary_entropy_inverse": lambda: binary_entropy_inverse(False),
-        "sample_channel.input": lambda: sample_channel(True, 2, rng),
-        "sample_channel.output": lambda: sample_channel(2, True, rng),
         "TypeClass.n": lambda: TypeClass((1,), True),
         "CodeSpec.n": lambda: CodeSpec(True, (0, 1), (0, 1), 2, 2),
         "CodeSpec.m1": lambda: CodeSpec(1, (0, 0), (0, 1), True, 2),

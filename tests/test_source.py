@@ -1,9 +1,19 @@
 """Checks on the package's own source code."""
 
 import ast
+import re
 from pathlib import Path
 
 import coinfo
+
+
+def test_version_matches_pyproject():
+    # the [project] version and coinfo.__version__ are bumped together. A
+    # regex reads it: tomllib is Python 3.11+ and the package supports 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    versions = re.findall(r'^version\s*=\s*"([^"]*)"', project.group(1), re.M)
+    assert versions == [coinfo.__version__]
 
 
 def test_no_assert_statements():
