@@ -6,4 +6,4 @@ seeded samplers and concave envelopes, method-of-types checks, and a
 small-blocklength exhaustive code oracle, with a deterministic CLI.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -209,6 +209,7 @@ def _sample_config(args, default_caps=None):
 
 def cmd_dsbs_surface(args):
     _check_points("--grid", args.grid)
+    _check_cells(args.grid * args.grid, f"the dsbs-surface grid of {args.grid} x {args.grid} points has")
     rates, mu = sb_surface(args.p, np.linspace(0.0, 0.5, args.grid))
     manifest = RunManifest(
         "dsbs-surface",
@@ -309,20 +310,17 @@ def cmd_dsbs_gap(args):
     params = (("p", args.p), ("window", (lo, hi)), ("window_points", args.window_points),
               ("units", args.units))
     os.makedirs(args.out_dir, exist_ok=True)
-    gap_best, gap_at = -math.inf, lo
-    for r in evaluation:
-        gap = outer.value_at(r) - inner.value_at(r)
-        if gap > gap_best:
-            gap_best, gap_at = gap, r
-    for name, curve in (("inner", inner), ("outer", outer)):
+    inner_mu, outer_mu = inner.value_at(evaluation), outer.value_at(evaluation)
+    # the first largest gap, as a scan with a strict > from -inf finds it
+    best = int(np.argmax(outer_mu - inner_mu))
+    for name, mu in (("inner", inner_mu), ("outer", outer_mu)):
         manifest = RunManifest("dsbs-gap", params + (("curve", name),))
-        rows = [(r, curve.value_at(r)) for r in evaluation]
         _write_lines(
             os.path.join(args.out_dir, f"{name}.dat"),
             manifest,
-            _table_lines(rows, scale),
+            _table_lines(np.stack([evaluation, mu], axis=1), scale),
         )
-    print(f"max_gap {_fmt(gap_best / scale)} at_r {_fmt(gap_at / scale)}")
+    print(f"max_gap {_fmt(float(outer_mu[best] - inner_mu[best]) / scale)} at_r {_fmt(evaluation[best] / scale)}")
     print(f"wrote {args.out_dir}/inner.dat {args.out_dir}/outer.dat")
     return 0
 
@@ -333,11 +331,13 @@ def cmd_ib_curve(args):
     _check_points("--grid", args.grid)
     _check_cells(2 * args.grid, f"the ib-curve table of {args.grid} rows has")
     r_grid = np.linspace(0.0, math.log(nx), args.grid)
-    curve = ib_curve(src)
-    rows = [(float(r), curve.value_at(float(r))) for r in r_grid]
+    # the curve is let go before its rows are written
+    rows = np.stack([r_grid, ib_curve(src, r_grid).value_at(r_grid)], axis=1)
+    # ib_curve solves each row for a binary x, else it runs a family
     params = (
         ("source", args.source), ("grid_points", args.grid),
         ("grid_lo", 0.0), ("grid_hi", math.log(nx)), ("units", args.units),
+        ("solver", "two-posterior" if nx == 2 else "bottleneck-family"),
     )
     _write_lines(
         args.out, RunManifest("ib-curve", params),

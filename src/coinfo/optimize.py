@@ -52,23 +52,26 @@ best pairs by alternating I-projection (_coupled), a convex problem for
 fixed cell marginals. Every solve, the inner one, the bottleneck
 families of the outer pool and of the bottleneck curve, and the
 coupling, is an alternating minimization whose objective never
-decreases, and runs through one driver (_iterate) with one stop rule:
-a member leaves its batch at the first update that moves it by at most
-_STEP (max-abs), or after its solve's round cap, so its floats do not
-depend on the batch.
+decreases, and runs through one driver (_iterate) with one stop rule, as
+do the Newton steps of the binary bottleneck curve: a member leaves its
+batch at the first update that moves it by at most _STEP (max-abs), or
+after its solve's round cap, so its floats do not depend on the batch.
 The DSBS outer curve draws nothing and is not refined: it is the
 envelope of the long-chain BSC points and, at each rate cap of at most
 ln 2, the BSC pair of that rate with its coupling solved by the same
 I-projection (_coupled), from the long chain; its auxiliaries are
 binary. The bottleneck curve draws nothing and is not refined either:
-it is the envelope of the constant and identity channels and of one
-bottleneck family, like a side of the outer pool: a noisy identity run
-at each multiplier of a fixed schedule to its fixed point
-(_fixed_point), all in one batch. Every solve uses elementwise
-operations and einsum(optimize=False) only, so no BLAS kernel runs (the
-tests scan the source for one). The long-chain BSC points of both DSBS
-curves are one array pass (_sb_curve_points), bitwise the scalar h_b
-values.
+it is the envelope of the constant and identity channels and of solved
+channels. For a binary x those are exact: each abscissa of its grid is
+solved for the two posteriors of x whose pair is a bottleneck optimum
+of that rate, by Newton steps through the same driver (module
+bottleneck). For |X| > 2 they are one bottleneck family, like a side of
+the outer pool: a noisy identity run at each multiplier of a fixed
+schedule to its fixed point (_fixed_point), all in one batch. Every
+solve uses elementwise operations and einsum(optimize=False) only, so no
+BLAS kernel runs (the tests scan the source for one). The long-chain BSC
+points of both DSBS curves are one array pass (_sb_curve_points),
+bitwise the scalar h_b values.
 """
 import bisect
 import copy
@@ -166,7 +169,10 @@ class SampleConfig:
 
 @dataclass(frozen=True)
 class EnvelopeCurve:
-    """Piecewise-linear concave upper boundary in the (R, mu) plane."""
+    """Piecewise-linear concave upper boundary in the (R, mu) plane.
+
+    The knots are also kept as two read-only float arrays, made once
+    here, that value_at reads."""
 
     knots: tuple
 
@@ -183,7 +189,12 @@ class EnvelopeCurve:
         for a, b, c in zip(knots, knots[1:], knots[2:]):
             if _cross(a, b, c) > 0.0:
                 raise DomainError(f"knots {a}, {b}, {c} break concavity")
+        r, m = np.array(knots).T
+        r.setflags(write=False)
+        m.setflags(write=False)
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_r", r)
+        object.__setattr__(self, "_mu", m)
 
     @property
     def r_min(self):
@@ -194,10 +205,12 @@ class EnvelopeCurve:
         return self.knots[-1][0]
 
     def value_at(self, r):
-        """Linear interpolation; constant extension outside [r_min, r_max]."""
-        xs = [k[0] for k in self.knots]
-        ys = [k[1] for k in self.knots]
-        return float(np.interp(r, xs, ys))
+        """Linear interpolation; constant extension outside [r_min, r_max].
+
+        r may be an array of abscissae, read in one np.interp call into an
+        array, each entry bitwise the value at that abscissa alone."""
+        value = np.interp(r, self._r, self._mu)
+        return value if np.ndim(r) else float(value)
 
 
 def _cross(a, b, c):
@@ -1004,39 +1017,60 @@ def dsbs_outer_boundary_sampled(p, r_grid):
 # bottleneck curve
 
 
-# the bottleneck family of ib_curve: the k-th multiplier of I(u;x) - beta
-# I(u;z) is (_IB_POINTS / k) ** 1.5, so the slopes 1 / beta are dense both
-# near 1, where a nearly noiseless source's curve bends slowly, and near 0,
-# by H(x); each runs for up to _IB_ITERATIONS updates
+# the bottleneck family of ib_curve for |X| > 2: the k-th multiplier of
+# I(u;x) - beta I(u;z) is (_IB_POINTS / k) ** 1.5, so the slopes 1 / beta
+# are dense both near 1, where a nearly noiseless source's curve bends
+# slowly, and near 0, by H(x); each runs for up to _IB_ITERATIONS updates
 _IB_POINTS = 128
 _IB_ITERATIONS = 100
 
 
-def ib_curve(p_xz):
+def ib_curve(p_xz, r_grid):
     """Upper concave envelope of (I(u;x), I(u;z)) over the constant and
-    identity channels and a bottleneck family, with |X| + 1 outputs, the
-    cardinality bound. The family is the identity at spread
-    _INNER_SPREADS[0] (_noisy_corner; at 0 the spare output is never
-    used, and a large share dies slowly) run at each multiplier of the
-    schedule (_IB_POINTS) with relevance z, all in one batch, as a side
-    family of the outer pool (_fixed_point): each member stops at the
+    identity channels and solved test channels. The constant channel's
+    point is (0, 0) by definition, not a score; the identity's is scored.
+
+    For a binary x the solved channels are exact: each abscissa r of
+    r_grid strictly between the clamp's float noise (1e-12) and 1e-12
+    below the identity's rate is solved for the two posteriors whose pair
+    is a bottleneck optimum of rate r, and each solved pair's (rate,
+    relevance) is a knot (bottleneck._binary_knots). So the curve reads
+    each such abscissa at its solved point. An abscissa within 1e-12 of 0
+    reads the chord from (0, 0), one within 1e-12 below the identity's
+    rate the chord to the identity, and one at or above it the identity.
+
+    For |X| > 2, r_grid adds no knot: the solved channels are a bottleneck
+    family with |X| + 1 outputs, the cardinality bound, the identity at
+    spread _INNER_SPREADS[0] (_noisy_corner; at 0 the spare output is
+    never used, and a large share dies slowly) run at each multiplier of
+    the schedule (_IB_POINTS) with relevance z, all in one batch, as a
+    side family of the outer pool (_fixed_point): each member stops at the
     first update that moves it by at most 1e-15 (max-abs), or after
-    _IB_ITERATIONS updates, and keeps its last iterate. The constant
-    channel's point is (0, 0) by definition, not a score. A solved
-    channel counts only when its rate lies strictly between the
-    identity's and the clamp's float noise above 0 (1e-12), so no
-    rounding lifts (0, 0) or (H(x), I(x;z)). Nothing is drawn: the curve
-    depends on the source alone."""
+    _IB_ITERATIONS updates, and keeps its last iterate. A family channel
+    counts only when its rate lies strictly between the identity's and
+    1e-12, so no rounding lifts (0, 0) or (H(x), I(x;z)).
+
+    Nothing is drawn: the curve depends on the source and r_grid alone."""
     if len(p_xz.axes) != 2:
         raise DomainError(f"ib_curve needs a two-axis source, got {p_xz.labels}")
+    rates = np.asarray(r_grid, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(rates)):
+        raise DomainError("ib_curve needs finite abscissae")
     pxz = p_xz.mass
     nx = pxz.shape[0]
+    identity = _noisy_corner(np.arange(nx), nx + 1, 0.0)
+    if nx == 2:
+        # imported here, so that only a binary-x curve compiles its solver
+        from .bottleneck import _binary_knots
+
+        r, mu = _batch_ib_stats(pxz, identity[None])
+        return EnvelopeCurve(_binary_knots(pxz, rates, (r[0], mu[0])))
     z_given_x, _ = _source_conditionals(pxz)
     start = _noisy_corner(np.arange(nx), nx + 1, _INNER_SPREADS[0])
     # computed here, not at import, where numpy's power loop costs 0.3 MiB
     betas = (_IB_POINTS / np.arange(1, _IB_POINTS + 1)) ** 1.5
     family = _fixed_point(pxz, z_given_x, np.broadcast_to(start, (_IB_POINTS, *start.shape)), betas, _IB_ITERATIONS)
-    tables = np.concatenate([[_noisy_corner(np.arange(nx), nx + 1, 0.0)], family])
+    tables = np.concatenate([[identity], family])
     r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1))
     keep = (r > _NEG_TOL) & (r < r[0])
     keep[0] = True

@@ -354,12 +354,38 @@ class TestIbCurve:
         assert rows[0] == [0.0, 0.0]
         assert all(r > 1e-12 for r, _ in rows[1:])
 
+    @pytest.mark.parametrize("source, solver", [
+        ("dsbs:0.25", "two-posterior"),
+        ("x z\n0 0 0.2\n0 1 0.1\n1 0 0.05\n1 1 0.25\n2 0 0.3\n2 1 0.1\n", "bottleneck-family"),
+    ], ids=["binary-x", "ternary-x"])
+    def test_manifest_names_the_solver(self, tmp_path, capsys, source, solver):
+        # exact rows for a binary x, family rows otherwise
+        if not source.startswith("dsbs:"):
+            (tmp_path / "source.txt").write_text(source)
+            source = str(tmp_path / "source.txt")
+        out = tmp_path / "ib.dat"
+        assert main(["ib-curve", "--source", source, "--grid", "5", "--out", str(out)]) == 0
+        header, _ = read_table(out)
+        assert [line for line in header if line.startswith("# solver")] == [f"# solver {solver}"]
+
 
 # the grid option of each two-column command, and its output flag
 GRID_COMMANDS = {
     "ib-curve": (["ib-curve", "--source", "dsbs:0.25"], "--grid", "--out"),
     "dsbs-gap": (["dsbs-gap", "--p", "0.1"], "--window-points", "--out-dir"),
 }
+
+
+class TestSurfaceGridCap:
+    def test_first_refused_grid_builds_nothing(self, tmp_path, capsys, monkeypatch):
+        # 3163 ** 2 = 10004569 cells is the first grid past the 10^7-cell cap:
+        # refused before the grid is built or anything is written
+        calls = []
+        monkeypatch.setattr(cli.np, "linspace", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "surface.dat"
+        assert main(["dsbs-surface", "--p", "0.25", "--grid", "3163", "--out", str(out)]) == 3
+        assert "10004569 cells, cap is 10000000" in capsys.readouterr().err
+        assert not out.exists() and not calls
 
 
 class TestGridCellCap:
@@ -398,8 +424,9 @@ class TestPinnedRefineOutputs:
     region-sample) are of the block layout, one RNG substream per 256
     draws. The outer region-sample digests are of the closed-form chain
     map, which puts every draw on the short chains, so the row count is
-    exactly --samples. The ib-curve digest is of the deterministic
-    bottleneck solve, which ignores --seed and --samples. The dsbs-gap,
+    exactly --samples. The ib-curve digest is of version 0.11.0's
+    two-posterior solve, which puts every row of a binary-x source on the
+    bottleneck curve and ignores --seed and --samples. The dsbs-gap,
     conjecture and dsbs-surface digests are of version 0.5.0's h_b (numpy's
     log and log1p) and h_b^-1 (four Newton passes); the dsbs-gap outer
     digests and max_gap are of version 0.7.0's coupling solve, alternating
@@ -411,7 +438,7 @@ class TestPinnedRefineOutputs:
                      "--samples", "400", "--grid", "11", "--out", str(out)]) == 0
         capsys.readouterr()
         assert body_sha256(out) == (
-            "0f69e52ff608d9324c4f9c15dc14c629c7e3a6e41baded1d3346ec7477496bfb"
+            "d48c6ec4ce581fc4f24f3ae1f2dbe1ebf46f250c4d38e633513dafb00842c92b"
         )
         body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert body[0] == "0 0" and body[-1] == "0.693147180559945 0.130812035941137"
@@ -624,7 +651,7 @@ class TestSamplingOptions:
         assert keys[conj] == ["p", *sampled, "units"]
         assert keys[gap / "outer.dat"] == ["p", "window", "window_points", "units", "curve"]
         assert keys[rs] == ["source", "variant", *sampled, "units"]
-        assert keys[ib] == ["source", "grid_points", "grid_lo", "grid_hi", "units"]
+        assert keys[ib] == ["source", "grid_points", "grid_lo", "grid_hi", "units", "solver"]
         # the draws' RNG layout: one substream per block of 256 draws
         for path in (conj, rs):
             assert values[path]["draw_block"] == ["256"]

@@ -607,6 +607,16 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             EnvelopeCurve(((0.0, 0.0), (1.0, 0.2), (2.0, 1.0)))
 
+    @pytest.mark.parametrize("points", [7, 100001], ids=["fewer-than-knots", "more-than-knots"])
+    def test_array_reading_is_bitwise_the_scalar_one(self, points):
+        # one np.interp over all abscissae reads each as value_at does alone,
+        # with fewer abscissae than the curve's 41 knots and with more
+        curve = ib_curve(dsbs(0.1), np.linspace(0.0, LOG2, 41))
+        assert len(curve.knots) == 41
+        rs = np.linspace(-0.1, 0.8, points)
+        got = curve.value_at(rs)
+        assert bits(got) == bits(np.array([curve.value_at(float(r)) for r in rs]))
+
 
 class TestDsbsInnerBoundary:
     def test_alpha_zero_endpoint(self):
@@ -946,9 +956,67 @@ SAMPLED_IB_DIRICHLET4 = (
 )
 
 
+def grid_of(src, points=41):
+    # the ib-curve command's grid: np.linspace(0, ln |X|, points)
+    return np.linspace(0.0, math.log(src.mass.shape[0]), points)
+
+
+def two_axis(mass):
+    mass = np.asarray(mass, dtype=np.float64)
+    return JointPmf((Alphabet(mass.shape[0], "x"), Alphabet(mass.shape[1], "z")), mass / mass.sum())
+
+
+def dense_two_posterior_envelope(src, rs, points=120):
+    """The upper concave envelope, read at rs, of the (I(u;x), I(u;z))
+    points of every pair of posteriors q_a < p < q_b of a dense table,
+    log-spaced toward 0, p and 1: the best time sharing of two-posterior
+    channels that the table holds, computed from the entropies alone."""
+    pxz = src.mass[:, src.mass.sum(axis=0) > 0.0]
+    px = pxz.sum(axis=1)
+    p, rows = px[1] / px.sum(), pxz / px[:, None]
+
+    def hb(q):
+        return -q * np.log(q) - (1.0 - q) * np.log1p(-q)
+
+    def hz(q):
+        m = (1.0 - q)[..., None] * rows[0] + q[..., None] * rows[1]
+        return -np.sum(np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0), axis=-1)
+
+    sig = 1.0 / (1.0 + np.exp(-np.linspace(-30.0, 14.0, points)))
+    q_a, q_b = (p * sig)[:, None], (p + (1.0 - p) * sig)[None, :]
+    w_a = (q_b - p) / (q_b - q_a)
+    rate = hb(p) - w_a * hb(q_a) - (1.0 - w_a) * hb(q_b)
+    relevance = hz(np.array(p)) - w_a * hz(q_a[:, 0])[:, None] - (1.0 - w_a) * hz(q_b[0])[None, :]
+    knots = upper_concave_envelope([(0.0, 0.0), *zip(rate.ravel().tolist(), relevance.ravel().tolist())]).knots
+    return np.interp(rs, *zip(*knots))
+
+
+# 40 seeded random 2 x k sources, k = 2..5, then the erasure source, whose
+# curve is one chord from (0, 0) to the identity: there g_s is flat at the
+# chord's slope, the step's system is singular, and rows read the chord
+# of the start envelope (no three-posterior row turned up in sweeps of
+# random 2 x k sources)
+SWEEP = [
+    two_axis(np.random.default_rng(7 + i).dirichlet(np.ones(2 * k)).reshape(2, k))
+    for i, k in enumerate(np.random.default_rng(7).integers(2, 6, size=40))
+] + [two_axis(np.array([[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]]))]
+
+# binary-x sources at the edges of the two-posterior solve
+EDGE_SOURCES = {
+    "p(x=1)=0": two_axis([[0.3, 0.7], [0.0, 0.0]]),
+    "p(x=1)=1": two_axis([[0.0, 0.0], [0.2, 0.8]]),
+    "independent": two_axis([[0.1, 0.3], [0.15, 0.45]]),
+    "zero-cells": two_axis([[0.3, 0.0, 0.2], [0.0, 0.1, 0.4]]),
+    "z-channel": two_axis([[0.5, 0.0], [0.15, 0.35]]),
+    "one-letter-z": two_axis([[0.4], [0.6]]),
+    "dsbs(1e-6)": dsbs(1e-6),
+    "dsbs(0.5)": dsbs(0.5),
+}
+
+
 class TestIbCurve:
     def test_endpoints_and_monotone(self):
-        curve = ib_curve(dsbs(0.1))
+        curve = ib_curve(dsbs(0.1), grid_of(dsbs(0.1)))
         assert curve.knots[0] == (0.0, 0.0)
         assert curve.r_max == LOG2 and abs(curve.value_at(LOG2) - I_XZ_01) <= 1e-15
         assert curve.value_at(0.9) == curve.value_at(curve.r_max)
@@ -956,7 +1024,7 @@ class TestIbCurve:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_relevance_never_exceeds_source_mi(self):
-        curve = ib_curve(dsbs(0.25))
+        curve = ib_curve(dsbs(0.25), grid_of(dsbs(0.25)))
         assert curve.value_at(curve.r_max) <= (LOG2 - binary_entropy(0.25)) + 1e-9
 
     def test_draws_and_climbs_nothing(self, monkeypatch):
@@ -964,36 +1032,109 @@ class TestIbCurve:
             raise AssertionError("ib_curve drew or climbed")
 
         monkeypatch.setattr(optimize, "_substream", forbidden)
-        assert list(inspect.signature(ib_curve).parameters) == ["p_xz"]
-        assert len(ib_curve(dsbs(0.25)).knots) > 2
+        assert list(inspect.signature(ib_curve).parameters) == ["p_xz", "r_grid"]
+        assert len(ib_curve(dsbs(0.25), grid_of(dsbs(0.25))).knots) > 2
 
     def test_constant_channel_is_the_origin(self):
         # SOURCE3 renormalizes to 0.9999999999999998, so its scored constant
         # channel reads (2.2e-16, 2.2e-16); the curve starts at (0, 0) and
         # no solved channel within rounding of it is a knot
-        knots = ib_curve(SOURCE3).knots
+        knots = ib_curve(SOURCE3, grid_of(SOURCE3)).knots
         assert knots[0] == (0.0, 0.0)
         assert all(r > 1e-12 for r, _ in knots[1:])
 
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.25, 0.45])
     def test_dsbs_closed_form(self, p):
         # the DSBS curve is ln 2 - h_b(p * h_b^-1(ln 2 - r)) (Mrs. Gerber's lemma)
-        curve = ib_curve(dsbs(p))
         rs = np.linspace(0.0, LOG2, 401)
+        curve = ib_curve(dsbs(p), rs)
         got = np.array([curve.value_at(r) for r in rs])
         alphas = [binary_entropy_inverse(min(max(LOG2 - r, 0.0), LOG2)) for r in rs]
         want = np.array([LOG2 - binary_entropy(binary_convolution(p, a)) for a in alphas])
         assert np.max(got - want) <= 1e-12
-        assert np.max(want - got) <= 3e-4
+        assert np.max(want - got) <= 1e-12
 
     @pytest.mark.parametrize("src, sampled", [
         (SOURCE3, SAMPLED_IB_SOURCE3), (DIRICHLET4, SAMPLED_IB_DIRICHLET4),
     ], ids=["SOURCE3", "DIRICHLET4"])
     def test_no_lower_than_the_sampled_curve(self, src, sampled):
-        curve = ib_curve(src)
-        rs = np.linspace(0.0, math.log(src.mass.shape[0]), 41)
+        rs = grid_of(src)
+        curve = ib_curve(src, rs)
         got = np.array([curve.value_at(r) for r in rs])
         assert np.min(got - np.array(sampled)) >= -3e-4
+
+    def test_grid_adds_no_knot_beyond_binary_x(self):
+        # |X| > 2 keeps the bottleneck family, whatever the grid
+        assert ib_curve(SOURCE3, grid_of(SOURCE3, 7)).knots == ib_curve(SOURCE3, grid_of(SOURCE3, 301)).knots
+
+    def test_nonfinite_abscissa_rejected(self):
+        with pytest.raises(DomainError):
+            ib_curve(dsbs(0.25), [0.1, math.nan])
+
+
+class TestTwoPosteriorCurve:
+    """ib_curve of a binary x solves each abscissa for its two posteriors."""
+
+    @pytest.mark.parametrize("k", range(len(SWEEP)))
+    def test_rows_reach_the_dense_two_posterior_envelope(self, k):
+        # every row is at least the envelope of a dense table of posterior
+        # pairs, less 1e-12, and at most I(x;z)
+        src = SWEEP[k]
+        rs = np.linspace(0.0, LOG2, 41)
+        got = ib_curve(src, rs).value_at(rs)
+        assert np.min(got - dense_two_posterior_envelope(src, rs)) >= -1e-12
+        assert np.max(got) <= mutual_information(src, "x", "z") + 1e-15
+
+    def test_erasure_rows_read_its_chord(self):
+        # I(u;z) = 0.7 I(u;x) for every channel of the erasure source: no
+        # row's system has one solution, and every row reads the chord
+        rs = np.linspace(0.0, LOG2, 41)
+        curve = ib_curve(SWEEP[-1], rs)
+        assert len(curve.knots) < len(rs) - 2
+        assert np.max(np.abs(curve.value_at(rs) - 0.7 * rs)) <= 1e-12
+
+    @pytest.mark.parametrize("name", EDGE_SOURCES)
+    def test_edge_sources(self, name):
+        # each curve starts at (0, 0), ends at the identity, and is finite
+        # and monotone
+        src = EDGE_SOURCES[name]
+        rs = np.linspace(0.0, LOG2, 41)
+        curve = ib_curve(src, rs)
+        h_x = probability.entropy(probability.marginalize(src, ["x"]))
+        assert curve.knots[0] == (0.0, 0.0)
+        assert abs(curve.r_max - h_x) <= 1e-15
+        assert abs(curve.value_at(curve.r_max) - mutual_information(src, "x", "z")) <= 1e-15
+        got = curve.value_at(rs)
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0.0)
+
+    @pytest.mark.parametrize("src", [dsbs(0.02), dsbs(0.25), SWEEP[3]], ids=["dsbs0.02", "dsbs0.25", "sweep3"])
+    def test_row_floats_do_not_depend_on_the_batch(self, monkeypatch, src):
+        # a row solved alone, and a grid solved in blocks of 3 rows, are
+        # bitwise the default solve
+        from coinfo import bottleneck
+
+        # the solver's abscissae lie strictly between 0 and H(x)
+        rs = np.linspace(0.0, probability.entropy(probability.marginalize(src, ["x"])), 41)[1:-1]
+        whole = bottleneck._two_posterior_knots(src.mass, rs)
+        alone = [bottleneck._two_posterior_knots(src.mass, rs[i : i + 1]) for i in range(len(rs))]
+        assert bits(whole) == bits(tuple(np.concatenate(k) for k in zip(*alone)))
+        monkeypatch.setattr(bottleneck, "_TP_BLOCK", 3)
+        assert bits(bottleneck._two_posterior_knots(src.mass, rs)) == bits(whole)
+        assert bits(ib_curve(src, rs)) == bits(ib_curve(src, rs))
+
+    def test_binary_x_runs_no_bottleneck_family(self, monkeypatch):
+        calls = []
+        fixed_point = optimize._fixed_point
+
+        def spy(*args):
+            calls.append(1)
+            return fixed_point(*args)
+
+        monkeypatch.setattr(optimize, "_fixed_point", spy)
+        ib_curve(dsbs(0.25), grid_of(dsbs(0.25)))
+        assert not calls
+        ib_curve(SOURCE3, grid_of(SOURCE3))
+        assert calls
 
 
 class TestConjecture:
@@ -1610,7 +1751,7 @@ class TestDrawBlocks:
     def results(count):
         lam = SupportWeight(0.9, -0.2, -0.3)
         cfg = SampleConfig(seed=6, count=count, refine_top=4, refine_steps=40)
-        out = [conjecture_test(0.1, cfg), ib_curve(SOURCE3)]
+        out = [conjecture_test(0.1, cfg), ib_curve(SOURCE3, grid_of(SOURCE3))]
         for src in (dsbs(0.1), SOURCE3):
             out.append(sample_region_points(src, cfg, "inner").tolist())
             out.append(support_function(src, SupportWeight(1.0, -0.05, -0.05), cfg, "inner"))
