@@ -5,18 +5,21 @@ plus the upper concave envelope of g_s(q) = s h_b(q) - H(z | x ~ q), read
 at p = p(x = 1), and two posteriors q_a < p < q_b touch it (Witsenhausen &
 Wyner 1975; Nair 2013). So the point of the bottleneck curve at a rate r
 is a root-find in (q_a, q_b, s), with no iteration over a family of
-multipliers: optimize.ib_curve takes its knots from _binary_knots, a
-solved point for every abscissa of its grid. Every step runs through optimize._iterate, the one
-stop rule of every solve, and uses elementwise operations only, so no
-BLAS kernel runs and a row gets the same floats in any batch. The module
-is imported by the first binary-x ib_curve call, not with optimize.
+multipliers: optimize.ib_curve takes a solved point for every abscissa
+of its grid from _two_posterior_knots. Its knots, like those of the
+start table here (_tp_start), come from optimize's one hull body, the
+core of upper_concave_envelope. Every step runs through
+optimize._iterate, the one stop rule of every solve, and uses
+elementwise operations only, so no BLAS kernel runs and a row gets the
+same floats in any batch. The module is imported by the first binary-x
+ib_curve call, not with optimize.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import _iterate
+from .optimize import _iterate, _upper_hull
 from .probability import _NEG_TOL, _hb_logs
 
 # The two-posterior solve (_two_posterior_knots).
@@ -181,42 +184,9 @@ def _tp_start(src):
     best = np.maximum.accumulate(np.append(0.0, relevance[order]))[:-1]
     front = order[relevance[order] > best]
     x, y = np.append(0.0, rate[front]), np.append(0.0, relevance[front])
-    keep = _concave_vertices(x, y)
+    # x increases strictly, so each knot's rate finds its pair
+    keep = np.searchsorted(x, [r for r, _ in _upper_hull(zip(x.tolist(), y.tolist()))])
     return x[keep], y[keep], np.concatenate([np.full((2, 1), np.nan), tau[:, front[keep[1:] - 1]]], axis=1)
-
-
-def _concave_vertices(x, y):
-    """The indices of the vertices of the upper concave envelope of points
-    of strictly increasing x: every point on or below the chord of its
-    neighbours is dropped at once, until none is."""
-    keep = np.arange(len(x))
-    while len(keep) > 2:
-        a, b = x[keep], y[keep]
-        kept = np.ones(len(keep), dtype=bool)
-        kept[1:-1] = (a[1:-1] - a[:-2]) * (b[2:] - b[:-2]) - (b[1:-1] - b[:-2]) * (a[2:] - a[:-2]) < 0.0
-        if kept.all():
-            break
-        keep = keep[kept]
-    return keep
-
-
-def _binary_knots(pxz, rates, identity):
-    """The knots of ib_curve for a binary-x source pxz, as a tuple of
-    (rate, relevance) pairs: the vertices of the upper concave envelope of
-    (0, 0), the identity's point and the solved points of the abscissae
-    rates that lie strictly between 1e-12 and 1e-12 below the identity's
-    rate (_two_posterior_knots). Of points of one rate the largest
-    relevance stays, the first on ties."""
-    r_id, mu_id = identity
-    rates = rates[(rates > _NEG_TOL) & (rates < r_id - _NEG_TOL)]
-    r, mu = np.array([0.0, r_id]), np.array([0.0, mu_id])
-    if rates.size and mu_id > 0.0:
-        solved = _two_posterior_knots(pxz, rates)
-        r, mu = np.append(r, solved[0]), np.append(mu, solved[1])
-    order = np.lexsort((-mu, r))
-    order = order[np.append(True, r[order][1:] > r[order][:-1])]
-    keep = order[_concave_vertices(r[order], mu[order])]
-    return tuple(zip(r[keep].tolist(), mu[keep].tolist()))
 
 
 def _two_posterior_knots(pxz, rates):
@@ -242,6 +212,8 @@ def _two_posterior_knots(pxz, rates):
     curve where the step's system is singular, or where the optimum needs
     three posteriors, adds both ends of the start envelope's piece that
     holds r instead, so it reads that piece's chord and is never dropped."""
+    if not rates.size:
+        return np.empty(0), np.empty(0)
     src = _BinarySource.of(pxz)
     start = _tp_start(src)
     if len(start[0]) < 2:

@@ -71,7 +71,10 @@ schedule to its fixed point (_fixed_point), all in one batch. Every
 solve uses elementwise operations and einsum(optimize=False) only, so no
 BLAS kernel runs (the tests scan the source for one). The long-chain BSC
 points of both DSBS curves are one array pass (_sb_curve_points),
-bitwise the scalar h_b values.
+bitwise the scalar h_b values. Every curve here is an upper concave
+envelope, and the knots of each, and of the binary bottleneck curve's
+start table (module bottleneck), come from one hull body behind
+upper_concave_envelope (_upper_hull, Andrew's monotone chain).
 """
 import bisect
 import copy
@@ -180,18 +183,21 @@ class EnvelopeCurve:
         knots = tuple((float(r), float(m)) for r, m in self.knots)
         if not knots:
             raise SizeError("an EnvelopeCurve needs at least one knot")
-        for r, m in knots:
-            if not (math.isfinite(r) and math.isfinite(m)):
-                raise DomainError(f"knot ({r}, {m}) is not finite")
-        for (r0, _), (r1, _) in zip(knots, knots[1:]):
-            if not r1 > r0:
-                raise DomainError(f"knot abscissae must increase strictly: {r0} then {r1}")
-        for a, b, c in zip(knots, knots[1:], knots[2:]):
-            if _cross(a, b, c) > 0.0:
-                raise DomainError(f"knots {a}, {b}, {c} break concavity")
-        r, m = np.array(knots).T
-        r.setflags(write=False)
-        m.setflags(write=False)
+        # each check names its first failing knot, pair or triple
+        points = np.array(knots)
+        points.setflags(write=False)
+        r, m = points.T
+        bad = ~np.isfinite(points).all(axis=1)
+        if bad.any():
+            raise DomainError(f"knot {knots[bad.argmax()]} is not finite")
+        bad = r[1:] <= r[:-1]
+        if bad.any():
+            (r0, _), (r1, _) = knots[bad.argmax() :][:2]
+            raise DomainError(f"knot abscissae must increase strictly: {r0} then {r1}")
+        bad = _cross((r[:-2], m[:-2]), (r[1:-1], m[1:-1]), (r[2:], m[2:])) > 0.0
+        if bad.any():
+            a, b, c = knots[bad.argmax() :][:3]
+            raise DomainError(f"knots {a}, {b}, {c} break concavity")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_r", r)
         object.__setattr__(self, "_mu", m)
@@ -214,6 +220,8 @@ class EnvelopeCurve:
 
 
 def _cross(a, b, c):
+    # the turn of a, b, c: positive when b lies below the chord from a to c;
+    # elementwise when the coordinates are arrays
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
@@ -229,20 +237,27 @@ def upper_concave_envelope(points):
     for r, m in pts:
         if not (math.isfinite(r) and math.isfinite(m)):
             raise DomainError(f"point ({r}, {m}) is not finite")
-    pts.sort()
+    return EnvelopeCurve(_upper_hull(pts))
+
+
+def _upper_hull(points):
+    """The knots of upper_concave_envelope of (R, mu) tuples of finite
+    floats, the one hull body of the package (Andrew's monotone chain):
+    of points of one R the largest mu stays, the first of equal points,
+    and a point on or below the chord of its neighbours goes."""
     merged = []
-    for r, m in pts:
-        if merged and merged[-1][0] == r:
-            if m > merged[-1][1]:
-                merged[-1] = (r, m)
+    for pt in sorted(points):
+        if merged and merged[-1][0] == pt[0]:
+            if pt[1] > merged[-1][1]:
+                merged[-1] = pt
         else:
-            merged.append((r, m))
+            merged.append(pt)
     hull = []
     for pt in merged:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) >= 0.0:
             hull.pop()
         hull.append(pt)
-    return EnvelopeCurve(tuple(hull))
+    return tuple(hull)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,16 +1043,19 @@ _IB_ITERATIONS = 100
 def ib_curve(p_xz, r_grid):
     """Upper concave envelope of (I(u;x), I(u;z)) over the constant and
     identity channels and solved test channels. The constant channel's
-    point is (0, 0) by definition, not a score; the identity's is scored.
+    point is (0, 0) by definition, not a score; the identity's is scored,
+    once. The solved points of either kind below go through
+    upper_concave_envelope with those two.
 
     For a binary x the solved channels are exact: each abscissa r of
     r_grid strictly between the clamp's float noise (1e-12) and 1e-12
     below the identity's rate is solved for the two posteriors whose pair
     is a bottleneck optimum of rate r, and each solved pair's (rate,
-    relevance) is a knot (bottleneck._binary_knots). So the curve reads
-    each such abscissa at its solved point. An abscissa within 1e-12 of 0
-    reads the chord from (0, 0), one within 1e-12 below the identity's
-    rate the chord to the identity, and one at or above it the identity.
+    relevance) is a knot (bottleneck._two_posterior_knots). So the curve
+    reads each such abscissa at its solved point. An abscissa within
+    1e-12 of 0 reads the chord from (0, 0), one within 1e-12 below the
+    identity's rate the chord to the identity, and one at or above it
+    the identity.
 
     For |X| > 2, r_grid adds no knot: the solved channels are a bottleneck
     family with |X| + 1 outputs, the cardinality bound, the identity at
@@ -1058,23 +1076,24 @@ def ib_curve(p_xz, r_grid):
         raise DomainError("ib_curve needs finite abscissae")
     pxz = p_xz.mass
     nx = pxz.shape[0]
-    identity = _noisy_corner(np.arange(nx), nx + 1, 0.0)
+    (r_id,), (mu_id,) = _batch_ib_stats(pxz, _noisy_corner(np.arange(nx), nx + 1, 0.0)[None])
     if nx == 2:
         # imported here, so that only a binary-x curve compiles its solver
-        from .bottleneck import _binary_knots
+        from .bottleneck import _two_posterior_knots
 
-        r, mu = _batch_ib_stats(pxz, identity[None])
-        return EnvelopeCurve(_binary_knots(pxz, rates, (r[0], mu[0])))
-    z_given_x, _ = _source_conditionals(pxz)
-    start = _noisy_corner(np.arange(nx), nx + 1, _INNER_SPREADS[0])
-    # computed here, not at import, where numpy's power loop costs 0.3 MiB
-    betas = (_IB_POINTS / np.arange(1, _IB_POINTS + 1)) ** 1.5
-    family = _fixed_point(pxz, z_given_x, np.broadcast_to(start, (_IB_POINTS, *start.shape)), betas, _IB_ITERATIONS)
-    tables = np.concatenate([[identity], family])
-    r, mu = _blocked_stats(_batch_ib_stats, pxz, (tables,), pxz.size * (nx + 1))
-    keep = (r > _NEG_TOL) & (r < r[0])
-    keep[0] = True
-    return upper_concave_envelope([(0.0, 0.0), *zip(r[keep].tolist(), mu[keep].tolist())])
+        # the abscissae strictly inside (0, r_id) past rounding, and none
+        # when the identity's relevance is not positive
+        r, mu = _two_posterior_knots(pxz, rates[(rates > _NEG_TOL) & (rates < r_id - _NEG_TOL) & (mu_id > 0.0)])
+    else:
+        z_given_x, _ = _source_conditionals(pxz)
+        start = _noisy_corner(np.arange(nx), nx + 1, _INNER_SPREADS[0])
+        # computed here, not at import, where numpy's power loop costs 0.3 MiB
+        betas = (_IB_POINTS / np.arange(1, _IB_POINTS + 1)) ** 1.5
+        family = _fixed_point(pxz, z_given_x, np.broadcast_to(start, (_IB_POINTS, *start.shape)), betas, _IB_ITERATIONS)
+        r, mu = _blocked_stats(_batch_ib_stats, pxz, (family,), pxz.size * (nx + 1))
+        keep = (r > _NEG_TOL) & (r < r_id)
+        r, mu = r[keep], mu[keep]
+    return upper_concave_envelope(zip(np.append([0.0, r_id], r).tolist(), np.append([0.0, mu_id], mu).tolist()))
 
 
 # ---------------------------------------------------------------------------

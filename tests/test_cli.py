@@ -443,6 +443,27 @@ class TestPinnedRefineOutputs:
         body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert body[0] == "0 0" and body[-1] == "0.693147180559945 0.130812035941137"
 
+    # the digests are of version 0.11.0: a 3x2 source (|X| > 2, the
+    # bottleneck family) at the default grid, a 2x3 source with a zero
+    # cell (posteriors at their ends) and a DSBS with a steep curve near 0;
+    # the family and the solved points go through one envelope
+    @pytest.mark.parametrize("source, grid, digest", [
+        pytest.param("x z\n0 0 0.2\n0 1 0.1\n1 0 0.05\n1 1 0.25\n2 0 0.3\n2 1 0.1\n", None,
+                     "6898f2478e7cbadd487a2f075211b24bf2f2486ca61738a0f7fac9fedf388a5d", id="3x2-default-grid"),
+        pytest.param("x z\n0 0 0.3\n0 1 0.1\n0 2 0\n1 0 0.05\n1 1 0.25\n1 2 0.3\n", "101",
+                     "281db6b247f48a7d5ac6bd15d57899e656c3b2a1faaecc68c108e9afa4fab4fa", id="2x3-zero-cell-grid101"),
+        pytest.param("dsbs:0.02", "401",
+                     "78aef7e20115b423ab62dbd477760c47746cb936d01c398a414f34bd3233e173", id="dsbs0.02-grid401"),
+    ])
+    def test_ib_curve_bodies(self, tmp_path, capsys, source, grid, digest):
+        if not source.startswith("dsbs:"):
+            (tmp_path / "source.txt").write_text(source)
+            source = str(tmp_path / "source.txt")
+        out = tmp_path / "ib.dat"
+        assert main(["ib-curve", "--source", source, *(["--grid", grid] if grid else []), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out) == digest
+
     def test_dsbs_gap(self, tmp_path, capsys):
         out = tmp_path / "gap"
         assert main(["dsbs-gap", "--p", "0.1", "--seed", "3", "--samples", "200",

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -562,6 +563,30 @@ class TestLocalRefine:
         assert np.array_equal(ru[0], eye)
 
 
+def upper_hull_reference(points):
+    """The knots of the upper concave envelope of (R, mu) points by the
+    list body of upper_concave_envelope (Andrew's monotone chain), kept
+    as the bitwise reference of optimize's one hull body: sort, keep the
+    largest mu of each R (the first of equal points), and drop each point
+    on or below the chord of its neighbours."""
+    merged = []
+    for r, m in sorted((float(r), float(m)) for r, m in points):
+        if merged and merged[-1][0] == r:
+            if m > merged[-1][1]:
+                merged[-1] = (r, m)
+        else:
+            merged.append((r, m))
+    hull = []
+    for c in merged:
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0.0:
+                break
+            hull.pop()
+        hull.append(c)
+    return tuple(hull)
+
+
 class TestEnvelope:
     def test_already_concave_points_kept(self):
         curve = upper_concave_envelope([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
@@ -606,6 +631,58 @@ class TestEnvelope:
             EnvelopeCurve(((1.0, 0.0), (1.0, 1.0)))
         with pytest.raises(DomainError):
             EnvelopeCurve(((0.0, 0.0), (1.0, 0.2), (2.0, 1.0)))
+        # each check names its first failing knot, pair or triple, and the
+        # checks run in this order
+        for knots, message in [
+            (((0.0, 0.0), (1.0, math.nan), (0.5, math.inf)), "knot (1.0, nan) is not finite"),
+            (((0.0, 0.0), (-math.inf, 1.0), (2.0, 0.5)), "knot (-inf, 1.0) is not finite"),
+            (((0.0, 0.0), (1.0, 0.5), (1.0, 0.7), (0.5, 0.8)), "must increase strictly: 1.0 then 1.0"),
+            (((0.0, 0.0), (2.0, 1.0), (1.0, 1.5), (0.5, 2.0)), "must increase strictly: 2.0 then 1.0"),
+            (
+                ((0.0, 0.0), (1.0, 1.0), (2.0, 1.1), (3.0, 1.5), (4.0, 1.0), (5.0, 1.4)),
+                "knots (1.0, 1.0), (2.0, 1.1), (3.0, 1.5) break concavity",
+            ),
+        ]:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                EnvelopeCurve(knots)
+        # a 1e5-knot curve is checked whole, and a dent in its last triple
+        # is found
+        r = np.linspace(0.0, 1.0, 100001)
+        knots = tuple(zip(r.tolist(), np.sqrt(r).tolist()))
+        curve = EnvelopeCurve(knots)
+        assert curve.knots == knots and curve.value_at(0.25) == 0.5
+        dented = (*knots[:-2], (knots[-2][0], knots[-2][1] - 1e-3), knots[-1])
+        with pytest.raises(DomainError, match=re.escape(f"knots {dented[-3]}, {dented[-2]}, {dented[-1]}")):
+            EnvelopeCurve(dented)
+
+    def test_hull_is_bitwise_the_list_body(self):
+        # the one hull body against its reference copy, on sets with
+        # 3-decimal coordinates (near-collinear triples), repeated
+        # abscissae, equal points, both signed zeros and 1 and 2 points
+        rng = np.random.default_rng(33)
+        sets = [[(0.5, 0.25)], [(-0.0, 1.0)], [(0.0, 1.0), (1.0, 0.0)], [(1.0, 0.0), (1.0, 0.0)]]
+        sets += [[(0.0, 1.0), (-0.0, 1.0), (1.0, 0.5)], [(-0.0, 1.0), (0.0, 1.0), (1.0, 0.5)]]
+        sets += [[(-0.0, 0.5), (0.0, 1.0), (0.5, 1.2)], [(0.0, 0.5), (0.0, 0.5), (0.0, 0.25)]]
+        for k in range(300):
+            n = int(rng.integers(3, 80))
+            r = rng.integers(0, 40, n) / 1000.0
+            # near a concave curve, or anywhere
+            m = np.round(np.sqrt(r) + rng.integers(-3, 4, n) / 1000.0, 3) if k % 2 else rng.integers(0, 9, n) / 8.0
+            r[rng.random(n) < 0.1] = -0.0
+            pts = list(zip(r.tolist(), m.tolist()))
+            sets.append(pts + pts[: int(rng.integers(0, n))])
+        for pts in sets:
+            assert bits(upper_concave_envelope(pts)) == bits(upper_hull_reference(pts)), pts
+
+    def test_hull_drops_a_long_chain_in_linear_time(self):
+        # a concave chain of 1e5 points under one far high point: each
+        # point is pushed and popped once
+        r = np.linspace(0.0, 1.0, 100000)
+        pts = [*zip(r.tolist(), np.sqrt(r).tolist()), (2.0, 100.0)]
+        started = time.perf_counter()
+        curve = upper_concave_envelope(pts)
+        assert time.perf_counter() - started < 1.0
+        assert curve.knots[-1] == (2.0, 100.0) and len(curve.knots) < 100
 
     @pytest.mark.parametrize("points", [7, 100001], ids=["fewer-than-knots", "more-than-knots"])
     def test_array_reading_is_bitwise_the_scalar_one(self, points):

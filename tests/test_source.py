@@ -146,3 +146,33 @@ def test_one_float_format():
         if "15g" in line
     ]
     assert len(found) == 1 and found[0].startswith("cli.py:"), f"float formats in src/coinfo: {found}"
+
+
+def test_one_hull_body():
+    # which points are knots of an upper concave envelope, which point
+    # wins at equal abscissae and when a collinear point goes is decided in
+    # one module, optimize: no other module defines a function named for a
+    # hull or an envelope, or computes the turn of three points,
+    # (b0 - a0) (c1 - a1) - (b1 - a1) (c0 - a0)
+    files = sorted(Path(coinfo.__file__).parent.rglob("*.py"))
+
+    def difference(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+    def product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (
+            difference(node.left) and difference(node.right)
+        )
+
+    def hull_code(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return re.search("hull|envelope|concave|vertices", node.name)
+        return difference(node) and product(node.left) and product(node.right)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if hull_code(node)
+    ]
+    assert found and all(f.startswith("optimize.py:") for f in found), f"hull code outside optimize: {found}"
