@@ -102,15 +102,24 @@ def _write_blocks(path, manifest, blocks):
             fh.write(block)
 
 
-def _table_lines(rows, scale):
-    """One line per row of a rectangular table of reals: each value v is
-    written as _fmt(v / scale) writes it, and the whole table takes one
-    %-format call."""
-    table = np.asarray(rows, dtype=np.float64) / scale
+# the table writers read their values in blocks of whole rows of at most
+# this many cells (and at least one row)
+_WRITE_CELLS = 2**16
+
+
+def _table_blocks(rows, scale):
+    """The text of a rectangular table of reals, one line per row, as
+    blocks of whole lines of at most _WRITE_CELLS values: each value v is
+    written as _fmt(v / scale) writes it, and each block takes one
+    %-format call. An empty table has no block."""
+    table = np.asarray(rows, dtype=np.float64)
     if not len(table):
-        return []
-    line = " ".join([_FLOAT_FORMAT] * table.shape[1])
-    return ("\n".join([line] * len(table)) % tuple(table.ravel().tolist())).split("\n")
+        return
+    line = " ".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"
+    size = max(1, _WRITE_CELLS // table.shape[1])
+    for lo in range(0, len(table), size):
+        block = table[lo : lo + size] / scale
+        yield line * len(block) % tuple(block.ravel().tolist())
 
 
 def _unit_scale(units):
@@ -221,9 +230,7 @@ def cmd_dsbs_surface(args):
     return 0
 
 
-# _surface_blocks reads mu in blocks of whole rows of at most this many
-# cells, and formats at most _FORMAT_CHUNK distinct values per %-format call
-_SURFACE_WRITE_CELLS = 2**16
+# _surface_blocks formats at most this many distinct values per %-format call
 _FORMAT_CHUNK = 2**8
 
 
@@ -233,7 +240,7 @@ def _surface_blocks(rates, mu, scale):
     Row (a, b) is "r1(a) r2(b) mu(a, b)", each value v written as
     _fmt(v / scale) writes it. Each distinct rate is formatted once, and so
     is each distinct mu value of a block: mu is read in blocks of whole
-    rows of at most _SURFACE_WRITE_CELLS cells (the default grid and the
+    rows of at most _WRITE_CELLS cells (the default grid and the
     benchmark's are one block each), whose scaled values are keyed by
     their int64 bit patterns, sorted, and formatted once per distinct key
     into a fixed-width bytes table. The surface is symmetric in
@@ -251,7 +258,7 @@ def _surface_blocks(rates, mu, scale):
     """
     text = [_fmt(r).encode() for r in (rates / scale).tolist()]
     cols = [b""] + [b" " + t + b" %s\n" for t in text]
-    rows = max(1, _SURFACE_WRITE_CELLS // max(mu.shape[1], 1))
+    rows = max(1, _WRITE_CELLS // max(mu.shape[1], 1))
     for i in range(0, len(mu), rows):
         yield from _surface_rows(text[i : i + rows], cols, mu[i : i + rows], scale)
 
@@ -315,10 +322,10 @@ def cmd_dsbs_gap(args):
     best = int(np.argmax(outer_mu - inner_mu))
     for name, mu in (("inner", inner_mu), ("outer", outer_mu)):
         manifest = RunManifest("dsbs-gap", params + (("curve", name),))
-        _write_lines(
+        _write_blocks(
             os.path.join(args.out_dir, f"{name}.dat"),
             manifest,
-            _table_lines(np.stack([evaluation, mu], axis=1), scale),
+            _table_blocks(np.stack([evaluation, mu], axis=1), scale),
         )
     print(f"max_gap {_fmt(float(outer_mu[best] - inner_mu[best]) / scale)} at_r {_fmt(evaluation[best] / scale)}")
     print(f"wrote {args.out_dir}/inner.dat {args.out_dir}/outer.dat")
@@ -339,9 +346,9 @@ def cmd_ib_curve(args):
         ("grid_lo", 0.0), ("grid_hi", math.log(nx)), ("units", args.units),
         ("solver", "two-posterior" if nx == 2 else "bottleneck-family"),
     )
-    _write_lines(
+    _write_blocks(
         args.out, RunManifest("ib-curve", params),
-        _table_lines(rows, _unit_scale(args.units)),
+        _table_blocks(rows, _unit_scale(args.units)),
     )
     print(f"wrote {args.out} rows {len(rows)}")
     return 0
@@ -404,9 +411,9 @@ def cmd_region_sample(args):
     params = (
         ("source", args.source), ("variant", args.variant),
     ) + cfg_params + (("units", args.units),)
-    _write_lines(
+    _write_blocks(
         args.out, RunManifest("region-sample", params),
-        _table_lines(rows, _unit_scale(args.units)),
+        _table_blocks(rows, _unit_scale(args.units)),
     )
     print(f"wrote {args.out} rows {len(rows)}")
     return 0

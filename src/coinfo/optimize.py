@@ -16,15 +16,16 @@ _DRAW_FLOATS floats is drawn in pieces with the same bits
 shapes, and no draw is made twice: a sampler keeps the tables it may
 return while it scans. Every reduction is an associative
 max or min with lowest-index tie-break, and no BLAS-backed kernels are
-used, so a run is bit-reproducible for any thread count. A piece of a
-draw block is scored in blocks of at most _DRAW_CELLS joint cells, with
-one call of probability.batch_entropies each, which builds all the marginals of
-every table with ordered reductions whose inner loop runs across the
-tables, and sums them in a fixed order, with elementwise operations
-only; its rows are bitwise equal to one table's, so no result depends on
-the scoring block size.
-The conjecture tail runs once per chunk of draws whose tables hold at
-most _DRAW_FLOATS floats, with one h_b^-1 call
+used, so a run is bit-reproducible for any thread count. Each piece of
+a draw block is scored, as every solve scores its tables, by one
+routine (_blocked_stats) in blocks of at most _DRAW_CELLS joint cells,
+with one call of probability.batch_entropies each, which builds all the
+marginals of every table with ordered reductions whose inner loop runs
+across the tables, and sums them in a fixed order, with elementwise
+operations only; its rows are bitwise equal to one table's, so no
+result depends on the scoring block size.
+The conjecture tail runs once per chunk of as many draw pieces as hold
+at most _DRAW_FLOATS floats of tables, with one h_b^-1 call
 (probability.binary_entropy_inverses) for both rate equalities; it is
 elementwise, so no result depends on the chunk size either. Outer
 tables are feasible by construction: every draw and every table of the
@@ -46,7 +47,8 @@ best pair, then on each side a bottleneck family with the relevance
 that mu' = min(I(u;z), I(v;x)) reads (z for p(u|x), x for p(v|z)) over a
 fixed schedule of multipliers, each run to its fixed point
 (_fixed_point), and zoom rounds in the multiplier around each side's
-best (_side_best). "ro_prime" depends on the pair alone and takes the
+best (_side_best); each member is scored once, when it joins the pool
+(_pool_grown). "ro_prime" depends on the pair alone and takes the
 pool's best pair; "ro" solves the coupling of least I(x,z;u,v) of its
 best pairs by alternating I-projection (_coupled), a convex problem for
 fixed cell marginals. Every solve, the inner one, the bottleneck
@@ -70,8 +72,10 @@ the outer pool: a noisy identity run at each multiplier of a fixed
 schedule to its fixed point (_fixed_point), all in one batch. Every
 solve uses elementwise operations and einsum(optimize=False) only, so no
 BLAS kernel runs (the tests scan the source for one). The long-chain BSC
-points of both DSBS curves are one array pass (_sb_curve_points),
-bitwise the scalar h_b values. Every curve here is an upper concave
+points of both DSBS curves are array passes (_sb_curve_points), bitwise
+the scalar values: h_b has one body, and so has the closed form
+ln 2 - h_b(alpha * p * beta) (regions._sb_mu), which also gives the
+conjecture margin. Every curve here is an upper concave
 envelope, and the knots of each, and of the binary bottleneck curve's
 start table (module bottleneck), come from one hull body behind
 upper_concave_envelope (_upper_hull, Andrew's monotone chain).
@@ -92,7 +96,6 @@ from .probability import (
     binary_entropy_inverses,
     batch_entropies,
     dsbs,
-    _bconv,
     _check_cells,
     _check_probability,
     _clamp_measures,
@@ -101,8 +104,9 @@ from .probability import (
     _is_int,
     _is_real,
     _source_conditionals,
+    _two_axis,
 )
-from .regions import MARKOV_TOL, _check_region_points
+from .regions import MARKOV_TOL, _check_region_points, _sb_mu
 
 _VARIANTS = ("inner", "ro", "ro_prime")
 
@@ -279,8 +283,9 @@ _DRAW_BLOCK = 256
 _DRAW_FLOATS = 1 << 17
 
 # joint cells scored per batched stats call, summed over the scoring
-# block's draws: a piece of a draw block is scored in scoring blocks of
-# max(1, _DRAW_CELLS // cells) draws, the rule of typicality._BLOCK_CELLS,
+# block's tables: _blocked_stats, which alone reads it, scores a piece of a
+# draw block or a solve's tables in scoring blocks of
+# max(1, _DRAW_CELLS // cells) tables, the rule of typicality._BLOCK_CELLS,
 # so the joints of a call stay bounded on a large alphabet (a whole
 # 256-draw block of a 2x2x2x2 joint, one draw of any joint past 4096
 # cells). No result depends on it, since a batched row is bitwise equal
@@ -321,26 +326,17 @@ def _draw_pieces(seed, k, shapes, stop):
         yield lo, [g.dirichlet(np.ones(cols), size=(n, rows)) for g, (rows, cols) in zip(gens, shapes)]
 
 
-def _drawn(cfg, shapes, cells):
-    """(lo, tables) of cfg's draws in index order, one scoring block at a
-    time: tables[t][b] is table t of draw lo + b. A scoring block lies in
-    one piece of a draw block (_draw_pieces) and holds at most _DRAW_CELLS
-    joint cells (a draw's joint has `cells`) and at least one draw."""
-    size = max(1, _DRAW_CELLS // cells)
-    for start in range(0, cfg.count, _DRAW_BLOCK):
-        stop = min(_DRAW_BLOCK, cfg.count - start)
-        for p, piece in _draw_pieces(cfg.seed, start // _DRAW_BLOCK, shapes, stop):
-            for lo in range(0, len(piece[0]), size):
-                yield start + p + lo, [t[lo : lo + size] for t in piece]
-
-
 def _scored_draws(cfg, pxz, shapes, stats):
-    """(lo, tables, scores) of every scoring block of cfg's draws, in index
-    order: tables as _drawn gives them and scores = stats(pxz, *tables)
-    (_batch_inner_stats, or the mapped outer tables' stats of
-    sample_region_points), arrays with one entry per draw."""
-    for lo, tables in _drawn(cfg, shapes, pxz.size * math.prod(cols for _, cols in shapes)):
-        yield lo, tables, stats(pxz, *tables)
+    """(lo, tables, scores) of every piece of cfg's draw blocks
+    (_draw_pieces), in index order: tables[t][b] is table t of draw lo + b,
+    and scores = stats(pxz, *tables) (_batch_inner_stats, or the mapped
+    outer tables' stats of sample_region_points), arrays with one entry per
+    draw, scored by _blocked_stats a block of at most _DRAW_CELLS joint
+    cells at a time."""
+    cells = pxz.size * math.prod(cols for _, cols in shapes)
+    for start in range(0, cfg.count, _DRAW_BLOCK):
+        for lo, tables in _draw_pieces(cfg.seed, start // _DRAW_BLOCK, shapes, min(_DRAW_BLOCK, cfg.count - start)):
+            yield start + lo, tables, _blocked_stats(stats, pxz, tables, cells)
 
 
 # kept-axis groups of the (x, z, u, v) and (x, z, u) joints, axes in that order
@@ -504,14 +500,15 @@ def support_function(p_xz, lam, cfg, variant="inner"):
     """
     if variant not in _VARIANTS:
         raise DomainError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if len(p_xz.axes) != 2:
-        raise DomainError(f"support_function needs a two-axis source, got {p_xz.labels}")
-    pxz = p_xz.mass
-    nx, nz = pxz.shape
-    cap_u = cfg.cap_u if cfg.cap_u is not None else nx
-    cap_v = cfg.cap_v if cfg.cap_v is not None else nz
+    pxz = _two_axis(p_xz, "support_function")
+    cap_u, cap_v = _caps(cfg, pxz.shape)
     value, tables = _support(pxz, lam, variant, cap_u, cap_v)
     return value, _public_candidate(variant, tables, p_xz, cap_u, cap_v)
+
+
+def _caps(cfg, shape):
+    # (cap_u, cap_v) of cfg, each defaulting to its source alphabet's size
+    return cfg.cap_u or shape[0], cfg.cap_v or shape[1]
 
 
 def _public_candidate(variant, tables, p_xz, cap_u, cap_v):
@@ -757,8 +754,9 @@ def _support(pxz, lam, variant, cap_u, cap_v):
 
 def _blocked_stats(stats, pxz, tables, cells):
     """The columns of stats(pxz, *tables) (_batch_inner_stats,
-    _batch_ib_stats, _chain_map), scored a block of at most _DRAW_CELLS
-    joint cells at a time; a table's joint has `cells`."""
+    _batch_ib_stats, _chain_map, sample_region_points' outer stats),
+    scored a block of at most _DRAW_CELLS joint cells at a time; a table's
+    joint has `cells`. Draws and solves are scored by it alike."""
     size = max(1, _DRAW_CELLS // cells)
     if len(tables[0]) <= size:
         return stats(pxz, *tables)
@@ -806,16 +804,8 @@ def _outer_solve(pxz, lam, variant, cap_u, cap_v):
     q = rows_u[i][:, :, None, :, None] * rows_v[j][:, None, :, None, :]
     if variant == "ro":
         q = np.concatenate([q, _coupled(pxz, q, _COUPLING_ROUNDS)])
-    q, values = _scored_outer(pxz, lam, variant, q)
-    return values, q
-
-
-def _scored_outer(pxz, lam, variant, q):
-    """(tables, values): a batch of tables q(u,v|x,z) mapped onto the
-    short chains (_mapped), and each mapped table's objective for the
-    variant."""
     q, st = _mapped(pxz, q)
-    return q, _lam_dot(lam, _region_mu(st, variant), st[:, 0], st[:, 1])
+    return _lam_dot(lam, _region_mu(st, variant), st[:, 0], st[:, 1]), q
 
 
 def _mapped(pxz, q):
@@ -842,35 +832,37 @@ def _outer_pool(pxz, lam, cap_u, cap_v):
     (_side_best), warm-started from it; a best member that is not of a
     family (member 0 or a start row) is not zoomed."""
     z_given_x, x_given_z = _source_conditionals(pxz)
-    _, (inner_u, inner_v) = _support(pxz, lam, "inner", cap_u, cap_v)
+    _, inner = _support(pxz, lam, "inner", cap_u, cap_v)
+    problems = ((pxz, z_given_x), (pxz.T, x_given_z.T))
     sides = []
-    for pxy, y_given_x, cap, inner in ((pxz, z_given_x, cap_u, inner_u), (pxz.T, x_given_z.T, cap_v, inner_v)):
+    for (pxy, y_given_x), cap, own in zip(problems, (cap_u, cap_v), inner):
         starts = _side_starts(pxy, cap)
         betas = np.tile(2.0 ** (np.arange(_POOL_BETAS) / 4.0), len(starts))
         family = _fixed_point(pxy, y_given_x, np.repeat(starts, _POOL_BETAS, axis=0), betas, _POOL_ROUNDS)
         # each member's multiplier, nan for member 0 and the start rows
-        betas = [np.full(1 + len(starts), np.nan), betas]
-        sides.append((pxy, y_given_x, [inner[None], starts, family], betas))
-    for zoom in range(_POOL_ZOOMS + 1):
-        rows = [np.concatenate(side[2]) for side in sides]
-        stats = [
-            _blocked_stats(_batch_ib_stats, pxy, (r,), r[0].size * pxy.shape[1])
-            for (pxy, *_), r in zip(sides, rows)
-        ]
-        if zoom == _POOL_ZOOMS:
-            break
-        for k, (pxy, y_given_x, parts, betas) in enumerate(sides):
-            j = _side_best(lam, k, stats)
-            beta = np.concatenate(betas)[j]
-            if math.isfinite(beta):
-                near = beta * 2.0 ** (np.linspace(-0.25, 0.25, _POOL_ZOOM_POINTS) / 2**zoom)
-                start = np.broadcast_to(rows[k][j], (len(near), *rows[k][j].shape))
-                parts.append(_fixed_point(pxy, y_given_x, start, near, _POOL_ROUNDS))
-                betas.append(near)
-    (r_u, iuz), (r_v, ivx) = stats
+        betas = np.append(np.full(1 + len(starts), np.nan), betas)
+        sides.append(_pool_grown(pxy, (), np.concatenate([own[None], starts, family]), betas))
+    for zoom in range(_POOL_ZOOMS):
+        # both sides pick their best from the pool as the round found it
+        best = [_side_best(lam, k, [side[2:] for side in sides]) for k in range(2)]
+        for k, ((pxy, y_given_x), j) in enumerate(zip(problems, best)):
+            rows, betas = sides[k][:2]
+            if math.isfinite(betas[j]):
+                near = betas[j] * 2.0 ** (np.linspace(-0.25, 0.25, _POOL_ZOOM_POINTS) / 2**zoom)
+                start = np.broadcast_to(rows[j], (len(near), *rows[j].shape))
+                sides[k] = _pool_grown(pxy, sides[k], _fixed_point(pxy, y_given_x, start, near, _POOL_ROUNDS), near)
+    (rows_u, _, r_u, iuz), (rows_v, _, r_v, ivx) = sides
     # min(iuz, ivx) keeps iuz on ties, as _region_mu
     mu = np.where(ivx[None, :] < iuz[:, None], ivx[None, :], iuz[:, None])
-    return rows[0], rows[1], _lam_dot(lam, mu, r_u[:, None], r_v[None, :])
+    return rows_u, rows_v, _lam_dot(lam, mu, r_u[:, None], r_v[None, :])
+
+
+def _pool_grown(pxy, side, rows, betas):
+    """A side (rows, multipliers, rates, relevances) of the outer pool with
+    the members `rows` of multipliers `betas` appended, each scored once,
+    here (_batch_ib_stats; a batched row is bitwise a lone one)."""
+    new = (rows, betas, *_blocked_stats(_batch_ib_stats, pxy, (rows,), rows[0].size * pxy.shape[1]))
+    return tuple(np.concatenate(part) for part in zip(side, new)) if side else new
 
 
 def _fixed_point(pxy, y_given_x, enc, betas, rounds):
@@ -949,11 +941,10 @@ def _ratio(a, b):
 def _sb_curve_points(p, alphas):
     """The (r, mu) points (ln 2 - h_b(alpha), ln 2 - h_b(alpha * p * alpha))
     of the long-chain BSC(alpha) pairs on the DSBS(p), as two float arrays,
-    for a float array of alphas in [0, 1/2]: one array pass, bit for bit the
-    scalar binary_entropy and binary_convolution values (the convolutions
-    are the same IEEE operations, and h_b is the same body)."""
-    r, mu = LOG2 - _hb_closed_array(np.stack([alphas, _bconv(_bconv(alphas, p), alphas)]))
-    return r, mu
+    for a float array of alphas in [0, 1/2]: array passes, bit for bit the
+    scalar binary_entropy and sb_point values (h_b is the same body, and mu
+    is the closed form's one body, regions._sb_mu)."""
+    return LOG2 - _hb_closed_array(alphas), _sb_mu(p, alphas, alphas)
 
 
 def dsbs_alpha_grid(r_grid=()):
@@ -1069,12 +1060,10 @@ def ib_curve(p_xz, r_grid):
     1e-12, so no rounding lifts (0, 0) or (H(x), I(x;z)).
 
     Nothing is drawn: the curve depends on the source and r_grid alone."""
-    if len(p_xz.axes) != 2:
-        raise DomainError(f"ib_curve needs a two-axis source, got {p_xz.labels}")
+    pxz = _two_axis(p_xz, "ib_curve")
     rates = np.asarray(r_grid, dtype=np.float64).ravel()
     if not np.all(np.isfinite(rates)):
         raise DomainError("ib_curve needs finite abscissae")
-    pxz = p_xz.mass
     nx = pxz.shape[0]
     (r_id,), (mu_id,) = _batch_ib_stats(pxz, _noisy_corner(np.arange(nx), nx + 1, 0.0)[None])
     if nx == 2:
@@ -1122,39 +1111,40 @@ def conjecture_test(p, cfg):
     if p > 0.5:
         raise DomainError(f"conjecture_test needs p in (0, 1/2], got {p}")
     pxz = dsbs(p).mass
-    shapes = [(2, cfg.cap_u or 2), (2, cfg.cap_v or 2)]
-    # draws per tail chunk: the chunk's tables hold at most _DRAW_FLOATS floats
+    shapes = [(2, cap) for cap in _caps(cfg, pxz.shape)]
+    # draws per tail chunk: the chunk's tables hold at most _DRAW_FLOATS
+    # floats, so it holds whole draw pieces
     chunk = max(1, _DRAW_FLOATS // sum(rows * cols for rows, cols in shapes))
     worst = None
-    blocks, stats = [], []
+    pieces, stats = [], []
     for lo, tables, st in _scored_draws(cfg, pxz, shapes, _batch_inner_stats):
-        if blocks and lo + len(st[0]) - blocks[0][0] > chunk:
-            worst = _conjecture_tail(p, worst, blocks, stats)
-            blocks, stats = [], []
-        blocks.append((lo, tables))
+        if pieces and lo + len(st[0]) - pieces[0][0] > chunk:
+            worst = _conjecture_tail(p, worst, pieces, stats)
+            pieces, stats = [], []
+        pieces.append((lo, tables))
         stats.append(st)
-    worst = _conjecture_tail(p, worst, blocks, stats)
+    worst = _conjecture_tail(p, worst, pieces, stats)
     worst["samples"] = cfg.count
     worst["p"] = p
     return worst
 
 
-def _conjecture_tail(p, worst, blocks, stats):
-    """conjecture_test's report after one chunk of consecutive scoring
-    blocks (lo, tables), stats[k] the _batch_inner_stats of block k: the
-    tail runs once over the chunk, with one h_b^-1 call for both rate
+def _conjecture_tail(p, worst, pieces, stats):
+    """conjecture_test's report after one chunk of consecutive draw pieces
+    (lo, tables), stats[k] the _batch_inner_stats of piece k: the tail
+    runs once over the chunk, with one h_b^-1 call for both rate
     equalities. The first minimum wins: argmin within a chunk, a strict <
     against worst, the report of the chunks before."""
     iuv, iux, ivz = (np.concatenate(col) for col in zip(*stats))
     h = np.minimum(np.maximum(LOG2 - np.stack([iux, ivz]), 0.0), LOG2)
     alpha, beta = binary_entropy_inverses(h)
-    margin = LOG2 - _hb_closed_array(_bconv(_bconv(alpha, p), beta)) - iuv
+    margin = _sb_mu(p, alpha, beta) - iuv
     j = int(np.argmin(margin))
     if worst is not None and not margin[j] < worst["min_margin"]:
         return worst
-    start = blocks[0][0]
-    k = bisect.bisect_right([lo for lo, _ in blocks], start + j) - 1
-    lo, (rows_u, rows_v) = blocks[k]
+    start = pieces[0][0]
+    k = bisect.bisect_right([lo for lo, _ in pieces], start + j) - 1
+    lo, (rows_u, rows_v) = pieces[k]
     b = start + j - lo
     return {
         "min_margin": float(margin[j]),
@@ -1181,7 +1171,7 @@ def cardinality_robustness(p_xz, lams, cfg, variant="inner"):
     and so can differ from zero by the pools' resolution (2.4e-5 on the
     tests' cases).
     """
-    nx, nz = p_xz.mass.shape
+    nx, nz = _two_axis(p_xz, "cardinality_robustness").shape
     report = []
     for lam in lams:
         base, _ = support_function(p_xz, lam, replace(cfg, cap_u=nx, cap_v=nz), variant)
@@ -1212,13 +1202,10 @@ def sample_region_points(p_xz, cfg, variant="inner"):
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
-    if len(p_xz.axes) != 2:
-        raise DomainError(f"the source must have two axes, got {p_xz.labels}")
+    pxz = _two_axis(p_xz, "sample_region_points")
     _check_cells(3 * cfg.count, "the region point table has")
-    pxz = p_xz.mass
     nx, nz = pxz.shape
-    cap_u = cfg.cap_u if cfg.cap_u is not None else nx
-    cap_v = cfg.cap_v if cfg.cap_v is not None else nz
+    cap_u, cap_v = _caps(cfg, pxz.shape)
     if variant == "inner":
         shapes, stats = [(nx, cap_u), (nz, cap_v)], _batch_inner_stats
     else:

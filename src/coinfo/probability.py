@@ -371,7 +371,7 @@ def binary_entropy(p):
     if p == 0.0 or p == 1.0:
         return 0.0
     # numpy's log and log1p run the same loop on a scalar as on an array
-    return float(_hb_open(np.float64(p)))
+    return float(_hb_logs(np.float64(p))[0])
 
 
 def binary_entropy_inverse(h):
@@ -413,11 +413,6 @@ def binary_entropy_inverses(h):
     return _hb_inverse(a)
 
 
-def _hb_open(p):
-    # h_b of every entry of a float array inside (0, 1), unchecked
-    return _hb_logs(p)[0]
-
-
 def _hb_logs(p):
     # the one h_b body, with numpy's log and log1p: h_b of every entry of a
     # float array inside (0, 1), unchecked, and the log(p) and log1p(-p) it
@@ -427,9 +422,9 @@ def _hb_logs(p):
 
 
 def _hb_closed_array(p):
-    # _hb_open of every entry of a float array in [0, 1], and 0 at both ends
+    # h_b of every entry of a float array in [0, 1], and 0 at both ends
     inside = (p > 0.0) & (p < 1.0)
-    return np.where(inside, _hb_open(np.where(inside, p, 0.5)), 0.0)
+    return np.where(inside, _hb_logs(np.where(inside, p, 0.5))[0], 0.0)
 
 
 # Newton passes of _hb_inverse: four bring |h_b(p) - h| within 2 ulps of
@@ -608,11 +603,18 @@ def _check_channel_on(ch, alphabet, who):
         )
 
 
+def _two_axis(p, who):
+    # the mass of a source p(x, z), which every two-source entry point
+    # (`who`) takes: a JointPmf of exactly two axes, else AxisError
+    if len(p.axes) != 2:
+        raise AxisError(f"{who} needs a two-axis source, got {p.labels}")
+    return p.mass
+
+
 def compose_markov(p_xz, ch_u, ch_v):
     """Build the long-Markov-chain joint u - x - z - v from a source and
     test channels p(u|x) and p(v|z); the output axes are (u, x, z, v)."""
-    if len(p_xz.axes) != 2:
-        raise AxisError(f"compose_markov needs a two-axis source, got {p_xz.labels}")
+    _two_axis(p_xz, "compose_markov")
     ax_x, ax_z = p_xz.axes
     _check_channel_on(ch_u, ax_x, "compose_markov")
     _check_channel_on(ch_v, ax_z, "compose_markov")

@@ -50,6 +50,7 @@ from .probability import (
     _normalized,
     _source_conditionals,
     _subset_entropies,
+    _two_axis,
 )
 
 # a Markov chain is accepted when the relevant CMI is at most this
@@ -244,13 +245,19 @@ def sb_point(p, alpha, beta):
     * the binary convolution; matches inner_point with BSC test channels.
     """
     p, alpha, beta = (_sb_arg(*arg) for arg in (("p", p), ("alpha", alpha), ("beta", beta)))
-    # every argument below lies in [0, 1/2], so the unchecked form gives
-    # the same floats as binary_convolution
     return RegionPoint(
-        mu=LOG2 - binary_entropy(_bconv(_bconv(alpha, p), beta)),
+        mu=float(_sb_mu(p, alpha, beta)),
         r1=LOG2 - binary_entropy(alpha),
         r2=LOG2 - binary_entropy(beta),
     )
+
+
+def _sb_mu(p, alpha, beta):
+    # the one body of the closed form log2 - h_b(alpha*p*beta), elementwise
+    # on floats or broadcasting arrays in [0, 1/2], where the unchecked
+    # convolution is binary_convolution; numpy's log and log1p run the same
+    # loop on a scalar as on an array, so every entry is sb_point's float
+    return LOG2 - _hb_closed_array(_bconv(_bconv(alpha, p), beta))
 
 
 # sb_surface evaluates mu in blocks of whole alpha rows of at most this
@@ -266,7 +273,7 @@ def sb_surface(p, grid):
     the r1 of row i and the r2 of column j, and mu[i, j] the
     co-information of cell (i, j). Every value is bitwise equal to
     sb_point's, sign of zero included: mu is built in blocks of alpha
-    rows from the same IEEE operations and the same h_b body. p and the
+    rows by the one closed-form body, _sb_mu. p and the
     grid are validated once, a grid of more than _MAX_CELLS cells is
     refused before anything is built, and every cell is checked as a
     RegionPoint.
@@ -276,16 +283,11 @@ def sb_surface(p, grid):
     _check_cells(n * n, f"sb_surface grid of {n} x {n} points has")
     b = np.array([_sb_arg("alpha", a) for a in grid], dtype=np.float64)
     rates = LOG2 - _hb_closed_array(b)
-    # sb_point's _bconv(_bconv(alpha, p), beta), written out with 1 - beta
-    # taken once per column and alpha * p and 1 - (alpha * p) once per row
-    ap = _bconv(b, p)[:, None]
-    nap = 1.0 - ap
-    nb = 1.0 - b
     mu = np.empty((n, n))
     rows = max(1, _SURFACE_BLOCK_CELLS // max(n, 1))
     for i in range(0, n, rows):
         block = slice(i, i + rows)
-        mu[block] = LOG2 - _hb_closed_array(ap[block] * nb + nap[block] * b)
+        mu[block] = _sb_mu(p, b[block, None], b)
         _check_region_points(mu[block], rates[block, None], rates[None, :])
     return rates, mu
 
@@ -571,13 +573,7 @@ def multi_inner_membership(p_xk, channels, point, choice, tol=MARKOV_TOL):
     (ok, certificate) where certificate maps each pair to its binding
     (minimum-slack) constraint description and slack in nats.
     """
-    joint, u_labels, x_labels = _encoder_joint(p_xk, channels)
-    rates = point.rates
-    _check_rate_count(rates, u_labels)
-    lattice = _EncoderLattice(joint, u_labels, x_labels)
-    masks = _encoder_masks(len(u_labels))
-    sets = list(masks)
-    rate_sums = _rate_sums(rates)
+    lattice, masks, sets, rate_sums = _binning_setup(*_encoder_joint(p_xk, channels), point.rates)
     ok = True
     certificate = {}
     for pair, target in point.mu.items():
@@ -610,9 +606,15 @@ def _encoder_joint(p_xk, channels):
     return joint, tuple(ch.output.label for ch in channels), x_labels
 
 
-def _check_rate_count(rates, u_labels):
+def _binning_setup(joint, u_labels, x_labels, rates):
+    # (lattice, masks, sets, rate_sums) of a binning test or search on the
+    # encoder joint, once there is one rate per encoder: the encoder
+    # lattice, the mask of each encoder set, the set of each mask and the
+    # rate sum of each mask
     if len(rates) != len(u_labels):
         raise ConstraintError(f"{len(rates)} rates for {len(u_labels)} encoders")
+    masks = _encoder_masks(len(u_labels))
+    return _EncoderLattice(joint, u_labels, x_labels), masks, list(masks), _rate_sums(rates)
 
 
 def _binning_candidates(universe):
@@ -652,15 +654,10 @@ def multi_inner_search(p_xk, channels, point, tol=MARKOV_TOL):
     channels = list(channels)
     if len(channels) > 6:
         raise SizeError(f"multi_inner_search supports K <= 6, got {len(channels)}")
-    joint, u_labels, x_labels = _encoder_joint(p_xk, channels)
+    encoders = _encoder_joint(p_xk, channels)
     if not point.mu:
         return {}
-    rates = point.rates
-    _check_rate_count(rates, u_labels)
-    lattice = _EncoderLattice(joint, u_labels, x_labels)
-    masks = _encoder_masks(len(u_labels))
-    sets = list(masks)
-    rate_sums = _rate_sums(rates)
+    lattice, masks, sets, rate_sums = _binning_setup(*encoders, point.rates)
     verdicts, candidates = {}, {}
 
     def candidates_of(universe):
@@ -742,8 +739,7 @@ def ib_point(p_xz, ch_u):
 
     This is the single-encoder single-target CEO evaluation, unpacked.
     """
-    if len(p_xz.axes) != 2:
-        raise AxisError(f"ib_point needs a two-axis source, got {p_xz.labels}")
+    _two_axis(p_xz, "ib_point")
     mp_ = ceo_point(p_xz, [ch_u], (p_xz.labels[0],), (p_xz.labels[1],))
     pair = SubsetPair(frozenset({1}), frozenset({1}))
     return mp_.rates[0], mp_.mu[pair]

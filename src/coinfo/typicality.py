@@ -50,6 +50,7 @@ from .probability import (
     _clamp_measures,
     _is_int,
     _normalized,
+    _two_axis,
     batch_entropies,
     entropy_of_array,
     mutual_information,
@@ -308,9 +309,7 @@ def theta(p_xz, code):
     tables. This is best_theta's routine run on a block of one pair, so
     theta of the code best_theta returns equals its value bit for bit.
     """
-    if len(p_xz.axes) != 2:
-        raise DomainError(f"theta needs a two-axis source, got {p_xz.labels}")
-    nx, nz = p_xz.mass.shape
+    nx, nz = _two_axis(p_xz, "theta").shape
     n = code.n
     if nx**n * nz**n > _STATE_GUARD:
         raise SizeError(
@@ -413,12 +412,10 @@ def best_theta(p_xz, n, m1, m2):
     and a scored pair gets the float that the full scan gives it: the
     value and the code are the full scan's bit for bit.
     """
-    if len(p_xz.axes) != 2:
-        raise DomainError(f"best_theta needs a two-axis source, got {p_xz.labels}")
+    nx, nz = _two_axis(p_xz, "best_theta").shape
     _check_positive("blocklength", n)
     _check_positive("m1", m1)
     _check_positive("m2", m2)
-    nx, nz = p_xz.mass.shape
     if nx**n * nz**n > _STATE_GUARD:
         raise SizeError(
             f"{nx}^{n} * {nz}^{n} joint blocks exceed the enumeration budget {_STATE_GUARD}"

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinfo import cli, probability, typicality
-from coinfo.cli import RunManifest, _fmt, _parse_source, _surface_blocks, _table_lines, _unit_scale, main
+from coinfo.cli import RunManifest, _fmt, _parse_source, _surface_blocks, _table_blocks, _unit_scale, main
 from coinfo.errors import DomainError, SizeError
 from coinfo.probability import LOG2, Alphabet, JointPmf, binary_entropy
 from coinfo.regions import sb_point, sb_surface
@@ -218,7 +218,7 @@ class TestDistinctValueSurfaceWriter:
     def test_special_values_and_blocks(self, monkeypatch, units, block_rows, shape):
         rows, cols = shape
         # None: the whole table in one block
-        monkeypatch.setattr(cli, "_SURFACE_WRITE_CELLS", cols * (block_rows or rows))
+        monkeypatch.setattr(cli, "_WRITE_CELLS", cols * (block_rows or rows))
         # and chunks of 3 distinct values, so that every table spans chunks
         monkeypatch.setattr(cli, "_FORMAT_CHUNK", 3)
         scale = _unit_scale(units)
@@ -253,7 +253,7 @@ class TestDistinctValueSurfaceWriter:
         # by the block constant, not the grid: 2.1 MiB when pinned, the
         # same as for the first block alone and for the whole grid
         rates, mu = sb_surface(0.25, np.linspace(0.0, 0.5, 1001))
-        assert self.writer_peak(rates, mu[:131]) <= 40 * cli._SURFACE_WRITE_CELLS
+        assert self.writer_peak(rates, mu[:131]) <= 40 * cli._WRITE_CELLS
 
 
 class TestDsbsGap:
@@ -557,27 +557,44 @@ class TestPinnedRefineOutputs:
 
 
 class TestTableWriter:
-    """_table_lines writes a whole table with one %-format call, and every
-    value as _fmt(v / scale) writes it."""
+    """_table_blocks writes a table as blocks of whole lines of at most
+    _WRITE_CELLS values, one %-format call a block, and every value as
+    _fmt(v / scale) writes it."""
 
     VALUES = [0.0, -0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, math.log(2)]
 
     @staticmethod
     def per_value(rows, scale):
-        return [" ".join(_fmt(v / scale) for v in row) for row in rows]
+        return "".join(" ".join(_fmt(v / scale) for v in row) + "\n" for row in rows)
+
+    def wide(self):
+        # three columns, each value in every column and with either sign
+        n = len(self.VALUES)
+        return [(self.VALUES[i], -self.VALUES[(i + 1) % n], self.VALUES[(i + 2) % n]) for i in range(n)]
 
     @pytest.mark.parametrize("units", ["nats", "bits"])
     def test_matches_per_value_format(self, units):
         scale = _unit_scale(units)
         column = [(v,) for v in self.VALUES]
-        # three columns, each value in every column and with either sign
-        n = len(self.VALUES)
-        wide = [(self.VALUES[i], -self.VALUES[(i + 1) % n], self.VALUES[(i + 2) % n]) for i in range(n)]
-        for rows in (column, wide):
+        for rows in (column, self.wide()):
             want = self.per_value(rows, scale)
-            assert _table_lines(rows, scale) == want
-            assert _table_lines(np.array(rows), scale) == want
-        assert self.per_value(column, 1.0)[:2] == ["0", "-0"]
+            assert "".join(_table_blocks(rows, scale)) == want
+            assert "".join(_table_blocks(np.array(rows), scale)) == want
+        assert self.per_value(column, 1.0).startswith("0\n-0\n")
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4, 7, 20, 21, 2**16])
+    def test_blocks_hold_whole_rows(self, monkeypatch, units, cells):
+        # blocks of max(1, cells // 3) rows of the three-column table, the
+        # last one shorter, and the same bytes for every block size
+        monkeypatch.setattr(cli, "_WRITE_CELLS", cells)
+        scale = _unit_scale(units)
+        rows = self.wide()
+        blocks = list(_table_blocks(rows, scale))
+        size = max(1, cells // 3)
+        assert [b.count("\n") for b in blocks] == [min(size, len(rows) - lo) for lo in range(0, len(rows), size)]
+        assert all(b.endswith("\n") for b in blocks)
+        assert "".join(blocks) == self.per_value(rows, scale)
 
     def test_fmt_is_the_float_format(self):
         # every writer formats a real as "%.15g" % v does, for Python and
@@ -590,11 +607,10 @@ class TestTableWriter:
     @pytest.mark.parametrize("units", ["nats", "bits"])
     def test_empty_and_one_row_tables(self, units):
         scale = _unit_scale(units)
-        assert _table_lines([], scale) == []
-        assert _table_lines(np.empty((0, 3)), scale) == []
+        assert list(_table_blocks([], scale)) == []
+        assert list(_table_blocks(np.empty((0, 3)), scale)) == []
         row = [(math.log(2), 0.1 + 0.2, -0.0)]
-        assert _table_lines(row, scale) == self.per_value(row, scale)
-        assert len(_table_lines(row, scale)) == 1
+        assert list(_table_blocks(row, scale)) == [self.per_value(row, scale)]
 
 
 class TestParserReuse:

@@ -524,8 +524,8 @@ ZERO_STEP_SOURCES = {"dsbs0.1": dsbs(0.1), "dsbs0.25": dsbs(0.25), "SOURCE3": SO
 
 class TestLocalRefine:
     """The local solves from a given start: the two-sided inner solve
-    (_inner_solve) and the outer coupling solve (_coupled), scored by
-    _scored_outer."""
+    (_inner_solve) and the outer coupling solve (_coupled), scored through
+    the chain map (_mapped)."""
 
     @pytest.mark.parametrize("weights", [(1.0, -0.25, -0.25), (1.0, -0.05, -0.1), (0.9, -0.02, -0.08),
                                          (0.9, -0.2, -0.05)], ids=lambda w: ",".join(map(str, w)))
@@ -1782,7 +1782,8 @@ class TestOuterSupport:
         before = outer_point_ro(outer_joint(src, q))
         for steps in (1, 10, 300):
             solved = optimize._coupled(src.mass, q[None], steps)[0]
-            tables, values = optimize._scored_outer(src.mass, lam, "ro", np.stack([q, solved]))
+            tables, st = optimize._mapped(src.mass, np.stack([q, solved]))
+            values = optimize._lam_dot(lam, optimize._region_mu(st, "ro"), st[:, 0], st[:, 1])
             assert values[1] > values[0]
             pt = outer_point_ro(outer_joint(src, tables[1]))
             assert lam.l1 * pt.mu + lam.l2 * pt.r1 + lam.l3 * pt.r2 >= (
@@ -1797,7 +1798,8 @@ class TestOuterSupport:
         for seed in range(3):
             q = np.random.default_rng(seed).dirichlet(np.ones(9), size=(3, 2)).reshape(3, 2, 3, 3)
             out = optimize._coupled(SOURCE3.mass, q[None], 50)[0]
-            values = optimize._scored_outer(SOURCE3.mass, lam, "ro", np.stack([q, out]))[1]
+            st = optimize._mapped(SOURCE3.mass, np.stack([q, out]))[1]
+            values = optimize._lam_dot(lam, optimize._region_mu(st, "ro"), st[:, 0], st[:, 1])
             assert values[1] >= values[0]
             assert bits(optimize._coupled(SOURCE3.mass, q[None], 0)[0]) == bits(q)
 

@@ -46,6 +46,16 @@ from coinfo.probability import (
     _normalized,
     _subset_entropies,
 )
+from coinfo.optimize import (
+    SampleConfig,
+    SupportWeight,
+    cardinality_robustness,
+    ib_curve,
+    sample_region_points,
+    support_function,
+)
+from coinfo.regions import ib_point
+from coinfo.typicality import CodeSpec, best_theta, theta
 from entropy_reference import entropies
 
 LN2 = 0.69314718055994531
@@ -617,6 +627,31 @@ class TestComposeMarkov:
     def test_alphabet_mismatch(self):
         with pytest.raises(AxisError):
             compose_markov(dsbs(0.2), bsc_channel(0.1, "w", "u"), bsc_channel(0.2, "z", "v"))
+
+
+# every entry point that takes a source p(x, z), called on a given source
+TWO_AXIS_ENTRY_POINTS = {
+    "support_function": lambda p: support_function(p, SupportWeight(1.0, -0.5, -0.5), SampleConfig(seed=0)),
+    "sample_region_points": lambda p: sample_region_points(p, SampleConfig(seed=0, count=3)),
+    "ib_curve": lambda p: ib_curve(p, [0.1]),
+    "cardinality_robustness": lambda p: cardinality_robustness(
+        p, [SupportWeight(1.0, -0.5, -0.5)], SampleConfig(seed=0)
+    ),
+    "compose_markov": lambda p: compose_markov(p, bsc_channel(0.1), bsc_channel(0.2, "z", "v")),
+    "ib_point": lambda p: ib_point(p, bsc_channel(0.1)),
+    "theta": lambda p: theta(p, CodeSpec(1, (0, 1), (0, 1), 2, 2)),
+    "best_theta": lambda p: best_theta(p, 1, 2, 2),
+}
+
+
+@pytest.mark.parametrize("n_axes", [1, 3])
+@pytest.mark.parametrize("name", TWO_AXIS_ENTRY_POINTS)
+def test_two_axis_entry_points_refuse_other_sources(name, n_axes):
+    # one check (_two_axis) serves them all: a source of one or three axes
+    # raises AxisError, which names the entry point
+    source = JointPmf(tuple(Alphabet(2, lbl) for lbl in "xzy"[:n_axes]), np.full((2,) * n_axes, 0.5**n_axes))
+    with pytest.raises(AxisError, match=f"^{name} needs a two-axis source, got "):
+        TWO_AXIS_ENTRY_POINTS[name](source)
 
 
 class TestDsbsAndBsc:

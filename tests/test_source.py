@@ -1,7 +1,9 @@
 """Checks on the package's own source code."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import coinfo
@@ -176,3 +178,95 @@ def test_one_hull_body():
         if hull_code(node)
     ]
     assert found and all(f.startswith("optimize.py:") for f in found), f"hull code outside optimize: {found}"
+
+
+def found_in(match):
+    """(file:line, names of the enclosing functions) of every node of the
+    src/coinfo modules for which match(node) holds."""
+    found = []
+
+    def scan(node, where, funcs):
+        for child in ast.iter_child_nodes(node):
+            inner = funcs + (child.name,) if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else funcs
+            if match(child):
+                found.append((f"{where}:{child.lineno}", inner))
+            scan(child, where, inner)
+
+    for path in sorted(Path(coinfo.__file__).parent.rglob("*.py")):
+        scan(ast.parse(path.read_text(), filename=str(path)), path.name, ())
+    return found
+
+
+def is_call(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def where(found):
+    # (module, enclosing functions) of each find
+    return [(at.split(":")[0], funcs) for at, funcs in found]
+
+
+def test_draw_cells_read_only_in_blocked_stats():
+    # draws and solves alike are scored a block of at most
+    # optimize._DRAW_CELLS joint cells at a time by one routine,
+    # optimize._blocked_stats: nothing else reads _DRAW_CELLS
+    reads = found_in(lambda n: isinstance(n, ast.Name) and n.id == "_DRAW_CELLS" and isinstance(n.ctx, ast.Load))
+    assert reads and set(where(reads)) == {("optimize.py", ("_blocked_stats",))}, f"_DRAW_CELLS reads: {reads}"
+
+
+def test_one_two_axis_check():
+    # a source p(x, z) is checked for two axes in one place,
+    # probability._two_axis, so every entry point raises the same AxisError
+    def check(node):
+        return (
+            isinstance(node, ast.Compare)
+            and is_call(node.left, "len")
+            and getattr(node.left.args[0], "attr", None) == "axes"
+            and any(isinstance(c, ast.Constant) and c.value == 2 for c in node.comparators)
+        )
+
+    found = found_in(check)
+    assert where(found) == [("probability.py", ("_two_axis",))], f"two-axis checks: {found}"
+
+
+def test_one_dsbs_closed_form():
+    # log2 - h_b(alpha*p*beta) has one body, regions._sb_mu: nothing else
+    # convolves a convolution, and sb_surface reads its cells from it
+    nested = found_in(lambda n: is_call(n, "_bconv") and n.args and is_call(n.args[0], "_bconv"))
+    assert where(nested) == [("regions.py", ("_sb_mu",))], f"nested convolutions: {nested}"
+    assert ("regions.py", ("sb_surface",)) in where(found_in(lambda n: is_call(n, "_sb_mu")))
+
+
+def test_one_caps_default():
+    # the auxiliary caps of a SampleConfig default to the source alphabet
+    # sizes in one place, optimize._caps: nothing else in optimize reads them
+    reads = found_in(lambda n: isinstance(n, ast.Attribute) and n.attr in ("cap_u", "cap_v") and isinstance(n.ctx, ast.Load))
+    reads = [r for r in reads if r[0].startswith("optimize.py:")]
+    assert reads and set(where(reads)) == {("optimize.py", ("_caps",))}, f"cap reads in optimize: {reads}"
+
+
+def test_one_binning_setup():
+    # the binning test and the binning search share one setup,
+    # regions._binning_setup, which alone builds the rate sums
+    calls = found_in(lambda n: is_call(n, "_rate_sums"))
+    assert where(calls) == [("regions.py", ("_binning_setup",))], f"rate-sum builds: {calls}"
+
+
+# CPython's parser doubles its token array past this many tokens, and
+# compile()'s peak memory for the module then rises by about 0.45 MiB, in
+# every process that imports it without a bytecode cache
+PARSER_TOKEN_STEP = 8192
+
+
+def test_modules_below_the_parser_token_step():
+    # tokens as tokenize counts them, less comments and blank lines
+    files = sorted(Path(coinfo.__file__).parent.rglob("*.py"))
+    skip = (tokenize.COMMENT, tokenize.NL)
+    counts = {
+        path.name: sum(t.type not in skip for t in tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+        for path in files
+    }
+    over = {name: n for name, n in counts.items() if n >= PARSER_TOKEN_STEP}
+    assert files and not over, (
+        f"modules at or past {PARSER_TOKEN_STEP} tokens: {over}; move code out of them to stay below"
+    )

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinfo import typicality
-from coinfo.errors import DomainError, SizeError, SupportError
+from coinfo.errors import AxisError, DomainError, SizeError, SupportError
 from coinfo.probability import (
     LOG2,
     Alphabet,
@@ -376,7 +376,7 @@ class TestTheta:
 
     def test_needs_two_axes(self):
         joint = JointPmf((Alphabet(2, "x"),), np.array([0.5, 0.5]))
-        with pytest.raises(DomainError):
+        with pytest.raises(AxisError):
             theta(joint, CodeSpec(1, (0, 1), (0, 1), 2, 2))
 
     def test_matches_per_pair_reference(self):
