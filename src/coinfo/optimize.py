@@ -19,11 +19,14 @@ max or min with lowest-index tie-break, and no BLAS-backed kernels are
 used, so a run is bit-reproducible for any thread count. Each piece of
 a draw block is scored, as every solve scores its tables, by one
 routine (_blocked_stats) in blocks of at most _DRAW_CELLS joint cells,
-with one call of probability.batch_entropies each, which builds all the
-marginals of every table with ordered reductions whose inner loop runs
-across the tables, and sums them in a fixed order, with elementwise
-operations only; its rows are bitwise equal to one table's, so no
-result depends on the scoring block size.
+with one call of probability._batch_informations each, on a plan of
+information terms each scorer builds once, at import (_INNER_PLAN,
+_IB_PLAN, _OUTER_PLAN). It builds all the marginals of every table with
+ordered reductions whose inner loop runs across the tables, and adds
+the terms in a fixed order, with elementwise operations only; its rows
+are bitwise equal to one table's, so no result depends on the scoring
+block size. Caps whose (x, z, u, v) joint is past the dense-size cap are
+refused (SizeError) before anything is drawn or solved (_caps).
 The conjecture tail runs once per chunk of as many draw pieces as hold
 at most _DRAW_FLOATS floats of tables, with one h_b^-1 call
 (probability.binary_entropy_inverses) for both rate equalities; it is
@@ -94,11 +97,11 @@ from .probability import (
     Alphabet,
     Channel,
     binary_entropy_inverses,
-    batch_entropies,
     dsbs,
+    _batch_informations,
     _check_cells,
     _check_probability,
-    _clamp_measures,
+    _information_plan,
     _NEG_TOL,
     _hb_closed_array,
     _is_int,
@@ -188,7 +191,7 @@ class EnvelopeCurve:
         if not knots:
             raise SizeError("an EnvelopeCurve needs at least one knot")
         # each check names its first failing knot, pair or triple
-        points = np.array(knots)
+        points = np.fromiter(itertools.chain.from_iterable(knots), float, 2 * len(knots)).reshape(-1, 2)
         points.setflags(write=False)
         r, m = points.T
         bad = ~np.isfinite(points).all(axis=1)
@@ -339,13 +342,17 @@ def _scored_draws(cfg, pxz, shapes, stats):
             yield start + lo, tables, _blocked_stats(stats, pxz, tables, cells)
 
 
-# kept-axis groups of the (x, z, u, v) and (x, z, u) joints, axes in that order
-_INNER_GROUPS = ((0,), (1,), (2,), (3,), (2, 3), (0, 2), (1, 3))
-_OUTER_GROUPS = (
-    (0,), (1,), (2,), (3,), (0, 1), (2, 3), (0, 2), (1, 3), (1, 2), (0, 3),
-    (0, 1, 2), (0, 1, 3), (0, 1, 2, 3),
-)
-_IB_GROUPS = ((0,), (1,), (2,), (0, 2), (1, 2))
+# the information terms (A, B, C), I(A;B|C), of each scorer, on the axes
+# (x, z, u, v) = (0, 1, 2, 3) of its joint, in the order of its columns
+_INNER_PLAN = _information_plan((((2,), (3,), ()), ((0,), (2,), ()), ((1,), (3,), ())))
+_IB_PLAN = _information_plan((((0,), (2,), ()), ((1,), (2,), ())))
+# the columns of _batch_outer_stats; mu_ro = I(v;z) + I(u;x) - I(x,z;u,v)
+# replaces I(x,z;u,v)
+_OUTER_KEYS = ("iux", "ivz", "iuz", "ivx", "mu_ro", "cmi_uz_x", "cmi_vx_z")
+_OUTER_PLAN = _information_plan((
+    ((0,), (2,), ()), ((1,), (3,), ()), ((1,), (2,), ()), ((0,), (3,), ()),
+    ((0, 1), (2, 3), ()), ((2,), (1,), (0,)), ((3,), (0,), (1,)),
+))
 
 
 def _batch_inner_stats(pxz, rows_u, rows_v):
@@ -355,49 +362,20 @@ def _batch_inner_stats(pxz, rows_u, rows_v):
     # the layout batch_entropies reduces in, so it takes them without a copy
     w = np.multiply(pxz[:, :, None, None, None], rows_u.transpose(1, 2, 0)[:, None, :, None], order="C")
     w = np.multiply(w, rows_v.transpose(1, 2, 0)[None, :, None], order="C")
-    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = batch_entropies(w.transpose(4, 0, 1, 2, 3), _INNER_GROUPS).T
-    return (
-        _clamp_measures(h_u + h_v - h_uv),
-        _clamp_measures(h_x + h_u - h_xu),
-        _clamp_measures(h_z + h_v - h_zv),
-    )
+    return tuple(_batch_informations(w.transpose(4, 0, 1, 2, 3), _INNER_PLAN))
 
 
 def _batch_ib_stats(pxz, rows):
     """(I(u;x), I(u;z)) of a batch of test channels p(u|x) on the source."""
     w = np.multiply(pxz[:, :, None, None], rows.transpose(1, 2, 0)[:, None], order="C")
-    h = batch_entropies(w.transpose(3, 0, 1, 2), _IB_GROUPS)
-    h_x, h_z, h_u, h_xu, h_zu = h.T
-    return _clamp_measures(h_x + h_u - h_xu), _clamp_measures(h_z + h_u - h_zu)
-
-
-# the columns of _batch_outer_stats. Column j is H(A) + H(B) - H(C) for its
-# (A, B, C) axis groups of the (x, z, u, v) joint below, less H(x) and H(z)
-# in the two CMIs; mu_ro = I(v;z) + I(u;x) - I(x,z;u,v) replaces I(x,z;u,v)
-_OUTER_KEYS = ("iux", "ivz", "iuz", "ivx", "mu_ro", "cmi_uz_x", "cmi_vx_z")
-_OUTER_TERMS = (
-    ((0,), (2,), (0, 2)),  # I(u;x)
-    ((1,), (3,), (1, 3)),  # I(v;z)
-    ((1,), (2,), (1, 2)),  # I(u;z)
-    ((0,), (3,), (0, 3)),  # I(v;x)
-    ((0, 1), (2, 3), (0, 1, 2, 3)),  # I(x,z;u,v)
-    ((0, 2), (0, 1), (0, 1, 2)),  # I(u;z|x) + H(x)
-    ((1, 3), (0, 1), (0, 1, 3)),  # I(v;x|z) + H(z)
-)
-# the _OUTER_GROUPS columns of every A, every B and every C
-_OUTER_A, _OUTER_B, _OUTER_C = (
-    np.array([_OUTER_GROUPS.index(g) for g in col]) for col in zip(*_OUTER_TERMS)
-)
+    return tuple(_batch_informations(w.transpose(3, 0, 1, 2), _IB_PLAN))
 
 
 def _batch_outer_stats(pxz, q):
     """All information terms of the (x,z,u,v) joints of a batch of tables
     q[b] = q(u,v|x,z): row b holds the _OUTER_KEYS terms of table b."""
     w = np.multiply(pxz[:, :, None, None, None], q.transpose(1, 2, 3, 4, 0), order="C")
-    h = batch_entropies(w.transpose(4, 0, 1, 2, 3), _OUTER_GROUPS)
-    st = h[:, _OUTER_A] + h[:, _OUTER_B] - h[:, _OUTER_C]
-    st[:, 5:] -= h[:, :2]  # H(x) and H(z), the first two groups
-    _clamp_measures(st)
+    st = _batch_informations(w.transpose(4, 0, 1, 2, 3), _OUTER_PLAN).T
     st[:, 4] = st[:, 1] + st[:, 0] - st[:, 4]
     return st
 
@@ -507,8 +485,11 @@ def support_function(p_xz, lam, cfg, variant="inner"):
 
 
 def _caps(cfg, shape):
-    # (cap_u, cap_v) of cfg, each defaulting to its source alphabet's size
-    return cfg.cap_u or shape[0], cfg.cap_v or shape[1]
+    # (cap_u, cap_v) of cfg, each defaulting to its source alphabet's size;
+    # caps whose (x, z, u, v) joint is past the dense-size cap raise SizeError
+    cap_u, cap_v = cfg.cap_u or shape[0], cfg.cap_v or shape[1]
+    _check_cells(math.prod(shape) * cap_u * cap_v, f"caps ({cap_u}, {cap_v}) give a joint of")
+    return cap_u, cap_v
 
 
 def _public_candidate(variant, tables, p_xz, cap_u, cap_v):
@@ -1172,12 +1153,12 @@ def cardinality_robustness(p_xz, lams, cfg, variant="inner"):
     tests' cases).
     """
     nx, nz = _two_axis(p_xz, "cardinality_robustness").shape
+    base_cfg, plus_cfg = replace(cfg, cap_u=nx, cap_v=nz), replace(cfg, cap_u=nx + 1, cap_v=nz + 1)
+    _caps(plus_cfg, (nx, nz))  # refuse the larger caps before anything is solved
     report = []
     for lam in lams:
-        base, _ = support_function(p_xz, lam, replace(cfg, cap_u=nx, cap_v=nz), variant)
-        plus, _ = support_function(
-            p_xz, lam, replace(cfg, cap_u=nx + 1, cap_v=nz + 1), variant
-        )
+        base, _ = support_function(p_xz, lam, base_cfg, variant)
+        plus, _ = support_function(p_xz, lam, plus_cfg, variant)
         report.append(
             {
                 "lam": (lam.l1, lam.l2, lam.l3),

@@ -216,8 +216,9 @@ def batch_entropies(w, groups):
     a reduction whose inner loop is the summed axis pairwise. Nothing is
     kept between calls but the axes of each reduction (_entropy_axes).
     Every sampler and objective of optimize and the code oracle of
-    typicality score their tables with it; the tests keep an unbatched
-    one-table form as its bitwise reference.
+    typicality score their tables with it, through _batch_informations,
+    its one caller; the tests keep an unbatched one-table form as its
+    bitwise reference.
     """
     w = np.asarray(w, dtype=np.float64)
     batch = w.shape[0]
@@ -284,6 +285,38 @@ def _entropy_axes(shape, groups):
         folds.append((lo, lo + count * size, (count, size, -1), first, first + count))
         lo, first = lo + count * size, first + count
     return lo, tuple(range(1, n + 1)) + (0,), tuple(margins), tuple(folds)
+
+
+def _information_plan(terms):
+    """The plan of _batch_informations for a tuple of terms (A, B, C) of
+    axis tuples, each I(A;B|C), or I(A;B) when C is empty.
+
+    Returns the groups that batch_entropies reads, each union as a sorted
+    tuple and the groups ordered by axis count, so that marginals of one
+    size sit in one run; then the group column of each term's A+C, B+C
+    and A+B+C; then the terms that have a C, and the columns of their C.
+    Each caller builds its plan once, at import.
+    """
+    unions = [[tuple(sorted(g)) for g in (a + c, b + c, a + b + c, c)] for a, b, c in terms]
+    groups = tuple(sorted({g for u in unions for g in u if g}, key=lambda g: (len(g), g)))
+    cols = np.array([[groups.index(g) if g else -1 for g in u] for u in unions]).T
+    cond = np.flatnonzero(cols[3] >= 0)
+    return groups, cols[0], cols[1], cols[2], cond, cols[3][cond]
+
+
+def _batch_informations(w, plan):
+    """The information terms of a plan (_information_plan) on each table
+    of a block w, as batch_entropies takes it: row t, entry b is term t of
+    table b, H(A+C) + H(B+C) - H(A+B+C), less H(C) when C is not empty,
+    added in that order, with the clamp of entropy_of_array. The one
+    information body of the batched scorers: one batch_entropies call,
+    so entry b is bitwise that of table b alone."""
+    groups, ac, bc, abc, cond, c = plan
+    h = batch_entropies(w, groups).T
+    st = h[ac] + h[bc] - h[abc]
+    if cond.size:
+        st[cond] -= h[c]
+    return _clamp_measures(st)
 
 
 def _clamp_measures(values):
@@ -532,25 +565,22 @@ def _marginal_entropy(p, labels):
 
 def mutual_information(p, group_a, group_b):
     """I(A;B) = H(A) + H(B) - H(A,B) in nats."""
-    ga, gb = _as_labels(group_a), _as_labels(group_b)
-    _check_groups_disjoint(p, ga, gb)
-    ha = _marginal_entropy(p, ga)
-    hb_ = _marginal_entropy(p, gb)
-    hab = _marginal_entropy(p, ga + gb)
-    return _clamp_measure(ha + hb_ - hab)
+    return _information(p, _as_labels(group_a), _as_labels(group_b), ())
 
 
 def conditional_mutual_information(p, group_a, group_b, group_c):
     """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C); empty C gives I(A;B)."""
-    ga, gb, gc = _as_labels(group_a), _as_labels(group_b), _as_labels(group_c)
-    if not gc:
-        return mutual_information(p, ga, gb)
-    _check_groups_disjoint(p, ga, gb, gc)
-    hac = _marginal_entropy(p, ga + gc)
-    hbc = _marginal_entropy(p, gb + gc)
-    habc = _marginal_entropy(p, ga + gb + gc)
-    hc = _marginal_entropy(p, gc)
-    return _clamp_measure(hac + hbc - habc - hc)
+    return _information(p, _as_labels(group_a), _as_labels(group_b), _as_labels(group_c))
+
+
+def _information(p, ga, gb, gc):
+    # the label path's one information body: I(A;B|C) of label tuples,
+    # I(A;B) when C is empty, with the sums of _batch_informations
+    _check_groups_disjoint(p, ga, gb, *((gc,) if gc else ()))
+    h = _marginal_entropy(p, ga + gc) + _marginal_entropy(p, gb + gc) - _marginal_entropy(p, ga + gb + gc)
+    if gc:
+        h -= _marginal_entropy(p, gc)
+    return _clamp_measure(h)
 
 
 def _check_groups_disjoint(p, *groups):

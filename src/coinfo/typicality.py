@@ -19,15 +19,16 @@ Batching and pruning. best_theta bounds every pair first: by data
 processing, theta(f, g) is at most b_f = I(f(x^n); z^n) / n and at most
 b_g = I(x^n; g(z^n)) / n. It streams the canonical f strings, then the
 g strings, in blocks of at most _BLOCK_CELLS pushed-forward cells, and
-one bincount and one batched kernel call (probability.batch_entropies)
-give the bounds of a whole block. The pair of the largest b_f and the
+one bincount and one batched information call
+(probability._batch_informations, on the plan of I(u; v)) give the
+bounds of a whole block. The pair of the largest b_f and the
 largest b_g is scored for a lower bound L, the strings whose bound is
 at least L - _MARGIN are kept, and only the pairs of kept strings are
 scored: g in blocks, each block run against every kept f, one bincount
 pushing the product source forward through every pair (f, g) of the
-block and one kernel call giving H(u), H(v) and H(u, v) for all of
-them. The first pass keeps each side's first block of bounds, so a side
-whose strings fit one block is enumerated and bounded once; a longer
+block and one information call giving I(u; v) for all of them. The
+first pass keeps each side's first block of bounds, so a side whose
+strings fit one block is enumerated and bounded once; a longer
 side streams its later blocks a second time to pick the kept strings.
 Memory holds two blocks a side and the kept strings, never a list of
 all canonical strings. A pair's value depends only on the pair, never
@@ -47,11 +48,11 @@ import numpy as np
 
 from .errors import DomainError, InternalCheckError, NormalizationError, SizeError, SupportError
 from .probability import (
-    _clamp_measures,
+    _batch_informations,
+    _information_plan,
     _is_int,
     _normalized,
     _two_axis,
-    batch_entropies,
     entropy_of_array,
     mutual_information,
 )
@@ -61,8 +62,8 @@ _CODE_GUARD = 10**8
 # cells of pushed-forward tables per block of the code oracle: it bounds the
 # memory of one bincount, and no result depends on it
 _BLOCK_CELLS = 1 << 16
-# H(u), H(v), H(u, v) of a pushed-forward (u, v) table
-_UV_GROUPS = ((0,), (1,), (0, 1))
+# I(u; v) of a pushed-forward (u, v) table
+_UV_PLAN = _information_plan((((0,), (1,), ()),))
 # nats per letter by which best_theta's pruning rule undercuts its lower
 # bound. A theta and a bound are both _thetas' I(u; v) / n of a pushforward
 # of the product table, whose N <= _STATE_GUARD = 1e7 cells are nonnegative
@@ -290,7 +291,8 @@ def _thetas(table, n, f, gs, m1, m2):
     through every pair at once: cell (x, z) of row r lands in bin
     r*m1*m2 + f(x)*m2 + g_r(z), and each bin adds its cells in (x, z) C
     order. Each row then gets JointPmf's checks and renormalization, and
-    one batched kernel call gives H(u), H(v) and H(u, v) for all rows.
+    one _batch_informations call gives I(u; v) = H(u) + H(v) - H(u, v)
+    for all rows.
     Row r depends only on (f, gs[r]), never on the other rows.
     """
     rows, cells = gs.shape[0], m1 * m2
@@ -298,8 +300,7 @@ def _thetas(table, n, f, gs, m1, m2):
     weights = np.broadcast_to(table, (rows,) + table.shape).ravel()
     w = np.bincount(target.ravel(), weights=weights, minlength=rows * cells)
     w = _normalized(w.reshape(rows, cells), axis=1)
-    h = batch_entropies(w.reshape(rows, m1, m2), _UV_GROUPS)
-    return _clamp_measures(h[:, 0] + h[:, 1] - h[:, 2]) / n
+    return _batch_informations(w.reshape(rows, m1, m2), _UV_PLAN)[0] / n
 
 
 def theta(p_xz, code):

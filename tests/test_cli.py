@@ -522,6 +522,23 @@ class TestPinnedRefineOutputs:
         assert body_sha256(out) == digest
         assert len(read_table(out)[1]) == int(samples)
 
+    # a source whose marginal sizes do not follow axis counts: the 3x2
+    # source of TestIbCurve, 257 draws (a second draw block of one draw);
+    # the digests are of version 0.11.0's scorers, one group table each
+    @pytest.mark.parametrize("variant, digest", [
+        pytest.param("inner", "16f5a53ce33440acffa5ccbc2d7727e883b0317341f8645581f6396ed20a3d31", id="inner"),
+        pytest.param("ro", "a113eadb31ad4df6ac53c4b213e4c2b11b6b57d500cb9f51d3f9fc33d8b2e6ef", id="ro"),
+    ])
+    def test_region_sample_3x2(self, tmp_path, capsys, variant, digest):
+        src = tmp_path / "source3.txt"
+        src.write_text("x z\n0 0 0.2\n0 1 0.1\n1 0 0.05\n1 1 0.25\n2 0 0.3\n2 1 0.1\n")
+        out = tmp_path / "rs.dat"
+        assert main(["region-sample", "--source", str(src), "--seed", "3", "--variant",
+                     variant, "--samples", "257", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert body_sha256(out) == digest
+        assert len(read_table(out)[1]) == 257
+
     # outer draws come in draw blocks of 256 and are mapped onto the chains
     # in scoring blocks of 256 draws of a 2x2x2x2 joint (ro_prime: the whole
     # first draw block, and 44 draws of the second) and of 113 at caps 3,3;
@@ -814,6 +831,18 @@ class TestRegionSample:
         assert main(["region-sample", "--source", "dsbs:0.1", "--seed", "1",
                      "--samples", "1000000000", "--out", str(out)]) == 3
         assert "cap is 10000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["conjecture", "--p", "0.1"], id="conjecture"),
+        pytest.param(["region-sample", "--source", "dsbs:0.1", "--variant", "ro"], id="region-sample-ro"),
+    ])
+    def test_caps_past_the_cell_cap_exit_3(self, tmp_path, capsys, argv):
+        # caps 2000,2000 make a joint of 1.6e7 cells a draw: refused before
+        # a draw or a write
+        out = tmp_path / "o.dat"
+        assert main([*argv, "--seed", "1", "--caps", "2000,2000", "--out", str(out)]) == 3
+        assert "caps (2000, 2000) give a joint of 16000000 cells, cap is 10000000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_variant_rejected_by_parser(self, tmp_path, capsys):

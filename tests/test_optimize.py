@@ -27,9 +27,6 @@ from coinfo.optimize import (
     sample_region_points,
     support_function,
     upper_concave_envelope,
-    _IB_GROUPS,
-    _INNER_GROUPS,
-    _OUTER_GROUPS,
     _OUTER_KEYS,
     _batch_ib_stats,
     _batch_inner_stats,
@@ -70,13 +67,16 @@ def small_cfg(seed, count, top=8, steps=60):
 
 
 # The per-candidate stats that block scoring replaced, kept here as the
-# bitwise reference of _batch_inner_stats and _batch_ib_stats.
+# bitwise reference of _batch_inner_stats, _batch_ib_stats and
+# _batch_outer_stats. Each spells its groups of the (x, z, u, v) or
+# (x, z, u) joint, axes in that order, as literals, so it shares no table with the code it
+# checks.
 
 
 def inner_stats(pxz, rows_u, rows_v):
     """(I(u;v), I(u;x), I(v;z)) on the long chain u - x - z - v."""
     w = pxz[:, :, None, None] * rows_u[:, None, :, None] * rows_v[None, :, None, :]
-    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = entropies(w, _INNER_GROUPS)
+    h_x, h_z, h_u, h_v, h_uv, h_xu, h_zv = entropies(w, ((0,), (1,), (2,), (3,), (2, 3), (0, 2), (1, 3)))
     return (
         _clamp_measure(h_u + h_v - h_uv),
         _clamp_measure(h_x + h_u - h_xu),
@@ -86,7 +86,7 @@ def inner_stats(pxz, rows_u, rows_v):
 
 def ib_stats(pxz, rows):
     """(I(u;x), I(u;z)) of a test channel p(u|x) on the source."""
-    h_x, h_z, h_u, h_xu, h_zu = entropies(pxz[:, :, None] * rows[:, None, :], _IB_GROUPS)
+    h_x, h_z, h_u, h_xu, h_zu = entropies(pxz[:, :, None] * rows[:, None, :], ((0,), (1,), (2,), (0, 2), (1, 2)))
     return _clamp_measure(h_x + h_u - h_xu), _clamp_measure(h_z + h_u - h_zu)
 
 
@@ -98,7 +98,10 @@ def stats_dicts(stats):
 def outer_stats(pxz, q):
     """All information terms of a (x,z,u,v) joint given q(u,v|x,z)."""
     (h_x, h_z, h_u, h_v, h_xz, h_uv, h_xu, h_zv, h_zu, h_xv, h_xzu, h_xzv,
-     h_all) = entropies(pxz[:, :, None, None] * q, _OUTER_GROUPS)
+     h_all) = entropies(pxz[:, :, None, None] * q, (
+        (0,), (1,), (2,), (3,), (0, 1), (2, 3), (0, 2), (1, 3), (1, 2), (0, 3),
+        (0, 1, 2), (0, 1, 3), (0, 1, 2, 3),
+    ))
     iux = _clamp_measure(h_x + h_u - h_xu)
     ivz = _clamp_measure(h_z + h_v - h_zv)
     return {
@@ -1969,6 +1972,55 @@ class TestRegionSampleCap:
         assert sample_region_points(dsbs(0.1), SampleConfig(seed=1, count=10), "ro").shape == (10, 3)
         with pytest.raises(SizeError):
             sample_region_points(dsbs(0.1), SampleConfig(seed=1, count=11), "ro")
+
+
+
+class TestCapsPastTheCellCap:
+    """Caps whose (x, z, u, v) joint is past the 10^7-cell cap that JointPmf
+    and source files share are refused with SizeError, before anything is
+    drawn or solved."""
+
+    @pytest.fixture
+    def nothing_runs(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a draw or a solve ran")
+
+        monkeypatch.setattr(optimize, "_substream", fail)
+        monkeypatch.setattr(optimize, "_support", fail)
+
+    def test_entry_points_refuse(self, nothing_runs):
+        # dsbs at caps (2000, 2000): a joint of 1.6e7 cells a table
+        big = SampleConfig(seed=1, cap_u=2000, cap_v=2000)
+        message = r"^caps \(2000, 2000\) give a joint of 16000000 cells, cap is 10000000$"
+        for variant in ("inner", "ro", "ro_prime"):
+            with pytest.raises(SizeError, match=message):
+                support_function(dsbs(0.1), SupportWeight(1.0, -0.3, -0.4), big, variant)
+            with pytest.raises(SizeError, match=message):
+                sample_region_points(dsbs(0.1), big, variant)
+        with pytest.raises(SizeError, match=message):
+            conjecture_test(0.1, big)
+
+    def test_cardinality_robustness_refuses_before_solving(self, nothing_runs):
+        # a 63x50 source: its own caps fit (9922500 cells) and its caps plus
+        # one do not, so the report is refused before its first solve
+        src = JointPmf((Alphabet(63, "x"), Alphabet(50, "z")), np.full((63, 50), 1.0 / 3150))
+        with pytest.raises(SizeError, match=r"^caps \(64, 51\) give a joint of 10281600 cells"):
+            cardinality_robustness(src, [SupportWeight(1.0, -0.3, -0.4)], SampleConfig(seed=1))
+
+    def test_caps_at_the_cap_run(self, monkeypatch):
+        # the cap lowered to 24 cells, so that no test builds 10^7 of them:
+        # dsbs at its default caps (16 cells) and at caps (3, 2) (24) runs,
+        # at caps (3, 3) (36) it is refused
+        monkeypatch.setattr(probability, "_MAX_CELLS", 24)
+        lam = SupportWeight(1.0, -0.3, -0.4)
+        for caps in ((None, None), (3, 2)):
+            cfg = SampleConfig(seed=1, count=8, cap_u=caps[0], cap_v=caps[1])
+            assert support_function(dsbs(0.1), lam, cfg)[1][0].rows.shape == (2, caps[0] or 2)
+            assert sample_region_points(dsbs(0.1), cfg, "ro").shape == (8, 3)
+            assert conjecture_test(0.1, cfg)["samples"] == 8
+        cfg = SampleConfig(seed=1, count=8, cap_u=3, cap_v=3)
+        with pytest.raises(SizeError, match="give a joint of 36 cells, cap is 24"):
+            sample_region_points(dsbs(0.1), cfg, "ro")
 
 
 class TestDrawLayout:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinfo import probability
 from coinfo.errors import (
     AxisError,
     DomainError,
@@ -42,7 +43,10 @@ from coinfo.probability import (
     entropy,
     marginalize,
     mutual_information,
+    _batch_informations,
     _check_groups_disjoint,
+    _clamp_measure,
+    _information_plan,
     _normalized,
     _subset_entropies,
 )
@@ -240,6 +244,67 @@ class TestEntropies:
         finally:
             tracemalloc.stop()
         assert kept - start <= 8 * 1024
+
+
+
+class TestBatchInformations:
+    """_batch_informations against the one-table reference: term (A, B, C)
+    of table b is H(A+C) + H(B+C) - H(A+B+C), less H(C) when C is not
+    empty, added in that order and clamped, each union a sorted tuple, with
+    the entropies of entropies() of table b alone."""
+
+    # axis sizes that differ, so one axis count holds marginals of several
+    # sizes and groups of one size interleave with others
+    CASES = (
+        ((3, 2, 4), (
+            ((0,), (1,), ()), ((2,), (1, 0), ()), ((1,), (2,), (0,)),
+            ((0, 2), (1,), ()), ((2,), (0,), (1,)), ((1,), (0,), (2,)),
+        )),
+        ((2, 3, 2, 4), (
+            ((2,), (3,), ()), ((0,), (2,), ()), ((1,), (3,), ()), ((1,), (2,), ()),
+            ((0, 1), (2, 3), ()), ((2,), (1,), (0,)), ((3,), (0,), (1,)),
+            ((3, 0), (1,), (2,)), ((0,), (3,), (2, 1)),
+        )),
+    )
+
+    @staticmethod
+    def reference(w, terms):
+        out = []
+        for a, b, c in terms:
+            h_ac, h_bc, h_abc = entropies(w, tuple(tuple(sorted(g)) for g in (a + c, b + c, a + b + c)))
+            v = h_ac + h_bc - h_abc
+            if c:
+                v -= entropies(w, (tuple(sorted(c)),))[0]
+            out.append(_clamp_measure(v))
+        return out
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_rows_equal_the_one_table_reference_bitwise(self, case, size):
+        shape, terms = self.CASES[case]
+        plan = _information_plan(terms)
+        rng = np.random.default_rng(35 + case)
+        cells = math.prod(shape)
+        w = rng.dirichlet(np.ones(cells), size=size)
+        w[::3, 1] = 0.0  # zero cells in some tables
+        w[size - 1] = np.eye(1, cells, cells - 1)  # and a point mass
+        w = (w / w.sum(axis=1, keepdims=True)).reshape((size,) + shape)
+        got = _batch_informations(w, plan)
+        assert got.shape == (len(terms), size)
+        for b in range(size):
+            assert got[:, b].tolist() == self.reference(w[b], terms), (shape, b)
+
+    def test_plan_orders_groups_by_axis_count(self):
+        for shape, terms in self.CASES:
+            groups = _information_plan(terms)[0]
+            want = {tuple(sorted(g)) for a, b, c in terms for g in (a + c, b + c, a + b + c, c) if g}
+            assert set(groups) == want and len(groups) == len(want)
+            assert all(g == tuple(sorted(g)) for g in groups)
+            assert [len(g) for g in groups] == sorted(len(g) for g in groups)
+        # the inner scorer's I(u;v), I(u;x), I(v;z): four one-axis groups,
+        # then three two-axis ones, whatever the order of first use
+        groups = _information_plan((((2,), (3,), ()), ((0,), (2,), ()), ((1,), (3,), ())))[0]
+        assert groups == ((0,), (1,), (2,), (3,), (0, 2), (1, 3), (2, 3))
 
 
 class TestSubsetEntropies:
@@ -507,6 +572,18 @@ class TestConditionalMutualInformation:
         p = dsbs(0.15)
         a = conditional_mutual_information(p, "x", "z", ())
         assert a == mutual_information(p, "x", "z")
+
+    def test_empty_conditioning_is_mi_bitwise(self, monkeypatch):
+        # on fresh joints of one mass, so that neither reads the other's
+        # remembered entropies; a CMI with an empty C does not call the MI
+        rng = np.random.default_rng(35)
+        axes = (Alphabet(3, "a"), Alphabet(2, "b"), Alphabet(4, "c"))
+        pairs = ((("a",), ("b",)), (("c", "a"), ("b",)), (("b",), ("a", "c")))
+        masses = [rng.dirichlet(np.ones(24)).reshape(3, 2, 4) for _ in range(10)]
+        want = [mutual_information(JointPmf(axes, m), ga, gb) for m in masses for ga, gb in pairs]
+        monkeypatch.setattr(probability, "mutual_information", None)
+        got = [conditional_mutual_information(JointPmf(axes, m), ga, gb, ()) for m in masses for ga, gb in pairs]
+        assert got == want
 
     def test_chain_rule_random_joints(self):
         rng = np.random.default_rng(11)

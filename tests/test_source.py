@@ -270,3 +270,17 @@ def test_modules_below_the_parser_token_step():
     assert files and not over, (
         f"modules at or past {PARSER_TOKEN_STEP} tokens: {over}; move code out of them to stay below"
     )
+
+
+def test_one_information_body():
+    # every information term of the batched scorers is one formula in one
+    # body, probability._batch_informations, the only caller of
+    # batch_entropies; no module keeps a table of entropy groups; and the
+    # label path's MI and CMI share one body, probability._information
+    calls = found_in(lambda n: is_call(n, "batch_entropies"))
+    assert where(calls) == [("probability.py", ("_batch_informations",))], f"batch_entropies calls: {calls}"
+    tables = found_in(lambda n: isinstance(n, ast.Name) and n.id.endswith("_GROUPS") and isinstance(n.ctx, ast.Store))
+    assert not tables, f"group tables: {tables}"
+    bodies = where(found_in(lambda n: is_call(n, "_information")))
+    for name in ("mutual_information", "conditional_mutual_information"):
+        assert ("probability.py", (name,)) in bodies, f"{name} does not call _information: {bodies}"
